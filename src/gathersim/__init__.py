@@ -18,7 +18,6 @@ from .engine import (  # noqa: F401
 from .policies import (  # noqa: F401
     destination,
     gather_lambda_oracle,
-    sample_lambda,
 )
 from .analysis import (  # noqa: F401
     aggregate,
@@ -29,7 +28,6 @@ from .analysis import (  # noqa: F401
     segment_phases,
     theorem5_bound,
 )
-from .adversary import next_delays_oblivious  # noqa: F401
 from .multirobot import (  # noqa: F401
     Configuration,
     Entity,

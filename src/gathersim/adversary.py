@@ -186,13 +186,6 @@ class PerRobot(_Oblivious):
                 "robots": {str(rid): part.descriptor() for rid, part in self.parts.items()}}
 
 
-def next_delays_oblivious(policy: _Oblivious, robot_id: int, cycle_index: int):
-    """(W, C) of an oblivious scheduler; pure in (robot, cycle, seed)."""
-    if getattr(policy, "adaptive", False):
-        raise AdversaryError("adaptive adversaries have no precommitted delays")
-    return policy.next_delays(robot_id, cycle_index)
-
-
 @dataclass
 class AdaptiveThm6:
     """Adaptive scheduler that prevents gathering of two equal-speed robots.
@@ -298,33 +291,38 @@ AdversaryPolicy = (
 )
 
 
-def adversary_from_descriptor(desc: dict, seed: int | None = None) -> AdversaryPolicy:
+def adversary_from_descriptor(desc: dict, seed: int | None = None,
+                              rat=None) -> AdversaryPolicy:
     """Instantiate a fresh adversary from its serializable descriptor.
 
     ``seed`` overrides the descriptor's seed, letting the runner derive a
-    per-trial stream while the file stays static.
+    per-trial stream while the file stays static.  ``rat`` parses each
+    rational (default ``parse_rat``).
     """
+    rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "OBLIVIOUS_EXPLICIT":
         return ObliviousExplicit({
-            int(rid): [(parse_rat(w), parse_rat(c)) for w, c in seq]
+            int(rid): [(rat(w), rat(c)) for w, c in seq]
             for rid, seq in desc["schedules"].items()
         })
     if kind == "OBLIVIOUS_GENERATED":
+        for value in desc["params"].values():
+            rat(value)  # the generator parses them per cycle; check them now
         return ObliviousGenerated(desc["generator"], dict(desc["params"]),
                                   seed if seed is not None else desc.get("seed", 0))
     if kind == "TAU_BOUNDED":
         fixed = desc.get("fixed_sum")
-        return TauBounded(parse_rat(desc["tau"]),
+        return TauBounded(rat(desc["tau"]),
                           seed if seed is not None else desc.get("seed", 0),
-                          parse_rat(fixed) if fixed is not None else None)
+                          rat(fixed) if fixed is not None else None)
     if kind == "ASYNC_IC":
-        return AsyncIC(parse_rat(desc["w_lo"]), parse_rat(desc["w_hi"]),
+        return AsyncIC(rat(desc["w_lo"]), rat(desc["w_hi"]),
                        seed if seed is not None else desc.get("seed", 0))
     if kind == "PER_ROBOT":
-        return PerRobot({int(rid): adversary_from_descriptor(sub, seed)
+        return PerRobot({int(rid): adversary_from_descriptor(sub, seed, rat)
                          for rid, sub in desc["robots"].items()})
     if kind == "ADAPTIVE_THM6":
-        return AdaptiveThm6({int(rid): parse_rat(w)
+        return AdaptiveThm6({int(rid): rat(w)
                              for rid, w in desc["initial_waits"].items()})
     raise AdversaryError(f"unknown adversary kind {kind!r}")

@@ -24,7 +24,7 @@ from .adversary import AdversaryError, adversary_from_descriptor
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma
 from .engine import Budgets, RobotSpec, Trace
 from .policies import PolicyError, policy_from_descriptor
-from .rational import format_rat, parse_rat
+from .rational import format_rat, is_dyadic, parse_rat, to_dyadic
 
 
 class ScenarioValidationError(ValueError):
@@ -46,24 +46,20 @@ class Scenario:
     schedule_variants: list | None
     params: dict
     raw: dict
+    # Every rational of a two_robot or thm6 scenario is m / 2**e: its
+    # trials then build their inputs as Dyadic (see rational.py).
+    dyadic: bool = False
 
 
 def _fail(path: str, message: str):
     raise ScenarioValidationError(f"{path}: {message}")
 
 
-def _rat(obj, path: str) -> Fraction:
-    try:
-        return parse_rat(obj)
-    except ValueError as exc:
-        _fail(path, str(exc))
-
-
 def parse_scenario(text: str) -> Scenario:
     """Validate and parse scenario JSON into an executable Scenario."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the digit limit
         _fail("$", f"not valid JSON ({exc})")
     if not isinstance(raw, dict):
         _fail("$", "scenario must be a JSON object")
@@ -75,15 +71,27 @@ def parse_scenario(text: str) -> Scenario:
     if mode not in experiments.TRIAL_RUNNERS:
         _fail("mode", f"unknown mode {mode!r}")
     trials = raw.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        _fail("trials", "trials >= 1")
+    if type(trials) is not int or trials < 1:
+        _fail("trials", "integer >= 1 required")
     master_seed = raw.get("master_seed", 0)
-    if not isinstance(master_seed, int):
+    if type(master_seed) is not int:
         _fail("master_seed", "must be an integer")
+
+    parsed = []  # every rational of the scenario, to choose its scalar type
+
+    def rat(obj) -> Fraction:
+        parsed.append(parse_rat(obj))
+        return parsed[-1]
+
+    def _rat(obj, path: str) -> Fraction:
+        try:
+            return rat(obj)
+        except ValueError as exc:
+            _fail(path, str(exc))
 
     braw = raw.get("budgets", {})
     looks = braw.get("max_total_looks", 1000)
-    if not isinstance(looks, int) or looks < 1:
+    if type(looks) is not int or looks < 1:
         _fail("budgets.max_total_looks", "positive integer required")
     budgets = Budgets(looks, _rat(braw.get("max_time", "1000000000"), "budgets.max_time"))
 
@@ -94,7 +102,7 @@ def parse_scenario(text: str) -> Scenario:
     policies = raw.get("policies", {})
     for pname, desc in policies.items():
         try:
-            policy_from_descriptor(desc)
+            policy_from_descriptor(desc, rat)
         except (PolicyError, ValueError, KeyError) as exc:
             _fail(f"policies.{pname}", str(exc))
 
@@ -106,7 +114,7 @@ def parse_scenario(text: str) -> Scenario:
             _fail("robots", "exactly two robot entries required")
         for i, rdesc in enumerate(rlist):
             rid = rdesc.get("id")
-            if not isinstance(rid, int):
+            if type(rid) is not int:
                 _fail(f"robots[{i}].id", "integer id required")
             pname = rdesc.get("policy")
             if pname not in policies:
@@ -130,7 +138,7 @@ def parse_scenario(text: str) -> Scenario:
             (f"schedule_variants[{i}]", v) for i, v in enumerate(variants or [])
         ]:
             try:
-                adversary_from_descriptor(desc, 0)
+                adversary_from_descriptor(desc, 0, rat)
             except (AdversaryError, ValueError, KeyError) as exc:
                 _fail(label, str(exc))
 
@@ -138,18 +146,32 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(params, dict):
         _fail("params", "must be an object")
     if mode == "thm3_oracle":
-        if not isinstance(params.get("random_draws"), int) or params["random_draws"] < 0:
+        if type(params.get("random_draws")) is not int or params["random_draws"] < 0:
             _fail("params.random_draws", "non-negative integer required")
+    if mode == "thm6":
+        waits = [_rat(params.get(key, default), f"params.{key}")
+                 for key, default in (("w_first", "2"), ("w_second", "1"))]
+        if waits[0] == waits[1]:
+            _fail("params.w_second", "must differ from params.w_first")
+        if min(waits) < 0:
+            _fail("params.w_first" if waits[0] < 0 else "params.w_second",
+                  "must be non-negative")
+        if _rat(params.get("delta", "1"), "params.delta") <= 0:
+            _fail("params.delta", "must be positive")
     if mode == "thm4":
         for key in ("alphas", "tau", "fixed_sum"):
             if key not in params:
                 _fail(f"params.{key}", "required for thm4 mode")
 
+    dyadic = mode in ("two_robot", "thm6") and all(map(is_dyadic, parsed))
+    if dyadic:
+        robots = [RobotSpec(r.id, to_dyadic(r.start), to_dyadic(r.speed), r.policy_ref)
+                  for r in robots]
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
                     budgets=budgets, analysis=analysis, robots=robots,
                     policies=policies, policy_bindings=bindings,
                     adversary=adversary, schedule_variants=variants,
-                    params=params, raw=raw)
+                    params=params, raw=raw, dyadic=dyadic)
 
 
 def load_scenario(path) -> Scenario:
@@ -172,10 +194,6 @@ def bundled_scenario_names() -> list[str]:
 
 def _fmt_real(x: float) -> str:
     return format(x, ".12g")
-
-
-def _jsonable_fraction(x: Fraction | None) -> str | None:
-    return None if x is None else format_rat(x)
 
 
 def trace_to_jsonable(trace: Trace) -> dict:

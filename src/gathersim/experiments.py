@@ -55,7 +55,8 @@ from .policies import (
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
 )
-from .rational import ONE, ZERO, derive_seed, parse_rat, rat_sqrt, spawn_rng, u01
+from .rational import (ONE, ZERO, derive_seed, parse_dyadic, parse_rat, rat_sqrt,
+                       spawn_rng, u01)
 
 _BIG_TIME = Fraction(10 ** 9)
 
@@ -110,7 +111,8 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
         adv_desc = variant
     else:
         adv_desc = scn.adversary
-    adversary = adversary_from_descriptor(adv_desc, derive_seed(scn.master_seed, trial, "adv"))
+    adversary = adversary_from_descriptor(adv_desc, derive_seed(scn.master_seed, trial, "adv"),
+                                          parse_dyadic if scn.dyadic else parse_rat)
     policies = {spec.id: policy_from_descriptor(scn.policies[scn.policy_bindings[spec.id]])
                 for spec in scn.robots}
     trace = run(scn.robots, policies, adversary,
@@ -311,9 +313,10 @@ def thm4_total_trials(scn) -> int:
 
 
 def thm6_trial(scn, trial: int) -> TrialOutcome:
-    w_first = parse_rat(scn.params.get("w_first", "2"))
-    w_second = parse_rat(scn.params.get("w_second", "1"))
-    delta = parse_rat(scn.params.get("delta", "1"))
+    rat = parse_dyadic if scn.dyadic else parse_rat
+    w_first = rat(scn.params.get("w_first", "2"))
+    w_second = rat(scn.params.get("w_second", "1"))
+    delta = rat(scn.params.get("delta", "1"))
     specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
     adversary = AdaptiveThm6({0: w_first, 1: w_second})
     policies = {0: ThreeChoice(), 1: ThreeChoice()}

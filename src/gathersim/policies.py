@@ -208,39 +208,28 @@ class Oracle:
 
 LambdaPolicy = Deterministic | FiniteMixture | ThreeChoice | TauTriple | KnownAlpha | Oracle
 
-_POLICY_KINDS = {
-    "DETERMINISTIC": Deterministic,
-    "FINITE_MIXTURE": FiniteMixture,
-    "THREE_CHOICE": ThreeChoice,
-    "TAU_TRIPLE": TauTriple,
-    "KNOWN_ALPHA": KnownAlpha,
-    "ORACLE": Oracle,
-}
+def policy_from_descriptor(desc: dict, rat=None) -> LambdaPolicy:
+    """Instantiate a fresh policy from its serializable descriptor.
 
-
-def sample_lambda(policy: LambdaPolicy, rng: random.Random) -> Fraction:
-    """Draw the next lambda from a policy (advances an Oracle's cursor)."""
-    return policy.sample(rng)
-
-
-def policy_from_descriptor(desc: dict) -> LambdaPolicy:
-    """Instantiate a fresh policy from its serializable descriptor."""
+    ``rat`` parses each rational (default ``parse_rat``).
+    """
+    rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "DETERMINISTIC":
-        return Deterministic(parse_rat(desc["lam"]))
+        return Deterministic(rat(desc["lam"]))
     if kind == "FINITE_MIXTURE":
-        return FiniteMixture([(parse_rat(l), parse_rat(p)) for l, p in desc["choices"]])
+        return FiniteMixture([(rat(l), rat(p)) for l, p in desc["choices"]])
     if kind == "THREE_CHOICE":
         return ThreeChoice()
     if kind == "TAU_TRIPLE":
         return TauTriple()
     if kind == "KNOWN_ALPHA":
         if "weights" in desc:
-            return KnownAlpha(parse_rat(desc["alpha"]),
-                              tuple(parse_rat(w) for w in desc["weights"]))
-        return KnownAlpha(parse_rat(desc["alpha"]))
+            return KnownAlpha(rat(desc["alpha"]),
+                              tuple(rat(w) for w in desc["weights"]))
+        return KnownAlpha(rat(desc["alpha"]))
     if kind == "ORACLE":
-        return Oracle([parse_rat(x) for x in desc["script"]])
+        return Oracle([rat(x) for x in desc["script"]])
     raise PolicyError(f"unknown policy kind {kind!r}")
 
 

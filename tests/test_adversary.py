@@ -12,7 +12,6 @@ from gathersim.adversary import (
     ScheduleUnderrunError,
     TauBounded,
     adversary_from_descriptor,
-    next_delays_oblivious,
 )
 from gathersim.analysis import looks_see_midmove
 from gathersim.engine import Budgets, LOOK, RobotSpec, run
@@ -24,12 +23,12 @@ BIG = F(10 ** 9)
 
 def test_explicit_lookup_and_underrun():
     adv = ObliviousExplicit({0: [(F(1), F(0)), (F(0), F(0))], 1: [(F(2), F(1))]})
-    assert next_delays_oblivious(adv, 0, 0) == (F(1), F(0))
-    assert next_delays_oblivious(adv, 1, 0) == (F(2), F(1))
+    assert adv.next_delays(0, 0) == (F(1), F(0))
+    assert adv.next_delays(1, 0) == (F(2), F(1))
     with pytest.raises(ScheduleUnderrunError):
-        next_delays_oblivious(adv, 1, 1)
+        adv.next_delays(1, 1)
     with pytest.raises(ScheduleUnderrunError):
-        next_delays_oblivious(adv, 7, 0)
+        adv.next_delays(7, 0)
 
 
 def test_tau_bounded_respects_bound_and_purity():

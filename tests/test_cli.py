@@ -19,6 +19,7 @@ from gathersim.cli import (
     run_experiment,
 )
 from gathersim.policies import policy_from_descriptor
+from gathersim.rational import MAX_DIGITS, MAX_EXPONENT
 
 MINIMAL = {
     "name": "mini",
@@ -193,3 +194,58 @@ def test_main_flag_overrides(tmp_path):
     rep = json.loads((out / "mini.report.json").read_text())
     assert rep["stats"]["trials"] == 5
     assert rep["master_seed"] == 99
+
+
+def _run_exit_code(tmp_path, raw) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return main(["run", str(path), "--out", str(tmp_path / "o")])
+
+
+_BOOL_ID_ROBOTS = [{"id": True, "start": "0", "policy": "p"},
+                   {"id": 1, "start": "1", "policy": "p"}]
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"trials": True}, "trials"),
+    ({"master_seed": False}, "master_seed"),
+    ({"budgets": {"max_total_looks": True}}, "budgets.max_total_looks"),
+    ({"robots": _BOOL_ID_ROBOTS}, "robots[0].id"),
+    ({"mode": "thm3_oracle", "params": {"random_draws": False}}, "params.random_draws"),
+])
+def test_main_rejects_booleans_in_integer_fields(tmp_path, capsys, patch, field):
+    assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+THM6 = {"name": "t6", "mode": "thm6", "trials": 1,
+        "budgets": {"max_total_looks": 6}, "params": {}}
+
+
+@pytest.mark.parametrize("params,field", [
+    ({"w_first": "1", "w_second": "1"}, "params.w_second"),
+    ({"w_first": "2", "w_second": "2/1"}, "params.w_second"),
+    ({"w_first": "-1/2"}, "params.w_first"),
+    ({"w_second": "-1"}, "params.w_second"),
+    ({"delta": "0"}, "params.delta"),
+    ({"delta": "-1"}, "params.delta"),
+    ({"w_first": "x"}, "params.w_first"),
+])
+def test_main_rejects_bad_thm6_params(tmp_path, capsys, params, field):
+    assert _run_exit_code(tmp_path, {**THM6, "params": params}) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+def test_main_runs_valid_thm6(tmp_path):
+    assert _run_exit_code(tmp_path, {**THM6, "params": {"w_first": "1/2"}}) == 0
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"budgets": {"max_total_looks": 6, "max_time": f"1e{MAX_EXPONENT + 1}"}}, "budgets.max_time"),
+    ({"robots": [{"id": 0, "start": "1" * (MAX_DIGITS + 1), "policy": "p"},
+                 {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].start"),
+    ({"adversary": {"kind": "TAU_BOUNDED", "tau": f"1e-{MAX_EXPONENT + 1}"}}, "adversary"),
+])
+def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
+    assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err

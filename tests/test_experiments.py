@@ -14,7 +14,7 @@ BIG = F(10 ** 9)
 
 def scn(**kw):
     base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG),
-                analysis={}, schedule_variants=None)
+                analysis={}, schedule_variants=None, dyadic=False)
     base.update(kw)
     return SimpleNamespace(**base)
 
@@ -73,12 +73,13 @@ def test_thm4_trial_counts_halvings():
 
 
 def test_thm6_trial_invariant_holds():
-    s = scn(params={"w_first": "2", "w_second": "1", "delta": "1"},
-            budgets=Budgets(40, BIG))
-    for i in range(10):
-        out = ex.thm6_trial(s, i)
-        assert not out.gathered
-        assert out.flags["midmove_ok"], out.flags
+    for dyadic in (False, True):
+        s = scn(params={"w_first": "2", "w_second": "1", "delta": "1"},
+                budgets=Budgets(40, BIG), dyadic=dyadic)
+        for i in range(10):
+            out = ex.thm6_trial(s, i)
+            assert not out.gathered
+            assert out.flags["midmove_ok"], out.flags
 
 
 def test_lemma1_trial_exact_equivalence():

@@ -20,7 +20,6 @@ from gathersim.policies import (
     destination,
     gather_lambda_oracle,
     policy_from_descriptor,
-    sample_lambda,
 )
 
 rats = st.fractions(min_value=-8, max_value=8, max_denominator=64)
@@ -46,15 +45,15 @@ def test_destination_symmetric_about_midpoint(a, b, lam):
 def test_deterministic_always_same():
     pol = Deterministic(Fraction(1, 2))
     rng = random.Random(0)
-    assert all(sample_lambda(pol, rng) == Fraction(1, 2) for _ in range(20))
+    assert all(pol.sample(rng) == Fraction(1, 2) for _ in range(20))
 
 
 def test_oracle_sequence_and_exhaustion():
     pol = Oracle([Fraction(1), Fraction(0), Fraction(3, 4)])
     rng = random.Random(0)
-    assert [sample_lambda(pol, rng) for _ in range(3)] == [1, 0, Fraction(3, 4)]
+    assert [pol.sample(rng) for _ in range(3)] == [1, 0, Fraction(3, 4)]
     with pytest.raises(OracleScriptExhausted):
-        sample_lambda(pol, rng)
+        pol.sample(rng)
 
 
 def test_three_choice_frequency_of_one():
@@ -62,7 +61,7 @@ def test_three_choice_frequency_of_one():
     n = 300_000
     rng = random.Random(42)
     pol = ThreeChoice()
-    ones = sum(sample_lambda(pol, rng) == 1 for _ in range(n))
+    ones = sum(pol.sample(rng) == 1 for _ in range(n))
     p = 1 / 3
     assert abs(ones / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -70,7 +69,7 @@ def test_three_choice_frequency_of_one():
 def test_three_choice_uniform_branch_in_open_interval():
     rng = random.Random(1)
     pol = ThreeChoice()
-    draws = [sample_lambda(pol, rng) for _ in range(3000)]
+    draws = [pol.sample(rng) for _ in range(3000)]
     assert all(0 < d <= 1 for d in draws)
     assert any(d not in (Fraction(1), Fraction(1, 2)) for d in draws)
 
@@ -82,7 +81,7 @@ def test_tau_triple_chi_square():
     pol = TauTriple()
     counts = {Fraction(1): 0, Fraction(1, 2): 0, Fraction(0): 0}
     for _ in range(n):
-        counts[sample_lambda(pol, rng)] += 1
+        counts[pol.sample(rng)] += 1
     expected = n / 3
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 13.8155
@@ -96,7 +95,7 @@ def test_finite_mixture_chi_square_and_validation():
     n = 100_000
     counts = {lam: 0 for lam, _ in choices}
     for _ in range(n):
-        counts[sample_lambda(pol, rng)] += 1
+        counts[pol.sample(rng)] += 1
     chi2 = sum((counts[lam] - n * p) ** 2 / (n * p) for lam, p in choices)
     assert chi2 < 13.8155  # df=2
     with pytest.raises(PolicyError):
@@ -109,7 +108,7 @@ def test_known_alpha_support():
     pol = KnownAlpha(Fraction(2))
     assert pol.support == (Fraction(1, 3), Fraction(2, 3))
     rng = random.Random(5)
-    draws = {sample_lambda(pol, rng) for _ in range(500)}
+    draws = {pol.sample(rng) for _ in range(500)}
     assert Fraction(1, 3) in draws and Fraction(2, 3) in draws and Fraction(1) in draws
 
 
@@ -118,7 +117,7 @@ def test_known_alpha_custom_weights():
     pol = KnownAlpha(Fraction(2), weights)
     rng = random.Random(8)
     n = 40_000
-    lo_hits = sum(sample_lambda(pol, rng) == Fraction(1, 3) for _ in range(n))
+    lo_hits = sum(pol.sample(rng) == Fraction(1, 3) for _ in range(n))
     assert abs(lo_hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
     assert policy_from_descriptor(pol.descriptor()).descriptor() == pol.descriptor()
     with pytest.raises(PolicyError):
