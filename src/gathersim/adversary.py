@@ -8,7 +8,8 @@ strictly mid-move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -48,6 +49,23 @@ class _Oblivious:
     def computation_delay(self, robot_id, cycle, lam, world) -> Fraction:
         return self.next_delays(robot_id, cycle)[1]
 
+    def for_trial(self, seed: int):
+        """The scheduler one trial runs against, drawing from ``seed``.
+
+        A scheduler without a seed or other state is shared by every trial.
+        """
+        return self
+
+
+class _Seeded(_Oblivious):
+    """Oblivious scheduler whose draws are pure in (robot, cycle, seed)."""
+
+    def for_trial(self, seed: int):
+        """A copy drawing from ``seed``; parsed values are shared, not re-parsed."""
+        twin = copy.copy(self)
+        twin.seed = seed
+        return twin
+
 
 @dataclass
 class ObliviousExplicit(_Oblivious):
@@ -79,29 +97,39 @@ class ObliviousExplicit(_Oblivious):
         }
 
 
+_GENERATOR_PARAMS = {"constant": ("w", "c"), "uniform": ("w_lo", "w_hi", "c_lo", "c_hi")}
+
+
 @dataclass
-class ObliviousGenerated(_Oblivious):
+class ObliviousGenerated(_Seeded):
     """Seeded generator; each (W, C) is pure in (robot, cycle, seed).
 
     generator "uniform": W ~ U[w_lo, w_hi], C ~ U[c_lo, c_hi].
     generator "constant": W = w, C = c for every cycle.
+    ``params`` keeps the strings given; they are parsed once, by ``rat``
+    (default ``parse_rat``), when the generator is built.
     """
 
     generator: str
     params: dict
     seed: int
+    rat: InitVar = None
+    _values: tuple = field(init=False, repr=False, compare=False)
 
     kind = "OBLIVIOUS_GENERATED"
 
+    def __post_init__(self, rat):
+        if self.generator not in _GENERATOR_PARAMS:
+            raise AdversaryError(f"unknown generator {self.generator!r}")
+        parsed = {key: (rat or parse_rat)(value) for key, value in self.params.items()}
+        self._values = tuple(parsed[key] for key in _GENERATOR_PARAMS[self.generator])
+
     def next_delays(self, robot_id, cycle):
         if self.generator == "constant":
-            return (parse_rat(self.params["w"]), parse_rat(self.params["c"]))
-        if self.generator == "uniform":
-            rng = spawn_rng(self.seed, "wc", robot_id, cycle)
-            w = uniform_closed(rng, parse_rat(self.params["w_lo"]), parse_rat(self.params["w_hi"]))
-            c = uniform_closed(rng, parse_rat(self.params["c_lo"]), parse_rat(self.params["c_hi"]))
-            return (w, c)
-        raise AdversaryError(f"unknown generator {self.generator!r}")
+            return self._values
+        w_lo, w_hi, c_lo, c_hi = self._values
+        rng = spawn_rng(self.seed, "wc", robot_id, cycle)
+        return (uniform_closed(rng, w_lo, w_hi), uniform_closed(rng, c_lo, c_hi))
 
     def descriptor(self) -> dict:
         return {"kind": self.kind, "generator": self.generator,
@@ -109,7 +137,7 @@ class ObliviousGenerated(_Oblivious):
 
 
 @dataclass
-class TauBounded(_Oblivious):
+class TauBounded(_Seeded):
     """Every cycle satisfies W + C > tau.
 
     The sum is uniform on (tau, 2*tau] and the look offset W is uniform on
@@ -148,7 +176,7 @@ class TauBounded(_Oblivious):
 
 
 @dataclass
-class AsyncIC(_Oblivious):
+class AsyncIC(_Seeded):
     """Zero computation delay; waits drawn uniformly from [w_lo, w_hi]."""
 
     w_lo: Fraction
@@ -181,6 +209,9 @@ class PerRobot(_Oblivious):
             raise ScheduleUnderrunError(f"no scheduler for robot {robot_id}")
         return part.next_delays(robot_id, cycle)
 
+    def for_trial(self, seed):
+        return PerRobot({rid: part.for_trial(seed) for rid, part in self.parts.items()})
+
     def descriptor(self) -> dict:
         return {"kind": self.kind,
                 "robots": {str(rid): part.descriptor() for rid, part in self.parts.items()}}
@@ -209,6 +240,10 @@ class AdaptiveThm6:
             raise AdversaryError("need two distinct initial waits")
         if any(w < 0 for w in waits):
             raise AdversaryError("waits must be non-negative")
+
+    def for_trial(self, seed):
+        """A fresh scheduler: the committed waits are per-run state."""
+        return AdaptiveThm6(self.initial_waits)
 
     def wait_time(self, robot_id, cycle):
         if cycle == 0:
@@ -299,6 +334,8 @@ def adversary_from_descriptor(desc: dict, seed: int | None = None,
     per-trial stream while the file stays static.  ``rat`` parses each
     rational (default ``parse_rat``).
     """
+    if not isinstance(desc, dict):
+        raise AdversaryError("descriptor must be an object")
     rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "OBLIVIOUS_EXPLICIT":
@@ -307,10 +344,8 @@ def adversary_from_descriptor(desc: dict, seed: int | None = None,
             for rid, seq in desc["schedules"].items()
         })
     if kind == "OBLIVIOUS_GENERATED":
-        for value in desc["params"].values():
-            rat(value)  # the generator parses them per cycle; check them now
         return ObliviousGenerated(desc["generator"], dict(desc["params"]),
-                                  seed if seed is not None else desc.get("seed", 0))
+                                  seed if seed is not None else desc.get("seed", 0), rat)
     if kind == "TAU_BOUNDED":
         fixed = desc.get("fixed_sum")
         return TauBounded(rat(desc["tau"]),

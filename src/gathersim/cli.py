@@ -21,10 +21,11 @@ from pathlib import Path
 
 from . import __version__, experiments
 from .adversary import AdversaryError, adversary_from_descriptor
-from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma
+from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
 from .engine import Budgets, RobotSpec, Trace
-from .policies import PolicyError, policy_from_descriptor
-from .rational import format_rat, is_dyadic, parse_rat, to_dyadic
+from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
+                       policy_from_descriptor)
+from .rational import format_rat, is_dyadic, parse_dyadic, parse_rat, to_dyadic
 
 
 class ScenarioValidationError(ValueError):
@@ -33,6 +34,13 @@ class ScenarioValidationError(ValueError):
 
 @dataclass
 class Scenario:
+    """A validated scenario, compiled once for every trial of a run.
+
+    ``adversaries``, ``robot_policies`` and ``params`` hold values already
+    parsed from the file; the trial functions of ``experiments`` take them
+    from here and parse nothing.
+    """
+
     name: str
     mode: str
     trials: int
@@ -40,14 +48,18 @@ class Scenario:
     budgets: Budgets
     analysis: dict
     robots: list[RobotSpec]
-    policies: dict
-    policy_bindings: dict
-    adversary: dict | None
+    # two_robot: the adversary, or one per schedule_variants entry.
+    adversaries: list
+    # two_robot: robot id -> the policy it draws lambda from.
+    robot_policies: dict
     schedule_variants: list | None
+    # The mode's params, parsed, with every default filled in.
     params: dict
+    # The Theorem 5 expected-look bound, when analysis.theorem5 asks for it.
+    theorem5_bound: float | None
     raw: dict
     # Every rational of a two_robot or thm6 scenario is m / 2**e: its
-    # trials then build their inputs as Dyadic (see rational.py).
+    # values are then built as Dyadic (see rational.py).
     dyadic: bool = False
 
 
@@ -55,8 +67,15 @@ def _fail(path: str, message: str):
     raise ScenarioValidationError(f"{path}: {message}")
 
 
+def _object(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        _fail(key, "must be an object")
+    return value
+
+
 def parse_scenario(text: str) -> Scenario:
-    """Validate and parse scenario JSON into an executable Scenario."""
+    """Validate scenario JSON and compile it into the objects its trials use."""
     try:
         raw = json.loads(text)
     except ValueError as exc:  # also an integer literal past the digit limit
@@ -89,30 +108,36 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             _fail(path, str(exc))
 
-    braw = raw.get("budgets", {})
+    def _build(make, desc, path: str):
+        try:
+            return make(desc, rat=rat)
+        except (AdversaryError, PolicyError, ValueError, KeyError, TypeError,
+                AttributeError) as exc:  # a descriptor of the wrong shape
+            _fail(path, str(exc))
+
+    braw = _object(raw, "budgets")
     looks = braw.get("max_total_looks", 1000)
     if type(looks) is not int or looks < 1:
         _fail("budgets.max_total_looks", "positive integer required")
-    budgets = Budgets(looks, _rat(braw.get("max_time", "1000000000"), "budgets.max_time"))
+    max_time = _rat(braw.get("max_time", "1000000000"), "budgets.max_time")
+    if max_time <= 0:
+        _fail("budgets.max_time", "must be positive")
+    budgets = Budgets(looks, max_time)
 
-    analysis = raw.get("analysis", {})
-    if not isinstance(analysis, dict):
-        _fail("analysis", "must be an object")
+    analysis = _object(raw, "analysis")
 
-    policies = raw.get("policies", {})
-    for pname, desc in policies.items():
-        try:
-            policy_from_descriptor(desc, rat)
-        except (PolicyError, ValueError, KeyError) as exc:
-            _fail(f"policies.{pname}", str(exc))
+    policy_descs = _object(raw, "policies")
+    policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
+                for pname, desc in policy_descs.items()}
 
     robots = []
-    bindings = {}
-    if mode in ("two_robot",):
+    if mode == "two_robot":
         rlist = raw.get("robots")
         if not isinstance(rlist, list) or len(rlist) != 2:
             _fail("robots", "exactly two robot entries required")
         for i, rdesc in enumerate(rlist):
+            if not isinstance(rdesc, dict):
+                _fail(f"robots[{i}]", "must be an object")
             rid = rdesc.get("id")
             if type(rid) is not int:
                 _fail(f"robots[{i}].id", "integer id required")
@@ -125,53 +150,134 @@ def parse_scenario(text: str) -> Scenario:
                 speed=_rat(rdesc.get("speed", "1"), f"robots[{i}].speed"),
                 policy_ref=pname,
             ))
-            bindings[rid] = pname
         if len({r.id for r in robots}) != 2:
             _fail("robots", "robot ids must be distinct")
 
-    adversary = raw.get("adversary")
-    variants = raw.get("schedule_variants")
+    adversary_descs = []  # (path, descriptor) of each adversary the trials use
+    variants = None
     if mode == "two_robot":
+        adversary = raw.get("adversary")
+        variants = raw.get("schedule_variants")
+        if variants is not None and not isinstance(variants, list):
+            _fail("schedule_variants", "must be a list")
         if adversary is None and not variants:
             _fail("adversary", "an adversary (or schedule_variants) is required")
-        for label, desc in ([("adversary", adversary)] if adversary else []) + [
-            (f"schedule_variants[{i}]", v) for i, v in enumerate(variants or [])
-        ]:
-            try:
-                adversary_from_descriptor(desc, 0, rat)
-            except (AdversaryError, ValueError, KeyError) as exc:
-                _fail(label, str(exc))
+        if variants and adversary is not None:  # checked, though the variants replace it
+            _build(adversary_from_descriptor, adversary, "adversary")
+        adversary_descs = ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
+                           if variants else [("adversary", adversary)])
+    adversaries = [_build(adversary_from_descriptor, desc, path)
+                   for path, desc in adversary_descs]
 
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        _fail("params", "must be an object")
+    params = _mode_params(mode, _object(raw, "params"), _rat)
+
+    dyadic = mode in ("two_robot", "thm6") and all(map(is_dyadic, parsed))
+    if dyadic:  # build again from the checked file, every value a Dyadic
+        robots = [RobotSpec(r.id, to_dyadic(r.start), to_dyadic(r.speed), r.policy_ref)
+                  for r in robots]
+        policies = {pname: policy_from_descriptor(desc, rat=parse_dyadic)
+                    for pname, desc in policy_descs.items()}
+        adversaries = [adversary_from_descriptor(desc, rat=parse_dyadic)
+                       for _, desc in adversary_descs]
+        params = {key: to_dyadic(value) for key, value in params.items()}
+
+    bound = None
+    t5 = analysis.get("theorem5")
+    if t5:
+        if not isinstance(t5, dict):
+            _fail("analysis.theorem5", "must be an object")
+        values = {}
+        for key in ("delta", "tau"):
+            values[key] = _rat(t5.get(key), f"analysis.theorem5.{key}")
+            if values[key] <= 0:
+                _fail(f"analysis.theorem5.{key}", "must be positive")
+        try:
+            bound = theorem5_bound(values["delta"], values["tau"])
+        except OverflowError as exc:
+            _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
+
+    return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
+                    budgets=budgets, analysis=analysis, robots=robots,
+                    adversaries=adversaries,
+                    robot_policies={r.id: policies[r.policy_ref] for r in robots},
+                    schedule_variants=variants, params=params,
+                    theorem5_bound=bound, raw=raw, dyadic=dyadic)
+
+
+def _mode_params(mode: str, params: dict, rat) -> dict:
+    """The params ``mode`` reads, parsed and checked, defaults filled in.
+
+    ``rat(value, path)`` parses one rational.
+    """
+
+    def integer(key, default, low, high=None):
+        value = params.get(key, default)
+        if type(value) is not int or value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            _fail(f"params.{key}", f"integer {bounds} required")
+        return value
+
+    def rational(key, default=None, positive=False):
+        if key not in params and default is None:
+            _fail(f"params.{key}", f"required for {mode} mode")
+        value = rat(params.get(key, default), f"params.{key}")
+        if positive and value <= 0:
+            _fail(f"params.{key}", "must be positive")
+        return value
+
+    def alphas(key, default=None):
+        values = params.get(key, default)
+        if values is None:
+            _fail(f"params.{key}", f"required for {mode} mode")
+        if not isinstance(values, list):
+            _fail(f"params.{key}", "must be a list")
+        out = [rat(a, f"params.{key}[{i}]") for i, a in enumerate(values)]
+        for i, a in enumerate(out):
+            if a <= 0:
+                _fail(f"params.{key}[{i}]", "must be positive")
+        return out
+
+    if mode == "ssync":
+        return {"activations": integer("activations", 51, 1),
+                "delta": rational("delta", "1", positive=True)}
     if mode == "thm3_oracle":
-        if type(params.get("random_draws")) is not int or params["random_draws"] < 0:
-            _fail("params.random_draws", "non-negative integer required")
+        draws = integer("random_draws", None, 0)
+        opposite, same = alphas("opposite_alphas", []), alphas("same_alphas", [])
+        if 1 in same:
+            _fail(f"params.same_alphas[{same.index(1)}]",
+                  "equal speeds in the same direction never meet")
+        configs = ([(a, OPPOSITE_DIRECTIONS) for a in opposite]
+                   + [(a, SAME_DIRECTION) for a in same])
+        if not configs:
+            _fail("params.opposite_alphas", "at least one alpha required")
+        return {"configs": configs, "random_draws": draws}
+    if mode == "thm4":
+        out = {"alphas": alphas("alphas")}
+        if not out["alphas"]:
+            _fail("params.alphas", "at least one alpha required")
+        out["tau"] = rational("tau", positive=True)
+        out["fixed_sum"] = rational("fixed_sum")
+        if out["fixed_sum"] <= out["tau"]:
+            _fail("params.fixed_sum", "must exceed params.tau")
+        out["delta"] = rational("delta", "1", positive=True)
+        return out
     if mode == "thm6":
-        waits = [_rat(params.get(key, default), f"params.{key}")
-                 for key, default in (("w_first", "2"), ("w_second", "1"))]
+        waits = [rational("w_first", "2"), rational("w_second", "1")]
         if waits[0] == waits[1]:
             _fail("params.w_second", "must differ from params.w_first")
         if min(waits) < 0:
             _fail("params.w_first" if waits[0] < 0 else "params.w_second",
                   "must be non-negative")
-        if _rat(params.get("delta", "1"), "params.delta") <= 0:
-            _fail("params.delta", "must be positive")
-    if mode == "thm4":
-        for key in ("alphas", "tau", "fixed_sum"):
-            if key not in params:
-                _fail(f"params.{key}", "required for thm4 mode")
-
-    dyadic = mode in ("two_robot", "thm6") and all(map(is_dyadic, parsed))
-    if dyadic:
-        robots = [RobotSpec(r.id, to_dyadic(r.start), to_dyadic(r.speed), r.policy_ref)
-                  for r in robots]
-    return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
-                    budgets=budgets, analysis=analysis, robots=robots,
-                    policies=policies, policy_bindings=bindings,
-                    adversary=adversary, schedule_variants=variants,
-                    params=params, raw=raw, dyadic=dyadic)
+        return {"w_first": waits[0], "w_second": waits[1],
+                "delta": rational("delta", "1", positive=True)}
+    if mode == "lemma1":
+        return {"cycles": integer("cycles", 5, 1)}
+    if mode == "multirobot":
+        return {"n": integer("n", 8, 2, experiments.MAX_PLANE_ROBOTS),
+                "max_tie_rounds": integer("max_tie_rounds", 200, 0),
+                "tie_trials": integer("tie_trials", 0, 0),
+                "tie_max_rounds": integer("tie_max_rounds", 30, 0)}
+    return {}
 
 
 def load_scenario(path) -> Scenario:
@@ -216,9 +322,8 @@ def trace_to_jsonable(trace: Trace) -> dict:
     }
 
 
-def _run_chunk(raw_text: str, trial_indices: list[int], keep_traces: str):
-    """Worker entry: parse once, run a batch of trials, strip traces."""
-    scn = parse_scenario(raw_text)
+def _run_chunk(scn: Scenario, trial_indices: list[int], keep_traces: str):
+    """Worker entry: run a batch of trials of a compiled scenario, strip traces."""
     out = []
     for t in trial_indices:
         outcome = experiments.run_one_trial(scn, t)
@@ -240,18 +345,17 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
                    trace_policy: str = "none") -> Report:
     """Execute all trials and assemble the deterministic report."""
     n = experiments.total_trials(scn)
-    raw_text = json.dumps(scn.raw)
     indices = list(range(n))
     batches = []
     if workers > 1 and n > 1:
         chunk = max(1, (n + workers - 1) // workers)
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_chunk, [raw_text] * len(chunks), chunks,
+            for part in pool.map(_run_chunk, [scn] * len(chunks), chunks,
                                  [trace_policy] * len(chunks)):
                 batches.extend(part)
     else:
-        batches = _run_chunk(raw_text, indices, trace_policy)
+        batches = _run_chunk(scn, indices, trace_policy)
 
     rows = []
     traces = {}
@@ -327,11 +431,8 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
 
 def _mode_extras(scn: Scenario, flags_pool: list[tuple[dict, bool]]) -> dict:
     extras: dict = {}
-    bound_cfg = scn.analysis.get("theorem5")
-    if bound_cfg:
-        from .analysis import theorem5_bound
-        extras["theorem5_bound"] = _fmt_real(theorem5_bound(
-            parse_rat(bound_cfg["delta"]), parse_rat(bound_cfg["tau"])))
+    if scn.theorem5_bound is not None:
+        extras["theorem5_bound"] = _fmt_real(scn.theorem5_bound)
     if scn.mode == "two_robot" and scn.schedule_variants:
         counts = [0] * len(scn.schedule_variants)
         hits = [0] * len(scn.schedule_variants)
@@ -356,9 +457,9 @@ def _mode_extras(scn: Scenario, flags_pool: list[tuple[dict, bool]]) -> dict:
         extras["equal_trials"] = sum(1 for f, _ in flags_pool if f.get("equal"))
     if scn.mode == "multirobot":
         extras["tie_rounds_hist"] = _hist(f.get("tie_rounds", 0) for f, _ in flags_pool)
-        tie_trials = int(scn.params.get("tie_trials", 0))
+        tie_trials = scn.params["tie_trials"]
         if tie_trials:
-            max_rounds = int(scn.params.get("tie_max_rounds", 30))
+            max_rounds = scn.params["tie_max_rounds"]
             resolved = []
             for i in range(tie_trials):
                 r = experiments.engineered_tie_trial(scn.master_seed, i, max_rounds)

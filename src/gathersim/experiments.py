@@ -3,6 +3,12 @@
 Each scenario mode maps to one trial function here; the CLI fans trials
 out and pools the outcomes.  The acceptance suite drives the same
 functions directly.
+
+A trial takes the compiled objects of its ``cli.Scenario`` and parses
+nothing.  Policies and adversaries without state are shared by every
+trial; seeded oblivious adversaries are copied with the trial's seed
+(``for_trial``); an ``Oracle`` policy and the ``AdaptiveThm6`` adversary,
+which change as a run goes on, are built afresh for each trial.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .adversary import (
     ObliviousGenerated,
     PerRobot,
     TauBounded,
-    adversary_from_descriptor,
 )
 from .analysis import (
     is_mid_move,
@@ -51,14 +56,15 @@ from .policies import (
     TauTriple,
     ThreeChoice,
     gather_lambda_oracle,
-    policy_from_descriptor,
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
 )
-from .rational import (ONE, ZERO, derive_seed, parse_dyadic, parse_rat, rat_sqrt,
-                       spawn_rng, u01)
+from .rational import ONE, ZERO, derive_seed, rat_sqrt, spawn_rng, u01
 
 _BIG_TIME = Fraction(10 ** 9)
+
+# The uncontrolled robot of a thm4 run waits and computes for no time.
+_THM4_FREE = ObliviousGenerated("constant", {"w": "0", "c": "0"}, 0)
 
 
 @dataclass
@@ -105,16 +111,16 @@ def _segment_contributions(trace: Trace):
 # Generic two-robot scenario trials
 
 
+def _trial_policy(policy):
+    """An Oracle's cursor advances as it samples, so each run needs its own."""
+    return Oracle(policy.script) if isinstance(policy, Oracle) else policy
+
+
 def two_robot_trial(scn, trial: int) -> TrialOutcome:
-    if scn.schedule_variants:
-        variant = scn.schedule_variants[trial // scn.trials]
-        adv_desc = variant
-    else:
-        adv_desc = scn.adversary
-    adversary = adversary_from_descriptor(adv_desc, derive_seed(scn.master_seed, trial, "adv"),
-                                          parse_dyadic if scn.dyadic else parse_rat)
-    policies = {spec.id: policy_from_descriptor(scn.policies[scn.policy_bindings[spec.id]])
-                for spec in scn.robots}
+    # Without variants there is one adversary and trial < scn.trials.
+    adversary = scn.adversaries[trial // scn.trials].for_trial(
+        derive_seed(scn.master_seed, trial, "adv"))
+    policies = {rid: _trial_policy(p) for rid, p in scn.robot_policies.items()}
     trace = run(scn.robots, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
     out = TrialOutcome(
@@ -159,8 +165,8 @@ def ssync_schedule(activations: int, delta: Fraction = ONE,
 
 
 def ssync_trial(scn, trial: int) -> TrialOutcome:
-    activations = int(scn.params.get("activations", 51))
-    delta = parse_rat(scn.params.get("delta", "1"))
+    activations = scn.params["activations"]
+    delta = scn.params["delta"]
     specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
     adversary = ObliviousExplicit(ssync_schedule(activations, delta))
     policies = {0: Deterministic(Fraction(1, 2)), 1: Deterministic(Fraction(1, 2))}
@@ -228,9 +234,8 @@ def catch_trial(alpha: Fraction, geometry_kind: str, lam=None) -> Trace:
 
 
 def thm3_trial(scn, trial: int) -> TrialOutcome:
-    configs = _thm3_configs(scn)
-    per = 1 + int(scn.params["random_draws"])
-    alpha, geometry_kind = configs[trial // per]
+    per = 1 + scn.params["random_draws"]
+    alpha, geometry_kind = scn.params["configs"][trial // per]
     inner = trial % per
     lam = None if inner == 0 else u01(spawn_rng(scn.master_seed, trial, "lam"))
     trace = catch_trial(alpha, geometry_kind, lam)
@@ -242,15 +247,8 @@ def thm3_trial(scn, trial: int) -> TrialOutcome:
                         trace=trace)
 
 
-def _thm3_configs(scn):
-    opp = [parse_rat(a) for a in scn.params.get("opposite_alphas", [])]
-    same = [parse_rat(a) for a in scn.params.get("same_alphas", [])]
-    return ([(a, OPPOSITE_DIRECTIONS) for a in opp]
-            + [(a, SAME_DIRECTION) for a in same])
-
-
 def thm3_total_trials(scn) -> int:
-    return len(_thm3_configs(scn)) * (1 + int(scn.params["random_draws"]))
+    return len(scn.params["configs"]) * (1 + scn.params["random_draws"])
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +281,13 @@ def halving_count(trace: Trace, mover: int, other: int) -> int | None:
 
 
 def thm4_trial(scn, trial: int) -> TrialOutcome:
-    alphas = [parse_rat(a) for a in scn.params["alphas"]]
+    alphas = scn.params["alphas"]
     alpha = alphas[trial // scn.trials] if len(alphas) > 1 else alphas[0]
-    delta = parse_rat(scn.params.get("delta", "1"))
-    tau = parse_rat(scn.params["tau"])
-    fixed = parse_rat(scn.params["fixed_sum"])
+    delta = scn.params["delta"]
     adversary = PerRobot({
-        0: ObliviousGenerated("constant", {"w": "0", "c": "0"}, 0),
-        1: TauBounded(tau, derive_seed(scn.master_seed, trial, "adv"), fixed),
+        0: _THM4_FREE,
+        1: TauBounded(scn.params["tau"], derive_seed(scn.master_seed, trial, "adv"),
+                      scn.params["fixed_sum"]),
     })
     specs = [RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)]
     policies = {0: Deterministic(1 / (alpha + 1)), 1: TauTriple()}
@@ -313,12 +310,9 @@ def thm4_total_trials(scn) -> int:
 
 
 def thm6_trial(scn, trial: int) -> TrialOutcome:
-    rat = parse_dyadic if scn.dyadic else parse_rat
-    w_first = rat(scn.params.get("w_first", "2"))
-    w_second = rat(scn.params.get("w_second", "1"))
-    delta = rat(scn.params.get("delta", "1"))
+    delta = scn.params["delta"]
     specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
-    adversary = AdaptiveThm6({0: w_first, 1: w_second})
+    adversary = AdaptiveThm6({0: scn.params["w_first"], 1: scn.params["w_second"]})
     policies = {0: ThreeChoice(), 1: ThreeChoice()}
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
@@ -442,7 +436,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
     The 2D frame has a rational unit direction, so on-line distances and
     travel durations stay rational and the comparison is exact.
     """
-    cycles = int(scn.params.get("cycles", 5))
+    cycles = scn.params["cycles"]
     rng = spawn_rng(scn.master_seed, trial, "lemma1")
     slope = Fraction(rng.randrange(-6, 7), rng.randrange(1, 7))
     u = unit_from_slope(slope)
@@ -500,6 +494,10 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
 # Multi-robot pipeline
 
 
+# random_plane_config draws n distinct points of a 321 x 321 grid.
+MAX_PLANE_ROBOTS = 321 ** 2
+
+
 def random_plane_config(rng: random.Random, n: int) -> Configuration:
     pts = set()
     while len(pts) < n:
@@ -521,10 +519,10 @@ def engineered_tie_config(scale_num: int = 1) -> Configuration:
 
 
 def multirobot_trial(scn, trial: int) -> TrialOutcome:
-    n = int(scn.params.get("n", 8))
+    n = scn.params["n"]
     rng = spawn_rng(scn.master_seed, trial, "mr")
     cfg = random_plane_config(rng, n)
-    red = reduce_to_line(cfg, rng, max_tie_rounds=int(scn.params.get("max_tie_rounds", 200)))
+    red = reduce_to_line(cfg, rng, max_tie_rounds=scn.params["max_tie_rounds"])
     flags = {"tie_rounds": red.tie_rounds, "partial": red.partial}
     if red.partial:
         return TrialOutcome(trial=trial, gathered=False, total_looks=0, flags=flags)

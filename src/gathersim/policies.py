@@ -213,6 +213,8 @@ def policy_from_descriptor(desc: dict, rat=None) -> LambdaPolicy:
 
     ``rat`` parses each rational (default ``parse_rat``).
     """
+    if not isinstance(desc, dict):
+        raise PolicyError("descriptor must be an object")
     rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "DETERMINISTIC":

@@ -51,7 +51,7 @@ def test_parse_minimal_defaults():
 
 def test_parse_exact_rationals():
     scn = scenario(adversary={"kind": "TAU_BOUNDED", "tau": "1/2"})
-    adv = adversary_from_descriptor(scn.adversary, 0)
+    adv = scn.adversaries[0]
     assert adv.tau == F(1, 2)
 
 
@@ -249,3 +249,69 @@ def test_main_runs_valid_thm6(tmp_path):
 def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
     assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"budgets": []}, "budgets"),
+    ({"robots": [1, 2]}, "robots[0]"),
+    ({"policies": []}, "policies"),
+    ({"policies": {"p": 3}}, "policies.p"),
+    ({"adversary": 3}, "adversary"),
+    ({"adversary": {"kind": "PER_ROBOT", "robots": [1]}}, "adversary"),
+    ({"adversary": {"kind": "OBLIVIOUS_GENERATED", "generator": "nope", "params": {}}},
+     "adversary"),
+    ({"schedule_variants": {"kind": "ASYNC_IC"}}, "schedule_variants"),
+    ({"budgets": {"max_time": "0"}}, "budgets.max_time"),
+])
+def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
+    assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+SSYNC = {"name": "ss", "mode": "ssync", "params": {"activations": 4}}
+THM3 = {"name": "t3", "mode": "thm3_oracle", "params": {"opposite_alphas": ["2"],
+                                                         "random_draws": 1}}
+THM4 = {"name": "t4", "mode": "thm4", "trials": 2, "budgets": {"max_total_looks": 12},
+        "params": {"alphas": ["1"], "tau": "1/2", "fixed_sum": "13/20"}}
+LEMMA1 = {"name": "l1", "mode": "lemma1", "trials": 2, "params": {"cycles": 2}}
+MULTI = {"name": "mr", "mode": "multirobot", "trials": 2, "params": {"n": 3}}
+
+
+def _with(base, **params):
+    return {**base, "params": {**base["params"], **params}}
+
+
+@pytest.mark.parametrize("raw,field", [
+    (_with(SSYNC, activations="x"), "params.activations"),
+    (_with(SSYNC, activations=0), "params.activations"),
+    (_with(SSYNC, delta="0"), "params.delta"),
+    (_with(THM3, opposite_alphas=[]), "params.opposite_alphas"),
+    (_with(THM3, opposite_alphas="2"), "params.opposite_alphas"),
+    (_with(THM3, opposite_alphas=["0"]), "params.opposite_alphas[0]"),
+    (_with(THM3, same_alphas=["3", "1"]), "params.same_alphas[1]"),
+    (_with(THM4, tau=f"1e{MAX_EXPONENT + 1}"), "params.tau"),
+    (_with(THM4, fixed_sum="1/2"), "params.fixed_sum"),
+    (_with(THM4, alphas=[]), "params.alphas"),
+    (_with(THM4, alphas=["x"]), "params.alphas[0]"),
+    ({**THM4, "params": {"tau": "1/2", "fixed_sum": "1"}}, "params.alphas"),
+    (_with(LEMMA1, cycles=0), "params.cycles"),
+    (_with(LEMMA1, cycles=True), "params.cycles"),
+    (_with(MULTI, n=1), "params.n"),
+    (_with(MULTI, n=321 ** 2 + 1), "params.n"),
+    (_with(MULTI, tie_trials=-1), "params.tie_trials"),
+    ({**MINIMAL, "analysis": {"theorem5": {"delta": "x", "tau": "1"}}},
+     "analysis.theorem5.delta"),
+    ({**MINIMAL, "analysis": {"theorem5": {"delta": "0", "tau": "1"}}},
+     "analysis.theorem5.delta"),
+    ({**MINIMAL, "analysis": {"theorem5": {"delta": "1e400", "tau": "1"}}},
+     "analysis.theorem5"),
+])
+def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
+    # Checked when the scenario is compiled, before any trial runs.
+    assert _run_exit_code(tmp_path, raw) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI])
+def test_main_runs_valid_mode_params(tmp_path, raw):
+    assert _run_exit_code(tmp_path, raw) == 0

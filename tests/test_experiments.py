@@ -1,27 +1,33 @@
+import json
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
 from gathersim import experiments as ex
+from gathersim import rational
+from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, parse_scenario,
+                           run_experiment, trace_to_jsonable)
 from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, position_at
 from gathersim.multirobot import farthest_pairs
 from gathersim.policies import OPPOSITE_DIRECTIONS, SAME_DIRECTION
-from gathersim.rational import spawn_rng, u01
+from gathersim.rational import spawn_rng, to_dyadic, u01
 
 BIG = F(10 ** 9)
 
 
 def scn(**kw):
+    # A compiled scenario: ``params`` holds parsed values, defaults filled in.
     base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG),
-                analysis={}, schedule_variants=None, dyadic=False)
+                analysis={}, schedule_variants=None)
     base.update(kw)
     return SimpleNamespace(**base)
 
 
 def test_ssync_schedule_alternates_single_activations():
     sched = ex.ssync_schedule(6)
-    s = scn(params={"activations": 6, "delta": "1"}, budgets=Budgets(6, BIG))
+    s = scn(params={"activations": 6, "delta": F(1)}, budgets=Budgets(6, BIG))
     out = ex.ssync_trial(s, 0)
     looks = [(e.time, e.robot_id) for e in out.trace.events if e.kind == LOOK]
     assert looks == [(F(10 * k), k % 2) for k in range(6)]
@@ -62,8 +68,8 @@ def test_repeat_count_general_matches_halving_special_case():
 
 
 def test_thm4_trial_counts_halvings():
-    s = scn(params={"alphas": ["1"], "delta": "1", "tau": "1/2",
-                    "fixed_sum": "13/20"}, budgets=Budgets(48, BIG))
+    s = scn(params={"alphas": [F(1)], "delta": F(1), "tau": F(1, 2),
+                    "fixed_sum": F(13, 20)}, budgets=Budgets(48, BIG))
     hist = {}
     for i in range(40):
         out = ex.thm4_trial(s, i)
@@ -73,9 +79,10 @@ def test_thm4_trial_counts_halvings():
 
 
 def test_thm6_trial_invariant_holds():
-    for dyadic in (False, True):
-        s = scn(params={"w_first": "2", "w_second": "1", "delta": "1"},
-                budgets=Budgets(40, BIG), dyadic=dyadic)
+    for scalar in (F, to_dyadic):
+        s = scn(params={"w_first": scalar(F(2)), "w_second": scalar(F(1)),
+                        "delta": scalar(F(1))},
+                budgets=Budgets(40, BIG))
         for i in range(10):
             out = ex.thm6_trial(s, i)
             assert not out.gathered
@@ -90,7 +97,7 @@ def test_lemma1_trial_exact_equivalence():
 
 
 def test_multirobot_trial_single_entity():
-    s = scn(params={"n": 8}, budgets=Budgets(800, BIG))
+    s = scn(params={"n": 8, "max_tie_rounds": 200}, budgets=Budgets(800, BIG))
     for i in range(10):
         out = ex.multirobot_trial(s, i)
         assert out.gathered
@@ -105,3 +112,68 @@ def test_engineered_tie_config_has_eight_pairs():
     rounds = [ex.engineered_tie_trial(7, i, 30) for i in range(25)]
     assert all(r is not None for r in rounds)
     assert max(r for r in rounds) <= 30
+
+
+# Overrides that keep a run of each bundled scenario to a few trials.
+FEW_TRIALS = {"thm3_oracle": {"params": {"random_draws": 1}},
+              "multirobot_n8": {"params": {"tie_trials": 1}}}
+
+
+def _bundled(name, overrides):
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    raw["trials"] = 2
+    for key, value in overrides.items():
+        raw[key] = {**raw.get(key, {}), **value}
+    return parse_scenario(json.dumps(raw))
+
+
+def _count_parses(monkeypatch) -> list:
+    """Count calls of parse_rat and parse_dyadic through every binding."""
+    calls = []
+    for fn in (rational.parse_rat, rational.parse_dyadic):
+        def counting(*args, _fn=fn):
+            calls.append(args)
+            return _fn(*args)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "gathersim" or mod_name.startswith("gathersim."):
+                for key, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_trials_parse_no_rationals(monkeypatch, name):
+    scn = _bundled(name, FEW_TRIALS.get(name, {}))
+    calls = _count_parses(monkeypatch)
+    run_experiment(scn)
+    assert calls == []
+    assert parse_scenario(json.dumps(scn.raw)).name == name  # the counter counts
+    assert calls
+
+
+ORACLE_RUN = {
+    "name": "oracles", "trials": 2, "master_seed": 3,
+    "budgets": {"max_total_looks": 8, "max_time": "1000"},
+    "robots": [{"id": 0, "start": "0", "policy": "o"}, {"id": 1, "start": "1", "policy": "o"}],
+    "policies": {"o": {"kind": "ORACLE",
+                       "script": ["1/3", "1/2", "2/3", "1/4", "3/4", "1/5", "1", "1/2"]}},
+    "adversary": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2"},
+}
+
+
+@pytest.mark.parametrize("patch", [
+    {},
+    {"policies": {"o": {"kind": "THREE_CHOICE"}},
+     "adversary": {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}},
+], ids=["oracle", "adaptive"])
+def test_trials_share_no_state(patch):
+    text = json.dumps({**ORACLE_RUN, **patch})
+    shared = parse_scenario(text)
+    ex.run_one_trial(shared, 1)
+    after = trace_to_jsonable(ex.run_one_trial(shared, 0).trace)
+    alone = trace_to_jsonable(ex.run_one_trial(parse_scenario(text), 0).trace)
+    assert after == alone
+    # Trials run on copies: the compiled policies and adversary (an Oracle's
+    # cursor, AdaptiveThm6's committed waits, a seed) are left as parsed.
+    assert shared == parse_scenario(text)

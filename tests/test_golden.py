@@ -34,6 +34,36 @@ GOLDEN = {
             "trials.csv": "a03ac289d315880b850fe61536df2182ba43e5cfce96123df18625770b2222f2",
             "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         }),
+    "thm4_one_free": (
+        {"trials": 25}, "all", {
+            "report.json": "1cef5e898f61d909d196d651b564ec974c91543a6f1dd6e5510c5e47bce7e1ba",
+            "trials.csv": "ad8ca520273c6f5c075430b241ef87ca94f066bb36f1639044c4af83d28bf6a8",
+            "traces": "166b19af481a156cf18a85deab846edda117b2c45098c528d8f44745ee174130",
+        }),
+    "ssync_halving": (
+        {}, "all", {
+            "report.json": "64f939341c8eec867627f99f97f4d57cb6ead23dc43072151ee61918ccf59c44",
+            "trials.csv": "7a98ceb40d99ab2e263d4796e1998933c86e42a5acb75abfb57c3e5067bf725a",
+            "traces": "b8ee0e25a81e9c875124bed3229b01d9fa019d448d2b0f13157e1c48825c3cb3",
+        }),
+    "thm3_oracle": (
+        {"params": {"random_draws": 20}}, "all", {
+            "report.json": "9ae26da044534d9a0b52d8807e166e2134b5825f2e671614b06c8f74ebc73229",
+            "trials.csv": "a5ccb9e2d95e544b98fed1a9b658f9e95d3cf5862212f2f4d2f2ed41ff1d3c54",
+            "traces": "c322f70a68091bca2170835b1ca6fd5d869a1080711bebce3a8c237e03bd92eb",
+        }),
+    "lemma1_projection": (
+        {"trials": 20}, "all", {
+            "report.json": "5d81f04a29f8e1cb2370ea9d62554020aa0dd838721378f5c2db0347f55c05aa",
+            "trials.csv": "5cedb92a567634a46ea2bfef8a48e0a0fdf3550b017c486e8164406c5c0f36a0",
+            "traces": "6e612b98a811b7f8fc64a11d072a285529dd779f59c99d29b9d37bb32ce85ec8",
+        }),
+    "multirobot_n8": (
+        {"trials": 20, "params": {"tie_trials": 10}}, "all", {
+            "report.json": "eb23f03f451ab68f37a678477d2752d67f732601094eb83158255f859eb1d45c",
+            "trials.csv": "03bf16fd85cde67abfb78e3e424177bb82f27cc39a36263012b7a4c6b9ba6214",
+            "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
 }
 
 
@@ -41,14 +71,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_digests(name, overrides, trace_policy, out_dir) -> dict:
+def output_digests(name, overrides, trace_policy, out_dir, workers=1) -> dict:
     raw = json.loads(bundled_scenario_path(name).read_text())
     for key, value in overrides.items():
         if isinstance(value, dict):
             raw.setdefault(key, {}).update(value)
         else:
             raw[key] = value
-    report = run_experiment(parse_scenario(json.dumps(raw)), trace_policy=trace_policy)
+    report = run_experiment(parse_scenario(json.dumps(raw)), workers=workers,
+                            trace_policy=trace_policy)
     emit_report(report, "both", out_dir)
     trace_dir = out_dir / f"{name}.traces"
     traces = sorted(trace_dir.iterdir()) if trace_dir.is_dir() else []
@@ -64,3 +95,10 @@ def output_digests(name, overrides, trace_policy, out_dir) -> dict:
 def test_golden_digests(name, tmp_path):
     overrides, trace_policy, expected = GOLDEN[name]
     assert output_digests(name, overrides, trace_policy, tmp_path) == expected
+
+
+def test_golden_digests_with_workers(tmp_path):
+    # Workers receive the compiled scenario pickled; the bytes must not change.
+    overrides, trace_policy, expected = GOLDEN["thm1_positive"]
+    assert output_digests("thm1_positive", overrides, trace_policy, tmp_path,
+                          workers=2) == expected
