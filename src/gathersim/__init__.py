@@ -20,7 +20,6 @@ from .policies import (  # noqa: F401
     gather_lambda_oracle,
 )
 from .analysis import (  # noqa: F401
-    aggregate,
     classify_success,
     geometric_repeat_count,
     max_distance_from,

@@ -1,5 +1,5 @@
 """Trace post-processing: maximum distances, attempt/phase segmentation,
-and Monte Carlo statistics for the expectation bounds.
+and the error bars and bounds the Monte Carlo reports use.
 
 An *attempt* pairs the later-moving robot's look with the other robot's
 latest look at or before that move; it is *successful* when the maximum
@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 import statistics
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .engine import DECIDE_GATHERED, LOOK, RobotRun, Trace, position_at
+from .engine import RobotRun, Trace, position_at
 from .rational import ZERO
 
 
@@ -54,20 +54,6 @@ class PhaseRecord:
     def __post_init__(self):
         if not self.attempts:
             raise ValueError("a phase holds at least one attempt")
-
-
-@dataclass
-class StatsReport:
-    trials: int
-    gathered_fraction: Fraction
-    mean_total_looks: float
-    mean_looks_per_phase: float | None
-    mean_attempt_success_rate: float | None
-    halfwidth_3sigma: dict[str, float]
-    attempts_per_phase_hist: dict[int, int] = field(default_factory=dict)
-    k_histogram: dict[int, int] = field(default_factory=dict)
-    n_attempts: int = 0
-    n_phases: int = 0
 
 
 def _distance_profile(trace: Trace):
@@ -131,7 +117,7 @@ def segment_attempts(trace: Trace, later_by: str = "move_start") -> list[Attempt
     key = (lambda s: s.move_start) if later_by == "move_start" else (lambda s: s.move_end)
     a_id, b_id = trace.robot_ids
     segs = {rid: trace.runs[rid].segments for rid in (a_id, b_id)}
-    look_times = sorted(e.time for e in trace.events if e.kind == LOOK)
+    look_times = sorted(seg.look_time for rid in (a_id, b_id) for seg in segs[rid])
 
     attempts: list[AttemptRecord] = []
     idx = {a_id: 0, b_id: 0}
@@ -227,61 +213,6 @@ def mean_halfwidth_3sigma(samples) -> float:
     return 3.0 * statistics.stdev(samples) / math.sqrt(n)
 
 
-def aggregate(traces: list[Trace], segment: bool = True) -> StatsReport:
-    """Pool identically configured trials into a StatsReport.
-
-    Only completed attempts and terminal phases made of completed attempts
-    enter the Lemma-style statistics; trailing partial structures are what
-    the finite horizon cut off, not what the expectations range over.
-    """
-    if not traces:
-        raise ValueError("no trials to aggregate")
-    trials = len(traces)
-    gathered = sum(1 for t in traces if t.gathered)
-    looks = [sum(t.look_count.values()) for t in traces]
-
-    attempt_outcomes: list[bool] = []
-    phase_looks: list[int] = []
-    phase_hist: dict[int, int] = {}
-    if segment:
-        for t in traces:
-            attempts = segment_attempts(t)
-            attempt_outcomes.extend(a.successful for a in attempts if a.complete)
-            for ph in segment_phases(attempts):
-                if ph.terminal and all(a.complete for a in ph.attempts):
-                    phase_looks.append(ph.total_looks)
-                    k = len(ph.attempts)
-                    phase_hist[k] = phase_hist.get(k, 0) + 1
-
-    gathered_fraction = Fraction(gathered, trials)
-    mean_total_looks = sum(looks) / trials
-    success_rate = (sum(attempt_outcomes) / len(attempt_outcomes)
-                    if attempt_outcomes else None)
-    mean_phase = (sum(phase_looks) / len(phase_looks)) if phase_looks else None
-
-    halfwidth = {
-        "gathered_fraction": binomial_halfwidth_3sigma(float(gathered_fraction), trials),
-        "mean_total_looks": mean_halfwidth_3sigma(looks),
-    }
-    if success_rate is not None:
-        halfwidth["mean_attempt_success_rate"] = binomial_halfwidth_3sigma(
-            success_rate, len(attempt_outcomes))
-    if mean_phase is not None:
-        halfwidth["mean_looks_per_phase"] = mean_halfwidth_3sigma(phase_looks)
-
-    return StatsReport(
-        trials=trials,
-        gathered_fraction=gathered_fraction,
-        mean_total_looks=mean_total_looks,
-        mean_looks_per_phase=mean_phase,
-        mean_attempt_success_rate=success_rate,
-        halfwidth_3sigma=halfwidth,
-        attempts_per_phase_hist=dict(sorted(phase_hist.items())),
-        n_attempts=len(attempt_outcomes),
-        n_phases=len(phase_looks),
-    )
-
-
 def theorem5_bound(delta: Fraction, tau: Fraction) -> float:
     """Expected-look bound 18 * (log2(delta/tau) + 1); 18 when delta < tau."""
     if delta <= 0 or tau <= 0:
@@ -304,22 +235,28 @@ def geometric_repeat_count(gamma0: Fraction, delta: Fraction) -> int:
 def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     """Check the adaptive-adversary invariant on a trace.
 
-    Every LOOK event strictly after the chronologically first look instant
-    must observe the other robot strictly inside a move (move_start < t <
-    move_end) at a positive distance.  Returns (ok, violations).
+    Every look strictly after the chronologically first look instant must
+    observe the other robot strictly inside a move (move_start < t <
+    move_end) at a positive distance.  Returns (ok, violations), the
+    violations in time order.
     """
-    looks = [e for e in trace.events if e.kind == LOOK]
+    a, b = trace.robot_ids
+    other = {a: trace.runs[b], b: trace.runs[a]}
+    looks = [(seg, rid) for rid in (a, b) for seg in trace.runs[rid].segments]
     if not looks:
         return True, []
-    first_time = looks[0].time
+    first_time = min(seg.look_time for seg, _ in looks)
     violations = []
-    for e in looks:
-        if e.time == first_time:
+    for seg, rid in looks:
+        t = seg.look_time
+        if t == first_time:
             continue
-        other_id = next(r for r in trace.robot_ids if r != e.robot_id)
-        moving = is_mid_move(trace.runs[other_id], e.time)
-        distance_ok = all(obs != e.payload["own"] for obs in e.payload["observed"])
+        moving = is_mid_move(other[rid], t)
+        distance_ok = seg.observed != seg.origin
         if not (moving and distance_ok):
-            violations.append((e.time, e.robot_id, moving, distance_ok))
-    decided = any(e.kind == DECIDE_GATHERED for e in trace.events)
+            violations.append((t, rid, moving, distance_ok))
+    # A stable sort on (time, robot id) keeps a robot's same-instant
+    # re-looks in cycle order.
+    violations.sort(key=lambda v: (v[0], v[1]))
+    decided = any(run.gathered_at is not None for run in trace.runs.values())
     return (not violations and not decided), violations

@@ -359,23 +359,7 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
 
     rows = []
     traces = {}
-    looks = []
-    gathered = 0
-    attempt_outcomes = []
-    phase_looks = []
-    phase_hist = {}
-    k_hist = {}
-    flags_pool = []
     for outcome, trace_json in batches:
-        looks.append(outcome.total_looks)
-        gathered += outcome.gathered
-        attempt_outcomes.extend(outcome.attempt_outcomes)
-        phase_looks.extend(outcome.phase_looks)
-        for size in outcome.attempts_per_phase:
-            phase_hist[size] = phase_hist.get(size, 0) + 1
-        if outcome.k_value is not None:
-            k_hist[outcome.k_value] = k_hist.get(outcome.k_value, 0) + 1
-        flags_pool.append((outcome.flags, outcome.gathered))
         rows.append({
             "trial": outcome.trial,
             "gathered": 1 if outcome.gathered else 0,
@@ -388,6 +372,48 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
         if trace_json is not None:
             traces[outcome.trial] = trace_json
     rows.sort(key=lambda r: r["trial"])
+
+    outcomes = [outcome for outcome, _ in batches]
+    stats = pool_outcomes(outcomes)
+    flags_pool = [(outcome.flags, outcome.gathered) for outcome in outcomes]
+    extras = _mode_extras(scn, flags_pool)
+    summary = {
+        "name": scn.name,
+        "version": __version__,
+        "master_seed": scn.master_seed,
+        "mode": scn.mode,
+        "scenario": scn.raw,
+        "stats": stats,
+        "extras": extras,
+    }
+    return Report(summary=summary, rows=rows, traces=traces)
+
+
+def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
+    """The report's "stats": a batch of trial outcomes pooled.
+
+    The trial functions hand in only completed attempts and terminal
+    phases made of them; trailing partial structures are what the finite
+    horizon cut off, not what the expectations range over.
+    """
+    n = len(outcomes)
+    if not n:
+        raise ValueError("no trials to pool")
+    looks = []
+    gathered = 0
+    attempt_outcomes = []
+    phase_looks = []
+    phase_hist = {}
+    k_hist = {}
+    for outcome in outcomes:
+        looks.append(outcome.total_looks)
+        gathered += outcome.gathered
+        attempt_outcomes.extend(outcome.attempt_outcomes)
+        phase_looks.extend(outcome.phase_looks)
+        for size in outcome.attempts_per_phase:
+            phase_hist[size] = phase_hist.get(size, 0) + 1
+        if outcome.k_value is not None:
+            k_hist[outcome.k_value] = k_hist.get(outcome.k_value, 0) + 1
 
     frac = Fraction(gathered, n)
     success = (sum(attempt_outcomes) / len(attempt_outcomes)) if attempt_outcomes else None
@@ -402,7 +428,7 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
     if per_phase is not None:
         halfwidth["mean_looks_per_phase"] = _fmt_real(mean_halfwidth_3sigma(phase_looks))
 
-    stats = {
+    return {
         "trials": n,
         "gathered": gathered,
         "gathered_fraction": format_rat(frac),
@@ -416,17 +442,6 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
         "attempts_per_phase_hist": {str(k): v for k, v in sorted(phase_hist.items())},
         "k_histogram": {str(k): v for k, v in sorted(k_hist.items())},
     }
-    extras = _mode_extras(scn, flags_pool)
-    summary = {
-        "name": scn.name,
-        "version": __version__,
-        "master_seed": scn.master_seed,
-        "mode": scn.mode,
-        "scenario": scn.raw,
-        "stats": stats,
-        "extras": extras,
-    }
-    return Report(summary=summary, rows=rows, traces=traces)
 
 
 def _mode_extras(scn: Scenario, flags_pool: list[tuple[dict, bool]]) -> dict:
@@ -561,12 +576,18 @@ def main(argv=None) -> int:
         if candidate.exists():
             path = candidate
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        if args.trials is not None:
-            raw["trials"] = args.trials
-        if args.seed is not None:
-            raw["master_seed"] = args.seed
-        scn = parse_scenario(json.dumps(raw))
+        text = path.read_text(encoding="utf-8")
+        try:
+            raw = json.loads(text)
+        except ValueError:
+            raw = None  # parse_scenario reports it
+        if isinstance(raw, dict):  # the flags override a scenario object only
+            if args.trials is not None:
+                raw["trials"] = args.trials
+            if args.seed is not None:
+                raw["master_seed"] = args.seed
+            text = json.dumps(raw)
+        scn = parse_scenario(text)
     except FileNotFoundError:
         print(f"error: scenario {args.scenario!r} not found", file=sys.stderr)
         return 2

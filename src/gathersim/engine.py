@@ -15,6 +15,12 @@ Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.
+
+A run records each robot's committed cycles (``CycleSegment``, which also
+keeps what its look observed) and how many events it processed.  The
+event log, ``Trace.events``, is derived from those segments on first use,
+by the loop's own ordering rule, so a batch that never reads it never
+builds it.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from . import geometry
@@ -75,8 +82,10 @@ class Budgets:
 class CycleSegment:
     """One committed cycle: wait, look, compute delay, rigid move.
 
-    ``lam`` is None for the final cycle in which the robot decided it had
-    gathered; such a cycle has a zero-length move interval at the look
+    ``observed`` is the other robot's position seen by the look; the
+    robot's own position then is ``origin``.  ``lam`` is None for the final
+    cycle in which the robot decided it had gathered (``observed`` equals
+    ``origin``); such a cycle has a zero-length move interval at the look
     instant and the robot never moves again.
     """
 
@@ -89,6 +98,7 @@ class CycleSegment:
     move_end: Fraction
     origin: Fraction
     destination: Fraction
+    observed: Fraction
 
 
 @dataclass(frozen=True)
@@ -125,13 +135,17 @@ class RobotRun:
 
 @dataclass
 class Trace:
-    """Totally ordered event log with exact timestamps and positions."""
+    """One run: each robot's cycle segments, its end status and look counts.
 
-    events: list[Event]
+    ``event_count`` is how many events the run processed, and ``horizon``
+    the time of the last of them.
+    """
+
     runs: dict[int, RobotRun]
     final_status: str
     look_count: dict[int, int]
     horizon: Fraction
+    event_count: int
 
     @property
     def robot_ids(self) -> list[int]:
@@ -140,6 +154,56 @@ class Trace:
     @property
     def gathered(self) -> bool:
         return self.final_status == GATHERED
+
+    @cached_property
+    def events(self) -> list[Event]:
+        """Totally ordered event log with exact timestamps and positions."""
+        return derive_events(self)
+
+
+def _robot_steps(rid: int, segments: list[CycleSegment]):
+    """One robot's pending events in its own order, as (key, events).
+
+    ``key`` is (time, _KIND_TIE rank); a look that decides gathering
+    carries its DECIDE_GATHERED event, which the run records in the same
+    step.
+    """
+    for seg in segments:
+        cycle = seg.cycle
+        look = Event(seg.look_time, rid, LOOK,
+                     {"cycle": cycle, "own": seg.origin, "observed": (seg.observed,)})
+        if seg.lam is None:
+            yield (seg.look_time, _KIND_TIE[LOOK]), (look, Event(
+                seg.look_time, rid, DECIDE_GATHERED, {"cycle": cycle, "position": seg.origin}))
+            return
+        yield (seg.look_time, _KIND_TIE[LOOK]), (look,)
+        yield (seg.move_start, _KIND_TIE[MOVE_START]), (Event(
+            seg.move_start, rid, MOVE_START,
+            {"cycle": cycle, "lam": seg.lam, "destination": seg.destination}),)
+        yield (seg.move_end, _KIND_TIE[MOVE_END]), (Event(
+            seg.move_end, rid, MOVE_END, {"cycle": cycle, "position": seg.destination}),)
+
+
+def derive_events(trace: Trace) -> list[Event]:
+    """The event log of a run, rebuilt from its cycle segments.
+
+    The two robots' streams are merged as the run chose its next event:
+    of the two pending ones the earliest, LOOK before MOVE_END before
+    MOVE_START at one instant, then the lower robot id.  A robot's last
+    segments may hold events the run never reached (past a budget), so the
+    merge stops after ``trace.event_count`` events.
+    """
+    first, second = (_robot_steps(rid, trace.runs[rid].segments) for rid in trace.robot_ids)
+    a, b = next(first, None), next(second, None)
+    events: list[Event] = []
+    while len(events) < trace.event_count:
+        if b is None or (a is not None and a[0] <= b[0]):
+            events.extend(a[1])
+            a = next(first, None)
+        else:
+            events.extend(b[1])
+            b = next(second, None)
+    return events
 
 
 def position_at(run: RobotRun, t: Fraction) -> Fraction:
@@ -168,11 +232,15 @@ def observe(trace: Trace, observer_id: int, t: Fraction) -> Snapshot:
 
 
 class _LiveRobot:
-    """Mutable per-run robot state driving the event loop."""
+    """Mutable per-run robot state driving the event loop.
+
+    ``next_time`` and ``next_rank`` are the pending event's time and its
+    ``_KIND_TIE`` rank while the robot is not done.
+    """
 
     __slots__ = ("spec", "policy", "segments", "phase", "cycle", "pos", "wait",
                  "look_time", "move_start", "move_end", "origin", "dest", "lam",
-                 "look_count", "gathered_at")
+                 "look_count", "gathered_at", "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
         self.spec = spec
@@ -190,44 +258,41 @@ class _LiveRobot:
         self.lam: Fraction | None = None
         self.look_count = 0
         self.gathered_at: Fraction | None = None
+        self.next_time = ZERO
+        self.next_rank = _KIND_TIE[LOOK]
 
     def enter_cycle(self, cycle: int, start: Fraction, adversary) -> None:
         self.cycle = cycle
         self.wait = adversary.wait_time(self.spec.id, cycle)
         if self.wait < 0:
             raise ValueError("adversary produced a negative wait")
-        self.look_time = start + self.wait
+        self.look_time = self.next_time = start + self.wait
+        self.next_rank = _KIND_TIE[LOOK]
         self.phase = "waiting"
 
-    def next_event(self) -> tuple[Fraction, str]:
-        if self.phase == "waiting":
-            return self.look_time, LOOK
-        if self.phase == "computing":
-            return self.move_start, MOVE_START
-        return self.move_end, MOVE_END
-
     def commit_move(self, t: Fraction, compute: Fraction, lam: Fraction,
-                    dest: Fraction) -> None:
+                    dest: Fraction, observed: Fraction) -> None:
         if compute < 0:
             raise ValueError("adversary produced a negative computation delay")
         self.lam = lam
         self.dest = dest
         self.origin = self.pos
-        self.move_start = t + compute
+        self.move_start = self.next_time = t + compute
+        self.next_rank = _KIND_TIE[MOVE_START]
         self.move_end = self.move_start + abs(dest - self.pos) / self.spec.speed
         self.segments.append(CycleSegment(
-            cycle=self.cycle, wait=self.wait, look_time=t, compute=compute,
-            lam=lam, move_start=self.move_start, move_end=self.move_end,
-            origin=self.pos, destination=dest,
-        ))
+            self.cycle, self.wait, t, compute, lam, self.move_start, self.move_end,
+            self.pos, dest, observed))
         self.phase = "computing"
+
+    def start_move(self) -> None:
+        self.next_time = self.move_end
+        self.next_rank = _KIND_TIE[MOVE_END]
+        self.phase = "moving"
 
     def decide_gathered(self, t: Fraction) -> None:
         self.segments.append(CycleSegment(
-            cycle=self.cycle, wait=self.wait, look_time=t, compute=ZERO,
-            lam=None, move_start=t, move_end=t, origin=self.pos,
-            destination=self.pos,
-        ))
+            self.cycle, self.wait, t, ZERO, None, t, t, self.pos, self.pos, self.pos))
         self.gathered_at = t
         self.phase = "done"
 
@@ -280,54 +345,54 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     world = _World(states)
     for st in states.values():
         st.enter_cycle(0, ZERO, adversary)
+    a, b = states.values()  # in robot id order
+    max_time, max_looks = budgets.max_time, budgets.max_total_looks
 
-    events: list[Event] = []
     looks_done = 0
-    status = None
-
+    n_events = 0
+    horizon = ZERO
     while True:
-        pending = [(st.next_event(), st.spec.id) for st in states.values()
-                   if st.phase != "done"]
-        if not pending:
-            status = GATHERED
-            break
-        ((t, kind), rid) = min(pending, key=lambda p: (p[0][0], _KIND_TIE[p[0][1]], p[1]))
-        if t > budgets.max_time:
+        # The earliest pending event; at one instant the lower _KIND_TIE
+        # rank, then the lower robot id.
+        if a.phase == "done":
+            if b.phase == "done":
+                status = GATHERED
+                break
+            st = b
+        elif (b.phase == "done" or a.next_time < b.next_time
+              or (a.next_time == b.next_time and a.next_rank <= b.next_rank)):
+            st = a
+        else:
+            st = b
+        t = st.next_time
+        if t > max_time:
             status = TIME_BUDGET_EXHAUSTED
             break
-        st = states[rid]
-        if kind == LOOK:
-            if looks_done >= budgets.max_total_looks:
+        phase = st.phase
+        if phase == "waiting":  # LOOK
+            if looks_done >= max_looks:
                 status = LOOK_BUDGET_EXHAUSTED
                 break
             looks_done += 1
             st.look_count += 1
             world.now = t
-            other = world.other_state(rid)
-            obs = other.position_at(t)
-            events.append(Event(t, rid, LOOK,
-                                {"cycle": st.cycle, "own": st.pos, "observed": (obs,)}))
+            obs = (b if st is a else a).position_at(t)
             if obs == st.pos:
                 st.decide_gathered(t)
-                events.append(Event(t, rid, DECIDE_GATHERED,
-                                    {"cycle": st.cycle, "position": st.pos}))
-                continue
-            lam = st.policy.sample(rng)
-            dest = destination(st.pos, obs, lam)
-            compute = adversary.computation_delay(rid, st.cycle, lam, world)
-            st.commit_move(t, compute, lam, dest)
-        elif kind == MOVE_START:
-            events.append(Event(t, rid, MOVE_START,
-                                {"cycle": st.cycle, "lam": st.lam,
-                                 "destination": st.dest}))
-            st.phase = "moving"
+                n_events += 1  # its DECIDE_GATHERED
+            else:
+                lam = st.policy.sample(rng)
+                dest = destination(st.pos, obs, lam)
+                compute = adversary.computation_delay(st.spec.id, st.cycle, lam, world)
+                st.commit_move(t, compute, lam, dest, obs)
+        elif phase == "computing":  # MOVE_START
+            st.start_move()
         else:  # MOVE_END
-            events.append(Event(t, rid, MOVE_END,
-                                {"cycle": st.cycle, "position": st.dest}))
             st.pos = st.dest
             st.enter_cycle(st.cycle + 1, t, adversary)
+        n_events += 1
+        horizon = t
 
-    horizon = events[-1].time if events else ZERO
     runs = {}
     look_count = {}
     for rid, st in states.items():
@@ -335,8 +400,8 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         rr.finalize(horizon)
         runs[rid] = rr
         look_count[rid] = st.look_count
-    return Trace(events=events, runs=runs, final_status=status,
-                 look_count=look_count, horizon=horizon)
+    return Trace(runs=runs, final_status=status, look_count=look_count,
+                 horizon=horizon, event_count=n_events)
 
 
 def gap(trace: Trace, cycle_index: int) -> Fraction:

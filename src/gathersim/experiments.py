@@ -86,12 +86,10 @@ class TrialOutcome:
 
 
 def first_gather_time(trace: Trace) -> Fraction | None:
+    """The first gathering decision; every robot has decided in a gathered run."""
     if not trace.gathered:
         return None
-    for e in trace.events:
-        if e.kind == DECIDE_GATHERED:
-            return e.time
-    return None
+    return min(run.gathered_at for run in trace.runs.values())
 
 
 def _segment_contributions(trace: Trace):
@@ -239,7 +237,7 @@ def thm3_trial(scn, trial: int) -> TrialOutcome:
     inner = trial % per
     lam = None if inner == 0 else u01(spawn_rng(scn.master_seed, trial, "lam"))
     trace = catch_trial(alpha, geometry_kind, lam)
-    decides = sum(1 for e in trace.events if e.kind == DECIDE_GATHERED)
+    decides = sum(1 for run in trace.runs.values() if run.gathered_at is not None)
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
                         first_gather_time=first_gather_time(trace),
@@ -270,13 +268,9 @@ def repeat_count_general(bound: Fraction, delta: Fraction, ratio: Fraction) -> i
 def halving_count(trace: Trace, mover: int, other: int) -> int | None:
     """Index of the mover's first look that catches the other mid-move."""
     other_run = trace.runs[other]
-    idx = 0
-    for e in trace.events:
-        if e.kind != LOOK or e.robot_id != mover:
-            continue
-        if is_mid_move(other_run, e.time):
+    for idx, seg in enumerate(trace.runs[mover].segments):  # one segment per look
+        if is_mid_move(other_run, seg.look_time):
             return idx
-        idx += 1
     return None
 
 

@@ -1,14 +1,18 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately avoid the library's own data paths: the segmenter
-rebuilds cycles from the raw event stream, and the projection oracle
-minimizes squared distance over a refined rational grid.
+rebuilds cycles from the raw event stream, the projection oracle
+minimizes squared distance over a refined rational grid, and the event
+reference records every event as it happens, in an event loop of its own,
+instead of deriving the log from cycle segments as the engine does.
 """
 
+import random
 from fractions import Fraction
 
 from gathersim.engine import position_at
 from gathersim.geometry import add, scale, sqdist, sub
+from gathersim.policies import destination
 
 
 def brute_max_distance(trace, t):
@@ -100,3 +104,126 @@ def grid_project_coordinate(q, p1, p2, span=64):
             s += step
         lo, hi, step = best - step, best + step, step / 16
     return best
+
+
+class _RefRobot:
+    """A robot's state in the reference loop (its ``phase`` and fields are
+    the ones adaptive adversaries read)."""
+
+    def __init__(self, spec, policy):
+        self.spec = spec
+        self.policy = policy
+        self.phase = "waiting"
+        self.cycle = 0
+        self.pos = spec.start
+        self.look_time = Fraction(0)
+        self.move_start = Fraction(0)
+        self.move_end = Fraction(0)
+        self.origin = spec.start
+        self.dest = spec.start
+        self.lam = None
+        self.look_count = 0
+
+    def enter_cycle(self, cycle, start, adversary):
+        self.cycle = cycle
+        wait = adversary.wait_time(self.spec.id, cycle)
+        if wait < 0:
+            raise ValueError("adversary produced a negative wait")
+        self.look_time = start + wait
+        self.phase = "waiting"
+
+    def next_event(self):
+        if self.phase == "waiting":
+            return self.look_time, "LOOK"
+        if self.phase == "computing":
+            return self.move_start, "MOVE_START"
+        return self.move_end, "MOVE_END"
+
+    def position_at(self, t):
+        if self.phase == "moving":
+            if t <= self.move_start:
+                return self.origin
+            if t >= self.move_end:
+                return self.dest
+            step = self.spec.speed * (t - self.move_start)
+            return self.origin + step if self.dest > self.origin else self.origin - step
+        return self.pos
+
+
+class _RefWorld:
+    def __init__(self, states):
+        self._states = states
+        self.now = Fraction(0)
+
+    def state(self, robot_id):
+        return self._states[robot_id]
+
+    def other_state(self, robot_id):
+        return next(st for rid, st in self._states.items() if rid != robot_id)
+
+
+def reference_events(robots, policies, adversary, rng_seed, budgets):
+    """Run two robots and record each event as the loop processes it.
+
+    Returns (events, final_status, look_count, horizon) with events as
+    (time, robot_id, kind, payload) tuples, in the fields and order of
+    ``Trace.events``.  Simultaneous events go LOOK, MOVE_END, MOVE_START,
+    then by robot id.
+    """
+    tie = {"LOOK": 0, "MOVE_END": 1, "MOVE_START": 2}
+    rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    states = {spec.id: _RefRobot(spec, policies[spec.id])
+              for spec in sorted(robots, key=lambda s: s.id)}
+    world = _RefWorld(states)
+    for st in states.values():
+        st.enter_cycle(0, Fraction(0), adversary)
+
+    events = []
+    looks_done = 0
+    while True:
+        pending = [(st.next_event(), rid) for rid, st in states.items()
+                   if st.phase != "done"]
+        if not pending:
+            status = "GATHERED"
+            break
+        (t, kind), rid = min(pending, key=lambda p: (p[0][0], tie[p[0][1]], p[1]))
+        if t > budgets.max_time:
+            status = "TIME_BUDGET_EXHAUSTED"
+            break
+        st = states[rid]
+        if kind == "LOOK":
+            if looks_done >= budgets.max_total_looks:
+                status = "LOOK_BUDGET_EXHAUSTED"
+                break
+            looks_done += 1
+            st.look_count += 1
+            world.now = t
+            obs = world.other_state(rid).position_at(t)
+            events.append((t, rid, "LOOK",
+                           {"cycle": st.cycle, "own": st.pos, "observed": (obs,)}))
+            if obs == st.pos:
+                events.append((t, rid, "DECIDE_GATHERED",
+                               {"cycle": st.cycle, "position": st.pos}))
+                st.phase = "done"
+                continue
+            lam = st.policy.sample(rng)
+            dest = destination(st.pos, obs, lam)
+            compute = adversary.computation_delay(rid, st.cycle, lam, world)
+            if compute < 0:
+                raise ValueError("adversary produced a negative computation delay")
+            st.lam, st.dest, st.origin = lam, dest, st.pos
+            st.move_start = t + compute
+            st.move_end = st.move_start + abs(dest - st.pos) / st.spec.speed
+            st.phase = "computing"
+        elif kind == "MOVE_START":
+            events.append((t, rid, "MOVE_START",
+                           {"cycle": st.cycle, "lam": st.lam, "destination": st.dest}))
+            st.phase = "moving"
+        else:
+            events.append((t, rid, "MOVE_END", {"cycle": st.cycle, "position": st.dest}))
+            st.pos = st.dest
+            st.enter_cycle(st.cycle + 1, t, adversary)
+
+    horizon = events[-1][0] if events else Fraction(0)
+    look_count = {rid: st.look_count for rid, st in states.items()}
+    return events, status, look_count, horizon

@@ -10,6 +10,8 @@ import json
 import math
 from fractions import Fraction as F
 
+import pytest
+
 from gathersim import experiments as ex
 from gathersim.analysis import geometric_repeat_count, theorem5_bound
 from gathersim.cli import (
@@ -25,6 +27,8 @@ from gathersim.policies import (
     SAME_DIRECTION,
     gather_lambda_oracle,
 )
+
+pytestmark = pytest.mark.acceptance
 
 WORKERS = 2
 

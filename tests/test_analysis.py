@@ -10,7 +10,6 @@ from gathersim.adversary import ObliviousExplicit, TauBounded
 from gathersim.analysis import (
     AttemptRecord,
     PhaseRecord,
-    aggregate,
     binomial_halfwidth_3sigma,
     classify_success,
     geometric_repeat_count,
@@ -19,7 +18,9 @@ from gathersim.analysis import (
     segment_phases,
     theorem5_bound,
 )
+from gathersim.cli import pool_outcomes
 from gathersim.engine import Budgets, RobotSpec, run
+from gathersim.experiments import TrialOutcome
 from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
 from gathersim.rational import spawn_rng
 
@@ -196,20 +197,22 @@ def test_tau_triple_phase_halving():
 
 
 # ----------------------------------------------------------------------
-# aggregate / bounds
+# pooling / bounds
 
 
-def test_aggregate_means_and_errors():
+def test_pool_outcomes_means_and_errors():
     t1 = run(two_bots(), {0: Deterministic(F(1, 2)), 1: Deterministic(F(1, 2))},
              explicit([(1, 0)] * 3, [(1, 0)] * 3), 0, Budgets(4, BIG))
     t2 = run(two_bots(), {0: Deterministic(F(1)), 1: Deterministic(F(1))},
              explicit([(1, 0)] * 3, [(1, 0)] * 3), 0, Budgets(2, BIG))
-    rep = aggregate([t1, t2], segment=False)
-    assert rep.mean_total_looks == 3.0  # looks 4 and 2
-    assert rep.gathered_fraction == F(1, 2)
-    assert rep.trials == 2
+    stats = pool_outcomes([
+        TrialOutcome(trial=i, gathered=t.gathered, total_looks=sum(t.look_count.values()))
+        for i, t in enumerate((t1, t2))])
+    assert stats["mean_total_looks"] == "3"  # looks 4 and 2
+    assert stats["gathered_fraction"] == "1/2"
+    assert stats["trials"] == 2
     with pytest.raises(ValueError):
-        aggregate([])
+        pool_outcomes([])
 
 
 def test_binomial_ci_covers_bernoulli():

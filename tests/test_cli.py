@@ -202,6 +202,20 @@ def _run_exit_code(tmp_path, raw) -> int:
     return main(["run", str(path), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("text,flags,message", [
+    ('{"name": ', [], "not valid JSON"),
+    ('{"name": ', ["--trials", "3", "--seed", "4"], "not valid JSON"),
+    (json.dumps([MINIMAL]), ["--trials", "3"], "must be a JSON object"),
+    (json.dumps([MINIMAL]), [], "must be a JSON object"),
+], ids=["bad-json", "bad-json-flags", "list-flags", "list"])
+def test_main_rejects_non_object_files(tmp_path, capsys, text, flags, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path / "o"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: $: ") and message in err
+
+
 _BOOL_ID_ROBOTS = [{"id": True, "start": "0", "policy": "p"},
                    {"id": 1, "start": "1", "policy": "p"}]
 

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
-from oracles import grid_project_coordinate
+from oracles import grid_project_coordinate, reference_events
 
-from gathersim.adversary import ObliviousExplicit, ScheduleUnderrunError
+from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, ScheduleUnderrunError
 from gathersim.engine import (
     Budgets,
     DECIDE_GATHERED,
@@ -23,7 +24,8 @@ from gathersim.engine import (
     project_scenario_to_line,
     run,
 )
-from gathersim.policies import Deterministic, ThreeChoice
+from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
+from gathersim.rational import spawn_rng
 
 BIG = F(10 ** 6)
 
@@ -266,6 +268,92 @@ def test_gathering_stability():
     for num in range(8):
         t = decide_time + F(num, 7) * (tr.horizon - decide_time)
         assert position_at(tr.runs[a], t) == position_at(tr.runs[b], t)
+
+
+# ----------------------------------------------------------------------
+# the derived event log against a loop that records every event
+
+
+def assert_matches_reference(make_run, budgets):
+    """``make_run()`` gives fresh (robots, policies, adversary, seed)."""
+    ref_events, status, look_count, horizon = reference_events(*make_run(), budgets)
+    tr = run(*make_run(), budgets)
+    assert [(e.time, e.robot_id, e.kind, e.payload) for e in tr.events] == ref_events
+    assert (tr.final_status, tr.look_count, tr.horizon) == (status, look_count, horizon)
+    return tr
+
+
+_TIE_VALUES = [F(0), F(1, 2), F(1)]
+_LAMBDAS = [F(0), F(1, 2), F(1), F(3, 2), F(-1, 2)]
+_LOOKS = 12
+# Enough (W, C) entries and lambdas for every cycle the look budget allows.
+_schedule = st.lists(st.tuples(st.sampled_from(_TIE_VALUES), st.sampled_from(_TIE_VALUES)),
+                     min_size=_LOOKS + 1, max_size=_LOOKS + 1)
+_policy = st.one_of(
+    st.tuples(st.just("deterministic"), st.sampled_from(_LAMBDAS)),
+    st.tuples(st.just("oracle"), st.lists(st.sampled_from(_LAMBDAS),
+                                          min_size=_LOOKS, max_size=_LOOKS)),
+)
+
+
+def _make_policy(desc):
+    kind, value = desc
+    return Deterministic(value) if kind == "deterministic" else Oracle(list(value))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sched0=_schedule, sched1=_schedule, pol0=_policy, pol1=_policy,
+       looks=st.integers(1, _LOOKS), x1=st.sampled_from([F(1), F(2)]),
+       cut=st.integers(0, 4 * _LOOKS), between=st.booleans())
+def test_derived_events_match_reference(sched0, sched1, pol0, pol1, looks, x1, cut,
+                                        between):
+    # W and C drawn from {0, 1/2, 1} make same-instant events common, so
+    # look budgets often stop between two looks at one instant; the time
+    # budget is cut at an event time or strictly between two of them.
+    def make_run():
+        adv = ObliviousExplicit({0: list(sched0), 1: list(sched1)})
+        return two_bots(x1=x1), {0: _make_policy(pol0), 1: _make_policy(pol1)}, adv, 5
+
+    full, *_ = reference_events(*make_run(), Budgets(looks, BIG))
+    times = sorted({t for t, *_ in full if t > 0} | {BIG})
+    i = min(cut, len(times) - 1)
+    max_time = (times[i] + times[i + 1]) / 2 if between and i + 1 < len(times) else times[i]
+    note(f"max_time = {max_time}")
+    assert_matches_reference(make_run, Budgets(looks, max_time))
+
+
+@pytest.mark.parametrize("looks,max_time,last", [
+    (1, BIG, (F(1, 2), 0, LOOK)),       # robot 1's look at t = 1/2 is cut off
+    (3, BIG, (F(2), 0, LOOK)),          # so is robot 1's look at t = 2
+    (4, F(7, 4), (F(3, 2), 1, MOVE_END)),  # no event in (3/2, 7/4]
+    (4, F(3), (F(3), 1, MOVE_END)),     # events at the budget itself run
+])
+def test_derived_events_stop_where_the_run_stopped(looks, max_time, last):
+    # Both robots wait 1/2 and swap with lambda 1 and no delay, so every
+    # look, move start and move end comes as a same-instant pair.
+    def make_run():
+        sched = [(F(1, 2), F(0))] * 8
+        pol = Deterministic(F(1))
+        return two_bots(), {0: pol, 1: pol}, ObliviousExplicit({0: sched, 1: sched}), 0
+
+    tr = assert_matches_reference(make_run, Budgets(looks, max_time))
+    e = tr.events[-1]
+    assert (e.time, e.robot_id, e.kind) == last
+
+
+def test_derived_events_match_reference_adaptive():
+    # The adaptive adversary forces same-instant re-looks after lambda 0.
+    relooks = 0
+    for seed in range(8):
+        def make_run():
+            specs = [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))]
+            return (specs, {0: TauTriple(), 1: TauTriple()},
+                    AdaptiveThm6({0: F(2), 1: F(1)}), spawn_rng("derive-thm6", seed))
+
+        tr = assert_matches_reference(make_run, Budgets(40, BIG))
+        looks = [(e.time, e.robot_id) for e in tr.events if e.kind == LOOK]
+        relooks += len(looks) - len(set(looks))
+    assert relooks
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from gathersim import engine
 from gathersim import experiments as ex
 from gathersim import rational
 from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, parse_scenario,
@@ -150,6 +151,19 @@ def test_trials_parse_no_rationals(monkeypatch, name):
     assert calls == []
     assert parse_scenario(json.dumps(scn.raw)).name == name  # the counter counts
     assert calls
+
+
+@pytest.mark.parametrize("name", ["thm1_positive", "thm6_adaptive"])
+def test_untraced_trials_derive_no_event_log(monkeypatch, name):
+    scn = _bundled(name, {})
+    derived = []
+    derive = engine.derive_events
+    monkeypatch.setattr(engine, "derive_events",
+                        lambda trace: derived.append(trace) or derive(trace))
+    run_experiment(scn, trace_policy="none")
+    assert derived == []
+    run_experiment(scn, trace_policy="all")
+    assert len(derived) == ex.total_trials(scn)  # one log per trial, built once
 
 
 ORACLE_RUN = {
