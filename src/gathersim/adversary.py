@@ -35,8 +35,16 @@ class InfeasibleDelayError(AdversaryError):
     """The adaptive strategy found an empty feasible interval (engine bug)."""
 
 
+@dataclass
 class _Oblivious:
-    """Base for schedulers whose pairs are precommitted."""
+    """Base for schedulers whose pairs are precommitted.
+
+    ``wait_time`` draws a cycle's (W, C) pair and keeps its C, so the
+    ``computation_delay`` of the same cycle does not draw the pair again.
+    """
+
+    # robot id -> (cycle, C) of the pair wait_time last drew for the robot
+    _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     adaptive = False
 
@@ -44,9 +52,14 @@ class _Oblivious:
         raise NotImplementedError
 
     def wait_time(self, robot_id: int, cycle: int) -> Fraction:
-        return self.next_delays(robot_id, cycle)[0]
+        w, c = self.next_delays(robot_id, cycle)
+        self._drawn[robot_id] = (cycle, c)
+        return w
 
     def computation_delay(self, robot_id, cycle, lam, world) -> Fraction:
+        drawn = self._drawn.get(robot_id)
+        if drawn is not None and drawn[0] == cycle:
+            return drawn[1]
         return self.next_delays(robot_id, cycle)[1]
 
     def for_trial(self, seed: int):
@@ -64,6 +77,7 @@ class _Seeded(_Oblivious):
         """A copy drawing from ``seed``; parsed values are shared, not re-parsed."""
         twin = copy.copy(self)
         twin.seed = seed
+        twin._drawn = {}  # copy.copy would share the pairs this one drew
         return twin
 
 

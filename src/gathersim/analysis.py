@@ -9,6 +9,7 @@ distance afterwards is at most half the maximum distance before.  A
 
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
 from bisect import bisect_left
@@ -62,21 +63,24 @@ def _distance_profile(trace: Trace):
     Positions are piecewise linear, so the inter-robot distance attains its
     supremum over any suffix at a move start/end or at the query time (the
     kinks of |x1-x2| away from those points are zero crossings, which are
-    minima).
+    minima).  The breakpoints are 0, the horizon and each robot's move
+    starts and ends up to the horizon; a robot's own are already in time
+    order, so the two lists are merged, and each robot's positions come
+    from one forward sweep over its segments.
     """
     cached = getattr(trace, "_dist_profile", None)
     if cached is not None:
         return cached
-    a, b = trace.robot_ids
-    times = {ZERO, trace.horizon}
-    for rid in (a, b):
-        for seg in trace.runs[rid].segments:
-            for t in (seg.move_start, seg.move_end):
-                if t <= trace.horizon:
-                    times.add(t)
-    ts = sorted(times)
-    ra, rb = trace.runs[a], trace.runs[b]
-    dist = [abs(position_at(ra, t) - position_at(rb, t)) for t in ts]
+    horizon = trace.horizon
+    runs = [trace.runs[rid] for rid in trace.robot_ids]
+    ts = [ZERO]
+    for t in heapq.merge(*(_move_times(run, horizon) for run in runs)):
+        if t != ts[-1]:
+            ts.append(t)
+    if horizon != ts[-1]:
+        ts.append(horizon)
+    a, b = (_positions(run, ts) for run in runs)
+    dist = [abs(x - y) for x, y in zip(a, b)]
     suffix = list(dist)
     for i in range(len(suffix) - 2, -1, -1):
         if suffix[i + 1] > suffix[i]:
@@ -86,14 +90,54 @@ def _distance_profile(trace: Trace):
     return profile
 
 
+def _move_times(run: RobotRun, horizon: Fraction):
+    """The robot's move starts and ends up to ``horizon``, in time order."""
+    for seg in run.segments:
+        if seg.move_start > horizon:
+            return
+        yield seg.move_start
+        if seg.move_end > horizon:
+            return
+        yield seg.move_end
+
+
+def _positions(run: RobotRun, ts: list[Fraction]) -> list[Fraction]:
+    """``position_at(run, t)`` for each t of the ascending ``ts``.
+
+    The segment for t is the last one whose move starts at or before t, as
+    in ``position_at``; it only moves forward as t grows.
+    """
+    segs = run.segments
+    n = len(segs)
+    i = -1
+    speed = run.spec.speed
+    rest = segs[0].origin if segs else run.spec.start
+    out = []
+    for t in ts:
+        while i + 1 < n and segs[i + 1].move_start <= t:
+            i += 1
+            seg = segs[i]
+        if i < 0:
+            out.append(rest)
+        elif t >= seg.move_end:
+            out.append(seg.destination)
+        else:
+            step = speed * (t - seg.move_start)
+            out.append(seg.origin + step if seg.destination > seg.origin
+                       else seg.origin - step)
+    return out
+
+
 def max_distance_from(trace: Trace, t: Fraction) -> Fraction:
     """Supremum of the inter-robot distance over [t, horizon], exactly."""
     if t < 0 or t > trace.horizon:
         raise ValueError(f"t={t} outside trace horizon [0, {trace.horizon}]")
     ts, _dist, suffix = _distance_profile(trace)
+    i = bisect_left(ts, t)
+    if i < len(ts) and ts[i] == t:  # a breakpoint: its distance is in the suffix
+        return suffix[i]
     a, b = trace.robot_ids
     here = abs(position_at(trace.runs[a], t) - position_at(trace.runs[b], t))
-    i = bisect_left(ts, t)
     if i < len(ts) and suffix[i] > here:
         return suffix[i]
     return here

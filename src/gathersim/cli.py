@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, experiments
 from .adversary import AdversaryError, adversary_from_descriptor
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
-from .engine import Budgets, RobotSpec, Trace
+from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace
 from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
                        policy_from_descriptor)
 from .rational import format_rat, is_dyadic, parse_dyadic, parse_rat, to_dyadic
@@ -302,35 +302,66 @@ def _fmt_real(x: float) -> str:
     return format(x, ".12g")
 
 
-def trace_to_jsonable(trace: Trace) -> dict:
-    def enc(v):
-        if isinstance(v, Fraction):
-            return format_rat(v)
-        if isinstance(v, tuple):
-            return [enc(x) for x in v]
-        return v
+def trace_to_jsonable(trace: Trace) -> str:
+    """The text of a trace's file, rendered in one pass over its events.
 
-    return {
-        "final_status": trace.final_status,
-        "look_count": {str(k): v for k, v in sorted(trace.look_count.items())},
-        "horizon": format_rat(trace.horizon),
-        "events": [
-            {"time": format_rat(e.time), "robot": e.robot_id, "kind": e.kind,
-             "payload": {k: enc(v) for k, v in sorted(e.payload.items())}}
-            for e in trace.events
-        ],
-    }
+    It equals ``json.dumps(tree, sort_keys=True, indent=1)`` of the trace's
+    JSON tree: ``final_status``, ``horizon``, ``look_count`` (robot id as a
+    string key) and ``events``, each event with its ``kind``, ``payload``,
+    ``robot`` and ``time``, rationals written by ``format_rat``.  Each event
+    kind has its own template, since the payload keys of a kind are fixed
+    (``engine._robot_steps``); a payload holds ``format_rat`` strings, the
+    cycle and the one-element ``observed`` list.
+    """
+    fmt = format_rat
+    events = []
+    for e in trace.events:
+        p = e.payload
+        kind = e.kind
+        if kind == LOOK:
+            events.append(
+                f'  {{\n   "kind": "LOOK",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
+                f'    "observed": [\n     "{fmt(p["observed"][0])}"\n    ],\n'
+                f'    "own": "{fmt(p["own"])}"\n   }},\n'
+                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+        elif kind == MOVE_START:
+            events.append(
+                f'  {{\n   "kind": "MOVE_START",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
+                f'    "destination": "{fmt(p["destination"])}",\n'
+                f'    "lam": "{fmt(p["lam"])}"\n   }},\n'
+                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+        else:  # MOVE_END and DECIDE_GATHERED
+            events.append(
+                f'  {{\n   "kind": "{kind}",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
+                f'    "position": "{fmt(p["position"])}"\n   }},\n'
+                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+    looks = [f'  "{rid}": {n}'
+             for rid, n in sorted((str(rid), n) for rid, n in trace.look_count.items())]
+    return (f'{{\n "events": {_block("[", events, "]")},\n'
+            f' "final_status": "{trace.final_status}",\n'
+            f' "horizon": "{fmt(trace.horizon)}",\n'
+            f' "look_count": {_block("{", looks, "}")}\n}}')
+
+
+def _block(open_, items: list[str], close: str) -> str:
+    """A JSON list or object at depth 1, its items already rendered."""
+    if not items:
+        return open_ + close
+    return f"{open_}\n" + ",\n".join(items) + f"\n {close}"
 
 
 def _run_chunk(scn: Scenario, trial_indices: list[int], keep_traces: str):
-    """Worker entry: run a batch of trials of a compiled scenario, strip traces."""
+    """Worker entry: run a batch of trials of a compiled scenario.
+
+    A kept trace comes back as its file's text, the others are dropped.
+    """
     out = []
     for t in trial_indices:
         outcome = experiments.run_one_trial(scn, t)
         keep = keep_traces == "all" or (keep_traces == "failed" and not outcome.gathered)
-        trace_json = trace_to_jsonable(outcome.trace) if (keep and outcome.trace) else None
+        trace_text = trace_to_jsonable(outcome.trace) if (keep and outcome.trace) else None
         outcome.trace = None
-        out.append((outcome, trace_json))
+        out.append((outcome, trace_text))
     return out
 
 
@@ -338,6 +369,7 @@ def _run_chunk(scn: Scenario, trial_indices: list[int], keep_traces: str):
 class Report:
     summary: dict
     rows: list[dict]
+    # trial -> the text of its trace file
     traces: dict
 
 
@@ -359,7 +391,7 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
 
     rows = []
     traces = {}
-    for outcome, trace_json in batches:
+    for outcome, trace_text in batches:
         rows.append({
             "trial": outcome.trial,
             "gathered": 1 if outcome.gathered else 0,
@@ -369,8 +401,8 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
             "first_gather_time": (format_rat(outcome.first_gather_time)
                                   if outcome.first_gather_time is not None else ""),
         })
-        if trace_json is not None:
-            traces[outcome.trial] = trace_json
+        if trace_text is not None:
+            traces[outcome.trial] = trace_text
     rows.sort(key=lambda r: r["trial"])
 
     outcomes = [outcome for outcome, _ in batches]
@@ -538,10 +570,9 @@ def emit_report(report: Report, fmt: str, out_dir) -> list[Path]:
     if report.traces:
         tdir = out / f"{name}.traces"
         tdir.mkdir(exist_ok=True)
-        for trial, tr in sorted(report.traces.items()):
+        for trial, text in sorted(report.traces.items()):
             tp = tdir / f"trial_{trial:06d}.json"
-            tp.write_text(json.dumps(tr, sort_keys=True, indent=1) + "\n",
-                          encoding="utf-8")
+            tp.write_text(text + "\n", encoding="utf-8")
             written.append(tp)
     return written
 
@@ -577,20 +608,28 @@ def main(argv=None) -> int:
             path = candidate
     try:
         text = path.read_text(encoding="utf-8")
-        try:
-            raw = json.loads(text)
-        except ValueError:
-            raw = None  # parse_scenario reports it
-        if isinstance(raw, dict):  # the flags override a scenario object only
-            if args.trials is not None:
-                raw["trials"] = args.trials
-            if args.seed is not None:
-                raw["master_seed"] = args.seed
-            text = json.dumps(raw)
-        scn = parse_scenario(text)
     except FileNotFoundError:
         print(f"error: scenario {args.scenario!r} not found", file=sys.stderr)
         return 2
+    except UnicodeDecodeError:
+        print(f"error: cannot read scenario {str(path)!r}: not UTF-8 text", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a directory, no permission
+        print(f"error: cannot read scenario {str(path)!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    try:
+        raw = json.loads(text)
+    except ValueError:
+        raw = None  # parse_scenario reports it
+    if isinstance(raw, dict):  # the flags override a scenario object only
+        if args.trials is not None:
+            raw["trials"] = args.trials
+        if args.seed is not None:
+            raw["master_seed"] = args.seed
+        text = json.dumps(raw)
+    try:
+        scn = parse_scenario(text)
     except ScenarioValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

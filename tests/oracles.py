@@ -2,17 +2,21 @@
 
 These deliberately avoid the library's own data paths: the segmenter
 rebuilds cycles from the raw event stream, the projection oracle
-minimizes squared distance over a refined rational grid, and the event
+minimizes squared distance over a refined rational grid, the event
 reference records every event as it happens, in an event loop of its own,
-instead of deriving the log from cycle segments as the engine does.
+instead of deriving the log from cycle segments as the engine does, the
+trace text is built as a dict tree and encoded by ``json.dumps``, and the
+distance profile calls ``position_at`` at each sorted breakpoint.
 """
 
+import json
 import random
 from fractions import Fraction
 
 from gathersim.engine import position_at
 from gathersim.geometry import add, scale, sqdist, sub
 from gathersim.policies import destination
+from gathersim.rational import format_rat
 
 
 def brute_max_distance(trace, t):
@@ -22,6 +26,45 @@ def brute_max_distance(trace, t):
     times.update(e.time for e in trace.events if e.time >= t)
     return max(abs(position_at(trace.runs[a], x) - position_at(trace.runs[b], x))
                for x in times)
+
+
+def reference_distance_profile(trace):
+    """(ts, dist, suffix) of ``analysis._distance_profile``, point by point:
+    every move start and end up to the horizon, 0 and the horizon, sorted,
+    with the exact distance at each and the suffix maxima of those."""
+    a, b = trace.robot_ids
+    times = {Fraction(0), trace.horizon}
+    for rid in (a, b):
+        for seg in trace.runs[rid].segments:
+            for t in (seg.move_start, seg.move_end):
+                if t <= trace.horizon:
+                    times.add(t)
+    ts = sorted(times)
+    dist = [abs(position_at(trace.runs[a], t) - position_at(trace.runs[b], t)) for t in ts]
+    suffix = [max(dist[i:]) for i in range(len(dist))]
+    return ts, dist, suffix
+
+
+def reference_trace_text(trace):
+    """A trace file's text as a dict tree encoded by ``json.dumps``."""
+    def enc(v):
+        if isinstance(v, Fraction):
+            return format_rat(v)
+        if isinstance(v, tuple):
+            return [enc(x) for x in v]
+        return v
+
+    tree = {
+        "final_status": trace.final_status,
+        "look_count": {str(k): v for k, v in sorted(trace.look_count.items())},
+        "horizon": format_rat(trace.horizon),
+        "events": [
+            {"time": format_rat(e.time), "robot": e.robot_id, "kind": e.kind,
+             "payload": {k: enc(v) for k, v in sorted(e.payload.items())}}
+            for e in trace.events
+        ],
+    }
+    return json.dumps(tree, sort_keys=True, indent=1)
 
 
 def brute_force_attempts(trace, later_by="move_start"):

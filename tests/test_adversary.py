@@ -1,7 +1,9 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
+from gathersim import adversary, experiments
 from gathersim.adversary import (
     AdaptiveThm6,
     AdversaryError,
@@ -106,6 +108,67 @@ def test_adversary_descriptor_roundtrip():
     for adv in advs:
         clone = adversary_from_descriptor(adv.descriptor())
         assert clone.descriptor() == adv.descriptor()
+
+
+# ----------------------------------------------------------------------
+# Each cycle's (W, C) pair is drawn once
+
+
+def _thm4_run(seed):
+    params = {"alphas": [F(2)], "delta": F(1), "tau": F(1, 2), "fixed_sum": F(13, 20)}
+    scn = SimpleNamespace(master_seed=seed, trials=1, params=params, budgets=Budgets(40, BIG))
+    return experiments.thm4_trial(scn, 0)
+
+
+def _oblivious_run(adv):
+    def go(seed):
+        specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]
+        return run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv.for_trial(seed),
+                   spawn_rng("draw-once", seed), Budgets(40, BIG))
+    return go
+
+
+# (trial runner, ids of the robots whose pairs come from an RNG)
+DRAWING_RUNS = {
+    "tau_bounded": (_oblivious_run(TauBounded(F(1, 10), seed=0)), {0, 1}),
+    "async_ic": (_oblivious_run(AsyncIC(F(0), F(2), seed=0)), {0, 1}),
+    "generated_uniform": (_oblivious_run(ObliviousGenerated(
+        "uniform", {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "1/2"}, 0)), {0, 1}),
+    "thm4_per_robot": (_thm4_run, {1}),  # robot 0 has constant zero delays
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAWING_RUNS))
+def test_oblivious_pairs_are_drawn_once_per_cycle(monkeypatch, name):
+    go, drawing = DRAWING_RUNS[name]
+    draws, waits = [], []
+    spawn, wait_time = adversary.spawn_rng, adversary._Oblivious.wait_time
+    monkeypatch.setattr(adversary, "spawn_rng",
+                        lambda *parts: draws.append(parts[1:]) or spawn(*parts))
+    monkeypatch.setattr(adversary._Oblivious, "wait_time",
+                        lambda adv, r, k: waits.append((r, k)) or wait_time(adv, r, k))
+    for seed in range(3):
+        go(seed)
+    assert len(waits) >= 20
+    assert draws == [("wc", r, k) for r, k in waits if r in drawing]
+
+
+@pytest.mark.parametrize("adv", [
+    TauBounded(F(1, 10), seed=0),
+    AsyncIC(F(0), F(2), seed=0),
+    ObliviousGenerated("uniform", {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "1/2"}, 0),
+    PerRobot({0: AsyncIC(F(0), F(1), seed=0), 1: TauBounded(F(1), seed=0)}),
+], ids=lambda adv: adv.kind)
+def test_computation_delay_without_a_wait_draws_the_pair(adv):
+    drawn = adv.for_trial(5)
+    for robot in (0, 1):
+        drawn.wait_time(robot, 7)
+        assert drawn.computation_delay(robot, 7, None, None) == drawn.next_delays(robot, 7)[1]
+        # A cycle whose wait was not drawn, and a copy for another trial.
+        assert drawn.computation_delay(robot, 8, None, None) == drawn.next_delays(robot, 8)[1]
+        twin = drawn.for_trial(6)
+        assert twin.computation_delay(robot, 7, None, None) == twin.next_delays(robot, 7)[1]
+        assert twin.next_delays(robot, 7) != drawn.next_delays(robot, 7)
 
 
 # ----------------------------------------------------------------------

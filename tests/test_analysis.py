@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
-from oracles import brute_force_attempts, brute_max_distance
+from oracles import brute_force_attempts, brute_max_distance, reference_distance_profile
+from test_engine import tie_heavy_runs
 
 from gathersim.adversary import ObliviousExplicit, TauBounded
 from gathersim.analysis import (
     AttemptRecord,
     PhaseRecord,
+    _distance_profile,
     binomial_halfwidth_3sigma,
     classify_success,
     geometric_repeat_count,
@@ -22,7 +25,7 @@ from gathersim.cli import pool_outcomes
 from gathersim.engine import Budgets, RobotSpec, run
 from gathersim.experiments import TrialOutcome
 from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
-from gathersim.rational import spawn_rng
+from gathersim.rational import spawn_rng, to_dyadic
 
 BIG = F(10 ** 9)
 
@@ -79,6 +82,32 @@ def test_max_distance_nonincreasing_property():
     assert all(a >= b for a, b in zip(values, values[1:]))
     for t in grid[::3]:
         assert max_distance_from(tr, t) == brute_max_distance(tr, t)
+
+
+def assert_profile_matches_reference(tr):
+    ts, dist, suffix = _distance_profile(tr)
+    assert (ts, dist, suffix) == reference_distance_profile(tr)
+    for t in ts:
+        assert max_distance_from(tr, t) == brute_max_distance(tr, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_run=tie_heavy_runs)
+def test_distance_profile_matches_reference(family_run):
+    # The family has lambda 0 (zero-length moves), W = C = 0 (move starts
+    # at one instant) and look and time budgets that stop a move in flight.
+    make_run, budgets = family_run
+    assert_profile_matches_reference(run(*make_run(), budgets))
+
+
+def test_distance_profile_matches_reference_dyadic():
+    specs = [RobotSpec(0, to_dyadic(F(0)), to_dyadic(F(1))),
+             RobotSpec(1, to_dyadic(F(1)), to_dyadic(F(1)))]
+    for seed in range(6):
+        adv = TauBounded(to_dyadic(F(1, 1024)), seed=seed)
+        tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
+                 spawn_rng("profile", seed), Budgets(30, BIG))
+        assert_profile_matches_reference(tr)
 
 
 # ----------------------------------------------------------------------

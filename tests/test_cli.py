@@ -216,6 +216,19 @@ def test_main_rejects_non_object_files(tmp_path, capsys, text, flags, message):
     assert err.startswith("validation error: $: ") and message in err
 
 
+@pytest.mark.parametrize("make,reason", [
+    (lambda path: path.write_bytes(b"\xff\xfe{"), "not UTF-8 text"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["not-utf8", "directory"])
+def test_main_rejects_unreadable_files(tmp_path, capsys, make, reason):
+    path = tmp_path / "x.json"
+    make(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read scenario {str(path)!r}: ")
+    assert reason in err and err.count("\n") == 1
+
+
 _BOOL_ID_ROBOTS = [{"id": True, "start": "0", "policy": "p"},
                    {"id": 1, "start": "1", "policy": "p"}]
 

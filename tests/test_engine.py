@@ -2,11 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, note, settings, strategies as st
+from hypothesis import example, given, note, settings, strategies as st
 
-from oracles import grid_project_coordinate, reference_events
+from oracles import grid_project_coordinate, reference_events, reference_trace_text
 
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, ScheduleUnderrunError
+from gathersim.cli import trace_to_jsonable
 from gathersim.engine import (
     Budgets,
     DECIDE_GATHERED,
@@ -301,25 +302,80 @@ def _make_policy(desc):
     return Deterministic(value) if kind == "deterministic" else Oracle(list(value))
 
 
-@settings(max_examples=400, deadline=None)
-@given(sched0=_schedule, sched1=_schedule, pol0=_policy, pol1=_policy,
-       looks=st.integers(1, _LOOKS), x1=st.sampled_from([F(1), F(2)]),
-       cut=st.integers(0, 4 * _LOOKS), between=st.booleans())
-def test_derived_events_match_reference(sched0, sched1, pol0, pol1, looks, x1, cut,
-                                        between):
-    # W and C drawn from {0, 1/2, 1} make same-instant events common, so
-    # look budgets often stop between two looks at one instant; the time
-    # budget is cut at an event time or strictly between two of them.
-    def make_run():
-        adv = ObliviousExplicit({0: list(sched0), 1: list(sched1)})
-        return two_bots(x1=x1), {0: _make_policy(pol0), 1: _make_policy(pol1)}, adv, 5
+def tie_heavy_run(sched0, sched1, pol0, pol1, looks, x1, cut, between, ids=(0, 1)):
+    """(make_run, budgets) of one run of the tie-heavy family.
 
+    W and C drawn from {0, 1/2, 1} make same-instant events common, so
+    look budgets often stop between two looks at one instant.  ``cut``
+    picks the time budget: an event time, or strictly between two of them
+    when ``between``; a negative ``cut`` makes both first waits positive
+    and stops the run before its first look.  ``make_run()`` gives fresh
+    (robots, policies, adversary, seed).
+    """
+    first, second = ids
+    if cut < 0:
+        sched0, sched1 = ([(max(s[0][0], F(1, 2)), s[0][1])] + list(s[1:])
+                          for s in (sched0, sched1))
+
+    def make_run():
+        adv = ObliviousExplicit({first: list(sched0), second: list(sched1)})
+        specs = [RobotSpec(first, F(0), F(1)), RobotSpec(second, x1, F(1))]
+        return specs, {first: _make_policy(pol0), second: _make_policy(pol1)}, adv, 5
+
+    if cut < 0:
+        return make_run, Budgets(looks, F(1, 4))
     full, *_ = reference_events(*make_run(), Budgets(looks, BIG))
     times = sorted({t for t, *_ in full if t > 0} | {BIG})
     i = min(cut, len(times) - 1)
     max_time = (times[i] + times[i + 1]) / 2 if between and i + 1 < len(times) else times[i]
-    note(f"max_time = {max_time}")
-    assert_matches_reference(make_run, Budgets(looks, max_time))
+    return make_run, Budgets(looks, max_time)
+
+
+tie_heavy_runs = st.builds(
+    tie_heavy_run, _schedule, _schedule, _policy, _policy, st.integers(1, _LOOKS),
+    st.sampled_from([F(1), F(2), F(1, 3)]), st.integers(-3, 4 * _LOOKS), st.booleans(),
+    st.sampled_from([(0, 1), (2, 10), (-1, 3)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_run=tie_heavy_runs)
+def test_derived_events_match_reference(family_run):
+    make_run, budgets = family_run
+    note(f"budgets = {budgets}")
+    assert_matches_reference(make_run, budgets)
+
+
+# Runs of the family that end in DECIDE_GATHERED events, move by a
+# negative lambda, and stop before any event.
+_WAIT_0 = [(F(0), F(0))] * (_LOOKS + 1)
+_WAIT_1 = [(F(1), F(0))] * (_LOOKS + 1)
+_DECIDING = tie_heavy_run(_WAIT_0, _WAIT_1, ("deterministic", F(1)), ("deterministic", F(0)),
+                          _LOOKS, F(1), 4 * _LOOKS, False)
+_NEGATIVE = tie_heavy_run(_WAIT_1, _WAIT_0, ("deterministic", F(-1, 2)),
+                          ("oracle", [F(3, 2)] * _LOOKS), _LOOKS, F(2), 4 * _LOOKS, False,
+                          ids=(2, 10))
+_EMPTY = tie_heavy_run(_WAIT_0, _WAIT_0, ("deterministic", F(1)), ("deterministic", F(1)),
+                       _LOOKS, F(1), -1, False)
+
+
+def test_family_examples_cover_decisions_negative_lambda_and_no_events():
+    kinds = [e.kind for e in run(*_DECIDING[0](), _DECIDING[1]).events]
+    assert kinds.count(DECIDE_GATHERED) == 2
+    negative = run(*_NEGATIVE[0](), _NEGATIVE[1])
+    assert any(e.kind == MOVE_START and e.payload["lam"] < 0 for e in negative.events)
+    empty = run(*_EMPTY[0](), _EMPTY[1])
+    assert (empty.events, empty.final_status) == ([], TIME_BUDGET_EXHAUSTED)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_run=tie_heavy_runs)
+@example(family_run=_DECIDING)
+@example(family_run=_NEGATIVE)
+@example(family_run=_EMPTY)
+def test_trace_text_matches_reference(family_run):
+    make_run, budgets = family_run
+    tr = run(*make_run(), budgets)
+    assert trace_to_jsonable(tr) == reference_trace_text(tr)
 
 
 @pytest.mark.parametrize("looks,max_time,last", [

@@ -180,7 +180,9 @@ ORACLE_RUN = {
     {},
     {"policies": {"o": {"kind": "THREE_CHOICE"}},
      "adversary": {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}},
-], ids=["oracle", "adaptive"])
+    {"policies": {"o": {"kind": "TAU_TRIPLE"}},
+     "adversary": {"kind": "TAU_BOUNDED", "tau": "1/10"}},
+], ids=["oracle", "adaptive", "tau_bounded"])
 def test_trials_share_no_state(patch):
     text = json.dumps({**ORACLE_RUN, **patch})
     shared = parse_scenario(text)

@@ -13,8 +13,10 @@ import pytest
 
 from gathersim.cli import bundled_scenario_path, emit_report, parse_scenario, run_experiment
 
-# name -> (overrides, trace policy, {file name: sha256}); the trace files
-# are digested jointly as "<file name> <sha256>" lines in name order.
+# key -> (overrides, trace policy, {file name: sha256}); the trace files
+# are digested jointly as "<file name> <sha256>" lines in name order.  A
+# key is the bundled scenario's name, with a ".<trace policy>" suffix for a
+# second entry of one scenario.
 GOLDEN = {
     "thm6_adaptive": (
         {"trials": 4, "budgets": {"max_total_looks": 80}}, "all", {
@@ -33,6 +35,12 @@ GOLDEN = {
             "report.json": "5667e9fd3f9eb702368ccf14a3f3686d73fe95f00e1ef33328aee56f851f0672",
             "trials.csv": "a03ac289d315880b850fe61536df2182ba43e5cfce96123df18625770b2222f2",
             "traces": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        }),
+    "thm1_positive.failed": (
+        {"trials": 20}, "failed", {
+            "report.json": "5667e9fd3f9eb702368ccf14a3f3686d73fe95f00e1ef33328aee56f851f0672",
+            "trials.csv": "a03ac289d315880b850fe61536df2182ba43e5cfce96123df18625770b2222f2",
+            "traces": "8191315abc2782793321843740b37a4087bab54a4d80bcbf7105d0789a8cd4fb",
         }),
     "thm4_one_free": (
         {"trials": 25}, "all", {
@@ -91,14 +99,17 @@ def output_digests(name, overrides, trace_policy, out_dir, workers=1) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_digests(name, tmp_path):
-    overrides, trace_policy, expected = GOLDEN[name]
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digests(key, tmp_path):
+    overrides, trace_policy, expected = GOLDEN[key]
+    name = key.partition(".")[0]
     assert output_digests(name, overrides, trace_policy, tmp_path) == expected
 
 
 def test_golden_digests_with_workers(tmp_path):
-    # Workers receive the compiled scenario pickled; the bytes must not change.
-    overrides, trace_policy, expected = GOLDEN["thm1_positive"]
-    assert output_digests("thm1_positive", overrides, trace_policy, tmp_path,
-                          workers=2) == expected
+    # Workers receive the compiled scenario pickled and send trace text
+    # back; the bytes must not change.
+    for name in ("thm1_positive", "thm5_1024"):
+        overrides, trace_policy, expected = GOLDEN[name]
+        assert output_digests(name, overrides, trace_policy, tmp_path / name,
+                              workers=2) == expected
