@@ -7,10 +7,7 @@ from .rational import Rat, format_rat, parse_rat  # noqa: F401
 from .engine import (  # noqa: F401
     Budgets,
     RobotSpec,
-    Snapshot,
     Trace,
-    gap,
-    observe,
     position_at,
     project_scenario_to_line,
     run,

@@ -9,18 +9,11 @@ strictly mid-move.
 from __future__ import annotations
 
 import copy
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rational import (
-    U01_DEN,
-    ZERO,
-    format_rat,
-    parse_rat,
-    spawn_rng,
-    uniform_closed,
-)
+from .rational import U01_DEN, ZERO, parse_rat, spawn_rng, uniform_closed
 
 
 class AdversaryError(Exception):
@@ -101,15 +94,6 @@ class ObliviousExplicit(_Oblivious):
         w, c = seq[cycle]
         return (w, c)
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "schedules": {
-                str(rid): [[format_rat(w), format_rat(c)] for w, c in seq]
-                for rid, seq in self.schedules.items()
-            },
-        }
-
 
 _GENERATOR_PARAMS = {"constant": ("w", "c"), "uniform": ("w_lo", "w_hi", "c_lo", "c_hi")}
 
@@ -120,34 +104,21 @@ class ObliviousGenerated(_Seeded):
 
     generator "uniform": W ~ U[w_lo, w_hi], C ~ U[c_lo, c_hi].
     generator "constant": W = w, C = c for every cycle.
-    ``params`` keeps the strings given; they are parsed once, by ``rat``
-    (default ``parse_rat``), when the generator is built.
+    ``values`` holds the generator's parameters in that order.
     """
 
     generator: str
-    params: dict
+    values: tuple
     seed: int
-    rat: InitVar = None
-    _values: tuple = field(init=False, repr=False, compare=False)
 
     kind = "OBLIVIOUS_GENERATED"
 
-    def __post_init__(self, rat):
-        if self.generator not in _GENERATOR_PARAMS:
-            raise AdversaryError(f"unknown generator {self.generator!r}")
-        parsed = {key: (rat or parse_rat)(value) for key, value in self.params.items()}
-        self._values = tuple(parsed[key] for key in _GENERATOR_PARAMS[self.generator])
-
     def next_delays(self, robot_id, cycle):
         if self.generator == "constant":
-            return self._values
-        w_lo, w_hi, c_lo, c_hi = self._values
+            return self.values
+        w_lo, w_hi, c_lo, c_hi = self.values
         rng = spawn_rng(self.seed, "wc", robot_id, cycle)
         return (uniform_closed(rng, w_lo, w_hi), uniform_closed(rng, c_lo, c_hi))
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "generator": self.generator,
-                "params": dict(self.params), "seed": self.seed}
 
 
 @dataclass
@@ -182,12 +153,6 @@ class TauBounded(_Seeded):
         w = uniform_closed(rng, ZERO, total)
         return (w, total - w)
 
-    def descriptor(self) -> dict:
-        d = {"kind": self.kind, "tau": format_rat(self.tau), "seed": self.seed}
-        if self.fixed_sum is not None:
-            d["fixed_sum"] = format_rat(self.fixed_sum)
-        return d
-
 
 @dataclass
 class AsyncIC(_Seeded):
@@ -202,10 +167,6 @@ class AsyncIC(_Seeded):
     def next_delays(self, robot_id, cycle):
         rng = spawn_rng(self.seed, "wc", robot_id, cycle)
         return (uniform_closed(rng, self.w_lo, self.w_hi), ZERO)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "w_lo": format_rat(self.w_lo),
-                "w_hi": format_rat(self.w_hi), "seed": self.seed}
 
 
 @dataclass
@@ -225,10 +186,6 @@ class PerRobot(_Oblivious):
 
     def for_trial(self, seed):
         return PerRobot({rid: part.for_trial(seed) for rid, part in self.parts.items()})
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind,
-                "robots": {str(rid): part.descriptor() for rid, part in self.parts.items()}}
 
 
 @dataclass
@@ -329,24 +286,16 @@ class AdaptiveThm6:
         step = me.spec.speed * elapsed
         return me.pos + step if dest > me.pos else me.pos - step
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind,
-                "initial_waits": {str(rid): format_rat(w)
-                                  for rid, w in self.initial_waits.items()}}
-
 
 AdversaryPolicy = (
     ObliviousExplicit | ObliviousGenerated | TauBounded | AsyncIC | PerRobot | AdaptiveThm6
 )
 
 
-def adversary_from_descriptor(desc: dict, seed: int | None = None,
-                              rat=None) -> AdversaryPolicy:
+def adversary_from_descriptor(desc: dict, rat=None) -> AdversaryPolicy:
     """Instantiate a fresh adversary from its serializable descriptor.
 
-    ``seed`` overrides the descriptor's seed, letting the runner derive a
-    per-trial stream while the file stays static.  ``rat`` parses each
-    rational (default ``parse_rat``).
+    ``rat`` parses each rational (default ``parse_rat``).
     """
     if not isinstance(desc, dict):
         raise AdversaryError("descriptor must be an object")
@@ -358,18 +307,21 @@ def adversary_from_descriptor(desc: dict, seed: int | None = None,
             for rid, seq in desc["schedules"].items()
         })
     if kind == "OBLIVIOUS_GENERATED":
-        return ObliviousGenerated(desc["generator"], dict(desc["params"]),
-                                  seed if seed is not None else desc.get("seed", 0), rat)
+        generator, params = desc["generator"], dict(desc["params"])
+        names = _GENERATOR_PARAMS.get(generator)
+        if names is None:
+            raise AdversaryError(f"unknown generator {generator!r}")
+        params = {key: rat(value) for key, value in params.items()}
+        return ObliviousGenerated(generator, tuple(params[key] for key in names),
+                                  desc.get("seed", 0))
     if kind == "TAU_BOUNDED":
         fixed = desc.get("fixed_sum")
-        return TauBounded(rat(desc["tau"]),
-                          seed if seed is not None else desc.get("seed", 0),
+        return TauBounded(rat(desc["tau"]), desc.get("seed", 0),
                           rat(fixed) if fixed is not None else None)
     if kind == "ASYNC_IC":
-        return AsyncIC(rat(desc["w_lo"]), rat(desc["w_hi"]),
-                       seed if seed is not None else desc.get("seed", 0))
+        return AsyncIC(rat(desc["w_lo"]), rat(desc["w_hi"]), desc.get("seed", 0))
     if kind == "PER_ROBOT":
-        return PerRobot({int(rid): adversary_from_descriptor(sub, seed, rat)
+        return PerRobot({int(rid): adversary_from_descriptor(sub, rat)
                          for rid, sub in desc["robots"].items()})
     if kind == "ADAPTIVE_THM6":
         return AdaptiveThm6({int(rid): rat(w)

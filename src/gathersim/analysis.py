@@ -148,17 +148,13 @@ def classify_success(attempt: AttemptRecord) -> bool:
     return 2 * attempt.max_dist_after <= attempt.max_dist_before
 
 
-def segment_attempts(trace: Trace, later_by: str = "move_start") -> list[AttemptRecord]:
+def segment_attempts(trace: Trace) -> list[AttemptRecord]:
     """Split a two-robot trace into attempts.
 
-    ``later_by`` selects how "the robot which has moved later" is read:
-    by move start (default: the instant the latest lambda choice becomes
-    binding) or by move end.  A trailing stretch without a full pair of
-    move cycles yields no attempt.
+    "The robot which has moved later" is the one whose move starts later:
+    the instant its lambda choice becomes binding.  A trailing stretch
+    without a full pair of move cycles yields no attempt.
     """
-    if later_by not in ("move_start", "move_end"):
-        raise ValueError("later_by must be 'move_start' or 'move_end'")
-    key = (lambda s: s.move_start) if later_by == "move_start" else (lambda s: s.move_end)
     a_id, b_id = trace.robot_ids
     segs = {rid: trace.runs[rid].segments for rid in (a_id, b_id)}
     look_times = sorted(seg.look_time for rid in (a_id, b_id) for seg in segs[rid])
@@ -171,13 +167,13 @@ def segment_attempts(trace: Trace, later_by: str = "move_start") -> list[Attempt
         sb = segs[b_id][idx[b_id]] if idx[b_id] < len(segs[b_id]) else None
         if sa is None or sb is None or sa.lam is None or sb.lam is None:
             break
-        if key(sa) > key(sb):
+        if sa.move_start > sb.move_start:
             later_id, later_seg = a_id, sa
             other_id = b_id
         else:
             later_id, later_seg = b_id, sb
             other_id = a_id
-        t = key(later_seg)
+        t = later_seg.move_start
         other_segs = segs[other_id]
         j = idx[other_id]
         while (j + 1 < len(other_segs) and other_segs[j + 1].lam is not None

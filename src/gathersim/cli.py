@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__, experiments
 from .adversary import AdversaryError, adversary_from_descriptor
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
-from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace
+from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace, event_steps
 from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
                        policy_from_descriptor)
 from .rational import format_rat, is_dyadic, parse_dyadic, parse_rat, to_dyadic
@@ -78,7 +78,7 @@ def parse_scenario(text: str) -> Scenario:
     """Validate scenario JSON and compile it into the objects its trials use."""
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # also an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # a digit limit, deep nesting
         _fail("$", f"not valid JSON ({exc})")
     if not isinstance(raw, dict):
         _fail("$", "scenario must be a JSON object")
@@ -303,38 +303,39 @@ def _fmt_real(x: float) -> str:
 
 
 def trace_to_jsonable(trace: Trace) -> str:
-    """The text of a trace's file, rendered in one pass over its events.
+    """The text of a trace's file, rendered in one pass over its segments.
 
     It equals ``json.dumps(tree, sort_keys=True, indent=1)`` of the trace's
     JSON tree: ``final_status``, ``horizon``, ``look_count`` (robot id as a
     string key) and ``events``, each event with its ``kind``, ``payload``,
-    ``robot`` and ``time``, rationals written by ``format_rat``.  Each event
-    kind has its own template, since the payload keys of a kind are fixed
-    (``engine._robot_steps``); a payload holds ``format_rat`` strings, the
-    cycle and the one-element ``observed`` list.
+    ``robot`` and ``time``, rationals written by ``format_rat``.  The events
+    come from ``engine.event_steps``, each with its cycle segment, and each
+    kind has its own template filled from the segment: a LOOK's ``own`` and
+    ``observed`` are the segment's ``origin`` and ``observed``, a
+    MOVE_START's ``lam`` and ``destination`` its own, and the ``position``
+    of a MOVE_END or DECIDE_GATHERED the ``destination`` (a deciding
+    segment's destination is its origin).  No event list is built.
     """
     fmt = format_rat
     events = []
-    for e in trace.events:
-        p = e.payload
-        kind = e.kind
+    for t, kind, rid, seg in event_steps(trace):
         if kind == LOOK:
             events.append(
-                f'  {{\n   "kind": "LOOK",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
-                f'    "observed": [\n     "{fmt(p["observed"][0])}"\n    ],\n'
-                f'    "own": "{fmt(p["own"])}"\n   }},\n'
-                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+                f'  {{\n   "kind": "LOOK",\n   "payload": {{\n    "cycle": {seg.cycle},\n'
+                f'    "observed": [\n     "{fmt(seg.observed)}"\n    ],\n'
+                f'    "own": "{fmt(seg.origin)}"\n   }},\n'
+                f'   "robot": {rid},\n   "time": "{fmt(t)}"\n  }}')
         elif kind == MOVE_START:
             events.append(
-                f'  {{\n   "kind": "MOVE_START",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
-                f'    "destination": "{fmt(p["destination"])}",\n'
-                f'    "lam": "{fmt(p["lam"])}"\n   }},\n'
-                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+                f'  {{\n   "kind": "MOVE_START",\n   "payload": {{\n    "cycle": {seg.cycle},\n'
+                f'    "destination": "{fmt(seg.destination)}",\n'
+                f'    "lam": "{fmt(seg.lam)}"\n   }},\n'
+                f'   "robot": {rid},\n   "time": "{fmt(t)}"\n  }}')
         else:  # MOVE_END and DECIDE_GATHERED
             events.append(
-                f'  {{\n   "kind": "{kind}",\n   "payload": {{\n    "cycle": {p["cycle"]},\n'
-                f'    "position": "{fmt(p["position"])}"\n   }},\n'
-                f'   "robot": {e.robot_id},\n   "time": "{fmt(e.time)}"\n  }}')
+                f'  {{\n   "kind": "{kind}",\n   "payload": {{\n    "cycle": {seg.cycle},\n'
+                f'    "position": "{fmt(seg.destination)}"\n   }},\n'
+                f'   "robot": {rid},\n   "time": "{fmt(t)}"\n  }}')
     looks = [f'  "{rid}": {n}'
              for rid, n in sorted((str(rid), n) for rid, n in trace.look_count.items())]
     return (f'{{\n "events": {_block("[", events, "]")},\n'
@@ -534,10 +535,6 @@ def render_report_json(report: Report) -> str:
     return json.dumps(report.summary, sort_keys=True, indent=2) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    return json.loads(text)
-
-
 CSV_FIELDS = ["trial", "gathered", "total_looks", "phases", "attempts",
               "first_gather_time"]
 
@@ -620,7 +617,7 @@ def main(argv=None) -> int:
         return 2
     try:
         raw = json.loads(text)
-    except ValueError:
+    except (ValueError, RecursionError):
         raw = None  # parse_scenario reports it
     if isinstance(raw, dict):  # the flags override a scenario object only
         if args.trials is not None:

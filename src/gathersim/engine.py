@@ -17,10 +17,11 @@ drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
-keeps what its look observed) and how many events it processed.  The
-event log, ``Trace.events``, is derived from those segments on first use,
-by the loop's own ordering rule, so a batch that never reads it never
-builds it.
+keeps what its look observed) and how many events it processed; nothing
+else.  ``event_steps`` walks the segments back into the loop's own event
+order, and trace files are rendered from it.  ``Trace.events`` is a view
+that builds ``Event`` objects from the same walk, for readers that want
+an event list; no run or trial reads it.
 """
 
 from __future__ import annotations
@@ -109,15 +110,6 @@ class Event:
     payload: dict
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Anonymous instantaneous positions of all other robots."""
-
-    time: Fraction
-    observer_id: int
-    observed: tuple[Fraction, ...]
-
-
 @dataclass
 class RobotRun:
     """A robot's committed cycle history over one run."""
@@ -157,53 +149,66 @@ class Trace:
 
     @cached_property
     def events(self) -> list[Event]:
-        """Totally ordered event log with exact timestamps and positions."""
+        """The event log, derived from the segments (``derive_events``)."""
         return derive_events(self)
 
 
-def _robot_steps(rid: int, segments: list[CycleSegment]):
-    """One robot's pending events in its own order, as (key, events).
+def _robot_steps(segments: list[CycleSegment]):
+    """One robot's events in its own order, as (key, kind, seg).
 
-    ``key`` is (time, _KIND_TIE rank); a look that decides gathering
-    carries its DECIDE_GATHERED event, which the run records in the same
-    step.
+    ``key`` is (time, _KIND_TIE rank); a look that decides gathering is
+    followed by its DECIDE_GATHERED at the same key, as the run records
+    both in one step.
     """
     for seg in segments:
-        cycle = seg.cycle
-        look = Event(seg.look_time, rid, LOOK,
-                     {"cycle": cycle, "own": seg.origin, "observed": (seg.observed,)})
+        look = (seg.look_time, _KIND_TIE[LOOK])
+        yield look, LOOK, seg
         if seg.lam is None:
-            yield (seg.look_time, _KIND_TIE[LOOK]), (look, Event(
-                seg.look_time, rid, DECIDE_GATHERED, {"cycle": cycle, "position": seg.origin}))
+            yield look, DECIDE_GATHERED, seg
             return
-        yield (seg.look_time, _KIND_TIE[LOOK]), (look,)
-        yield (seg.move_start, _KIND_TIE[MOVE_START]), (Event(
-            seg.move_start, rid, MOVE_START,
-            {"cycle": cycle, "lam": seg.lam, "destination": seg.destination}),)
-        yield (seg.move_end, _KIND_TIE[MOVE_END]), (Event(
-            seg.move_end, rid, MOVE_END, {"cycle": cycle, "position": seg.destination}),)
+        yield (seg.move_start, _KIND_TIE[MOVE_START]), MOVE_START, seg
+        yield (seg.move_end, _KIND_TIE[MOVE_END]), MOVE_END, seg
+
+
+def event_steps(trace: Trace):
+    """The run's events in its own order, as (time, kind, robot_id, seg).
+
+    ``seg`` is the robot's cycle segment the event belongs to.  The two
+    robots' streams are merged as the run chose its next event: of the two
+    pending ones the earliest, LOOK before MOVE_END before MOVE_START at
+    one instant, then the lower robot id; a DECIDE_GATHERED comes right
+    after its LOOK.  A robot's last segments may hold events the run never
+    reached (past a budget), so the merge stops after ``trace.event_count``
+    events.
+    """
+    ids = trace.robot_ids
+    first, second = (_robot_steps(trace.runs[rid].segments) for rid in ids)
+    a, b = next(first, None), next(second, None)
+    for _ in range(trace.event_count):
+        if b is None or (a is not None and a[0] <= b[0]):
+            (t, _rank), kind, seg = a
+            rid = ids[0]
+            a = next(first, None)
+        else:
+            (t, _rank), kind, seg = b
+            rid = ids[1]
+            b = next(second, None)
+        yield t, kind, rid, seg
 
 
 def derive_events(trace: Trace) -> list[Event]:
-    """The event log of a run, rebuilt from its cycle segments.
+    """The event log of a run, one ``Event`` per step of ``event_steps``."""
+    return [Event(t, rid, kind, _payload(kind, seg))
+            for t, kind, rid, seg in event_steps(trace)]
 
-    The two robots' streams are merged as the run chose its next event:
-    of the two pending ones the earliest, LOOK before MOVE_END before
-    MOVE_START at one instant, then the lower robot id.  A robot's last
-    segments may hold events the run never reached (past a budget), so the
-    merge stops after ``trace.event_count`` events.
-    """
-    first, second = (_robot_steps(rid, trace.runs[rid].segments) for rid in trace.robot_ids)
-    a, b = next(first, None), next(second, None)
-    events: list[Event] = []
-    while len(events) < trace.event_count:
-        if b is None or (a is not None and a[0] <= b[0]):
-            events.extend(a[1])
-            a = next(first, None)
-        else:
-            events.extend(b[1])
-            b = next(second, None)
-    return events
+
+def _payload(kind: str, seg: CycleSegment) -> dict:
+    if kind == LOOK:
+        return {"cycle": seg.cycle, "own": seg.origin, "observed": (seg.observed,)}
+    if kind == MOVE_START:
+        return {"cycle": seg.cycle, "lam": seg.lam, "destination": seg.destination}
+    # MOVE_END, or DECIDE_GATHERED: a deciding segment's destination is its origin
+    return {"cycle": seg.cycle, "position": seg.destination}
 
 
 def position_at(run: RobotRun, t: Fraction) -> Fraction:
@@ -218,17 +223,6 @@ def position_at(run: RobotRun, t: Fraction) -> Fraction:
         return seg.destination
     step = run.spec.speed * (t - seg.move_start)
     return seg.origin + step if seg.destination > seg.origin else seg.origin - step
-
-
-def observe(trace: Trace, observer_id: int, t: Fraction) -> Snapshot:
-    """Snapshot an observer takes at one of its look instants."""
-    run = trace.runs[observer_id]
-    if not any(seg.look_time == t for seg in run.segments):
-        raise ValueError(f"t={t} is not a look instant of robot {observer_id}")
-    observed = tuple(sorted(
-        position_at(trace.runs[rid], t) for rid in trace.runs if rid != observer_id
-    ))
-    return Snapshot(time=t, observer_id=observer_id, observed=observed)
 
 
 class _LiveRobot:
@@ -402,17 +396,6 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         look_count[rid] = st.look_count
     return Trace(runs=runs, final_status=status, look_count=look_count,
                  horizon=horizon, event_count=n_events)
-
-
-def gap(trace: Trace, cycle_index: int) -> Fraction:
-    """Signed look-time gap L1(k) - L2(k) between the two robots."""
-    first, second = trace.robot_ids
-    try:
-        l1 = trace.runs[first].segments[cycle_index].look_time
-        l2 = trace.runs[second].segments[cycle_index].look_time
-    except IndexError:
-        raise LookupError(f"a robot has no look in cycle {cycle_index}")
-    return l1 - l2
 
 
 def project_scenario_to_line(positions_2d, destinations_2d) -> list[Rat]:

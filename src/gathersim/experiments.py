@@ -39,6 +39,7 @@ from .engine import (
     Budgets,
     RobotSpec,
     Trace,
+    event_steps,
     position_at,
     run,
 )
@@ -64,7 +65,7 @@ from .rational import ONE, ZERO, derive_seed, rat_sqrt, spawn_rng, u01
 _BIG_TIME = Fraction(10 ** 9)
 
 # The uncontrolled robot of a thm4 run waits and computes for no time.
-_THM4_FREE = ObliviousGenerated("constant", {"w": "0", "c": "0"}, 0)
+_THM4_FREE = ObliviousGenerated("constant", (ZERO, ZERO), 0)
 
 
 @dataclass
@@ -92,19 +93,6 @@ def first_gather_time(trace: Trace) -> Fraction | None:
     return min(run.gathered_at for run in trace.runs.values())
 
 
-def _segment_contributions(trace: Trace):
-    attempts = segment_attempts(trace)
-    phases = segment_phases(attempts)
-    outcomes = tuple(a.successful for a in attempts if a.complete)
-    ph_looks = []
-    ph_sizes = []
-    for ph in phases:
-        if ph.terminal and all(a.complete for a in ph.attempts):
-            ph_looks.append(ph.total_looks)
-            ph_sizes.append(len(ph.attempts))
-    return len(attempts), len(phases), outcomes, tuple(ph_looks), tuple(ph_sizes)
-
-
 # ----------------------------------------------------------------------
 # Generic two-robot scenario trials
 
@@ -129,8 +117,15 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
         trace=trace,
     )
     if scn.analysis.get("segment_attempts"):
-        (out.n_attempts, out.n_phases, out.attempt_outcomes,
-         out.phase_looks, out.attempts_per_phase) = _segment_contributions(trace)
+        attempts = segment_attempts(trace)
+        phases = segment_phases(attempts)
+        out.n_attempts, out.n_phases = len(attempts), len(phases)
+        out.attempt_outcomes = tuple(a.successful for a in attempts if a.complete)
+        # Only terminal phases made of completed attempts are pooled.
+        pooled = [ph for ph in phases
+                  if ph.terminal and all(a.complete for a in ph.attempts)]
+        out.phase_looks = tuple(ph.total_looks for ph in pooled)
+        out.attempts_per_phase = tuple(len(ph.attempts) for ph in pooled)
     if scn.schedule_variants:
         out.flags["variant"] = trial // scn.trials
     return out
@@ -170,10 +165,10 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
     policies = {0: Deterministic(Fraction(1, 2)), 1: Deterministic(Fraction(1, 2))}
     trace = run(specs, policies, adversary, spawn_rng(scn.master_seed, trial, "alg"),
                 Budgets(activations, _BIG_TIME))
-    looks = [e for e in trace.events if e.kind == LOOK]
+    looks = [seg for _t, kind, _rid, seg in event_steps(trace) if kind == LOOK]
     ok = len(looks) == activations
-    for k, e in enumerate(looks):
-        seen = abs(e.payload["observed"][0] - e.payload["own"])
+    for k, seg in enumerate(looks):
+        seen = abs(seg.observed - seg.origin)
         if seen != delta / (2 ** k) or seen == 0:
             ok = False
             break
@@ -469,7 +464,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
     events2, query2, _status = _run_line_2d(
         {0: p1, 1: p2}, speeds, schedules, scripts, offsets, (p1, p2), budgets)
 
-    ev1 = [(e.time, e.kind, e.robot_id) for e in trace.events]
+    ev1 = [(t, kind, rid) for t, kind, rid, _seg in event_steps(trace)]
     equal = ev1 == events2
     if equal:
         for t, _kind, _rid in ev1:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import ONE, ZERO, format_rat, parse_rat, u01
+from .rational import ONE, ZERO, parse_rat, u01
 
 OPPOSITE_DIRECTIONS = "opposite_directions"
 SAME_DIRECTION = "same_direction"
@@ -36,6 +36,22 @@ def destination(own: Fraction, other_observed: Fraction, lam: Fraction) -> Fract
     return own + lam * (other_observed - own)
 
 
+def _integer_grid(weights) -> tuple[int, list[int]]:
+    """Exact sampling of rational weights on an integer grid.
+
+    Returns the least common denominator of ``weights`` and their running
+    sums over it: ``k = rng.randrange(denom)`` picks the first branch whose
+    running sum exceeds ``k``.
+    """
+    denom = math.lcm(*(w.denominator for w in weights))
+    cums = []
+    cum = 0
+    for w in weights:
+        cum += w.numerator * (denom // w.denominator)
+        cums.append(cum)
+    return denom, cums
+
+
 @dataclass
 class Deterministic:
     lam: Fraction
@@ -44,9 +60,6 @@ class Deterministic:
 
     def sample(self, rng: random.Random) -> Fraction:
         return self.lam
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "lam": format_rat(self.lam)}
 
 
 @dataclass
@@ -66,16 +79,8 @@ class FiniteMixture:
             raise PolicyError(f"mixture probabilities sum to {total}, not 1")
         if any(p <= 0 for _, p in self.choices):
             raise PolicyError("mixture probabilities must be positive")
-        # Exact sampling on an integer grid: one common denominator.
-        denom = 1
-        for _, p in self.choices:
-            denom = denom * p.denominator // math.gcd(denom, p.denominator)
-        cum = 0
-        thresholds = []
-        for lam, p in self.choices:
-            cum += p.numerator * (denom // p.denominator)
-            thresholds.append((cum, lam))
-        self._grid = (denom, thresholds)
+        denom, cums = _integer_grid([p for _, p in self.choices])
+        self._grid = (denom, list(zip(cums, (lam for lam, _ in self.choices))))
 
     def sample(self, rng: random.Random) -> Fraction:
         denom, thresholds = self._grid
@@ -84,12 +89,6 @@ class FiniteMixture:
             if k < cum:
                 return lam
         raise AssertionError("unreachable")
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "choices": [[format_rat(lam), format_rat(p)] for lam, p in self.choices],
-        }
 
 
 @dataclass
@@ -106,9 +105,6 @@ class ThreeChoice:
             return Fraction(1, 2)
         return u01(rng)
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass
 class TauTriple:
@@ -123,9 +119,6 @@ class TauTriple:
         if i == 1:
             return Fraction(1, 2)
         return ZERO
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind}
 
 
 @dataclass
@@ -151,15 +144,7 @@ class KnownAlpha:
             raise PolicyError("need four positive branch weights")
         if sum(self.weights) != 1:
             raise PolicyError("branch weights must sum to 1")
-        denom = 1
-        for w in self.weights:
-            denom = denom * w.denominator // math.gcd(denom, w.denominator)
-        cum = 0
-        self._thresholds = []
-        for w in self.weights:
-            cum += w.numerator * (denom // w.denominator)
-            self._thresholds.append(cum)
-        self._denom = denom
+        self._denom, self._thresholds = _integer_grid(self.weights)
 
     @property
     def support(self) -> tuple[Fraction, Fraction]:
@@ -176,12 +161,6 @@ class KnownAlpha:
         if k < self._thresholds[2]:
             return ONE
         return u01(rng)
-
-    def descriptor(self) -> dict:
-        desc = {"kind": self.kind, "alpha": format_rat(self.alpha)}
-        if self.weights != (Fraction(1, 4),) * 4:
-            desc["weights"] = [format_rat(w) for w in self.weights]
-        return desc
 
 
 @dataclass
@@ -201,9 +180,6 @@ class Oracle:
         lam = self.script[self._cursor]
         self._cursor += 1
         return lam
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "script": [format_rat(x) for x in self.script]}
 
 
 LambdaPolicy = Deterministic | FiniteMixture | ThreeChoice | TauTriple | KnownAlpha | Oracle

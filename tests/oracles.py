@@ -67,8 +67,11 @@ def reference_trace_text(trace):
     return json.dumps(tree, sort_keys=True, indent=1)
 
 
-def brute_force_attempts(trace, later_by="move_start"):
-    """Attempt segmentation reconstructed purely from the event stream."""
+def brute_force_attempts(trace):
+    """Attempt segmentation reconstructed purely from the event stream.
+
+    The later mover is the robot whose move starts later.
+    """
     cycles = {rid: {} for rid in trace.robot_ids}
     for e in trace.events:
         c = e.payload.get("cycle")
@@ -91,7 +94,7 @@ def brute_force_attempts(trace, later_by="move_start"):
 
     a, b = trace.robot_ids
     look_times = sorted(e.time for e in trace.events if e.kind == "LOOK")
-    key = 2 if later_by == "move_start" else 3
+    key = 2  # the move start of a (cycle, look, move_start, move_end) row
     out = []
     ptr = {a: 0, b: 0}
     t_begin = Fraction(0)

@@ -63,10 +63,9 @@ def test_async_ic_zero_compute():
 
 
 def test_generated_constant_and_uniform():
-    const = ObliviousGenerated("constant", {"w": "1/4", "c": "0"}, 0)
+    const = ObliviousGenerated("constant", (F(1, 4), F(0)), 0)
     assert const.next_delays(0, 9) == (F(1, 4), F(0))
-    uni = ObliviousGenerated("uniform", {"w_lo": "0", "w_hi": "1",
-                                         "c_lo": "1/8", "c_hi": "1/4"}, 11)
+    uni = ObliviousGenerated("uniform", (F(0), F(1), F(1, 8), F(1, 4)), 11)
     w, c = uni.next_delays(1, 3)
     assert F(0) <= w <= F(1) and F(1, 8) <= c <= F(1, 4)
     assert uni.next_delays(1, 3) == uni.next_delays(1, 3)
@@ -88,7 +87,7 @@ def test_oblivious_independence_from_algorithm_randomness():
 
 
 def test_per_robot_composite():
-    adv = PerRobot({0: ObliviousGenerated("constant", {"w": "0", "c": "0"}, 0),
+    adv = PerRobot({0: ObliviousGenerated("constant", (F(0), F(0)), 0),
                     1: TauBounded(F(1), seed=4)})
     assert adv.next_delays(0, 5) == (F(0), F(0))
     w, c = adv.next_delays(1, 5)
@@ -96,18 +95,33 @@ def test_per_robot_composite():
 
 
 def test_adversary_descriptor_roundtrip():
-    advs = [
-        ObliviousExplicit({0: [(F(1), F(0))], 1: [(F(1, 2), F(1, 4))]}),
-        ObliviousGenerated("uniform", {"w_lo": "0", "w_hi": "1",
-                                       "c_lo": "0", "c_hi": "0"}, 9),
-        TauBounded(F(1, 10), seed=2, fixed_sum=F(13, 100)),
-        AsyncIC(F(0), F(2), seed=8),
-        PerRobot({0: AsyncIC(F(0), F(1), seed=1), 1: TauBounded(F(1), seed=2)}),
-        AdaptiveThm6({0: F(2), 1: F(1)}),
+    # Each kind's descriptor, as a scenario file writes it, builds the
+    # adversary it describes.
+    cases = [
+        ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": [["1/2", "1/4"]]}},
+         ObliviousExplicit({0: [(F(1), F(0))], 1: [(F(1, 2), F(1, 4))]})),
+        ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform", "seed": 9,
+          "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}},
+         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 9)),
+        ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 2, "fixed_sum": "13/100"},
+         TauBounded(F(1, 10), seed=2, fixed_sum=F(13, 100))),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2", "seed": 8}, AsyncIC(F(0), F(2), seed=8)),
+        ({"kind": "PER_ROBOT", "robots": {
+            "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 1},
+            "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 2}}},
+         PerRobot({0: AsyncIC(F(0), F(1), seed=1), 1: TauBounded(F(1), seed=2)})),
+        ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
+         AdaptiveThm6({0: F(2), 1: F(1)})),
     ]
-    for adv in advs:
-        clone = adversary_from_descriptor(adv.descriptor())
-        assert clone.descriptor() == adv.descriptor()
+    for desc, built in cases:
+        assert adversary_from_descriptor(desc) == built
+    # The seed defaults to 0 and the generator's values follow its own order.
+    assert adversary_from_descriptor(
+        {"kind": "OBLIVIOUS_GENERATED", "generator": "constant",
+         "params": {"c": "1/8", "w": "3"}}) == ObliviousGenerated("constant", (F(3), F(1, 8)), 0)
+    with pytest.raises(AdversaryError, match="unknown generator"):
+        adversary_from_descriptor({"kind": "OBLIVIOUS_GENERATED", "generator": "nope",
+                                   "params": {}})
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +147,7 @@ DRAWING_RUNS = {
     "tau_bounded": (_oblivious_run(TauBounded(F(1, 10), seed=0)), {0, 1}),
     "async_ic": (_oblivious_run(AsyncIC(F(0), F(2), seed=0)), {0, 1}),
     "generated_uniform": (_oblivious_run(ObliviousGenerated(
-        "uniform", {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "1/2"}, 0)), {0, 1}),
+        "uniform", (F(0), F(1), F(0), F(1, 2)), 0)), {0, 1}),
     "thm4_per_robot": (_thm4_run, {1}),  # robot 0 has constant zero delays
 }
 
@@ -156,7 +170,7 @@ def test_oblivious_pairs_are_drawn_once_per_cycle(monkeypatch, name):
 @pytest.mark.parametrize("adv", [
     TauBounded(F(1, 10), seed=0),
     AsyncIC(F(0), F(2), seed=0),
-    ObliviousGenerated("uniform", {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "1/2"}, 0),
+    ObliviousGenerated("uniform", (F(0), F(1), F(0), F(1, 2)), 0),
     PerRobot({0: AsyncIC(F(0), F(1), seed=0), 1: TauBounded(F(1), seed=0)}),
 ], ids=lambda adv: adv.kind)
 def test_computation_delay_without_a_wait_draws_the_pair(adv):

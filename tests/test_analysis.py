@@ -183,18 +183,17 @@ def test_attempts_match_brute_force_on_random_short_runs():
         adv = ObliviousExplicit(sched)
         tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv,
                  spawn_rng("seg-fuzz-alg", seed), Budgets(8, BIG))
-        for later_by in ("move_start", "move_end"):
-            mine = segment_attempts(tr, later_by=later_by)
-            ref = brute_force_attempts(tr, later_by=later_by)
-            assert len(mine) == len(ref), (seed, later_by)
-            for m, r in zip(mine, ref):
-                assert m.look_pair[0] == r["later"]
-                assert m.look_pair[1] == r["other"]
-                assert m.window == r["window"]
-                assert m.all_looks_in_window == r["looks"]
-                assert m.max_dist_before == r["before"]
-                assert m.max_dist_after == r["after"]
-                assert m.successful == r["successful"]
+        mine = segment_attempts(tr)
+        ref = brute_force_attempts(tr)
+        assert len(mine) == len(ref), seed
+        for m, r in zip(mine, ref):
+            assert m.look_pair[0] == r["later"]
+            assert m.look_pair[1] == r["other"]
+            assert m.window == r["window"]
+            assert m.all_looks_in_window == r["looks"]
+            assert m.max_dist_before == r["before"]
+            assert m.max_dist_after == r["after"]
+            assert m.successful == r["successful"]
 
 
 def test_attempts_partition_look_counts():

@@ -3,7 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from gathersim.adversary import adversary_from_descriptor
+from gathersim.adversary import (
+    AdaptiveThm6,
+    AsyncIC,
+    ObliviousExplicit,
+    ObliviousGenerated,
+    PerRobot,
+    TauBounded,
+    adversary_from_descriptor,
+)
 from gathersim.cli import (
     CSV_FIELDS,
     ScenarioValidationError,
@@ -12,13 +20,20 @@ from gathersim.cli import (
     emit_report,
     load_scenario,
     main,
-    parse_report,
     parse_scenario,
     render_report_csv,
     render_report_json,
     run_experiment,
 )
-from gathersim.policies import policy_from_descriptor
+from gathersim.policies import (
+    Deterministic,
+    FiniteMixture,
+    KnownAlpha,
+    Oracle,
+    TauTriple,
+    ThreeChoice,
+    policy_from_descriptor,
+)
 from gathersim.rational import MAX_DIGITS, MAX_EXPONENT
 
 MINIMAL = {
@@ -80,31 +95,37 @@ def test_parse_rejects_float_rationals():
 
 
 def test_schema_expresses_every_kind():
-    # Every policy and adversary kind round-trips through its descriptor.
-    policy_descs = [
-        {"kind": "DETERMINISTIC", "lam": "1/2"},
-        {"kind": "FINITE_MIXTURE", "choices": [["0", "1/2"], ["1", "1/2"]]},
-        {"kind": "THREE_CHOICE"},
-        {"kind": "TAU_TRIPLE"},
-        {"kind": "KNOWN_ALPHA", "alpha": "2"},
-        {"kind": "ORACLE", "script": ["1", "-1/4"]},
+    # Every policy and adversary kind is built from its descriptor.
+    policies = [
+        ({"kind": "DETERMINISTIC", "lam": "1/2"}, Deterministic(F(1, 2))),
+        ({"kind": "FINITE_MIXTURE", "choices": [["0", "1/2"], ["1", "1/2"]]},
+         FiniteMixture([(F(0), F(1, 2)), (F(1), F(1, 2))])),
+        ({"kind": "THREE_CHOICE"}, ThreeChoice()),
+        ({"kind": "TAU_TRIPLE"}, TauTriple()),
+        ({"kind": "KNOWN_ALPHA", "alpha": "2"}, KnownAlpha(F(2))),
+        ({"kind": "ORACLE", "script": ["1", "-1/4"]}, Oracle([F(1), F(-1, 4)])),
     ]
-    for desc in policy_descs:
-        assert policy_from_descriptor(desc).descriptor() == desc
-    adversary_descs = [
-        {"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": [["1", "0"]]}},
-        {"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
-         "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}, "seed": 3},
-        {"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4},
-        {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 5},
-        {"kind": "PER_ROBOT", "robots": {
+    for desc, built in policies:
+        assert policy_from_descriptor(desc) == built
+    adversaries = [
+        ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": [["1", "0"]]}},
+         ObliviousExplicit({0: [(F(1), F(0))], 1: [(F(1), F(0))]})),
+        ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
+          "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}, "seed": 3},
+         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 3)),
+        ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4}, TauBounded(F(1, 10), 4)),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 5}, AsyncIC(F(0), F(1), 5)),
+        ({"kind": "PER_ROBOT", "robots": {
             "0": {"kind": "OBLIVIOUS_GENERATED", "generator": "constant",
                   "params": {"w": "0", "c": "0"}, "seed": 0},
             "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 6}}},
-        {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
+         PerRobot({0: ObliviousGenerated("constant", (F(0), F(0)), 0),
+                   1: TauBounded(F(1), 6)})),
+        ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
+         AdaptiveThm6({0: F(2), 1: F(1)})),
     ]
-    for desc in adversary_descs:
-        assert adversary_from_descriptor(desc).descriptor() == desc
+    for desc, built in adversaries:
+        assert adversary_from_descriptor(desc) == built
 
 
 def test_run_experiment_deterministic_bytes():
@@ -125,7 +146,7 @@ def test_run_experiment_workers_match_sequential():
 
 def test_report_json_roundtrip():
     rep = run_experiment(scenario())
-    assert parse_report(render_report_json(rep)) == rep.summary
+    assert json.loads(render_report_json(rep)) == rep.summary
 
 
 def test_csv_shape_and_empty_first_gather(tmp_path):
@@ -202,12 +223,21 @@ def _run_exit_code(tmp_path, raw) -> int:
     return main(["run", str(path), "--out", str(tmp_path / "o")])
 
 
+_DEEP = 100_000
+
+
 @pytest.mark.parametrize("text,flags,message", [
     ('{"name": ', [], "not valid JSON"),
     ('{"name": ', ["--trials", "3", "--seed", "4"], "not valid JSON"),
     (json.dumps([MINIMAL]), ["--trials", "3"], "must be a JSON object"),
     (json.dumps([MINIMAL]), [], "must be a JSON object"),
-], ids=["bad-json", "bad-json-flags", "list-flags", "list"])
+    ("[" * _DEEP, [], "not valid JSON"),
+    ("[" * _DEEP, ["--trials", "3"], "not valid JSON"),
+    ('{"name": "n", "analysis": ' + "[" * _DEEP + "]" * _DEEP + "}", [], "not valid JSON"),
+    ('{"name": "n", "analysis": ' + "[" * _DEEP + "]" * _DEEP + "}", ["--trials", "3"],
+     "not valid JSON"),
+], ids=["bad-json", "bad-json-flags", "list-flags", "list", "deep", "deep-flags",
+        "deep-field", "deep-field-flags"])
 def test_main_rejects_non_object_files(tmp_path, capsys, text, flags, message):
     path = tmp_path / "scenario.json"
     path.write_text(text)

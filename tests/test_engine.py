@@ -19,8 +19,6 @@ from gathersim.engine import (
     MOVE_START,
     RobotSpec,
     TIME_BUDGET_EXHAUSTED,
-    gap,
-    observe,
     position_at,
     project_scenario_to_line,
     run,
@@ -86,7 +84,7 @@ def test_position_underrun():
 
 
 # ----------------------------------------------------------------------
-# observe
+# what a look observed
 
 
 def test_observe_idle_and_midmove():
@@ -94,15 +92,15 @@ def test_observe_idle_and_midmove():
     adv = explicit([(2, 0)] * 3, [(50, 0)] * 3)
     tr = run_simple(specs, Deterministic(F(1)), Deterministic(F(1)), adv,
                     looks=3, max_time=F(60))
-    # Robot 0 looks at t=2 and sees robot 1 idle at 1.
-    snap = observe(tr, 0, F(2))
-    assert snap.observed == (F(1),)
+    # Robot 0 looks at t=2 from 0 and sees robot 1 idle at 1.
+    seg = tr.runs[0].segments[0]
+    assert (seg.look_time, seg.origin, seg.observed) == (F(2), F(0), F(1))
     # Robot 1 looks at t=50; robot 0 landed on it at t=3 and decided at
     # its own next look, so robot 1 sees a coincident point.
-    snap = observe(tr, 1, F(50))
-    assert snap.observed == (F(1),)
-    with pytest.raises(ValueError):
-        observe(tr, 0, F(1))  # not a look instant
+    seg = tr.runs[1].segments[0]
+    assert (seg.look_time, seg.origin, seg.observed) == (F(50), F(1), F(1))
+    assert position_at(tr.runs[0], F(50)) == F(1)
+    assert seg.lam is None  # it decided it had gathered
 
 
 def test_observe_midmove_composition():
@@ -112,8 +110,9 @@ def test_observe_midmove_composition():
     tr = run_simple(specs, Deterministic(F(1)), Deterministic(F(0)), adv,
                     looks=3, max_time=F(60))
     # Robot 0 moves 0 -> 4 during (0, 4); robot 1 looks at t = 5/2.
-    snap = observe(tr, 1, F(5, 2))
-    assert snap.observed == (F(5, 2),)
+    seg = tr.runs[1].segments[0]
+    assert (seg.look_time, seg.observed) == (F(5, 2), F(5, 2))
+    assert position_at(tr.runs[0], F(5, 2)) == F(5, 2)
 
 
 # ----------------------------------------------------------------------
@@ -222,11 +221,14 @@ def test_replay_reproduces_snapshots_bit_for_bit():
     specs = two_bots()
     adv = ObliviousExplicit({0: [(F(1), F(1, 8))] * 10, 1: [(F(1, 2), F(0))] * 10})
     tr = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=12, seed=7)
-    for e in tr.events:
-        if e.kind == LOOK:
-            snap = observe(tr, e.robot_id, e.time)
-            assert snap.observed == e.payload["observed"]
-            assert position_at(tr.runs[e.robot_id], e.time) == e.payload["own"]
+    looks = 0
+    for rid, rr in tr.runs.items():
+        other = tr.runs[1 - rid]
+        for seg in rr.segments:
+            assert seg.observed == position_at(other, seg.look_time)
+            assert seg.origin == position_at(rr, seg.look_time)
+            looks += 1
+    assert looks == sum(tr.look_count.values()) == 10
 
 
 def test_rigid_motion_reaches_destination():
@@ -413,7 +415,7 @@ def test_derived_events_match_reference_adaptive():
 
 
 # ----------------------------------------------------------------------
-# gap
+# look-time gap L1(k) - L2(k)
 
 
 def test_gap_definition_and_zero():
@@ -421,10 +423,10 @@ def test_gap_definition_and_zero():
     adv = explicit([(2, 0)] * 4, [(1, 0)] * 4)
     tr = run_simple(specs, Deterministic(F(1, 2)), Deterministic(F(1, 2)), adv,
                     looks=4)
-    assert gap(tr, 0) == F(1)
+    assert tr.runs[0].segments[0].look_time - tr.runs[1].segments[0].look_time == F(1)
     sym = run_simple(two_bots(), Deterministic(F(1, 2)), Deterministic(F(1, 2)),
                      explicit([(1, 0)] * 3, [(1, 0)] * 3))
-    assert gap(sym, 0) == F(0)
+    assert sym.runs[0].segments[0].look_time == sym.runs[1].segments[0].look_time
 
 
 def test_gap_step1_both_lambda_one():
@@ -438,9 +440,10 @@ def test_gap_step1_both_lambda_one():
     end0 = tr.runs[0].segments[0].move_end
     end1 = tr.runs[1].segments[0].move_end
     assert end0 == end1 == F(2)
-    assert gap(tr, 1) == F(2, 3) - F(1, 4)
-    with pytest.raises(LookupError):
-        gap(tr, 5)
+    looks0 = [seg.look_time for seg in tr.runs[0].segments]
+    looks1 = [seg.look_time for seg in tr.runs[1].segments]
+    assert looks0[1] - looks1[1] == F(2, 3) - F(1, 4)
+    assert len(looks0) == len(looks1) == 2  # the look budget of 4 is spent
 
 
 # ----------------------------------------------------------------------

@@ -153,17 +153,21 @@ def test_trials_parse_no_rationals(monkeypatch, name):
     assert calls
 
 
-@pytest.mark.parametrize("name", ["thm1_positive", "thm6_adaptive"])
+@pytest.mark.parametrize("name", ["thm1_positive", "thm6_adaptive", "ssync_halving",
+                                  "lemma1_projection"])
 def test_untraced_trials_derive_no_event_log(monkeypatch, name):
+    # Trials and trace files read the cycle segments; no run builds Events.
     scn = _bundled(name, {})
     derived = []
     derive = engine.derive_events
     monkeypatch.setattr(engine, "derive_events",
                         lambda trace: derived.append(trace) or derive(trace))
     run_experiment(scn, trace_policy="none")
+    report = run_experiment(scn, trace_policy="all")
     assert derived == []
-    run_experiment(scn, trace_policy="all")
-    assert len(derived) == ex.total_trials(scn)  # one log per trial, built once
+    assert len(report.traces) == ex.total_trials(scn)
+    assert ex.run_one_trial(scn, 0).trace.events  # the view, which the counter sees
+    assert len(derived) == 1
 
 
 ORACLE_RUN = {

@@ -119,9 +119,40 @@ def test_known_alpha_custom_weights():
     n = 40_000
     lo_hits = sum(pol.sample(rng) == Fraction(1, 3) for _ in range(n))
     assert abs(lo_hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
-    assert policy_from_descriptor(pol.descriptor()).descriptor() == pol.descriptor()
+    desc = {"kind": "KNOWN_ALPHA", "alpha": "2", "weights": ["1/2", "1/4", "1/8", "1/8"]}
+    assert policy_from_descriptor(desc) == pol
+    assert policy_from_descriptor({"kind": "KNOWN_ALPHA", "alpha": "2"}) != pol
     with pytest.raises(PolicyError):
         KnownAlpha(Fraction(2), (Fraction(1), Fraction(1), Fraction(1), Fraction(1)))
+
+
+class _FixedDraw:
+    """An rng whose ``randrange(n)`` returns ``k``, recording each ``n``."""
+
+    def __init__(self, k):
+        self.k = k
+        self.bounds = []
+
+    def randrange(self, n):
+        self.bounds.append(n)
+        return self.k
+
+
+def test_mixtures_draw_on_the_common_denominator():
+    # Weights 1/3, 1/6, 1/2 lie on a grid of 6 with running sums 2, 3, 6.
+    mixture = FiniteMixture([(Fraction(7), Fraction(1, 3)), (Fraction(8), Fraction(1, 6)),
+                             (Fraction(9), Fraction(1, 2))])
+    expected = [7, 7, 8, 9, 9, 9]
+    for k, lam in enumerate(expected):
+        rng = _FixedDraw(k)
+        assert mixture.sample(rng) == lam and rng.bounds == [6]
+    # Weights 1/2, 1/4, 1/8, 1/8 lie on a grid of 8 with running sums 4, 6, 7, 8.
+    alpha = KnownAlpha(Fraction(2), (Fraction(1, 2), Fraction(1, 4),
+                                     Fraction(1, 8), Fraction(1, 8)))
+    expected = [Fraction(1, 3)] * 4 + [Fraction(2, 3)] * 2 + [Fraction(1)]
+    for k, lam in enumerate(expected):
+        rng = _FixedDraw(k)
+        assert alpha.sample(rng) == lam and rng.bounds == [8]
 
 
 @pytest.mark.parametrize("alpha,geometry,expected", [
@@ -141,14 +172,17 @@ def test_gather_lambda_oracle_no_catchup():
 
 
 def test_policy_descriptor_roundtrip():
-    policies = [
-        Deterministic(Fraction(1, 2)),
-        FiniteMixture([(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))]),
-        ThreeChoice(),
-        TauTriple(),
-        KnownAlpha(Fraction(3, 2)),
-        Oracle([Fraction(1), Fraction(-1, 4)]),
+    # Each kind's descriptor, as a scenario file writes it, builds the
+    # policy it describes.
+    cases = [
+        ({"kind": "DETERMINISTIC", "lam": "1/2"}, Deterministic(Fraction(1, 2))),
+        ({"kind": "FINITE_MIXTURE", "choices": [["0", "1/2"], ["1", "1/2"]]},
+         FiniteMixture([(Fraction(0), Fraction(1, 2)), (Fraction(1), Fraction(1, 2))])),
+        ({"kind": "THREE_CHOICE"}, ThreeChoice()),
+        ({"kind": "TAU_TRIPLE"}, TauTriple()),
+        ({"kind": "KNOWN_ALPHA", "alpha": "3/2"}, KnownAlpha(Fraction(3, 2))),
+        ({"kind": "ORACLE", "script": ["1", "-1/4"]},
+         Oracle([Fraction(1), Fraction(-1, 4)])),
     ]
-    for pol in policies:
-        clone = policy_from_descriptor(pol.descriptor())
-        assert clone.descriptor() == pol.descriptor()
+    for desc, built in cases:
+        assert policy_from_descriptor(desc) == built
