@@ -42,6 +42,42 @@ GOLDEN = {
             "trials.csv": "a03ac289d315880b850fe61536df2182ba43e5cfce96123df18625770b2222f2",
             "traces": "8191315abc2782793321843740b37a4087bab54a4d80bcbf7105d0789a8cd4fb",
         }),
+    "thm1_positive.all": (
+        {"trials": 20}, "all", {
+            "report.json": "5667e9fd3f9eb702368ccf14a3f3686d73fe95f00e1ef33328aee56f851f0672",
+            "trials.csv": "a03ac289d315880b850fe61536df2182ba43e5cfce96123df18625770b2222f2",
+            "traces": "b3b38dc000f9471f0178ce7e6da1adf45bc316f928995537d4fb2514c2966a62",
+        }),
+    "thm1_gamma0": (
+        {"trials": 200}, "all", {
+            "report.json": "3b69f82f39889324c34cf8714327a4293d377e4034945ac72354ae3d53d2f0b7",
+            "trials.csv": "9eab5789e2264b281bc0dd542b2f04554791130c323eb3cc0bcf9c1a8a74dac7",
+            "traces": "6d187f5be2ffcd7dcda7fe8cb3c05a46efd23a2486f62210f5799a2c14620635",
+        }),
+    "lemma2": (
+        {"trials": 50}, "all", {
+            "report.json": "1c97b79010cd665a6668528f0ac9f1bbc84f59c42df8c5827920a275b3f2e455",
+            "trials.csv": "0bcc92d6058458269a8acb3337d76204c3584a363bf8316a05e3449b93e0b393",
+            "traces": "64cbb8d60ba601d321a1061f0f5a2cd09c0f4b5e4d046fbc0a95fe50a1cdeb83",
+        }),
+    "lemma3": (
+        {"trials": 50}, "all", {
+            "report.json": "ff19374cc1216c8ba0df636ad60d074bdd3dee2e621ad8b81034d907f0d659dc",
+            "trials.csv": "5fd7ec047c5c81223cda1fa16364be3b4e875fcbf32ade13a78022b5a4bd5a70",
+            "traces": "2b0863403462429e63557eba539f05a6e5b45d9aef09213578574b4a3d7767b0",
+        }),
+    "thm5_4": (
+        {"trials": 20}, "all", {
+            "report.json": "c4aa673d0ff4604e585330514e19614043be5504be921f6e3c9a36fd747cad10",
+            "trials.csv": "e284e77cb068647526b36ecddf1323f310f8ebda34fae70e0ab715b22ef043f4",
+            "traces": "2396f11f88a5f598d2c93c5d7d59690e721d2d5d63e528005245f7f8725bca31",
+        }),
+    "thm5_64": (
+        {"trials": 8}, "all", {
+            "report.json": "c9d16ddfce60a895b49e1792bc2599939c783a59bbb559ca49d1c545dbd63a7c",
+            "trials.csv": "98deaff0f8333843c09aefb64540f0718d5970f0bda4b77b98b817d969db4ceb",
+            "traces": "68e2dfc8720eee1122becf0281a1356f4294cf8881946e8eeaeb347fc737065c",
+        }),
     "thm4_one_free": (
         {"trials": 25}, "all", {
             "report.json": "1cef5e898f61d909d196d651b564ec974c91543a6f1dd6e5510c5e47bce7e1ba",
