@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .rational import U01_DEN, ZERO, parse_rat, spawn_rng, uniform_closed
+from .rational import (ONE, U01_DEN, ZERO, Rat, grid_point, parse_rat, spawn_rng,
+                       uniform_closed)
 
 
 class AdversaryError(Exception):
@@ -41,15 +41,15 @@ class _Oblivious:
 
     adaptive = False
 
-    def next_delays(self, robot_id: int, cycle: int) -> tuple[Fraction, Fraction]:
+    def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
 
-    def wait_time(self, robot_id: int, cycle: int) -> Fraction:
+    def wait_time(self, robot_id: int, cycle: int) -> Rat:
         w, c = self.next_delays(robot_id, cycle)
         self._drawn[robot_id] = (cycle, c)
         return w
 
-    def computation_delay(self, robot_id, cycle, lam, world) -> Fraction:
+    def computation_delay(self, robot_id, cycle, lam, world) -> Rat:
         drawn = self._drawn.get(robot_id)
         if drawn is not None and drawn[0] == cycle:
             return drawn[1]
@@ -78,7 +78,7 @@ class _Seeded(_Oblivious):
 class ObliviousExplicit(_Oblivious):
     """Literal per-robot (W, C) lists."""
 
-    schedules: Mapping[int, Sequence[tuple[Fraction, Fraction]]]
+    schedules: Mapping[int, Sequence[tuple[Rat, Rat]]]
 
     kind = "OBLIVIOUS_EXPLICIT"
 
@@ -131,9 +131,9 @@ class TauBounded(_Seeded):
     exceed tau).
     """
 
-    tau: Fraction
+    tau: Rat
     seed: int
-    fixed_sum: Fraction | None = None
+    fixed_sum: Rat | None = None
 
     kind = "TAU_BOUNDED"
 
@@ -149,7 +149,7 @@ class TauBounded(_Seeded):
             total = self.fixed_sum
             rng.randrange(U01_DEN)  # keep stream alignment with the drawn-sum case
         else:
-            total = self.tau * (1 + Fraction(rng.randrange(1, U01_DEN + 1), U01_DEN))
+            total = self.tau * (1 + grid_point(rng.randrange(1, U01_DEN + 1)))
         w = uniform_closed(rng, ZERO, total)
         return (w, total - w)
 
@@ -158,8 +158,8 @@ class TauBounded(_Seeded):
 class AsyncIC(_Seeded):
     """Zero computation delay; waits drawn uniformly from [w_lo, w_hi]."""
 
-    w_lo: Fraction
-    w_hi: Fraction
+    w_lo: Rat
+    w_hi: Rat
     seed: int
 
     kind = "ASYNC_IC"
@@ -199,7 +199,7 @@ class AdaptiveThm6:
     other robot strictly mid-move, so exact collocation is never seen.
     """
 
-    initial_waits: Mapping[int, Fraction]
+    initial_waits: Mapping[int, Rat]
     _next_wait: dict = field(default_factory=dict, repr=False)
 
     kind = "ADAPTIVE_THM6"
@@ -231,7 +231,7 @@ class AdaptiveThm6:
         self._next_wait[(robot_id, cycle + 1)] = w_next
         return c
 
-    def adaptive_decide(self, world, robot_id, lam) -> tuple[Fraction, Fraction]:
+    def adaptive_decide(self, world, robot_id, lam) -> tuple[Rat, Rat]:
         """(C for this cycle, W for the next cycle) after robot_id's look."""
         if lam == 0:
             # Zero-length move: force an immediate re-look at the same instant.
@@ -261,7 +261,7 @@ class AdaptiveThm6:
             # Only a single delay value puts us exactly on the other robot at
             # its look; any other interior point avoids the coincidence.
             c = lo + (hi - lo) / 4
-        return (c, Fraction(1))
+        return (c, ONE)
 
     def _other_next_look(self, world, other):
         """The other robot's committed next look time and resting position."""
@@ -292,18 +292,14 @@ AdversaryPolicy = (
 )
 
 
-def adversary_from_descriptor(desc: dict, rat=None) -> AdversaryPolicy:
-    """Instantiate a fresh adversary from its serializable descriptor.
-
-    ``rat`` parses each rational (default ``parse_rat``).
-    """
+def adversary_from_descriptor(desc: dict) -> AdversaryPolicy:
+    """Instantiate a fresh adversary from its serializable descriptor."""
     if not isinstance(desc, dict):
         raise AdversaryError("descriptor must be an object")
-    rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "OBLIVIOUS_EXPLICIT":
         return ObliviousExplicit({
-            int(rid): [(rat(w), rat(c)) for w, c in seq]
+            int(rid): [(parse_rat(w), parse_rat(c)) for w, c in seq]
             for rid, seq in desc["schedules"].items()
         })
     if kind == "OBLIVIOUS_GENERATED":
@@ -311,19 +307,20 @@ def adversary_from_descriptor(desc: dict, rat=None) -> AdversaryPolicy:
         names = _GENERATOR_PARAMS.get(generator)
         if names is None:
             raise AdversaryError(f"unknown generator {generator!r}")
-        params = {key: rat(value) for key, value in params.items()}
+        params = {key: parse_rat(value) for key, value in params.items()}
         return ObliviousGenerated(generator, tuple(params[key] for key in names),
                                   desc.get("seed", 0))
     if kind == "TAU_BOUNDED":
         fixed = desc.get("fixed_sum")
-        return TauBounded(rat(desc["tau"]), desc.get("seed", 0),
-                          rat(fixed) if fixed is not None else None)
+        return TauBounded(parse_rat(desc["tau"]), desc.get("seed", 0),
+                          parse_rat(fixed) if fixed is not None else None)
     if kind == "ASYNC_IC":
-        return AsyncIC(rat(desc["w_lo"]), rat(desc["w_hi"]), desc.get("seed", 0))
+        return AsyncIC(parse_rat(desc["w_lo"]), parse_rat(desc["w_hi"]),
+                       desc.get("seed", 0))
     if kind == "PER_ROBOT":
-        return PerRobot({int(rid): adversary_from_descriptor(sub, rat)
+        return PerRobot({int(rid): adversary_from_descriptor(sub)
                          for rid, sub in desc["robots"].items()})
     if kind == "ADAPTIVE_THM6":
-        return AdaptiveThm6({int(rid): rat(w)
+        return AdaptiveThm6({int(rid): parse_rat(w)
                              for rid, w in desc["initial_waits"].items()})
     raise AdversaryError(f"unknown adversary kind {kind!r}")

@@ -14,13 +14,12 @@ import math
 import statistics
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .engine import RobotRun, Trace, position_at
-from .rational import ZERO
+from .rational import ZERO, Rat
 
 
-def is_mid_move(run: RobotRun, t: Fraction) -> bool:
+def is_mid_move(run: RobotRun, t: Rat) -> bool:
     """True when the robot is strictly inside a move at time t.
 
     Moves never overlap, so the only candidate is the latest segment whose
@@ -37,11 +36,11 @@ def is_mid_move(run: RobotRun, t: Fraction) -> bool:
 class AttemptRecord:
     # (robot_id, cycle, look_time) of the later mover's look, then of the
     # other robot's latest look at or before the later move.
-    look_pair: tuple[tuple[int, int, Fraction], tuple[int, int, Fraction]]
+    look_pair: tuple[tuple[int, int, Rat], tuple[int, int, Rat]]
     all_looks_in_window: int
-    window: tuple[Fraction, Fraction]
-    max_dist_before: Fraction
-    max_dist_after: Fraction
+    window: tuple[Rat, Rat]
+    max_dist_before: Rat
+    max_dist_after: Rat
     successful: bool
     complete: bool
 
@@ -90,7 +89,7 @@ def _distance_profile(trace: Trace):
     return profile
 
 
-def _move_times(run: RobotRun, horizon: Fraction):
+def _move_times(run: RobotRun, horizon: Rat):
     """The robot's move starts and ends up to ``horizon``, in time order."""
     for seg in run.segments:
         if seg.move_start > horizon:
@@ -101,7 +100,7 @@ def _move_times(run: RobotRun, horizon: Fraction):
         yield seg.move_end
 
 
-def _positions(run: RobotRun, ts: list[Fraction]) -> list[Fraction]:
+def _positions(run: RobotRun, ts: list[Rat]) -> list[Rat]:
     """``position_at(run, t)`` for each t of the ascending ``ts``.
 
     The segment for t is the last one whose move starts at or before t, as
@@ -128,7 +127,7 @@ def _positions(run: RobotRun, ts: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def max_distance_from(trace: Trace, t: Fraction) -> Fraction:
+def max_distance_from(trace: Trace, t: Rat) -> Rat:
     """Supremum of the inter-robot distance over [t, horizon], exactly."""
     if t < 0 or t > trace.horizon:
         raise ValueError(f"t={t} outside trace horizon [0, {trace.horizon}]")
@@ -253,7 +252,7 @@ def mean_halfwidth_3sigma(samples) -> float:
     return 3.0 * statistics.stdev(samples) / math.sqrt(n)
 
 
-def theorem5_bound(delta: Fraction, tau: Fraction) -> float:
+def theorem5_bound(delta: Rat, tau: Rat) -> float:
     """Expected-look bound 18 * (log2(delta/tau) + 1); 18 when delta < tau."""
     if delta <= 0 or tau <= 0:
         raise ValueError("delta and tau must be positive")
@@ -262,12 +261,12 @@ def theorem5_bound(delta: Fraction, tau: Fraction) -> float:
     return 18.0 * (math.log2(delta / tau) + 1.0)
 
 
-def geometric_repeat_count(gamma0: Fraction, delta: Fraction) -> int:
+def geometric_repeat_count(gamma0: Rat, delta: Rat) -> int:
     """Smallest k with delta * (1 - 2**-k) > gamma0, for 0 < gamma0 < delta."""
     if not 0 < gamma0 < delta:
         raise ValueError("requires 0 < gamma0 < delta")
     k = 1
-    while delta * (1 - Fraction(1, 2 ** k)) <= gamma0:
+    while delta * (1 - Rat(1, 2 ** k)) <= gamma0:
         k += 1
     return k
 

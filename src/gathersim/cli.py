@@ -15,7 +15,6 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5
 from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace, event_steps
 from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
                        policy_from_descriptor)
-from .rational import format_rat, is_dyadic, parse_dyadic, parse_rat, to_dyadic
+from .rational import Rat, format_rat, parse_rat
 
 
 class ScenarioValidationError(ValueError):
@@ -38,7 +37,8 @@ class Scenario:
 
     ``adversaries``, ``robot_policies`` and ``params`` hold values already
     parsed from the file; the trial functions of ``experiments`` take them
-    from here and parse nothing.
+    from here and parse nothing.  Every rational in them, in ``robots`` and
+    in ``budgets`` is a ``rational.Rat``, whatever its denominator.
     """
 
     name: str
@@ -58,9 +58,6 @@ class Scenario:
     # The Theorem 5 expected-look bound, when analysis.theorem5 asks for it.
     theorem5_bound: float | None
     raw: dict
-    # Every rational of a two_robot or thm6 scenario is m / 2**e: its
-    # values are then built as Dyadic (see rational.py).
-    dyadic: bool = False
 
 
 def _fail(path: str, message: str):
@@ -96,21 +93,15 @@ def parse_scenario(text: str) -> Scenario:
     if type(master_seed) is not int:
         _fail("master_seed", "must be an integer")
 
-    parsed = []  # every rational of the scenario, to choose its scalar type
-
-    def rat(obj) -> Fraction:
-        parsed.append(parse_rat(obj))
-        return parsed[-1]
-
-    def _rat(obj, path: str) -> Fraction:
+    def _rat(obj, path: str) -> Rat:
         try:
-            return rat(obj)
+            return parse_rat(obj)
         except ValueError as exc:
             _fail(path, str(exc))
 
     def _build(make, desc, path: str):
         try:
-            return make(desc, rat=rat)
+            return make(desc)
         except (AdversaryError, PolicyError, ValueError, KeyError, TypeError,
                 AttributeError) as exc:  # a descriptor of the wrong shape
             _fail(path, str(exc))
@@ -126,9 +117,8 @@ def parse_scenario(text: str) -> Scenario:
 
     analysis = _object(raw, "analysis")
 
-    policy_descs = _object(raw, "policies")
     policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
-                for pname, desc in policy_descs.items()}
+                for pname, desc in _object(raw, "policies").items()}
 
     robots = []
     if mode == "two_robot":
@@ -171,16 +161,6 @@ def parse_scenario(text: str) -> Scenario:
 
     params = _mode_params(mode, _object(raw, "params"), _rat)
 
-    dyadic = mode in ("two_robot", "thm6") and all(map(is_dyadic, parsed))
-    if dyadic:  # build again from the checked file, every value a Dyadic
-        robots = [RobotSpec(r.id, to_dyadic(r.start), to_dyadic(r.speed), r.policy_ref)
-                  for r in robots]
-        policies = {pname: policy_from_descriptor(desc, rat=parse_dyadic)
-                    for pname, desc in policy_descs.items()}
-        adversaries = [adversary_from_descriptor(desc, rat=parse_dyadic)
-                       for _, desc in adversary_descs]
-        params = {key: to_dyadic(value) for key, value in params.items()}
-
     bound = None
     t5 = analysis.get("theorem5")
     if t5:
@@ -201,7 +181,7 @@ def parse_scenario(text: str) -> Scenario:
                     adversaries=adversaries,
                     robot_policies={r.id: policies[r.policy_ref] for r in robots},
                     schedule_variants=variants, params=params,
-                    theorem5_bound=bound, raw=raw, dyadic=dyadic)
+                    theorem5_bound=bound, raw=raw)
 
 
 def _mode_params(mode: str, params: dict, rat) -> dict:
@@ -448,7 +428,7 @@ def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
         if outcome.k_value is not None:
             k_hist[outcome.k_value] = k_hist.get(outcome.k_value, 0) + 1
 
-    frac = Fraction(gathered, n)
+    frac = Rat(gathered, n)
     success = (sum(attempt_outcomes) / len(attempt_outcomes)) if attempt_outcomes else None
     per_phase = (sum(phase_looks) / len(phase_looks)) if phase_looks else None
     halfwidth = {

@@ -7,9 +7,9 @@ LOOK before MOVE_END before MOVE_START, ties within a kind by robot id; a
 robot is stationary at exactly its move end, and "in the move state" means
 the open interval (move_start, move_end).
 
-All quantities are Fractions, so a look either observes the other robot at
-exactly the observer's position (the gathering decision fires, even for a
-robot crossing mid-move) or it does not.
+All quantities are exact rationals (``rational.Rat``), so a look either
+observes the other robot at exactly the observer's position (the gathering
+decision fires, even for a robot crossing mid-move) or it does not.
 
 Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
@@ -29,7 +29,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
@@ -60,8 +59,8 @@ class RobotSpec:
     """Static robot parameters; speed is constant for the whole run."""
 
     id: int
-    start: Fraction
-    speed: Fraction
+    start: Rat
+    speed: Rat
     policy_ref: str = ""
 
     def __post_init__(self):
@@ -72,7 +71,7 @@ class RobotSpec:
 @dataclass(frozen=True)
 class Budgets:
     max_total_looks: int
-    max_time: Fraction
+    max_time: Rat
 
     def __post_init__(self):
         if self.max_total_looks <= 0 or self.max_time <= 0:
@@ -91,20 +90,20 @@ class CycleSegment:
     """
 
     cycle: int
-    wait: Fraction
-    look_time: Fraction
-    compute: Fraction
-    lam: Fraction | None
-    move_start: Fraction
-    move_end: Fraction
-    origin: Fraction
-    destination: Fraction
-    observed: Fraction
+    wait: Rat
+    look_time: Rat
+    compute: Rat
+    lam: Rat | None
+    move_start: Rat
+    move_end: Rat
+    origin: Rat
+    destination: Rat
+    observed: Rat
 
 
 @dataclass(frozen=True)
 class Event:
-    time: Fraction
+    time: Rat
     robot_id: int
     kind: str
     payload: dict
@@ -116,11 +115,11 @@ class RobotRun:
 
     spec: RobotSpec
     segments: list[CycleSegment]
-    gathered_at: Fraction | None = None
-    horizon: Fraction = ZERO
-    _move_starts: list[Fraction] = field(default_factory=list, repr=False)
+    gathered_at: Rat | None = None
+    horizon: Rat = ZERO
+    _move_starts: list[Rat] = field(default_factory=list, repr=False)
 
-    def finalize(self, horizon: Fraction) -> None:
+    def finalize(self, horizon: Rat) -> None:
         self.horizon = horizon
         self._move_starts = [seg.move_start for seg in self.segments]
 
@@ -136,7 +135,7 @@ class Trace:
     runs: dict[int, RobotRun]
     final_status: str
     look_count: dict[int, int]
-    horizon: Fraction
+    horizon: Rat
     event_count: int
 
     @property
@@ -211,7 +210,7 @@ def _payload(kind: str, seg: CycleSegment) -> dict:
     return {"cycle": seg.cycle, "position": seg.destination}
 
 
-def position_at(run: RobotRun, t: Fraction) -> Fraction:
+def position_at(run: RobotRun, t: Rat) -> Rat:
     """Exact position at time t: linear inside a move, constant elsewhere."""
     if t < 0 or t > run.horizon:
         raise ScheduleUnderrunError(f"t={t} outside simulated horizon [0, {run.horizon}]")
@@ -249,13 +248,13 @@ class _LiveRobot:
         self.move_end = ZERO
         self.origin = spec.start
         self.dest = spec.start
-        self.lam: Fraction | None = None
+        self.lam: Rat | None = None
         self.look_count = 0
-        self.gathered_at: Fraction | None = None
+        self.gathered_at: Rat | None = None
         self.next_time = ZERO
         self.next_rank = _KIND_TIE[LOOK]
 
-    def enter_cycle(self, cycle: int, start: Fraction, adversary) -> None:
+    def enter_cycle(self, cycle: int, start: Rat, adversary) -> None:
         self.cycle = cycle
         self.wait = adversary.wait_time(self.spec.id, cycle)
         if self.wait < 0:
@@ -264,8 +263,8 @@ class _LiveRobot:
         self.next_rank = _KIND_TIE[LOOK]
         self.phase = "waiting"
 
-    def commit_move(self, t: Fraction, compute: Fraction, lam: Fraction,
-                    dest: Fraction, observed: Fraction) -> None:
+    def commit_move(self, t: Rat, compute: Rat, lam: Rat,
+                    dest: Rat, observed: Rat) -> None:
         if compute < 0:
             raise ValueError("adversary produced a negative computation delay")
         self.lam = lam
@@ -284,13 +283,13 @@ class _LiveRobot:
         self.next_rank = _KIND_TIE[MOVE_END]
         self.phase = "moving"
 
-    def decide_gathered(self, t: Fraction) -> None:
+    def decide_gathered(self, t: Rat) -> None:
         self.segments.append(CycleSegment(
             self.cycle, self.wait, t, ZERO, None, t, t, self.pos, self.pos, self.pos))
         self.gathered_at = t
         self.phase = "done"
 
-    def position_at(self, t: Fraction) -> Fraction:
+    def position_at(self, t: Rat) -> Rat:
         """Live position query; valid for t at or before the current event."""
         if self.phase == "moving":
             if t <= self.move_start:

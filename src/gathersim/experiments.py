@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import geometry
 from .adversary import (
@@ -60,9 +59,9 @@ from .policies import (
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
 )
-from .rational import ONE, ZERO, derive_seed, rat_sqrt, spawn_rng, u01
+from .rational import HALF, ONE, ZERO, Rat, derive_seed, rat_sqrt, spawn_rng, u01
 
-_BIG_TIME = Fraction(10 ** 9)
+_BIG_TIME = Rat(10 ** 9)
 
 # The uncontrolled robot of a thm4 run waits and computes for no time.
 _THM4_FREE = ObliviousGenerated("constant", (ZERO, ZERO), 0)
@@ -77,7 +76,7 @@ class TrialOutcome:
     total_looks: int
     n_attempts: int | None = None
     n_phases: int | None = None
-    first_gather_time: Fraction | None = None
+    first_gather_time: Rat | None = None
     attempt_outcomes: tuple = ()
     phase_looks: tuple = ()
     attempts_per_phase: tuple = ()
@@ -86,7 +85,7 @@ class TrialOutcome:
     trace: Trace | None = None
 
 
-def first_gather_time(trace: Trace) -> Fraction | None:
+def first_gather_time(trace: Trace) -> Rat | None:
     """The first gathering decision; every robot has decided in a gathered run."""
     if not trace.gathered:
         return None
@@ -135,8 +134,8 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
 # SSYNC halving (deterministic lambda = 1/2, alternating single activation)
 
 
-def ssync_schedule(activations: int, delta: Fraction = ONE,
-                   round_gap: Fraction = Fraction(10)):
+def ssync_schedule(activations: int, delta: Rat = ONE,
+                   round_gap: Rat = Rat(10)):
     """Explicit schedules realizing alternating single activation.
 
     Activation k happens at time round_gap * k and is performed by robot
@@ -162,7 +161,7 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
     delta = scn.params["delta"]
     specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
     adversary = ObliviousExplicit(ssync_schedule(activations, delta))
-    policies = {0: Deterministic(Fraction(1, 2)), 1: Deterministic(Fraction(1, 2))}
+    policies = {0: Deterministic(HALF), 1: Deterministic(HALF)}
     trace = run(specs, policies, adversary, spawn_rng(scn.master_seed, trial, "alg"),
                 Budgets(activations, _BIG_TIME))
     looks = [seg for _t, kind, _rid, seg in event_steps(trace) if kind == LOOK]
@@ -182,8 +181,8 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
 # Catch scenarios: the chooser's move coincides with the mover mid-flight
 
 
-def catch_setup(alpha: Fraction, geometry_kind: str, lam,
-               distance: Fraction = ONE):
+def catch_setup(alpha: Rat, geometry_kind: str, lam,
+               distance: Rat = ONE):
     """Robots, policies and schedule for one catch scenario.
 
     Robot 0 is the pre-committed mover with speed ``alpha`` (relative to
@@ -216,7 +215,7 @@ def catch_setup(alpha: Fraction, geometry_kind: str, lam,
     return specs, policies, ObliviousExplicit(schedules)
 
 
-def catch_trial(alpha: Fraction, geometry_kind: str, lam=None) -> Trace:
+def catch_trial(alpha: Rat, geometry_kind: str, lam=None) -> Trace:
     """One catch-scenario run; the oracle value when ``lam`` is None."""
     oracle = lam is None
     if oracle:
@@ -248,7 +247,7 @@ def thm3_total_trials(scn) -> int:
 # One uncontrolled robot (zero wait, zero delay, fixed lambda repetition)
 
 
-def repeat_count_general(bound: Fraction, delta: Fraction, ratio: Fraction) -> int:
+def repeat_count_general(bound: Rat, delta: Rat, ratio: Rat) -> int:
     """Smallest k with delta * (1 - ratio**k) > bound (gap-shrink ratio)."""
     if not 0 < bound < delta:
         raise ValueError("requires 0 < bound < delta")
@@ -427,16 +426,16 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
     """
     cycles = scn.params["cycles"]
     rng = spawn_rng(scn.master_seed, trial, "lemma1")
-    slope = Fraction(rng.randrange(-6, 7), rng.randrange(1, 7))
+    slope = Rat(rng.randrange(-6, 7), rng.randrange(1, 7))
     u = unit_from_slope(slope)
-    base = (Fraction(rng.randrange(-80, 81), 4), Fraction(rng.randrange(-80, 81), 4))
-    delta = Fraction(rng.randrange(1, 33), 8)
+    base = (Rat(rng.randrange(-80, 81), 4), Rat(rng.randrange(-80, 81), 4))
+    delta = Rat(rng.randrange(1, 33), 8)
     p1 = base
     p2 = add(base, scale(u, delta))
-    speeds = {0: ONE, 1: Fraction(rng.randrange(1, 4))}
+    speeds = {0: ONE, 1: Rat(rng.randrange(1, 4))}
 
     n = 2 * cycles + 2
-    schedules = {rid: [(Fraction(rng.randrange(0, 17), 8), Fraction(rng.randrange(0, 9), 8))
+    schedules = {rid: [(Rat(rng.randrange(0, 17), 8), Rat(rng.randrange(0, 9), 8))
                        for _ in range(n)] for rid in (0, 1)}
 
     def draw_lam():
@@ -444,15 +443,15 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
         if r == 0:
             return ONE
         if r == 1:
-            return Fraction(1, 2)
+            return HALF
         if r == 2:
-            return -Fraction(rng.randrange(1, 5), 8)
+            return -Rat(rng.randrange(1, 5), 8)
         if r == 3:
-            return Fraction(rng.randrange(9, 16), 8)
+            return Rat(rng.randrange(9, 16), 8)
         return u01(rng)
 
     scripts = {rid: [draw_lam() for _ in range(n)] for rid in (0, 1)}
-    offsets = {rid: [Fraction(rng.randrange(-8, 9), 4) for _ in range(n)]
+    offsets = {rid: [Rat(rng.randrange(-8, 9), 4) for _ in range(n)]
                for rid in (0, 1)}
     budgets = Budgets(2 * cycles, _BIG_TIME)
 
@@ -490,20 +489,20 @@ MAX_PLANE_ROBOTS = 321 ** 2
 def random_plane_config(rng: random.Random, n: int) -> Configuration:
     pts = set()
     while len(pts) < n:
-        pts.add((Fraction(rng.randrange(-160, 161), 16),
-                 Fraction(rng.randrange(-160, 161), 16)))
+        pts.add((Rat(rng.randrange(-160, 161), 16),
+                 Rat(rng.randrange(-160, 161), 16)))
     return Configuration([Entity(p) for p in sorted(pts)])
 
 
 def engineered_tie_config(scale_num: int = 1) -> Configuration:
     """16 robots forming 8 exactly-tied farthest pairs (rational 16-gon)."""
-    slopes = [Fraction(0), Fraction(1, 5), Fraction(2, 5), Fraction(2, 3),
-              Fraction(1), Fraction(3, 2), Fraction(12, 5), Fraction(5)]
+    slopes = [Rat(0), Rat(1, 5), Rat(2, 5), Rat(2, 3),
+              Rat(1), Rat(3, 2), Rat(12, 5), Rat(5)]
     pts = []
     for t in slopes:
         u = unit_from_slope(t)
-        pts.append(scale(u, Fraction(scale_num)))
-        pts.append(scale(u, Fraction(-scale_num)))
+        pts.append(scale(u, Rat(scale_num)))
+        pts.append(scale(u, Rat(-scale_num)))
     return Configuration([Entity(p) for p in pts])
 
 
@@ -528,7 +527,7 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
         # Two entities left: hand over to the continuous engine in the
         # scaled line frame (e1 at +1, e2 at -1; collocation is scale-free).
         specs = [RobotSpec(0, ONE, ONE), RobotSpec(1, -ONE, ONE)]
-        adversary = TauBounded(Fraction(1, 5), derive_seed(scn.master_seed, trial, "adv"))
+        adversary = TauBounded(Rat(1, 5), derive_seed(scn.master_seed, trial, "adv"))
         policies = {0: TauTriple(), 1: TauTriple()}
         tr = run(specs, policies, adversary,
                  spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
@@ -537,7 +536,7 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
             flags["engine_gathered"] = False
             return TrialOutcome(trial=trial, gathered=False, total_looks=looks, flags=flags)
         s = position_at(tr.runs[0], tr.horizon)
-        m = scale(add(e1.pos, e2.pos), Fraction(1, 2))
+        m = scale(add(e1.pos, e2.pos), HALF)
         meet = add(m, scale(sub(e1.pos, m), s))
         cfg = merge_positions([(meet, e1.multiplicity + e2.multiplicity)])
     single = len(cfg.entities) == 1 and cfg.entities[0].multiplicity == n

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 
-from .rational import rat_sqrt
+from .rational import HALF, Rat, rat_sqrt
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[Rat, Rat]
 
 
 def add(a: Point, b: Point) -> Point:
@@ -17,24 +16,24 @@ def sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
 
 
-def scale(a: Point, k: Fraction) -> Point:
+def scale(a: Point, k: Rat) -> Point:
     return (a[0] * k, a[1] * k)
 
 
-def dot(a: Point, b: Point) -> Fraction:
+def dot(a: Point, b: Point) -> Rat:
     return a[0] * b[0] + a[1] * b[1]
 
 
-def cross(a: Point, b: Point) -> Fraction:
+def cross(a: Point, b: Point) -> Rat:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def sqdist(a: Point, b: Point) -> Fraction:
+def sqdist(a: Point, b: Point) -> Rat:
     d = sub(a, b)
     return dot(d, d)
 
 
-def norm_exact(v: Point) -> Fraction:
+def norm_exact(v: Point) -> Rat:
     """Euclidean norm when it is rational; raises otherwise."""
     return rat_sqrt(dot(v, v))
 
@@ -49,14 +48,14 @@ def project_point_to_line(q: Point, a: Point, b: Point) -> Point:
     return add(a, scale(ab, t))
 
 
-def line_coordinate(q: Point, p1: Point, p2: Point) -> Fraction:
+def line_coordinate(q: Point, p1: Point, p2: Point) -> Rat:
     """1D coordinate of q's projection on the line through p1 and p2.
 
     Frame: midpoint of p1p2 is the origin and p1 lies on the positive
     axis at coordinate +1, i.e. the unit is half the separation.  This
     keeps coordinates rational for arbitrary rational endpoints.
     """
-    m = scale(add(p1, p2), Fraction(1, 2))
+    m = scale(add(p1, p2), HALF)
     axis = sub(p1, m)
     denom = dot(axis, axis)
     if denom == 0:
@@ -64,7 +63,7 @@ def line_coordinate(q: Point, p1: Point, p2: Point) -> Fraction:
     return dot(sub(q, m), axis) / denom
 
 
-def unit_from_slope(t: Fraction) -> Point:
+def unit_from_slope(t: Rat) -> Point:
     """Rational unit vector ((1 - t^2), 2t) / (1 + t^2)."""
     d = 1 + t * t
     return ((1 - t * t) / d, 2 * t / d)

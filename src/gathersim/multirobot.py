@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import geometry
 from .geometry import Point
-from .rational import ZERO
+from .rational import ZERO, Rat
 
 LINE = "LINE"
 PLANE = "PLANE"
@@ -100,7 +99,7 @@ def tie_break_step(config: Configuration, rng: random.Random,
         if pair is None or (activated is not None and idx not in activated):
             new_positions.append((ent.pos, ent.multiplicity))
             continue
-        lam = Fraction(rng.randrange(2))
+        lam = Rat(rng.randrange(2))
         if lam == 0:
             new_positions.append((ent.pos, ent.multiplicity))
             continue
@@ -193,9 +192,9 @@ def line_gather_step(config: Configuration) -> Configuration:
 
 
 def three_point_direct_check(positions: tuple[Point, Point, Point],
-                             arrival_a_at_b: Fraction,
-                             arrival_c_at_b: Fraction,
-                             activation_b: Fraction) -> bool:
+                             arrival_a_at_b: Rat,
+                             arrival_c_at_b: Rat,
+                             activation_b: Rat) -> bool:
     """Can three collinear robots gather directly at the middle position?
 
     True iff the middle robot's activation does not fall strictly between

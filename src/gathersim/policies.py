@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .rational import ONE, ZERO, parse_rat, u01
+from .rational import HALF, ONE, ZERO, Rat, parse_rat, u01
 
 OPPOSITE_DIRECTIONS = "opposite_directions"
 SAME_DIRECTION = "same_direction"
@@ -31,7 +30,7 @@ class NoCatchupError(ValueError):
     """Equal speeds in the same direction never meet."""
 
 
-def destination(own: Fraction, other_observed: Fraction, lam: Fraction) -> Fraction:
+def destination(own: Rat, other_observed: Rat, lam: Rat) -> Rat:
     """Destination of a lambda-class move: own + lam * (other - own)."""
     return own + lam * (other_observed - own)
 
@@ -54,11 +53,11 @@ def _integer_grid(weights) -> tuple[int, list[int]]:
 
 @dataclass
 class Deterministic:
-    lam: Fraction
+    lam: Rat
 
     kind = "DETERMINISTIC"
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         return self.lam
 
 
@@ -66,8 +65,8 @@ class Deterministic:
 class FiniteMixture:
     """Finitely many lambda values with positive rational probabilities."""
 
-    choices: list[tuple[Fraction, Fraction]]
-    _grid: tuple[int, list[tuple[int, Fraction]]] = field(init=False, repr=False)
+    choices: list[tuple[Rat, Rat]]
+    _grid: tuple[int, list[tuple[int, Rat]]] = field(init=False, repr=False)
 
     kind = "FINITE_MIXTURE"
 
@@ -82,7 +81,7 @@ class FiniteMixture:
         denom, cums = _integer_grid([p for _, p in self.choices])
         self._grid = (denom, list(zip(cums, (lam for lam, _ in self.choices))))
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         denom, thresholds = self._grid
         k = rng.randrange(denom)
         for cum, lam in thresholds:
@@ -97,12 +96,12 @@ class ThreeChoice:
 
     kind = "THREE_CHOICE"
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         i = rng.randrange(3)
         if i == 0:
             return ONE
         if i == 1:
-            return Fraction(1, 2)
+            return HALF
         return u01(rng)
 
 
@@ -112,12 +111,12 @@ class TauTriple:
 
     kind = "TAU_TRIPLE"
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         i = rng.randrange(3)
         if i == 0:
             return ONE
         if i == 1:
-            return Fraction(1, 2)
+            return HALF
         return ZERO
 
 
@@ -130,16 +129,16 @@ class KnownAlpha:
     be present.  ``weights`` reweights the four branches in that order.
     """
 
-    alpha: Fraction
-    weights: tuple[Fraction, Fraction, Fraction, Fraction] = (
-        Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4))
+    alpha: Rat
+    weights: tuple[Rat, Rat, Rat, Rat] = (
+        Rat(1, 4), Rat(1, 4), Rat(1, 4), Rat(1, 4))
 
     kind = "KNOWN_ALPHA"
 
     def __post_init__(self):
         if self.alpha <= 0:
             raise PolicyError("alpha must be positive")
-        self.weights = tuple(Fraction(w) for w in self.weights)
+        self.weights = tuple(Rat(w) for w in self.weights)
         if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
             raise PolicyError("need four positive branch weights")
         if sum(self.weights) != 1:
@@ -147,11 +146,11 @@ class KnownAlpha:
         self._denom, self._thresholds = _integer_grid(self.weights)
 
     @property
-    def support(self) -> tuple[Fraction, Fraction]:
+    def support(self) -> tuple[Rat, Rat]:
         a = self.alpha
         return (1 / (a + 1), a / (a + 1))
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         lo, hi = self.support
         k = rng.randrange(self._denom)
         if k < self._thresholds[0]:
@@ -167,12 +166,12 @@ class KnownAlpha:
 class Oracle:
     """Scripted lambda sequence; raises once the script runs out."""
 
-    script: list[Fraction]
+    script: list[Rat]
     _cursor: int = field(default=0, repr=False)
 
     kind = "ORACLE"
 
-    def sample(self, rng: random.Random) -> Fraction:
+    def sample(self, rng: random.Random) -> Rat:
         if self._cursor >= len(self.script):
             raise OracleScriptExhausted(
                 f"oracle script of length {len(self.script)} exhausted"
@@ -184,34 +183,30 @@ class Oracle:
 
 LambdaPolicy = Deterministic | FiniteMixture | ThreeChoice | TauTriple | KnownAlpha | Oracle
 
-def policy_from_descriptor(desc: dict, rat=None) -> LambdaPolicy:
-    """Instantiate a fresh policy from its serializable descriptor.
-
-    ``rat`` parses each rational (default ``parse_rat``).
-    """
+def policy_from_descriptor(desc: dict) -> LambdaPolicy:
+    """Instantiate a fresh policy from its serializable descriptor."""
     if not isinstance(desc, dict):
         raise PolicyError("descriptor must be an object")
-    rat = rat or parse_rat
     kind = desc.get("kind")
     if kind == "DETERMINISTIC":
-        return Deterministic(rat(desc["lam"]))
+        return Deterministic(parse_rat(desc["lam"]))
     if kind == "FINITE_MIXTURE":
-        return FiniteMixture([(rat(l), rat(p)) for l, p in desc["choices"]])
+        return FiniteMixture([(parse_rat(l), parse_rat(p)) for l, p in desc["choices"]])
     if kind == "THREE_CHOICE":
         return ThreeChoice()
     if kind == "TAU_TRIPLE":
         return TauTriple()
     if kind == "KNOWN_ALPHA":
         if "weights" in desc:
-            return KnownAlpha(rat(desc["alpha"]),
-                              tuple(rat(w) for w in desc["weights"]))
-        return KnownAlpha(rat(desc["alpha"]))
+            return KnownAlpha(parse_rat(desc["alpha"]),
+                              tuple(parse_rat(w) for w in desc["weights"]))
+        return KnownAlpha(parse_rat(desc["alpha"]))
     if kind == "ORACLE":
-        return Oracle([rat(x) for x in desc["script"]])
+        return Oracle([parse_rat(x) for x in desc["script"]])
     raise PolicyError(f"unknown policy kind {kind!r}")
 
 
-def gather_lambda_oracle(alpha: Fraction, geometry: str) -> Fraction:
+def gather_lambda_oracle(alpha: Rat, geometry: str) -> Rat:
     """Exact lambda that makes the moving faster robot get caught.
 
     ``alpha`` is the speed of the already-moving robot relative to the
@@ -219,7 +214,7 @@ def gather_lambda_oracle(alpha: Fraction, geometry: str) -> Fraction:
     fraction is 1/(alpha+1); in the chase configuration (both moving the
     same way) it is 1/(alpha-1), undefined for equal speeds.
     """
-    alpha = Fraction(alpha)
+    alpha = Rat(alpha)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if geometry == OPPOSITE_DIRECTIONS:

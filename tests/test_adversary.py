@@ -18,7 +18,7 @@ from gathersim.adversary import (
 from gathersim.analysis import looks_see_midmove
 from gathersim.engine import Budgets, LOOK, RobotSpec, run
 from gathersim.policies import Oracle, ThreeChoice
-from gathersim.rational import spawn_rng
+from gathersim.rational import U01_DEN, Rat, spawn_rng
 
 BIG = F(10 ** 9)
 
@@ -69,6 +69,59 @@ def test_generated_constant_and_uniform():
     w, c = uni.next_delays(1, 3)
     assert F(0) <= w <= F(1) and F(1, 8) <= c <= F(1, 4)
     assert uni.next_delays(1, 3) == uni.next_delays(1, 3)
+
+
+# The draws as they were computed with plain Fractions, k / 2**53 built
+# by Fraction(k, 2**53): the reference for the draws' values.
+
+def _fraction_uniform(rng, lo, hi):
+    return lo + (hi - lo) * F(rng.randrange(U01_DEN + 1), U01_DEN)
+
+
+def _fraction_delays(desc, robot_id, cycle):
+    rng = spawn_rng(desc.get("seed", 0), "wc", robot_id, cycle)
+    if desc["kind"] == "TAU_BOUNDED":
+        if "fixed_sum" in desc:
+            total = F(desc["fixed_sum"])
+            rng.randrange(U01_DEN)
+        else:
+            total = F(desc["tau"]) * (1 + F(rng.randrange(1, U01_DEN + 1), U01_DEN))
+        w = _fraction_uniform(rng, F(0), total)
+        return (w, total - w)
+    if desc["kind"] == "ASYNC_IC":
+        return (_fraction_uniform(rng, F(desc["w_lo"]), F(desc["w_hi"])), F(0))
+    p = {key: F(value) for key, value in desc["params"].items()}
+    return (_fraction_uniform(rng, p["w_lo"], p["w_hi"]),
+            _fraction_uniform(rng, p["c_lo"], p["c_hi"]))
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4},
+    {"kind": "TAU_BOUNDED", "tau": "1/1024", "seed": 5},
+    {"kind": "TAU_BOUNDED", "tau": "1/2", "fixed_sum": "13/20", "seed": 6},
+    {"kind": "ASYNC_IC", "w_lo": "1/3", "w_hi": "2", "seed": 7},
+    {"kind": "OBLIVIOUS_GENERATED", "generator": "uniform", "seed": 8,
+     "params": {"w_lo": "0", "w_hi": "3/2", "c_lo": "1/8", "c_hi": "2/7"}},
+], ids=["tau_drawn", "tau_dyadic", "tau_fixed_sum", "async_ic", "generated_uniform"])
+def test_draws_build_no_fraction(monkeypatch, desc):
+    # k / 2**53 is built by shifts: a draw calls no Fraction constructor
+    # (so no gcd), and gives the values plain Fractions gave.
+    adv = adversary_from_descriptor(desc)
+    cells = [(rid, cycle) for rid in (0, 1) for cycle in range(500)]
+    expected = [_fraction_delays(desc, rid, cycle) for rid, cycle in cells]
+    calls = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    drawn = [adv.next_delays(rid, cycle) for rid, cycle in cells]
+    assert calls == []
+    assert F(1, 3) == Rat(1, 3) and len(calls) == 2  # the counter counts
+    monkeypatch.undo()
+    assert drawn == expected
+    assert {type(v) for pair in drawn for v in pair} == {Rat}
 
 
 def test_oblivious_independence_from_algorithm_randomness():

@@ -25,7 +25,7 @@ from gathersim.cli import pool_outcomes
 from gathersim.engine import Budgets, RobotSpec, run
 from gathersim.experiments import TrialOutcome
 from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
-from gathersim.rational import spawn_rng, to_dyadic
+from gathersim.rational import Rat, spawn_rng
 
 BIG = F(10 ** 9)
 
@@ -101,10 +101,9 @@ def test_distance_profile_matches_reference(family_run):
 
 
 def test_distance_profile_matches_reference_dyadic():
-    specs = [RobotSpec(0, to_dyadic(F(0)), to_dyadic(F(1))),
-             RobotSpec(1, to_dyadic(F(1)), to_dyadic(F(1)))]
+    specs = [RobotSpec(0, Rat(0), Rat(1)), RobotSpec(1, Rat(1), Rat(1))]
     for seed in range(6):
-        adv = TauBounded(to_dyadic(F(1, 1024)), seed=seed)
+        adv = TauBounded(Rat(1, 1024), seed=seed)
         tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
                  spawn_rng("profile", seed), Budgets(30, BIG))
         assert_profile_matches_reference(tr)

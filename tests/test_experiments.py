@@ -10,10 +10,11 @@ from gathersim import experiments as ex
 from gathersim import rational
 from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, parse_scenario,
                            run_experiment, trace_to_jsonable)
+from gathersim.analysis import segment_attempts, segment_phases
 from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, position_at
 from gathersim.multirobot import farthest_pairs
 from gathersim.policies import OPPOSITE_DIRECTIONS, SAME_DIRECTION
-from gathersim.rational import spawn_rng, to_dyadic, u01
+from gathersim.rational import Rat, spawn_rng, u01
 
 BIG = F(10 ** 9)
 
@@ -80,7 +81,7 @@ def test_thm4_trial_counts_halvings():
 
 
 def test_thm6_trial_invariant_holds():
-    for scalar in (F, to_dyadic):
+    for scalar in (F, Rat):
         s = scn(params={"w_first": scalar(F(2)), "w_second": scalar(F(1)),
                         "delta": scalar(F(1))},
                 budgets=Budgets(40, BIG))
@@ -128,18 +129,24 @@ def _bundled(name, overrides):
     return parse_scenario(json.dumps(raw))
 
 
+def patch_every_binding(monkeypatch, fn, replacement):
+    """Replace ``fn`` wherever a gathersim module binds it."""
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "gathersim" or mod_name.startswith("gathersim."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, replacement)
+
+
 def _count_parses(monkeypatch) -> list:
-    """Count calls of parse_rat and parse_dyadic through every binding."""
+    """Count calls of parse_rat through every binding."""
     calls = []
-    for fn in (rational.parse_rat, rational.parse_dyadic):
-        def counting(*args, _fn=fn):
-            calls.append(args)
-            return _fn(*args)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "gathersim" or mod_name.startswith("gathersim."):
-                for key, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, key, counting)
+    parse = rational.parse_rat
+
+    def counting(*args):
+        calls.append(args)
+        return parse(*args)
+    patch_every_binding(monkeypatch, parse, counting)
     return calls
 
 
@@ -168,6 +175,22 @@ def test_untraced_trials_derive_no_event_log(monkeypatch, name):
     assert len(report.traces) == ex.total_trials(scn)
     assert ex.run_one_trial(scn, 0).trace.events  # the view, which the counter sees
     assert len(derived) == 1
+
+
+def test_terminal_phase_cut_by_the_budget_is_not_pooled():
+    # A look budget stops the run a few cycles after its last successful
+    # attempt.  That attempt is incomplete (two further cycles of each robot
+    # were not simulated), so the terminal phase it closes is left out of
+    # the pooled phase statistics, here next to a complete one.
+    raw = json.loads(bundled_scenario_path("lemma2").read_text())
+    raw["trials"], raw["budgets"]["max_total_looks"] = 10, 12
+    out = ex.run_one_trial(parse_scenario(json.dumps(raw)), 8)
+    phases = segment_phases(segment_attempts(out.trace))
+    assert [[(a.successful, a.complete) for a in ph.attempts] for ph in phases] == [
+        [(True, True)], [(False, True), (True, False)], [(True, False)]]
+    assert all(ph.terminal for ph in phases)
+    assert out.phase_looks == (phases[0].total_looks,)
+    assert out.attempts_per_phase == (1,)
 
 
 ORACLE_RUN = {

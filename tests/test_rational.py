@@ -1,27 +1,30 @@
+import copy
 import dataclasses
-import json
 import operator
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_experiments import FEW_TRIALS, _bundled, patch_every_binding
 
-from gathersim import experiments
-from gathersim.cli import bundled_scenario_path, parse_scenario
+from gathersim import engine, experiments, geometry, rational
+from gathersim.cli import bundled_scenario_names, run_experiment
 from gathersim.rational import (
+    HALF,
     MAX_DIGITS,
     MAX_EXPONENT,
+    ONE,
     U01_DEN,
-    Dyadic,
+    ZERO,
+    Rat,
     derive_seed,
     format_rat,
-    is_dyadic,
-    parse_dyadic,
+    grid_point,
     parse_rat,
     rat_sqrt,
     spawn_rng,
-    to_dyadic,
     u01,
     uniform_closed,
 )
@@ -121,17 +124,24 @@ def test_derive_seed_stable_and_distinct():
 
 
 # ----------------------------------------------------------------------
-# Dyadic: the same values as Fraction, without gcd
+# Rat: the same values as Fraction, through direct operators
 
 dyadic_fractions = st.builds(lambda m, e: Fraction(m, 2 ** e),
                              st.integers(-2 ** 70, 2 ** 70), st.integers(0, 80))
+other_fractions = st.fractions(max_denominator=10 ** 6)
+fractions_ = st.one_of(dyadic_fractions, other_fractions)
 BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
           operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
 
 
-def _power_of_two(v):
-    n = abs(v.numerator)
-    return is_dyadic(v) and n & (n - 1) == 0
+def _assert_tagged(x):
+    """The tag is the exponent of a power-of-two denominator, else -1."""
+    assert type(x) is Rat
+    d = x.denominator
+    if d & (d - 1) == 0:
+        assert x._exp >= 0 and d == 2 ** x._exp
+    else:
+        assert x._exp == -1
 
 
 def _assert_same(got, expected):
@@ -141,25 +151,27 @@ def _assert_same(got, expected):
         return
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
     assert hash(got) == hash(expected)
+    assert str(got) == str(expected)
     assert format_rat(got) == format_rat(expected)
 
 
 @settings(max_examples=1000)
-@given(dyadic_fractions, st.data(), st.sampled_from(BINARY), st.booleans())
-def test_dyadic_operations_equal_fraction(x, data, op, swap):
-    # The other operand: an int (often with many factors of two), +-2**k,
-    # a dyadic or a non-dyadic Fraction, or x rounded to a grid of 2**-k,
-    # which gives ties (k >= x's exponent) and near-ties across exponents.
+@given(fractions_, st.data(), st.sampled_from(BINARY), st.booleans())
+def test_rat_operations_equal_fraction(x, data, op, swap):
+    # The other operand: an int (often with many factors of two, or zero),
+    # +-2**k, a dyadic or a non-dyadic rational, or x rounded to a grid of
+    # 2**-k, which gives ties (k >= x's exponent) and near-ties across
+    # exponents.  A rational operand is a Rat or, for the fallback, a plain
+    # Fraction.
     y = data.draw(st.one_of(
         st.builds(operator.lshift, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 90)),
         st.builds(lambda sign, k: sign * Fraction(2) ** k,
                   st.sampled_from([1, -1]), st.integers(-90, 90)),
-        dyadic_fractions,
-        st.fractions(max_denominator=10 ** 6),
+        fractions_,
         st.integers(0, 90).map(lambda k: Fraction(round(x * 2 ** k), 2 ** k)),
     ))
-    y_dyadic = type(y) is Fraction and is_dyadic(y) and data.draw(st.booleans())
-    args = (to_dyadic(x), to_dyadic(y) if y_dyadic else y)
+    plain_y = type(y) is Fraction and data.draw(st.booleans())
+    args = (Rat(x), y if type(y) is int or plain_y else Rat(y))
     plain = (x, Fraction(y))
     if swap:
         args, plain = args[::-1], plain[::-1]
@@ -173,54 +185,95 @@ def test_dyadic_operations_equal_fraction(x, data, op, swap):
     _assert_same(got, expected)
     if isinstance(expected, bool):
         return
-    # Only a division by anything but +-2**k leaves the dyadic rationals.
-    stays = is_dyadic(y) and (op is not operator.truediv or _power_of_two(plain[1]))
-    assert isinstance(got, Dyadic) == stays
+    if plain_y:  # left to Fraction
+        assert type(got) is Fraction
+    else:
+        _assert_tagged(got)
 
 
-@given(dyadic_fractions)
-def test_dyadic_unary_and_conversions(x):
-    d = to_dyadic(x)
-    for op in (operator.neg, abs):
-        got = op(d)
-        assert type(got) is Dyadic
+@given(fractions_)
+def test_rat_unary_and_conversions(x):
+    r = Rat(x)
+    _assert_tagged(r)
+    for op in (operator.neg, abs, operator.pos):
+        got = op(r)
+        _assert_tagged(got)
         _assert_same(got, op(x))
-    _assert_same(Dyadic(x.numerator, x.denominator), x)
-    _assert_same(parse_dyadic(format_rat(x)), x)
-    assert (int(d), float(d), bool(d)) == (int(x), float(x), bool(x))
+    _assert_same(r, x)
+    _assert_same(Rat(x.numerator, x.denominator), x)
+    _assert_same(parse_rat(format_rat(x)), x)
+    assert (int(r), float(r), bool(r)) == (int(x), float(x), bool(x))
+    # Values reach worker processes pickled.
+    for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        _assert_tagged(twin)
+        _assert_same(twin, x)
+    assert {r: 1}[x] == 1 and {x: 1}[r] == 1
 
 
-def test_dyadic_rejects_other_denominators():
-    with pytest.raises(ValueError):
-        to_dyadic(Fraction(1, 3))
-    with pytest.raises(ValueError):
-        Dyadic(5, 6)
-    with pytest.raises(ValueError):
-        parse_dyadic("0.1")
+def test_rat_tag_marks_power_of_two_denominators():
+    for x in (ZERO, ONE, HALF, Rat(3, 4), Rat(-6, 8), Rat(5, 6), Rat(7), Rat("0.1"),
+              parse_rat("0.125"), parse_rat("3/10"), parse_rat(-4),
+              parse_rat(Fraction(9, 64)), parse_rat(Fraction(2, 3)),
+              grid_point(0), grid_point(U01_DEN), grid_point(3 << 20),
+              rat_sqrt(Fraction(9, 16)), rat_sqrt(Rat(4, 9)),
+              u01(random.Random(1)), uniform_closed(random.Random(2), Rat(1, 3), ONE)):
+        _assert_tagged(x)
+    assert grid_point(U01_DEN) == 1 and grid_point(3 << 20) == Fraction(3, 2 ** 33)
+    assert (ONE._exp, HALF._exp, Rat(3, 4)._exp, Rat(5, 6)._exp) == (0, 1, 2, -1)
 
 
-def _trace_scalars(trace):
-    for event in trace.events:
-        yield event.time
-        for value in event.payload.values():
-            yield from value if isinstance(value, tuple) else (value,)
-    for run in trace.runs.values():
-        yield from (run.spec.start, run.spec.speed, run.horizon)
-        for seg in run.segments:
-            yield from dataclasses.astuple(seg)
+def test_parse_rat_converts_a_plain_fraction():
+    got = parse_rat(Fraction(3, 10))
+    assert type(got) is Rat and got == Fraction(3, 10)
+    assert parse_rat(got) is got
 
 
-def _bundled_trial(name):
-    raw = json.loads(bundled_scenario_path(name).read_text())
-    raw["trials"] = 2
-    scn = parse_scenario(json.dumps(raw))
-    return scn, experiments.run_one_trial(scn, 1).trace
+# Every rational a trial produces, and every rational of the compiled
+# scenario it runs, must be a Rat: a plain Fraction falls back to the slow
+# operators without any error, so only its type shows it.
+
+def _rationals(obj):
+    """Every rational reachable through dataclass fields and containers."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return
+    if isinstance(obj, Fraction):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _rationals(key)
+            yield from _rationals(value)
+    elif isinstance(obj, (list, tuple, set)):
+        for value in obj:
+            yield from _rationals(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _rationals(getattr(obj, f.name))
 
 
-def test_scalar_type_is_chosen_per_scenario():
-    scn, trace = _bundled_trial("thm1_positive")  # 3/10-style schedule values
-    assert not scn.dyadic
-    assert not any(isinstance(v, Dyadic) for v in _trace_scalars(trace))
-    scn, trace = _bundled_trial("thm5_4")
-    assert scn.dyadic
-    assert type(trace.events[-1].time) is Dyadic
+def _record_returns(monkeypatch, fns) -> list:
+    """Record the result of each call of ``fns`` through every binding."""
+    results = []
+    for fn in fns:
+        def recording(*args, _fn=fn):
+            results.append(_fn(*args))
+            return results[-1]
+        patch_every_binding(monkeypatch, fn, recording)
+    return results
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_every_rational_is_rat(monkeypatch, name):
+    scn = _bundled(name, FEW_TRIALS.get(name, {}))
+    # Every trial outcome and every run's trace, as they are made; lemma1
+    # and multirobot also compute through the geometry helpers and rat_sqrt.
+    made = _record_returns(monkeypatch, [experiments.run_one_trial, engine.run,
+                                         rational.rat_sqrt] + [
+        fn for fn in vars(geometry).values()
+        if callable(fn) and getattr(fn, "__module__", None) == geometry.__name__])
+    run_experiment(scn)
+    traces = [x for x in made if isinstance(x, engine.Trace)]
+    assert traces
+    values = list(_rationals([scn.robots, scn.adversaries, scn.robot_policies,
+                              scn.params, scn.budgets, made]
+                             + [trace.events for trace in traces]))
+    assert [v for v in values if type(v) is not Rat] == []
