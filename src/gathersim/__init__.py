@@ -1,5 +1,5 @@
 """Exact-arithmetic simulator for randomized robot rendezvous under
-adversarial asynchronous schedulers."""
+adversarial asynchronous scheduling."""
 
 __version__ = "0.1.0"
 

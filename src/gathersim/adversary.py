@@ -30,7 +30,7 @@ class InfeasibleDelayError(AdversaryError):
 
 @dataclass
 class _Oblivious:
-    """Base for schedulers whose pairs are precommitted.
+    """Base for adversaries whose pairs are precommitted.
 
     ``wait_time`` draws a cycle's (W, C) pair and keeps its C, so the
     ``computation_delay`` of the same cycle does not draw the pair again.
@@ -49,22 +49,23 @@ class _Oblivious:
         self._drawn[robot_id] = (cycle, c)
         return w
 
-    def computation_delay(self, robot_id, cycle, lam, world) -> Rat:
+    def computation_delay(self, robot_id, cycle, dest, world) -> Rat:
+        """The cycle's C, committed before the run; ``dest`` is not read."""
         drawn = self._drawn.get(robot_id)
         if drawn is not None and drawn[0] == cycle:
             return drawn[1]
         return self.next_delays(robot_id, cycle)[1]
 
     def for_trial(self, seed: int):
-        """The scheduler one trial runs against, drawing from ``seed``.
+        """The adversary one trial runs against, drawing from ``seed``.
 
-        A scheduler without a seed or other state is shared by every trial.
+        An adversary without a seed or other state is shared by every trial.
         """
         return self
 
 
 class _Seeded(_Oblivious):
-    """Oblivious scheduler whose draws are pure in (robot, cycle, seed)."""
+    """Oblivious adversary whose draws are pure in (robot, cycle, seed)."""
 
     def for_trial(self, seed: int):
         """A copy drawing from ``seed``; parsed values are shared, not re-parsed."""
@@ -81,6 +82,10 @@ class ObliviousExplicit(_Oblivious):
     schedules: Mapping[int, Sequence[tuple[Rat, Rat]]]
 
     kind = "OBLIVIOUS_EXPLICIT"
+
+    def __post_init__(self):
+        if any(w < 0 or c < 0 for seq in self.schedules.values() for w, c in seq):
+            raise AdversaryError("waits and delays must be non-negative")
 
     def next_delays(self, robot_id, cycle):
         try:
@@ -112,6 +117,14 @@ class ObliviousGenerated(_Seeded):
     seed: int
 
     kind = "OBLIVIOUS_GENERATED"
+
+    def __post_init__(self):
+        if self.generator == "uniform":
+            w_lo, w_hi, c_lo, c_hi = self.values
+            if not (0 <= w_lo <= w_hi and 0 <= c_lo <= c_hi):
+                raise AdversaryError("uniform ranges need 0 <= lo <= hi")
+        elif min(self.values) < 0:
+            raise AdversaryError("w and c must be non-negative")
 
     def next_delays(self, robot_id, cycle):
         if self.generator == "constant":
@@ -164,6 +177,10 @@ class AsyncIC(_Seeded):
 
     kind = "ASYNC_IC"
 
+    def __post_init__(self):
+        if not 0 <= self.w_lo <= self.w_hi:
+            raise AdversaryError("waits need 0 <= w_lo <= w_hi")
+
     def next_delays(self, robot_id, cycle):
         rng = spawn_rng(self.seed, "wc", robot_id, cycle)
         return (uniform_closed(rng, self.w_lo, self.w_hi), ZERO)
@@ -171,7 +188,7 @@ class AsyncIC(_Seeded):
 
 @dataclass
 class PerRobot(_Oblivious):
-    """Composite assigning a different oblivious scheduler to each robot."""
+    """Composite assigning a different oblivious adversary to each robot."""
 
     parts: Mapping[int, _Oblivious]
 
@@ -181,7 +198,7 @@ class PerRobot(_Oblivious):
         try:
             part = self.parts[robot_id]
         except KeyError:
-            raise ScheduleUnderrunError(f"no scheduler for robot {robot_id}")
+            raise ScheduleUnderrunError(f"no adversary for robot {robot_id}")
         return part.next_delays(robot_id, cycle)
 
     def for_trial(self, seed):
@@ -190,17 +207,18 @@ class PerRobot(_Oblivious):
 
 @dataclass
 class AdaptiveThm6:
-    """Adaptive scheduler that prevents gathering of two equal-speed robots.
+    """Adaptive adversary that prevents gathering of two equal-speed robots.
 
-    After a robot's look (lambda now known) it picks the current computation
-    delay so that the robot's move interval strictly straddles the other
-    robot's already-committed next look, then commits the robot's next wait.
-    Every look after the chronologically first one therefore observes the
-    other robot strictly mid-move, so exact collocation is never seen.
+    After a robot's look (its computed destination now known) it picks the
+    current computation delay so that the robot's move interval strictly
+    straddles the other robot's already-committed next look, then commits
+    the robot's next wait.  Every look after the chronologically first one
+    therefore observes the other robot strictly mid-move, so exact
+    collocation is never seen.
     """
 
     initial_waits: Mapping[int, Rat]
-    _next_wait: dict = field(default_factory=dict, repr=False)
+    _next_wait: dict = field(default_factory=dict, init=False, repr=False)
 
     kind = "ADAPTIVE_THM6"
     adaptive = True
@@ -213,7 +231,7 @@ class AdaptiveThm6:
             raise AdversaryError("waits must be non-negative")
 
     def for_trial(self, seed):
-        """A fresh scheduler: the committed waits are per-run state."""
+        """A fresh adversary: the committed waits are per-run state."""
         return AdaptiveThm6(self.initial_waits)
 
     def wait_time(self, robot_id, cycle):
@@ -226,24 +244,21 @@ class AdaptiveThm6:
                 f"wait for robot {robot_id} cycle {cycle} was never committed"
             )
 
-    def computation_delay(self, robot_id, cycle, lam, world):
-        c, w_next = self.adaptive_decide(world, robot_id, lam)
+    def computation_delay(self, robot_id, cycle, dest, world):
+        """The cycle's C for the look that computed ``dest``; commits the next W."""
+        c, w_next = self.adaptive_decide(world, robot_id, dest)
         self._next_wait[(robot_id, cycle + 1)] = w_next
         return c
 
-    def adaptive_decide(self, world, robot_id, lam) -> tuple[Rat, Rat]:
-        """(C for this cycle, W for the next cycle) after robot_id's look."""
-        if lam == 0:
+    def adaptive_decide(self, world, robot_id, dest) -> tuple[Rat, Rat]:
+        """(C for this cycle, W for the next) after robot_id's look computed ``dest``."""
+        me = world.state(robot_id)
+        if dest == me.pos:
             # Zero-length move: force an immediate re-look at the same instant.
             return (ZERO, ZERO)
-        me = world.state(robot_id)
         other = world.other_state(robot_id)
         t = world.now
         other_look, other_pos_at_look = self._other_next_look(world, other)
-        observed = other.position_at(t)
-        dest = me.pos + lam * (observed - me.pos)
-        if dest == me.pos:
-            raise InfeasibleDelayError("robot looked at a collocated robot")
         travel = abs(dest - me.pos) / me.spec.speed
 
         # Move interval (t+C, t+C+travel) must strictly contain the other

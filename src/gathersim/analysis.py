@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 import statistics
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .engine import RobotRun, Trace, position_at
@@ -152,15 +152,22 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
 
     "The robot which has moved later" is the one whose move starts later:
     the instant its lambda choice becomes binding.  A trailing stretch
-    without a full pair of move cycles yields no attempt.
+    without a full pair of move cycles yields no attempt.  An attempt is
+    complete when the run gathered or both robots have two further cycles
+    that end within the horizon.
     """
     a_id, b_id = trace.robot_ids
     segs = {rid: trace.runs[rid].segments for rid in (a_id, b_id)}
     look_times = sorted(seg.look_time for rid in (a_id, b_id) for seg in segs[rid])
+    # Move ends increase along a robot's segments, so the cycles that end
+    # within the horizon are a prefix.
+    in_horizon = {rid: bisect_right(segs[rid], trace.horizon, key=lambda s: s.move_end)
+                  for rid in (a_id, b_id)}
 
     attempts: list[AttemptRecord] = []
     idx = {a_id: 0, b_id: 0}
     t_begin = ZERO
+    before = None  # max_distance_from(trace, t_begin): the previous attempt's after
     while True:
         sa = segs[a_id][idx[a_id]] if idx[a_id] < len(segs[a_id]) else None
         sb = segs[b_id][idx[b_id]] if idx[b_id] < len(segs[b_id]) else None
@@ -185,10 +192,11 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
             break  # the window is not fully simulated
         lo = bisect_left(look_times, t_begin)
         hi = bisect_left(look_times, t_end)
-        before = max_distance_from(trace, t_begin)
+        if before is None:
+            before = max_distance_from(trace, t_begin)
         after = max_distance_from(trace, t_end)
-        complete = trace.gathered or _has_future_cycles(trace, segs, {
-            later_id: idx[later_id] + 1, other_id: j + 1}, t_end)
+        idx = {later_id: idx[later_id] + 1, other_id: j + 1}
+        complete = trace.gathered or all(in_horizon[rid] - idx[rid] >= 2 for rid in idx)
         attempts.append(AttemptRecord(
             look_pair=((later_id, later_seg.cycle, later_seg.look_time),
                        (other_id, other_seg.cycle, other_seg.look_time)),
@@ -199,19 +207,8 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
             successful=2 * after <= before,
             complete=complete,
         ))
-        idx[later_id] += 1
-        idx[other_id] = j + 1
-        t_begin = t_end
+        t_begin, before = t_end, after
     return attempts
-
-
-def _has_future_cycles(trace, segs, next_idx, t_end) -> bool:
-    """True when both robots have two further committed cycles in-horizon."""
-    for rid, start in next_idx.items():
-        future = [s for s in segs[rid][start:] if s.move_end <= trace.horizon]
-        if len(future) < 2:
-            return False
-    return True
 
 
 def segment_phases(attempts: list[AttemptRecord]) -> list[PhaseRecord]:

@@ -121,6 +121,7 @@ def parse_scenario(text: str) -> Scenario:
                 for pname, desc in _object(raw, "policies").items()}
 
     robots = []
+    robot_policies = {}
     if mode == "two_robot":
         rlist = raw.get("robots")
         if not isinstance(rlist, list) or len(rlist) != 2:
@@ -134,12 +135,12 @@ def parse_scenario(text: str) -> Scenario:
             pname = rdesc.get("policy")
             if pname not in policies:
                 _fail(f"robots[{i}].policy", f"undefined policy {pname!r}")
-            robots.append(RobotSpec(
-                id=rid,
-                start=_rat(rdesc.get("start", "0"), f"robots[{i}].start"),
-                speed=_rat(rdesc.get("speed", "1"), f"robots[{i}].speed"),
-                policy_ref=pname,
-            ))
+            start = _rat(rdesc.get("start", "0"), f"robots[{i}].start")
+            speed = _rat(rdesc.get("speed", "1"), f"robots[{i}].speed")
+            if speed <= 0:
+                _fail(f"robots[{i}].speed", "must be positive")
+            robots.append(RobotSpec(rid, start, speed))
+            robot_policies[rid] = policies[pname]
         if len({r.id for r in robots}) != 2:
             _fail("robots", "robot ids must be distinct")
 
@@ -178,8 +179,7 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
                     budgets=budgets, analysis=analysis, robots=robots,
-                    adversaries=adversaries,
-                    robot_policies={r.id: policies[r.policy_ref] for r in robots},
+                    adversaries=adversaries, robot_policies=robot_policies,
                     schedule_variants=variants, params=params,
                     theorem5_bound=bound, raw=raw)
 
@@ -258,10 +258,6 @@ def _mode_params(mode: str, params: dict, rat) -> dict:
                 "tie_trials": integer("tie_trials", 0, 0),
                 "tie_max_rounds": integer("tie_max_rounds", 30, 0)}
     return {}
-
-
-def load_scenario(path) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -61,7 +61,6 @@ class RobotSpec:
     id: int
     start: Rat
     speed: Rat
-    policy_ref: str = ""
 
     def __post_init__(self):
         if self.speed <= 0:
@@ -115,7 +114,6 @@ class RobotRun:
 
     spec: RobotSpec
     segments: list[CycleSegment]
-    gathered_at: Rat | None = None
     horizon: Rat = ZERO
     _move_starts: list[Rat] = field(default_factory=list, repr=False)
 
@@ -123,10 +121,16 @@ class RobotRun:
         self.horizon = horizon
         self._move_starts = [seg.move_start for seg in self.segments]
 
+    @property
+    def gathered_at(self) -> Rat | None:
+        """When the robot decided it had gathered: its deciding look, if any."""
+        segs = self.segments
+        return segs[-1].look_time if segs and segs[-1].lam is None else None
+
 
 @dataclass
 class Trace:
-    """One run: each robot's cycle segments, its end status and look counts.
+    """One run: each robot's cycle segments and its end status.
 
     ``event_count`` is how many events the run processed, and ``horizon``
     the time of the last of them.
@@ -134,13 +138,17 @@ class Trace:
 
     runs: dict[int, RobotRun]
     final_status: str
-    look_count: dict[int, int]
     horizon: Rat
     event_count: int
 
     @property
     def robot_ids(self) -> list[int]:
         return sorted(self.runs)
+
+    @property
+    def look_count(self) -> dict[int, int]:
+        """Looks per robot: each look commits exactly one segment."""
+        return {rid: len(run.segments) for rid, run in self.runs.items()}
 
     @property
     def gathered(self) -> bool:
@@ -232,8 +240,7 @@ class _LiveRobot:
     """
 
     __slots__ = ("spec", "policy", "segments", "phase", "cycle", "pos", "wait",
-                 "look_time", "move_start", "move_end", "origin", "dest", "lam",
-                 "look_count", "gathered_at", "next_time", "next_rank")
+                 "look_time", "move_start", "move_end", "dest", "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
         self.spec = spec
@@ -246,11 +253,7 @@ class _LiveRobot:
         self.look_time = ZERO
         self.move_start = ZERO
         self.move_end = ZERO
-        self.origin = spec.start
         self.dest = spec.start
-        self.lam: Rat | None = None
-        self.look_count = 0
-        self.gathered_at: Rat | None = None
         self.next_time = ZERO
         self.next_rank = _KIND_TIE[LOOK]
 
@@ -267,9 +270,7 @@ class _LiveRobot:
                     dest: Rat, observed: Rat) -> None:
         if compute < 0:
             raise ValueError("adversary produced a negative computation delay")
-        self.lam = lam
         self.dest = dest
-        self.origin = self.pos
         self.move_start = self.next_time = t + compute
         self.next_rank = _KIND_TIE[MOVE_START]
         self.move_end = self.move_start + abs(dest - self.pos) / self.spec.speed
@@ -286,18 +287,17 @@ class _LiveRobot:
     def decide_gathered(self, t: Rat) -> None:
         self.segments.append(CycleSegment(
             self.cycle, self.wait, t, ZERO, None, t, t, self.pos, self.pos, self.pos))
-        self.gathered_at = t
         self.phase = "done"
 
     def position_at(self, t: Rat) -> Rat:
         """Live position query; valid for t at or before the current event."""
-        if self.phase == "moving":
+        if self.phase == "moving":  # pos changes only at MOVE_END: it is the origin
             if t <= self.move_start:
-                return self.origin
+                return self.pos
             if t >= self.move_end:
                 return self.dest
             step = self.spec.speed * (t - self.move_start)
-            return self.origin + step if self.dest > self.origin else self.origin - step
+            return self.pos + step if self.dest > self.pos else self.pos - step
         return self.pos
 
 
@@ -367,7 +367,6 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 status = LOOK_BUDGET_EXHAUSTED
                 break
             looks_done += 1
-            st.look_count += 1
             world.now = t
             obs = (b if st is a else a).position_at(t)
             if obs == st.pos:
@@ -376,7 +375,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
             else:
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
-                compute = adversary.computation_delay(st.spec.id, st.cycle, lam, world)
+                compute = adversary.computation_delay(st.spec.id, st.cycle, dest, world)
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START
             st.start_move()
@@ -387,14 +386,11 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         horizon = t
 
     runs = {}
-    look_count = {}
     for rid, st in states.items():
-        rr = RobotRun(spec=st.spec, segments=st.segments, gathered_at=st.gathered_at)
+        rr = RobotRun(spec=st.spec, segments=st.segments)
         rr.finalize(horizon)
         runs[rid] = rr
-        look_count[rid] = st.look_count
-    return Trace(runs=runs, final_status=status, look_count=look_count,
-                 horizon=horizon, event_count=n_events)
+    return Trace(runs=runs, final_status=status, horizon=horizon, event_count=n_events)
 
 
 def project_scenario_to_line(positions_2d, destinations_2d) -> list[Rat]:

@@ -134,25 +134,25 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
 # SSYNC halving (deterministic lambda = 1/2, alternating single activation)
 
 
-def ssync_schedule(activations: int, delta: Rat = ONE,
-                   round_gap: Rat = Rat(10)):
+def ssync_schedule(activations: int, delta: Rat = ONE):
     """Explicit schedules realizing alternating single activation.
 
-    Activation k happens at time round_gap * k and is performed by robot
-    k mod 2; moves (each at most delta long) finish well inside the gap.
+    Activation k happens at time 10 * k and is performed by robot k mod 2;
+    moves (each at most delta long) finish well inside the gap.
     """
+    gap = Rat(10)
     waits = {0: [], 1: []}
     last_end = {0: ZERO, 1: ZERO}
     dist = delta
     for k in range(activations):
         rid = k % 2
-        t_look = round_gap * k
+        t_look = gap * k
         waits[rid].append((t_look - last_end[rid], ZERO))
         travel = dist / 2
         last_end[rid] = t_look + travel
         dist = dist / 2
     for rid in (0, 1):  # spare entries so cycle entry after the last move works
-        waits[rid].extend([(round_gap * (activations + 4), ZERO)] * 2)
+        waits[rid].extend([(gap * (activations + 4), ZERO)] * 2)
     return waits
 
 
@@ -173,7 +173,7 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
             break
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
-                        flags={"halving_ok": ok, "activations": activations},
+                        flags={"halving_ok": ok},
                         trace=trace)
 
 
@@ -181,25 +181,23 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
 # Catch scenarios: the chooser's move coincides with the mover mid-flight
 
 
-def catch_setup(alpha: Rat, geometry_kind: str, lam,
-               distance: Rat = ONE):
+def catch_setup(alpha: Rat, geometry_kind: str, lam):
     """Robots, policies and schedule for one catch scenario.
 
     Robot 0 is the pre-committed mover with speed ``alpha`` (relative to
-    the choosing robot 1).  ``lam`` is the chooser's drawn magnitude; the
-    paper's value lands robot 1 exactly on robot 0 mid-move.  In the
-    same-direction variant the chooser flees, so the lambda-class value is
-    the negated magnitude.
+    the choosing robot 1), at distance 1 from it.  ``lam`` is the chooser's
+    drawn magnitude; the paper's value lands robot 1 exactly on robot 0
+    mid-move.  In the same-direction variant the chooser flees, so the
+    lambda-class value is the negated magnitude.
     """
-    d = distance
-    dormant = 1000 * d
+    dormant = Rat(1000)
     if geometry_kind == OPPOSITE_DIRECTIONS:
-        mover = RobotSpec(0, d, alpha)
+        mover = RobotSpec(0, ONE, alpha)
         chooser = RobotSpec(1, ZERO, ONE)
         mover_script = [ONE, ONE, ZERO]
         chooser_script = [lam, ZERO, ZERO]
     elif geometry_kind == SAME_DIRECTION:
-        mover = RobotSpec(0, -d, alpha)
+        mover = RobotSpec(0, -ONE, alpha)
         chooser = RobotSpec(1, ZERO, ONE)
         chase = 2 * alpha / (alpha - 1)
         mover_script = [chase, ONE, ZERO]
@@ -254,8 +252,10 @@ def repeat_count_general(bound: Rat, delta: Rat, ratio: Rat) -> int:
     if not 0 < ratio < 1:
         raise ValueError("ratio must be in (0, 1)")
     k = 1
-    while delta * (1 - ratio ** k) <= bound:
+    power = ratio  # ratio ** k, kept by multiplication so a Rat stays a Rat
+    while delta * (1 - power) <= bound:
         k += 1
+        power *= ratio
     return k
 
 
@@ -285,7 +285,6 @@ def thm4_trial(scn, trial: int) -> TrialOutcome:
                         total_looks=sum(trace.look_count.values()),
                         first_gather_time=first_gather_time(trace),
                         k_value=halving_count(trace, 0, 1),
-                        flags={"alpha_index": trial // scn.trials if len(alphas) > 1 else 0},
                         trace=trace)
 
 
@@ -474,7 +473,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
                 break
     return TrialOutcome(trial=trial, gathered=equal,
                         total_looks=sum(trace.look_count.values()),
-                        flags={"events": len(ev1), "equal": equal},
+                        flags={"equal": equal},
                         trace=trace)
 
 
@@ -494,15 +493,15 @@ def random_plane_config(rng: random.Random, n: int) -> Configuration:
     return Configuration([Entity(p) for p in sorted(pts)])
 
 
-def engineered_tie_config(scale_num: int = 1) -> Configuration:
+def engineered_tie_config() -> Configuration:
     """16 robots forming 8 exactly-tied farthest pairs (rational 16-gon)."""
     slopes = [Rat(0), Rat(1, 5), Rat(2, 5), Rat(2, 3),
               Rat(1), Rat(3, 2), Rat(12, 5), Rat(5)]
     pts = []
     for t in slopes:
         u = unit_from_slope(t)
-        pts.append(scale(u, Rat(scale_num)))
-        pts.append(scale(u, Rat(-scale_num)))
+        pts.append(u)
+        pts.append(scale(u, -ONE))
     return Configuration([Entity(p) for p in pts])
 
 
@@ -515,12 +514,8 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
     if red.partial:
         return TrialOutcome(trial=trial, gathered=False, total_looks=0, flags=flags)
     cfg = red.config
-    flags["collinear"] = cfg.is_collinear()
-    merge_rounds = 0
     while len(cfg.entities) > 2:
         cfg = line_gather_step(cfg)
-        merge_rounds += 1
-    flags["merge_rounds"] = merge_rounds
     looks = 0
     if len(cfg.entities) == 2:
         e1, e2 = cfg.entities
@@ -533,7 +528,6 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
                  spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
         looks = sum(tr.look_count.values())
         if not tr.gathered:
-            flags["engine_gathered"] = False
             return TrialOutcome(trial=trial, gathered=False, total_looks=looks, flags=flags)
         s = position_at(tr.runs[0], tr.horizon)
         m = scale(add(e1.pos, e2.pos), HALF)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 
-from .rational import HALF, Rat, rat_sqrt
+from .rational import HALF, Rat
 
 Point = tuple[Rat, Rat]
 
@@ -31,11 +31,6 @@ def cross(a: Point, b: Point) -> Rat:
 def sqdist(a: Point, b: Point) -> Rat:
     d = sub(a, b)
     return dot(d, d)
-
-
-def norm_exact(v: Point) -> Rat:
-    """Euclidean norm when it is rational; raises otherwise."""
-    return rat_sqrt(dot(v, v))
 
 
 def project_point_to_line(q: Point, a: Point, b: Point) -> Point:

@@ -1,7 +1,7 @@
 """n-robot gathering with merging: plane configurations, reduction to a
 line, and line gathering where collocated robots fuse into one entity.
 
-Steps are round-based and rigid: activated entities reach their computed
+Steps are round-based and rigid: the entities that move reach their computed
 destinations before the next round.  Collocated entities merge and their
 multiplicities add.  Once two distinct positions remain, the continuous
 two-robot engine finishes the job.
@@ -17,9 +17,6 @@ from . import geometry
 from .geometry import Point
 from .rational import ZERO, Rat
 
-LINE = "LINE"
-PLANE = "PLANE"
-
 
 @dataclass(frozen=True)
 class Entity:
@@ -30,7 +27,6 @@ class Entity:
 @dataclass
 class Configuration:
     entities: list[Entity]
-    dimension: str = PLANE
 
     def __post_init__(self):
         if len({e.pos for e in self.entities}) != len(self.entities):
@@ -78,11 +74,10 @@ def farthest_pairs(config: Configuration) -> list[tuple[int, int]]:
     return pairs
 
 
-def tie_break_step(config: Configuration, rng: random.Random,
-                   activated: set[int] | None = None) -> Configuration:
+def tie_break_step(config: Configuration, rng: random.Random) -> Configuration:
     """One symmetry-breaking round among tied farthest pairs.
 
-    Every activated robot that belongs to some farthest pair draws lambda
+    Every robot that belongs to some farthest pair draws lambda
     uniformly from {0, 1} and moves lambda/100 of its pair's distance
     linearly outwards along the pair's line.  A robot in several tied
     pairs follows its lexicographically smallest pair.  Robots outside the
@@ -96,7 +91,7 @@ def tie_break_step(config: Configuration, rng: random.Random,
     new_positions: list[tuple[Point, int]] = []
     for idx, ent in enumerate(config.entities):
         pair = involved.get(idx)
-        if pair is None or (activated is not None and idx not in activated):
+        if pair is None:
             new_positions.append((ent.pos, ent.multiplicity))
             continue
         lam = Rat(rng.randrange(2))
@@ -108,9 +103,7 @@ def tie_break_step(config: Configuration, rng: random.Random,
         # times d is just the difference vector, so the step stays rational.
         step = geometry.scale(geometry.sub(ent.pos, other), lam / 100)
         new_positions.append((geometry.add(ent.pos, step), ent.multiplicity))
-    cfg = merge_positions(new_positions)
-    cfg.dimension = config.dimension
-    return cfg
+    return merge_positions(new_positions)
 
 
 @dataclass
@@ -121,25 +114,19 @@ class ReduceResult:
 
 
 def reduce_to_line(config: Configuration, rng: random.Random,
-                   max_tie_rounds: int = 1000,
-                   scheduler=None) -> ReduceResult:
+                   max_tie_rounds: int = 1000) -> ReduceResult:
     """Break farthest-pair ties, then project everyone onto the unique
     farthest pair's line.
 
-    ``scheduler`` may pick which tied robots activate in a round (the
-    adversary's prerogative); by default all of them do.  Returns a
-    PARTIAL result if ties survive the round budget.
+    Every tied robot activates in each round.  Returns a PARTIAL result if
+    ties survive the round budget.
     """
     cfg = config
     rounds = 0
     while len(farthest_pairs(cfg)) > 1:
         if rounds >= max_tie_rounds:
             return ReduceResult(config=cfg, tie_rounds=rounds, partial=True)
-        activated = None
-        if scheduler is not None:
-            tied = sorted({i for p in farthest_pairs(cfg) for i in p})
-            activated = set(scheduler(rounds, tied, rng))
-        cfg = tie_break_step(cfg, rng, activated)
+        cfg = tie_break_step(cfg, rng)
         rounds += 1
 
     (i, j), = farthest_pairs(cfg)
@@ -148,7 +135,6 @@ def reduce_to_line(config: Configuration, rng: random.Random,
     projected = [(geometry.project_point_to_line(e.pos, a, b), e.multiplicity)
                  for e in cfg.entities]
     out = merge_positions(projected)
-    out.dimension = LINE
     assert out.is_collinear()
     assert max(geometry.sqdist(p.pos, q.pos)
                for p, q in combinations(out.entities, 2)) == pair_dist, \
@@ -186,9 +172,7 @@ def line_gather_step(config: Configuration) -> Configuration:
             moved.append((hi_target, ent.multiplicity))
         else:
             moved.append((ent.pos, ent.multiplicity))
-    out = merge_positions(moved)
-    out.dimension = LINE
-    return out
+    return merge_positions(moved)
 
 
 def three_point_direct_check(positions: tuple[Point, Point, Point],

@@ -167,7 +167,7 @@ class Oracle:
     """Scripted lambda sequence; raises once the script runs out."""
 
     script: list[Rat]
-    _cursor: int = field(default=0, repr=False)
+    _cursor: int = field(default=0, init=False, repr=False)
 
     kind = "ORACLE"
 

@@ -5,14 +5,18 @@ rebuilds cycles from the raw event stream, the projection oracle
 minimizes squared distance over a refined rational grid, the event
 reference records every event as it happens, in an event loop of its own,
 instead of deriving the log from cycle segments as the engine does, the
-trace text is built as a dict tree and encoded by ``json.dumps``, and the
-distance profile calls ``position_at`` at each sorted breakpoint.
+trace text is built as a dict tree and encoded by ``json.dumps``, the
+distance profile calls ``position_at`` at each sorted breakpoint, and the
+attempt reference recomputes each window's distances and rescans each
+robot's remaining segments for every attempt.
 """
 
 import json
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
+from gathersim.analysis import AttemptRecord, max_distance_from
 from gathersim.engine import position_at
 from gathersim.geometry import add, scale, sqdist, sub
 from gathersim.policies import destination
@@ -127,6 +131,59 @@ def brute_force_attempts(trace):
         ptr[other_rid] = oi + 1
         t_begin = t_end
     return out
+
+
+def reference_segment_attempts(trace):
+    """``analysis.segment_attempts`` as a direct scan: both distances of
+    every window are looked up afresh, and an attempt is complete when the
+    run gathered or each robot's segments after the attempt hold two that
+    end within the horizon."""
+    a_id, b_id = trace.robot_ids
+    segs = {rid: trace.runs[rid].segments for rid in (a_id, b_id)}
+    look_times = sorted(seg.look_time for rid in (a_id, b_id) for seg in segs[rid])
+
+    attempts = []
+    idx = {a_id: 0, b_id: 0}
+    t_begin = Fraction(0)
+    while True:
+        sa = segs[a_id][idx[a_id]] if idx[a_id] < len(segs[a_id]) else None
+        sb = segs[b_id][idx[b_id]] if idx[b_id] < len(segs[b_id]) else None
+        if sa is None or sb is None or sa.lam is None or sb.lam is None:
+            break
+        if sa.move_start > sb.move_start:
+            later_id, later_seg, other_id = a_id, sa, b_id
+        else:
+            later_id, later_seg, other_id = b_id, sb, a_id
+        t = later_seg.move_start
+        other_segs = segs[other_id]
+        j = idx[other_id]
+        while (j + 1 < len(other_segs) and other_segs[j + 1].lam is not None
+               and other_segs[j + 1].look_time <= t):
+            j += 1
+        other_seg = other_segs[j]
+
+        t_end = max(later_seg.move_end, other_seg.move_end)
+        if t_end > trace.horizon:
+            break
+        before = max_distance_from(trace, t_begin)
+        after = max_distance_from(trace, t_end)
+        complete = trace.gathered or all(
+            len([s for s in segs[rid][start:] if s.move_end <= trace.horizon]) >= 2
+            for rid, start in ((later_id, idx[later_id] + 1), (other_id, j + 1)))
+        attempts.append(AttemptRecord(
+            look_pair=((later_id, later_seg.cycle, later_seg.look_time),
+                       (other_id, other_seg.cycle, other_seg.look_time)),
+            all_looks_in_window=bisect_left(look_times, t_end) - bisect_left(look_times, t_begin),
+            window=(t_begin, t_end),
+            max_dist_before=before,
+            max_dist_after=after,
+            successful=2 * after <= before,
+            complete=complete,
+        ))
+        idx[later_id] += 1
+        idx[other_id] = j + 1
+        t_begin = t_end
+    return attempts
 
 
 def grid_project_coordinate(q, p1, p2, span=64):
@@ -254,7 +311,7 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                 continue
             lam = st.policy.sample(rng)
             dest = destination(st.pos, obs, lam)
-            compute = adversary.computation_delay(rid, st.cycle, lam, world)
+            compute = adversary.computation_delay(rid, st.cycle, dest, world)
             if compute < 0:
                 raise ValueError("adversary produced a negative computation delay")
             st.lam, st.dest, st.origin = lam, dest, st.pos

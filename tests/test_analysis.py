@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from oracles import brute_force_attempts, brute_max_distance, reference_distance_profile
+from oracles import (brute_force_attempts, brute_max_distance, reference_distance_profile,
+                     reference_segment_attempts)
 from test_engine import tie_heavy_runs
 
 from gathersim.adversary import ObliviousExplicit, TauBounded
@@ -193,6 +194,15 @@ def test_attempts_match_brute_force_on_random_short_runs():
             assert m.max_dist_before == r["before"]
             assert m.max_dist_after == r["after"]
             assert m.successful == r["successful"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_run=tie_heavy_runs)
+def test_attempts_match_reference(family_run):
+    # Every field, ``complete`` included, equals the direct scan's.
+    make_run, budgets = family_run
+    tr = run(*make_run(), budgets)
+    assert segment_attempts(tr) == reference_segment_attempts(tr)
 
 
 def test_attempts_partition_look_counts():

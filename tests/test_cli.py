@@ -18,7 +18,6 @@ from gathersim.cli import (
     bundled_scenario_names,
     bundled_scenario_path,
     emit_report,
-    load_scenario,
     main,
     parse_scenario,
     render_report_csv,
@@ -181,7 +180,7 @@ def test_bundled_scenarios_parse():
             "thm6_adaptive", "ssync_halving", "lemma1_projection",
             "multirobot_n8"} <= set(names)
     for name in names:
-        scn = load_scenario(bundled_scenario_path(name))
+        scn = parse_scenario(bundled_scenario_path(name).read_text(encoding="utf-8"))
         assert scn.name == name
 
 
@@ -319,9 +318,53 @@ def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
      "adversary"),
     ({"schedule_variants": {"kind": "ASYNC_IC"}}, "schedule_variants"),
     ({"budgets": {"max_time": "0"}}, "budgets.max_time"),
+    ({"robots": [{"id": 0, "start": "0", "speed": "0", "policy": "p"},
+                 {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].speed"),
+    ({"robots": [{"id": 0, "start": "0", "policy": "p"},
+                 {"id": 1, "start": "1", "speed": "-1", "policy": "p"}]}, "robots[1].speed"),
 ])
 def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
+    assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+def _explicit(w, c):
+    # Long enough for every look MINIMAL's budget allows.
+    return {"kind": "OBLIVIOUS_EXPLICIT",
+            "schedules": {"0": [["1", "0"]] * 3 + [[w, c]] + [["1", "0"]] * 4,
+                          "1": [["1", "0"]] * 8}}
+
+
+def _generated(generator, **params):
+    base = {"uniform": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "1"},
+            "constant": {"w": "1", "c": "0"}}[generator]
+    return {"kind": "OBLIVIOUS_GENERATED", "generator": generator,
+            "params": {**base, **params}}
+
+
+@pytest.mark.parametrize("adversary", [
+    _explicit("-1", "0"),
+    _explicit("1", "-1/2"),
+    {"kind": "ASYNC_IC", "w_lo": "2", "w_hi": "1"},
+    {"kind": "ASYNC_IC", "w_lo": "-1", "w_hi": "1"},
+    _generated("uniform", w_lo="2"),
+    _generated("uniform", c_lo="3/2"),
+    _generated("uniform", w_lo="-1"),
+    _generated("uniform", c_lo="-1/4"),
+    _generated("constant", w="-1"),
+    _generated("constant", c="-1"),
+], ids=["explicit-w", "explicit-c", "async-order", "async-negative", "uniform-w-order",
+        "uniform-c-order", "uniform-w-negative", "uniform-c-negative", "constant-w",
+        "constant-c"])
+@pytest.mark.parametrize("section", ["adversary", "schedule_variants"])
+def test_main_rejects_adversary_ranges(tmp_path, capsys, adversary, section):
+    # Checked when the adversary is built, not when a trial draws from it.
+    if section == "adversary":
+        raw, field = {**MINIMAL, "adversary": adversary}, "adversary"
+    else:
+        raw = {**MINIMAL, "schedule_variants": [MINIMAL["adversary"], adversary]}
+        field = "schedule_variants[1]"
+    assert _run_exit_code(tmp_path, raw) == 2
     assert f"validation error: {field}:" in capsys.readouterr().err
 
 

@@ -69,6 +69,27 @@ def test_repeat_count_general_matches_halving_special_case():
         ex.repeat_count_general(F(2), F(1), F(1, 2))
 
 
+@pytest.mark.parametrize("bound,ratio,k", [
+    (Rat(1, 5), Rat(1, 2), 1), (Rat(13, 20), Rat(1, 2), 2), (Rat(9, 10), Rat(1, 2), 4),
+    (Rat(13, 20), Rat(2, 3), 3)])
+def test_repeat_count_general_stays_on_rat(monkeypatch, bound, ratio, k):
+    # The gap-shrink power is kept by multiplication: a Rat loop builds no
+    # plain Fraction, and gives the counts criterion 10 predicts.
+    plain = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        if cls is F:
+            plain.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    assert ex.repeat_count_general(bound, Rat(1), ratio) == k
+    assert plain == []
+    assert F(1, 3) and len(plain) == 1  # the counter counts
+    monkeypatch.undo()
+    assert k == ex.repeat_count_general(F(bound), F(1), F(ratio))
+
+
 def test_thm4_trial_counts_halvings():
     s = scn(params={"alphas": [F(1)], "delta": F(1), "tau": F(1, 2),
                     "fixed_sum": F(13, 20)}, budgets=Budgets(48, BIG))
