@@ -12,6 +12,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .geometry import move_position
 from .rational import (ONE, U01_DEN, ZERO, Rat, grid_point, parse_rat, spawn_rng,
                        uniform_closed)
 
@@ -39,8 +40,6 @@ class _Oblivious:
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
     _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    adaptive = False
-
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
 
@@ -49,8 +48,8 @@ class _Oblivious:
         self._drawn[robot_id] = (cycle, c)
         return w
 
-    def computation_delay(self, robot_id, cycle, dest, world) -> Rat:
-        """The cycle's C, committed before the run; ``dest`` is not read."""
+    def computation_delay(self, robot_id, cycle, dest, pair) -> Rat:
+        """The cycle's C, committed before the run; the look is not read."""
         drawn = self._drawn.get(robot_id)
         if drawn is not None and drawn[0] == cycle:
             return drawn[1]
@@ -221,7 +220,6 @@ class AdaptiveThm6:
     _next_wait: dict = field(default_factory=dict, init=False, repr=False)
 
     kind = "ADAPTIVE_THM6"
-    adaptive = True
 
     def __post_init__(self):
         waits = list(self.initial_waits.values())
@@ -244,21 +242,21 @@ class AdaptiveThm6:
                 f"wait for robot {robot_id} cycle {cycle} was never committed"
             )
 
-    def computation_delay(self, robot_id, cycle, dest, world):
-        """The cycle's C for the look that computed ``dest``; commits the next W."""
-        c, w_next = self.adaptive_decide(world, robot_id, dest)
+    def computation_delay(self, robot_id, cycle, dest, pair):
+        """The cycle's C for the look that computed ``dest``; commits the next W.
+        ``pair`` is (looking robot, other robot) as the run holds them."""
+        c, w_next = self.adaptive_decide(pair, dest)
         self._next_wait[(robot_id, cycle + 1)] = w_next
         return c
 
-    def adaptive_decide(self, world, robot_id, dest) -> tuple[Rat, Rat]:
-        """(C for this cycle, W for the next) after robot_id's look computed ``dest``."""
-        me = world.state(robot_id)
+    def adaptive_decide(self, pair, dest) -> tuple[Rat, Rat]:
+        """(C for this cycle, W for the next) after pair[0]'s look computed ``dest``."""
+        me, other = pair
         if dest == me.pos:
             # Zero-length move: force an immediate re-look at the same instant.
             return (ZERO, ZERO)
-        other = world.other_state(robot_id)
-        t = world.now
-        other_look, other_pos_at_look = self._other_next_look(world, other)
+        t = me.look_time
+        other_look, other_pos_at_look = self._other_next_look(other)
         travel = abs(dest - me.pos) / me.spec.speed
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
@@ -269,16 +267,18 @@ class AdaptiveThm6:
             lo = ZERO
         if not lo < hi:
             raise InfeasibleDelayError(
-                f"empty feasible delay interval ({lo}, {hi}) for robot {robot_id}"
+                f"empty feasible delay interval ({lo}, {hi}) for robot {me.spec.id}"
             )
         c = lo + (hi - lo) / 2
-        if self._my_pos_at(me, dest, t, c, other_look) == other_pos_at_look:
+        start = t + c
+        if move_position(me.pos, dest, me.spec.speed, start, start + travel,
+                         other_look) == other_pos_at_look:
             # Only a single delay value puts us exactly on the other robot at
             # its look; any other interior point avoids the coincidence.
             c = lo + (hi - lo) / 4
         return (c, ONE)
 
-    def _other_next_look(self, world, other):
+    def _other_next_look(self, other):
         """The other robot's committed next look time and resting position."""
         if other.phase == "waiting":
             return other.look_time, other.pos
@@ -288,18 +288,6 @@ class AdaptiveThm6:
                 raise InfeasibleDelayError("other robot's next wait is not committed")
             return other.move_end + w_next, other.dest
         raise InfeasibleDelayError(f"unexpected phase {other.phase!r} at a look")
-
-    @staticmethod
-    def _my_pos_at(me, dest, t, c, when):
-        """Looking robot's position at ``when`` if its move starts at t + c."""
-        travel = abs(dest - me.pos) / me.spec.speed
-        elapsed = when - t - c
-        if elapsed <= 0:
-            return me.pos
-        if elapsed >= travel:
-            return dest
-        step = me.spec.speed * elapsed
-        return me.pos + step if dest > me.pos else me.pos - step
 
 
 AdversaryPolicy = (

@@ -14,9 +14,13 @@ import math
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .engine import RobotRun, Trace, position_at
+from .geometry import move_position
 from .rational import ZERO, Rat
+
+_move_start = attrgetter("move_start")
 
 
 def is_mid_move(run: RobotRun, t: Rat) -> bool:
@@ -25,7 +29,7 @@ def is_mid_move(run: RobotRun, t: Rat) -> bool:
     Moves never overlap, so the only candidate is the latest segment whose
     move starts strictly before t.
     """
-    i = bisect_left(run._move_starts, t) - 1
+    i = bisect_left(run.segments, t, key=_move_start) - 1
     if i < 0:
         return False
     seg = run.segments[i]
@@ -110,20 +114,13 @@ def _positions(run: RobotRun, ts: list[Rat]) -> list[Rat]:
     n = len(segs)
     i = -1
     speed = run.spec.speed
-    rest = segs[0].origin if segs else run.spec.start
     out = []
     for t in ts:
         while i + 1 < n and segs[i + 1].move_start <= t:
             i += 1
             seg = segs[i]
-        if i < 0:
-            out.append(rest)
-        elif t >= seg.move_end:
-            out.append(seg.destination)
-        else:
-            step = speed * (t - seg.move_start)
-            out.append(seg.origin + step if seg.destination > seg.origin
-                       else seg.origin - step)
+        out.append(run.spec.start if i < 0 else move_position(
+            seg.origin, seg.destination, speed, seg.move_start, seg.move_end, t))
     return out
 
 

@@ -13,13 +13,15 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import __version__, experiments
-from .adversary import AdversaryError, adversary_from_descriptor
+from .adversary import (AdaptiveThm6, AdversaryError, ObliviousExplicit, PerRobot,
+                        adversary_from_descriptor)
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
 from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace, event_steps
 from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
@@ -157,8 +159,11 @@ def parse_scenario(text: str) -> Scenario:
             _build(adversary_from_descriptor, adversary, "adversary")
         adversary_descs = ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
                            if variants else [("adversary", adversary)])
-    adversaries = [_build(adversary_from_descriptor, desc, path)
-                   for path, desc in adversary_descs]
+    adversaries = []
+    ids = {r.id for r in robots}
+    for path, desc in adversary_descs:
+        adversaries.append(_build(adversary_from_descriptor, desc, path))
+        _check_robot_ids(adversaries[-1], ids, ids, path)
 
     params = _mode_params(mode, _object(raw, "params"), _rat)
 
@@ -182,6 +187,29 @@ def parse_scenario(text: str) -> Scenario:
                     adversaries=adversaries, robot_policies=robot_policies,
                     schedule_variants=variants, params=params,
                     theorem5_bound=bound, raw=raw)
+
+
+def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
+    """Fail unless an adversary keyed by robot id has an entry for each id
+    in ``needed`` and none outside ``known``.
+
+    A PER_ROBOT part needs only its own robot's entry.  Only the keys are
+    read: no (W, C) pair is drawn.
+    """
+    if isinstance(adv, PerRobot):
+        field, keys = "robots", adv.parts
+    elif isinstance(adv, AdaptiveThm6):
+        field, keys = "initial_waits", adv.initial_waits
+    elif isinstance(adv, ObliviousExplicit):
+        field, keys = "schedules", adv.schedules
+    else:
+        return
+    if not needed <= set(keys) <= known:
+        _fail(f"{path}.{field}", f"robot ids {sorted(keys)} must include {sorted(needed)} "
+                                 f"and be among the robots' ids {sorted(known)}")
+    if isinstance(adv, PerRobot):
+        for rid, part in adv.parts.items():
+            _check_robot_ids(part, {rid}, known, f"{path}.{field}.{rid}")
 
 
 def _mode_params(mode: str, params: dict, rat) -> dict:
@@ -384,8 +412,7 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
 
     outcomes = [outcome for outcome, _ in batches]
     stats = pool_outcomes(outcomes)
-    flags_pool = [(outcome.flags, outcome.gathered) for outcome in outcomes]
-    extras = _mode_extras(scn, flags_pool)
+    extras = _mode_extras(scn, outcomes)
     summary = {
         "name": scn.name,
         "version": __version__,
@@ -453,34 +480,39 @@ def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
     }
 
 
-def _mode_extras(scn: Scenario, flags_pool: list[tuple[dict, bool]]) -> dict:
-    extras: dict = {}
+def pool_extras(outcomes: list[experiments.TrialOutcome]) -> dict:
+    """The trials' ``extras`` pooled key by key: bools by ``all``, ints
+    summed, and str -> count histograms summed per key, keys in sorted
+    order."""
+    pooled: dict = {}
+    for outcome in outcomes:
+        for key, value in outcome.extras.items():
+            if key not in pooled:
+                pooled[key] = Counter(value) if isinstance(value, dict) else value
+            elif isinstance(value, bool):
+                pooled[key] = pooled[key] and value
+            else:  # an int, or a histogram added to its Counter
+                pooled[key] += value
+    return {key: dict(sorted(value.items())) if isinstance(value, dict) else value
+            for key, value in pooled.items()}
+
+
+def _mode_extras(scn: Scenario, outcomes: list[experiments.TrialOutcome]) -> dict:
+    """The report's "extras": the pooled trial extras, plus what no single
+    trial holds."""
+    extras = pool_extras(outcomes)
     if scn.theorem5_bound is not None:
         extras["theorem5_bound"] = _fmt_real(scn.theorem5_bound)
-    if scn.mode == "two_robot" and scn.schedule_variants:
+    if scn.schedule_variants:
         counts = [0] * len(scn.schedule_variants)
         hits = [0] * len(scn.schedule_variants)
-        for flags, gathered in flags_pool:
-            v = flags.get("variant", 0)
+        for outcome in outcomes:
+            v = outcome.trial // scn.trials
             counts[v] += 1
-            hits[v] += gathered
+            hits[v] += outcome.gathered
         extras["variant_trials"] = counts
         extras["variant_gathered"] = hits
-    if scn.mode == "thm3_oracle":
-        extras["oracle_runs"] = sum(1 for f, _ in flags_pool if f.get("oracle"))
-        extras["oracle_gathered"] = sum(1 for f, g in flags_pool if f.get("oracle") and g)
-        extras["random_runs"] = sum(1 for f, _ in flags_pool if not f.get("oracle"))
-        extras["random_decides"] = sum(f.get("decides", 0) for f, _ in flags_pool
-                                       if not f.get("oracle"))
-    if scn.mode == "thm6":
-        extras["midmove_ok_all"] = all(f.get("midmove_ok") for f, _ in flags_pool)
-        extras["total_violations"] = sum(f.get("violations", 0) for f, _ in flags_pool)
-    if scn.mode == "ssync":
-        extras["halving_ok"] = all(f.get("halving_ok") for f, _ in flags_pool)
-    if scn.mode == "lemma1":
-        extras["equal_trials"] = sum(1 for f, _ in flags_pool if f.get("equal"))
     if scn.mode == "multirobot":
-        extras["tie_rounds_hist"] = _hist(f.get("tie_rounds", 0) for f, _ in flags_pool)
         tie_trials = scn.params["tie_trials"]
         if tie_trials:
             max_rounds = scn.params["tie_max_rounds"]
@@ -492,15 +524,9 @@ def _mode_extras(scn: Scenario, flags_pool: list[tuple[dict, bool]]) -> dict:
             extras["tie_trials"] = tie_trials
             extras["tie_max_rounds"] = max_rounds
             extras["tie_resolved"] = len(resolved)
-            extras["tie_rounds_engineered_hist"] = _hist(resolved)
+            hist = Counter(str(r) for r in resolved)
+            extras["tie_rounds_engineered_hist"] = dict(sorted(hist.items()))
     return extras
-
-
-def _hist(values) -> dict:
-    out: dict = {}
-    for v in values:
-        out[str(v)] = out.get(str(v), 0) + 1
-    return dict(sorted(out.items(), key=lambda kv: int(kv[0])))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ decision fires, even for a robot crossing mid-move) or it does not.
 Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
-anyway, so rigid runs cover the regime the analysis depends on.
+anyway, so rigid runs cover the regime the analysis depends on.  The
+adversary's ``computation_delay`` gets the destination each look computed
+and the pair (looking robot, other robot) as the run holds them.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Mapping
 
 from . import geometry
@@ -48,6 +51,8 @@ TIME_BUDGET_EXHAUSTED = "TIME_BUDGET_EXHAUSTED"
 
 # Processing order for simultaneous events.
 _KIND_TIE = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
+
+_move_start = attrgetter("move_start")
 
 
 class DegenerateLineError(ValueError):
@@ -114,12 +119,7 @@ class RobotRun:
 
     spec: RobotSpec
     segments: list[CycleSegment]
-    horizon: Rat = ZERO
-    _move_starts: list[Rat] = field(default_factory=list, repr=False)
-
-    def finalize(self, horizon: Rat) -> None:
-        self.horizon = horizon
-        self._move_starts = [seg.move_start for seg in self.segments]
+    horizon: Rat
 
     @property
     def gathered_at(self) -> Rat | None:
@@ -222,14 +222,12 @@ def position_at(run: RobotRun, t: Rat) -> Rat:
     """Exact position at time t: linear inside a move, constant elsewhere."""
     if t < 0 or t > run.horizon:
         raise ScheduleUnderrunError(f"t={t} outside simulated horizon [0, {run.horizon}]")
-    i = bisect_right(run._move_starts, t) - 1
+    i = bisect_right(run.segments, t, key=_move_start) - 1
     if i < 0:
-        return run.segments[0].origin if run.segments else run.spec.start
+        return run.spec.start
     seg = run.segments[i]
-    if t >= seg.move_end:
-        return seg.destination
-    step = run.spec.speed * (t - seg.move_start)
-    return seg.origin + step if seg.destination > seg.origin else seg.origin - step
+    return geometry.move_position(seg.origin, seg.destination, run.spec.speed,
+                                  seg.move_start, seg.move_end, t)
 
 
 class _LiveRobot:
@@ -292,30 +290,9 @@ class _LiveRobot:
     def position_at(self, t: Rat) -> Rat:
         """Live position query; valid for t at or before the current event."""
         if self.phase == "moving":  # pos changes only at MOVE_END: it is the origin
-            if t <= self.move_start:
-                return self.pos
-            if t >= self.move_end:
-                return self.dest
-            step = self.spec.speed * (t - self.move_start)
-            return self.pos + step if self.dest > self.pos else self.pos - step
+            return geometry.move_position(self.pos, self.dest, self.spec.speed,
+                                          self.move_start, self.move_end, t)
         return self.pos
-
-
-class _World:
-    """Read-only view handed to adaptive adversaries."""
-
-    def __init__(self, states: dict[int, _LiveRobot]):
-        self._states = states
-        self.now = ZERO
-
-    def state(self, robot_id: int) -> _LiveRobot:
-        return self._states[robot_id]
-
-    def other_state(self, robot_id: int) -> _LiveRobot:
-        for rid, st in self._states.items():
-            if rid != robot_id:
-                return st
-        raise KeyError(robot_id)
 
 
 def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
@@ -335,7 +312,6 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
 
     states = {spec.id: _LiveRobot(spec, policies[spec.id])
               for spec in sorted(robots, key=lambda s: s.id)}
-    world = _World(states)
     for st in states.values():
         st.enter_cycle(0, ZERO, adversary)
     a, b = states.values()  # in robot id order
@@ -367,15 +343,15 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 status = LOOK_BUDGET_EXHAUSTED
                 break
             looks_done += 1
-            world.now = t
-            obs = (b if st is a else a).position_at(t)
+            other = b if st is a else a
+            obs = other.position_at(t)
             if obs == st.pos:
                 st.decide_gathered(t)
                 n_events += 1  # its DECIDE_GATHERED
             else:
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
-                compute = adversary.computation_delay(st.spec.id, st.cycle, dest, world)
+                compute = adversary.computation_delay(st.spec.id, st.cycle, dest, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START
             st.start_move()
@@ -385,11 +361,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         n_events += 1
         horizon = t
 
-    runs = {}
-    for rid, st in states.items():
-        rr = RobotRun(spec=st.spec, segments=st.segments)
-        rr.finalize(horizon)
-        runs[rid] = rr
+    runs = {rid: RobotRun(st.spec, st.segments, horizon) for rid, st in states.items()}
     return Trace(runs=runs, final_status=status, horizon=horizon, event_count=n_events)
 
 

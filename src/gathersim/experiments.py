@@ -81,7 +81,9 @@ class TrialOutcome:
     phase_looks: tuple = ()
     attempts_per_phase: tuple = ()
     k_value: int | None = None
-    flags: dict = field(default_factory=dict)
+    # The trial's share of the report's "extras", under the report's own
+    # names; cli.pool_extras pools them.
+    extras: dict = field(default_factory=dict)
     trace: Trace | None = None
 
 
@@ -125,8 +127,6 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
                   if ph.terminal and all(a.complete for a in ph.attempts)]
         out.phase_looks = tuple(ph.total_looks for ph in pooled)
         out.attempts_per_phase = tuple(len(ph.attempts) for ph in pooled)
-    if scn.schedule_variants:
-        out.flags["variant"] = trial // scn.trials
     return out
 
 
@@ -137,10 +137,10 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
 def ssync_schedule(activations: int, delta: Rat = ONE):
     """Explicit schedules realizing alternating single activation.
 
-    Activation k happens at time 10 * k and is performed by robot k mod 2;
-    moves (each at most delta long) finish well inside the gap.
+    Activation k happens at time 10 * delta * k and is performed by robot
+    k mod 2; moves (each at most delta long) finish well inside the gap.
     """
-    gap = Rat(10)
+    gap = 10 * delta
     waits = {0: [], 1: []}
     last_end = {0: ZERO, 1: ZERO}
     dist = delta
@@ -173,7 +173,7 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
             break
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
-                        flags={"halving_ok": ok},
+                        extras={"halving_ok": ok},
                         trace=trace)
 
 
@@ -227,18 +227,18 @@ def thm3_trial(scn, trial: int) -> TrialOutcome:
     per = 1 + scn.params["random_draws"]
     alpha, geometry_kind = scn.params["configs"][trial // per]
     inner = trial % per
-    lam = None if inner == 0 else u01(spawn_rng(scn.master_seed, trial, "lam"))
+    oracle = inner == 0
+    lam = None if oracle else u01(spawn_rng(scn.master_seed, trial, "lam"))
     trace = catch_trial(alpha, geometry_kind, lam)
     decides = sum(1 for run in trace.runs.values() if run.gathered_at is not None)
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
                         first_gather_time=first_gather_time(trace),
-                        flags={"oracle": inner == 0, "decides": decides},
+                        extras={"oracle_runs": int(oracle),
+                                "oracle_gathered": int(oracle and trace.gathered),
+                                "random_runs": int(not oracle),
+                                "random_decides": 0 if oracle else decides},
                         trace=trace)
-
-
-def thm3_total_trials(scn) -> int:
-    return len(scn.params["configs"]) * (1 + scn.params["random_draws"])
 
 
 # ----------------------------------------------------------------------
@@ -288,10 +288,6 @@ def thm4_trial(scn, trial: int) -> TrialOutcome:
                         trace=trace)
 
 
-def thm4_total_trials(scn) -> int:
-    return scn.trials * len(scn.params["alphas"])
-
-
 # ----------------------------------------------------------------------
 # Adaptive impossibility runs
 
@@ -306,7 +302,7 @@ def thm6_trial(scn, trial: int) -> TrialOutcome:
     ok, violations = looks_see_midmove(trace)
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
-                        flags={"midmove_ok": ok, "violations": len(violations)},
+                        extras={"midmove_ok_all": ok, "total_violations": len(violations)},
                         trace=trace)
 
 
@@ -473,7 +469,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
                 break
     return TrialOutcome(trial=trial, gathered=equal,
                         total_looks=sum(trace.look_count.values()),
-                        flags={"equal": equal},
+                        extras={"equal_trials": int(equal)},
                         trace=trace)
 
 
@@ -510,9 +506,9 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
     rng = spawn_rng(scn.master_seed, trial, "mr")
     cfg = random_plane_config(rng, n)
     red = reduce_to_line(cfg, rng, max_tie_rounds=scn.params["max_tie_rounds"])
-    flags = {"tie_rounds": red.tie_rounds, "partial": red.partial}
+    extras = {"tie_rounds_hist": {str(red.tie_rounds): 1}}
     if red.partial:
-        return TrialOutcome(trial=trial, gathered=False, total_looks=0, flags=flags)
+        return TrialOutcome(trial=trial, gathered=False, total_looks=0, extras=extras)
     cfg = red.config
     while len(cfg.entities) > 2:
         cfg = line_gather_step(cfg)
@@ -528,13 +524,13 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
                  spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
         looks = sum(tr.look_count.values())
         if not tr.gathered:
-            return TrialOutcome(trial=trial, gathered=False, total_looks=looks, flags=flags)
+            return TrialOutcome(trial=trial, gathered=False, total_looks=looks, extras=extras)
         s = position_at(tr.runs[0], tr.horizon)
         m = scale(add(e1.pos, e2.pos), HALF)
         meet = add(m, scale(sub(e1.pos, m), s))
         cfg = merge_positions([(meet, e1.multiplicity + e2.multiplicity)])
     single = len(cfg.entities) == 1 and cfg.entities[0].multiplicity == n
-    return TrialOutcome(trial=trial, gathered=single, total_looks=looks, flags=flags)
+    return TrialOutcome(trial=trial, gathered=single, total_looks=looks, extras=extras)
 
 
 def engineered_tie_trial(master_seed, trial: int, max_rounds: int = 30) -> int | None:
@@ -560,9 +556,9 @@ TRIAL_RUNNERS = {
 
 def total_trials(scn) -> int:
     if scn.mode == "thm3_oracle":
-        return thm3_total_trials(scn)
+        return len(scn.params["configs"]) * (1 + scn.params["random_draws"])
     if scn.mode == "thm4":
-        return thm4_total_trials(scn)
+        return scn.trials * len(scn.params["alphas"])
     if scn.schedule_variants:
         return scn.trials * len(scn.schedule_variants)
     return scn.trials

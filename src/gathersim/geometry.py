@@ -1,11 +1,24 @@
-"""Exact 2D vector helpers on rational coordinates."""
+"""Exact geometry on rational coordinates: where a robot is during a rigid
+move on the line, and 2D vector helpers."""
 
 from __future__ import annotations
-
 
 from .rational import HALF, Rat
 
 Point = tuple[Rat, Rat]
+
+
+def move_position(origin: Rat, dest: Rat, speed: Rat,
+                  move_start: Rat, move_end: Rat, t: Rat) -> Rat:
+    """Position at ``t`` of a rigid move from ``origin`` to ``dest`` at
+    ``speed`` over [move_start, move_end]: ``origin`` up to the start,
+    ``dest`` from the end on."""
+    if t <= move_start:
+        return origin
+    if t >= move_end:
+        return dest
+    step = speed * (t - move_start)
+    return origin + step if dest > origin else origin - step
 
 
 def add(a: Point, b: Point) -> Point:

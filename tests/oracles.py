@@ -253,18 +253,6 @@ class _RefRobot:
         return self.pos
 
 
-class _RefWorld:
-    def __init__(self, states):
-        self._states = states
-        self.now = Fraction(0)
-
-    def state(self, robot_id):
-        return self._states[robot_id]
-
-    def other_state(self, robot_id):
-        return next(st for rid, st in self._states.items() if rid != robot_id)
-
-
 def reference_events(robots, policies, adversary, rng_seed, budgets):
     """Run two robots and record each event as the loop processes it.
 
@@ -277,7 +265,6 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
     states = {spec.id: _RefRobot(spec, policies[spec.id])
               for spec in sorted(robots, key=lambda s: s.id)}
-    world = _RefWorld(states)
     for st in states.values():
         st.enter_cycle(0, Fraction(0), adversary)
 
@@ -300,8 +287,8 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                 break
             looks_done += 1
             st.look_count += 1
-            world.now = t
-            obs = world.other_state(rid).position_at(t)
+            other = next(o for r, o in states.items() if r != rid)
+            obs = other.position_at(t)
             events.append((t, rid, "LOOK",
                            {"cycle": st.cycle, "own": st.pos, "observed": (obs,)}))
             if obs == st.pos:
@@ -311,7 +298,7 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                 continue
             lam = st.policy.sample(rng)
             dest = destination(st.pos, obs, lam)
-            compute = adversary.computation_delay(rid, st.cycle, dest, world)
+            compute = adversary.computation_delay(rid, st.cycle, dest, (st, other))
             if compute < 0:
                 raise ValueError("adversary produced a negative computation delay")
             st.lam, st.dest, st.origin = lam, dest, st.pos

@@ -292,6 +292,18 @@ def test_adaptive_lambda_zero_forces_immediate_relook():
     assert segs[1].look_time == segs[2].look_time == segs[3].look_time
 
 
+def test_adaptive_avoids_landing_on_the_other_robot():
+    # Robot 0 looks at 0 and heads for 2; robot 1 rests at 1 until its
+    # look at 5.  The feasible delays are (3, 5), and the midpoint 4 would
+    # put robot 0 exactly on robot 1 at that look, so the delay drops to
+    # the quarter point 7/2 and robot 1 sees robot 0 at 3/2.
+    specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]
+    tr = run(specs, {0: Oracle([F(2)]), 1: Oracle([F(1, 2)])},
+             AdaptiveThm6({0: F(0), 1: F(5)}), spawn_rng("thm6-coincide"), Budgets(2, F(100)))
+    assert tr.runs[0].segments[0].compute == F(7, 2)
+    assert tr.runs[1].segments[0].observed == F(3, 2)
+
+
 def test_adaptive_never_gathers_small_batch():
     for seed in range(25):
         specs = [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))]

@@ -22,7 +22,7 @@ from gathersim.analysis import (
     segment_phases,
     theorem5_bound,
 )
-from gathersim.cli import pool_outcomes
+from gathersim.cli import pool_extras, pool_outcomes
 from gathersim.engine import Budgets, RobotSpec, run
 from gathersim.experiments import TrialOutcome
 from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
@@ -250,6 +250,23 @@ def test_pool_outcomes_means_and_errors():
     assert stats["trials"] == 2
     with pytest.raises(ValueError):
         pool_outcomes([])
+
+
+def test_pool_extras_rules():
+    # Bools pool by all, ints are summed, histograms are summed per key,
+    # with keys only some trials have, in sorted key order.
+    extras = [
+        {"ok": True, "n": 2, "hist": {"3": 1}},
+        {"ok": False, "n": 0, "hist": {"10": 2}},
+        {"ok": True, "n": 5, "hist": {"3": 1, "0": 4}},
+    ]
+    pooled = pool_extras([TrialOutcome(trial=i, gathered=False, total_looks=0, extras=e)
+                          for i, e in enumerate(extras)])
+    assert pooled == {"ok": False, "n": 7, "hist": {"0": 4, "10": 2, "3": 2}}
+    assert list(pooled["hist"]) == ["0", "10", "3"]
+    assert pooled["ok"] is False
+    assert pool_extras([TrialOutcome(trial=0, gathered=True, total_looks=1,
+                                     extras={"ok": True})]) == {"ok": True}
 
 
 def test_binomial_ci_covers_bernoulli():

@@ -368,6 +368,35 @@ def test_main_rejects_adversary_ranges(tmp_path, capsys, adversary, section):
     assert f"validation error: {field}:" in capsys.readouterr().err
 
 
+_ASYNC = {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1"}
+_SCHEDULE = [["1", "0"]] * 8
+
+
+@pytest.mark.parametrize("adversary,field", [
+    ({"kind": "PER_ROBOT", "robots": {"0": _ASYNC, "7": _ASYNC}}, "robots"),
+    ({"kind": "PER_ROBOT", "robots": {"0": _ASYNC}}, "robots"),
+    ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "3": "1"}}, "initial_waits"),
+    ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": _SCHEDULE}}, "schedules"),
+    ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": _SCHEDULE, "1": _SCHEDULE,
+                                                  "2": _SCHEDULE}}, "schedules"),
+    ({"kind": "PER_ROBOT", "robots": {
+        "0": _ASYNC, "1": {"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": _SCHEDULE}}}},
+     "robots.1.schedules"),
+], ids=["per-robot-unknown", "per-robot-missing", "adaptive", "explicit-missing",
+        "explicit-unknown", "per-robot-part"])
+@pytest.mark.parametrize("section", ["adversary", "schedule_variants"])
+def test_main_rejects_adversary_robot_ids(tmp_path, capsys, adversary, field, section):
+    # An adversary keyed by robot ids the scenario does not have fails at
+    # parse time, not on the first draw for the missing robot.
+    if section == "adversary":
+        raw, path = {**MINIMAL, "adversary": adversary}, "adversary"
+    else:
+        raw = {**MINIMAL, "schedule_variants": [MINIMAL["adversary"], adversary]}
+        path = "schedule_variants[1]"
+    assert _run_exit_code(tmp_path, raw) == 2
+    assert f"validation error: {path}.{field}:" in capsys.readouterr().err
+
+
 SSYNC = {"name": "ss", "mode": "ssync", "params": {"activations": 4}}
 THM3 = {"name": "t3", "mode": "thm3_oracle", "params": {"opposite_alphas": ["2"],
                                                          "random_draws": 1}}

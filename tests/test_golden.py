@@ -144,8 +144,9 @@ def test_golden_digests(key, tmp_path):
 
 def test_golden_digests_with_workers(tmp_path):
     # Workers receive the compiled scenario pickled and send trace text
-    # back; the bytes must not change.
-    for name in ("thm1_positive", "thm5_1024"):
+    # and each trial's report extras back; the bytes must not change.
+    for name in ("thm1_positive", "thm5_1024", "thm3_oracle", "thm6_adaptive",
+                 "multirobot_n8"):
         overrides, trace_policy, expected = GOLDEN[name]
         assert output_digests(name, overrides, trace_policy, tmp_path / name,
                               workers=2) == expected
