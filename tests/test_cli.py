@@ -322,6 +322,17 @@ def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
                  {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].speed"),
     ({"robots": [{"id": 0, "start": "0", "policy": "p"},
                  {"id": 1, "start": "1", "speed": "-1", "policy": "p"}]}, "robots[1].speed"),
+    ({"master_seed": "7"}, "master_seed"),
+    ({"robots": [{"start": "0", "policy": "p"},
+                 {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].id"),
+    ({"robots": [{"id": "0", "start": "0", "policy": "p"},
+                 {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].id"),
+    ({"robots": [{"id": 0, "start": "0", "policy": "p"},
+                 {"id": 1, "start": 0.5, "policy": "p"}]}, "robots[1].start"),
+    ({"analysis": []}, "analysis"),
+    ({"params": []}, "params"),
+    ({"analysis": {"theorem5": 3}}, "analysis.theorem5"),
+    ({"analysis": {"theorem5": {"delta": "1"}}}, "analysis.theorem5.tau"),
 ])
 def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
@@ -434,6 +445,11 @@ def _with(base, **params):
      "analysis.theorem5.delta"),
     ({**MINIMAL, "analysis": {"theorem5": {"delta": "1e400", "tau": "1"}}},
      "analysis.theorem5"),
+    (_with(MULTI, max_tie_rounds=-1), "params.max_tie_rounds"),
+    (_with(MULTI, tie_max_rounds="x"), "params.tie_max_rounds"),
+    ({**THM3, "params": {"opposite_alphas": ["2"]}}, "params.random_draws"),
+    (_with(THM3, random_draws=-1), "params.random_draws"),
+    (_with(THM4, delta="0"), "params.delta"),
 ])
 def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
     # Checked when the scenario is compiled, before any trial runs.
