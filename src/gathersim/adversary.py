@@ -193,6 +193,11 @@ class PerRobot(_Oblivious):
 
     kind = "PER_ROBOT"
 
+    def __post_init__(self):
+        for rid, part in self.parts.items():
+            if not isinstance(part, _Oblivious):  # it precommits no pairs
+                raise AdversaryError(f"the part for robot {rid} must be oblivious")
+
     def next_delays(self, robot_id, cycle):
         try:
             part = self.parts[robot_id]

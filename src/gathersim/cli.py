@@ -37,10 +37,10 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A validated scenario, compiled once for every trial of a run.
 
-    ``adversaries``, ``robot_policies`` and ``params`` hold values already
-    parsed from the file; the trial functions of ``experiments`` take them
-    from here and parse nothing.  Every rational in them, in ``robots`` and
-    in ``budgets`` is a ``rational.Rat``, whatever its denominator.
+    ``adversaries``, ``robot_policies``, ``params`` and ``segment_attempts``
+    hold values already parsed from the file; the trial functions of
+    ``experiments`` read only these compiled values, never ``raw``.  Every
+    rational in them, in ``robots`` and in ``budgets`` is a ``rational.Rat``.
     """
 
     name: str
@@ -48,7 +48,8 @@ class Scenario:
     trials: int
     master_seed: int
     budgets: Budgets
-    analysis: dict
+    # analysis.segment_attempts: pool attempts and phases of two_robot runs.
+    segment_attempts: bool
     robots: list[RobotSpec]
     # two_robot: the adversary, or one per schedule_variants entry.
     adversaries: list
@@ -66,10 +67,39 @@ def _fail(path: str, message: str):
     raise ScenarioValidationError(f"{path}: {message}")
 
 
-def _object(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
+# Field readers: each takes a field's value (None when it is missing) and
+# its path, and returns the value checked or fails with the path.
+def _integer(value, path: str, low: int | None = None, high: int | None = None) -> int:
+    """An int (not a bool), at least ``low`` and at most ``high`` when given."""
+    if (type(value) is not int or (low is not None and value < low)
+            or (high is not None and value > high)):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        _fail(path, f"integer{bounds} required")
+    return value
+
+
+def _rational(value, path: str, positive: bool = False) -> Rat:
+    """An exact rational, above zero if ``positive``."""
+    if value is None:
+        _fail(path, "required")
+    try:
+        value = parse_rat(value)
+    except ValueError as exc:
+        _fail(path, str(exc))
+    if positive and value <= 0:
+        _fail(path, "must be positive")
+    return value
+
+
+def _positive_rationals(values, path: str) -> list[Rat]:
+    if not isinstance(values, list):
+        _fail(path, "list of rationals required")
+    return [_rational(v, f"{path}[{i}]", positive=True) for i, v in enumerate(values)]
+
+
+def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
-        _fail(key, "must be an object")
+        _fail(path, "must be an object")
     return value
 
 
@@ -86,20 +116,10 @@ def parse_scenario(text: str) -> Scenario:
     if not isinstance(name, str) or not name:
         _fail("name", "required non-empty string")
     mode = raw.get("mode", "two_robot")
-    if mode not in experiments.TRIAL_RUNNERS:
+    if not isinstance(mode, str) or mode not in experiments.TRIAL_RUNNERS:
         _fail("mode", f"unknown mode {mode!r}")
-    trials = raw.get("trials", 1)
-    if type(trials) is not int or trials < 1:
-        _fail("trials", "integer >= 1 required")
-    master_seed = raw.get("master_seed", 0)
-    if type(master_seed) is not int:
-        _fail("master_seed", "must be an integer")
-
-    def _rat(obj, path: str) -> Rat:
-        try:
-            return parse_rat(obj)
-        except ValueError as exc:
-            _fail(path, str(exc))
+    trials = _integer(raw.get("trials", 1), "trials", 1)
+    master_seed = _integer(raw.get("master_seed", 0), "master_seed")
 
     def _build(make, desc, path: str):
         try:
@@ -108,47 +128,42 @@ def parse_scenario(text: str) -> Scenario:
                 AttributeError) as exc:  # a descriptor of the wrong shape
             _fail(path, str(exc))
 
-    braw = _object(raw, "budgets")
-    looks = braw.get("max_total_looks", 1000)
-    if type(looks) is not int or looks < 1:
-        _fail("budgets.max_total_looks", "positive integer required")
-    max_time = _rat(braw.get("max_time", "1000000000"), "budgets.max_time")
-    if max_time <= 0:
-        _fail("budgets.max_time", "must be positive")
-    budgets = Budgets(looks, max_time)
+    braw = _object(raw.get("budgets", {}), "budgets")
+    budgets = Budgets(
+        _integer(braw.get("max_total_looks", 1000), "budgets.max_total_looks", 1),
+        _rational(braw.get("max_time", "1000000000"), "budgets.max_time", positive=True))
 
-    analysis = _object(raw, "analysis")
+    analysis = _object(raw.get("analysis", {}), "analysis")
+    segment = analysis.get("segment_attempts", False)
+    if type(segment) is not bool:
+        _fail("analysis.segment_attempts", "must be true or false")
 
     policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
-                for pname, desc in _object(raw, "policies").items()}
+                for pname, desc in _object(raw.get("policies", {}), "policies").items()}
 
     robots = []
     robot_policies = {}
+    adversaries = []
+    variants = None
     if mode == "two_robot":
         rlist = raw.get("robots")
         if not isinstance(rlist, list) or len(rlist) != 2:
             _fail("robots", "exactly two robot entries required")
         for i, rdesc in enumerate(rlist):
-            if not isinstance(rdesc, dict):
-                _fail(f"robots[{i}]", "must be an object")
-            rid = rdesc.get("id")
-            if type(rid) is not int:
-                _fail(f"robots[{i}].id", "integer id required")
+            path = f"robots[{i}]"
+            rdesc = _object(rdesc, path)
+            rid = _integer(rdesc.get("id"), f"{path}.id")
             pname = rdesc.get("policy")
-            if pname not in policies:
-                _fail(f"robots[{i}].policy", f"undefined policy {pname!r}")
-            start = _rat(rdesc.get("start", "0"), f"robots[{i}].start")
-            speed = _rat(rdesc.get("speed", "1"), f"robots[{i}].speed")
-            if speed <= 0:
-                _fail(f"robots[{i}].speed", "must be positive")
-            robots.append(RobotSpec(rid, start, speed))
+            if not isinstance(pname, str) or pname not in policies:
+                _fail(f"{path}.policy", f"undefined policy {pname!r}")
+            robots.append(RobotSpec(
+                rid, _rational(rdesc.get("start", "0"), f"{path}.start"),
+                _rational(rdesc.get("speed", "1"), f"{path}.speed", positive=True)))
             robot_policies[rid] = policies[pname]
-        if len({r.id for r in robots}) != 2:
+        ids = {r.id for r in robots}
+        if len(ids) != 2:
             _fail("robots", "robot ids must be distinct")
 
-    adversary_descs = []  # (path, descriptor) of each adversary the trials use
-    variants = None
-    if mode == "two_robot":
         adversary = raw.get("adversary")
         variants = raw.get("schedule_variants")
         if variants is not None and not isinstance(variants, list):
@@ -157,33 +172,28 @@ def parse_scenario(text: str) -> Scenario:
             _fail("adversary", "an adversary (or schedule_variants) is required")
         if variants and adversary is not None:  # checked, though the variants replace it
             _build(adversary_from_descriptor, adversary, "adversary")
-        adversary_descs = ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
-                           if variants else [("adversary", adversary)])
-    adversaries = []
-    ids = {r.id for r in robots}
-    for path, desc in adversary_descs:
-        adversaries.append(_build(adversary_from_descriptor, desc, path))
-        _check_robot_ids(adversaries[-1], ids, ids, path)
+        for path, desc in ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
+                           if variants else [("adversary", adversary)]):
+            adversaries.append(_build(adversary_from_descriptor, desc, path))
+            _check_robot_ids(adversaries[-1], ids, ids, path)
 
-    params = _mode_params(mode, _object(raw, "params"), _rat)
+    params = _mode_params(mode, _object(raw.get("params", {}), "params"))
+    if mode == "thm3_oracle" and trials != 1:
+        _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
 
     bound = None
     t5 = analysis.get("theorem5")
     if t5:
-        if not isinstance(t5, dict):
-            _fail("analysis.theorem5", "must be an object")
-        values = {}
-        for key in ("delta", "tau"):
-            values[key] = _rat(t5.get(key), f"analysis.theorem5.{key}")
-            if values[key] <= 0:
-                _fail(f"analysis.theorem5.{key}", "must be positive")
+        t5 = _object(t5, "analysis.theorem5")
+        delta = _rational(t5.get("delta"), "analysis.theorem5.delta", positive=True)
+        tau = _rational(t5.get("tau"), "analysis.theorem5.tau", positive=True)
         try:
-            bound = theorem5_bound(values["delta"], values["tau"])
+            bound = theorem5_bound(delta, tau)
         except OverflowError as exc:
             _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
 
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
-                    budgets=budgets, analysis=analysis, robots=robots,
+                    budgets=budgets, segment_attempts=segment, robots=robots,
                     adversaries=adversaries, robot_policies=robot_policies,
                     schedule_variants=variants, params=params,
                     theorem5_bound=bound, raw=raw)
@@ -212,45 +222,16 @@ def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
             _check_robot_ids(part, {rid}, known, f"{path}.{field}.{rid}")
 
 
-def _mode_params(mode: str, params: dict, rat) -> dict:
-    """The params ``mode`` reads, parsed and checked, defaults filled in.
-
-    ``rat(value, path)`` parses one rational.
-    """
-
-    def integer(key, default, low, high=None):
-        value = params.get(key, default)
-        if type(value) is not int or value < low or (high is not None and value > high):
-            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-            _fail(f"params.{key}", f"integer {bounds} required")
-        return value
-
-    def rational(key, default=None, positive=False):
-        if key not in params and default is None:
-            _fail(f"params.{key}", f"required for {mode} mode")
-        value = rat(params.get(key, default), f"params.{key}")
-        if positive and value <= 0:
-            _fail(f"params.{key}", "must be positive")
-        return value
-
-    def alphas(key, default=None):
-        values = params.get(key, default)
-        if values is None:
-            _fail(f"params.{key}", f"required for {mode} mode")
-        if not isinstance(values, list):
-            _fail(f"params.{key}", "must be a list")
-        out = [rat(a, f"params.{key}[{i}]") for i, a in enumerate(values)]
-        for i, a in enumerate(out):
-            if a <= 0:
-                _fail(f"params.{key}[{i}]", "must be positive")
-        return out
-
+def _mode_params(mode: str, params: dict) -> dict:
+    """The params ``mode`` reads, parsed and checked, defaults filled in."""
+    get = params.get
     if mode == "ssync":
-        return {"activations": integer("activations", 51, 1),
-                "delta": rational("delta", "1", positive=True)}
+        return {"activations": _integer(get("activations", 51), "params.activations", 1),
+                "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
     if mode == "thm3_oracle":
-        draws = integer("random_draws", None, 0)
-        opposite, same = alphas("opposite_alphas", []), alphas("same_alphas", [])
+        draws = _integer(get("random_draws"), "params.random_draws", 0)
+        opposite = _positive_rationals(get("opposite_alphas", []), "params.opposite_alphas")
+        same = _positive_rationals(get("same_alphas", []), "params.same_alphas")
         if 1 in same:
             _fail(f"params.same_alphas[{same.index(1)}]",
                   "equal speeds in the same direction never meet")
@@ -260,31 +241,34 @@ def _mode_params(mode: str, params: dict, rat) -> dict:
             _fail("params.opposite_alphas", "at least one alpha required")
         return {"configs": configs, "random_draws": draws}
     if mode == "thm4":
-        out = {"alphas": alphas("alphas")}
+        out = {"alphas": _positive_rationals(get("alphas"), "params.alphas")}
         if not out["alphas"]:
             _fail("params.alphas", "at least one alpha required")
-        out["tau"] = rational("tau", positive=True)
-        out["fixed_sum"] = rational("fixed_sum")
+        out["tau"] = _rational(get("tau"), "params.tau", positive=True)
+        out["fixed_sum"] = _rational(get("fixed_sum"), "params.fixed_sum")
         if out["fixed_sum"] <= out["tau"]:
             _fail("params.fixed_sum", "must exceed params.tau")
-        out["delta"] = rational("delta", "1", positive=True)
+        out["delta"] = _rational(get("delta", "1"), "params.delta", positive=True)
         return out
     if mode == "thm6":
-        waits = [rational("w_first", "2"), rational("w_second", "1")]
+        waits = [_rational(get("w_first", "2"), "params.w_first"),
+                 _rational(get("w_second", "1"), "params.w_second")]
         if waits[0] == waits[1]:
             _fail("params.w_second", "must differ from params.w_first")
         if min(waits) < 0:
             _fail("params.w_first" if waits[0] < 0 else "params.w_second",
                   "must be non-negative")
         return {"w_first": waits[0], "w_second": waits[1],
-                "delta": rational("delta", "1", positive=True)}
+                "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
     if mode == "lemma1":
-        return {"cycles": integer("cycles", 5, 1)}
+        return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}
     if mode == "multirobot":
-        return {"n": integer("n", 8, 2, experiments.MAX_PLANE_ROBOTS),
-                "max_tie_rounds": integer("max_tie_rounds", 200, 0),
-                "tie_trials": integer("tie_trials", 0, 0),
-                "tie_max_rounds": integer("tie_max_rounds", 30, 0)}
+        return {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
+                "max_tie_rounds": _integer(get("max_tie_rounds", 200),
+                                           "params.max_tie_rounds", 0),
+                "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
+                "tie_max_rounds": _integer(get("tie_max_rounds", 30),
+                                           "params.tie_max_rounds", 0)}
     return {}
 
 

@@ -87,11 +87,14 @@ class TrialOutcome:
     trace: Trace | None = None
 
 
-def first_gather_time(trace: Trace) -> Rat | None:
-    """The first gathering decision; every robot has decided in a gathered run."""
-    if not trace.gathered:
-        return None
-    return min(run.gathered_at for run in trace.runs.values())
+def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
+    """A trial's outcome read off its trace, ``fields`` added; every robot has
+    decided in a gathered run, so the first decision is its gathering time."""
+    return TrialOutcome(trial=trial, gathered=trace.gathered,
+                        total_looks=sum(trace.look_count.values()),
+                        first_gather_time=(min(run.gathered_at for run in trace.runs.values())
+                                           if trace.gathered else None),
+                        trace=trace, **fields)
 
 
 # ----------------------------------------------------------------------
@@ -110,14 +113,8 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
     policies = {rid: _trial_policy(p) for rid, p in scn.robot_policies.items()}
     trace = run(scn.robots, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
-    out = TrialOutcome(
-        trial=trial,
-        gathered=trace.gathered,
-        total_looks=sum(trace.look_count.values()),
-        first_gather_time=first_gather_time(trace),
-        trace=trace,
-    )
-    if scn.analysis.get("segment_attempts"):
+    out = outcome_of(trial, trace)
+    if scn.segment_attempts:
         attempts = segment_attempts(trace)
         phases = segment_phases(attempts)
         out.n_attempts, out.n_phases = len(attempts), len(phases)
@@ -171,10 +168,7 @@ def ssync_trial(scn, trial: int) -> TrialOutcome:
         if seen != delta / (2 ** k) or seen == 0:
             ok = False
             break
-    return TrialOutcome(trial=trial, gathered=trace.gathered,
-                        total_looks=sum(trace.look_count.values()),
-                        extras={"halving_ok": ok},
-                        trace=trace)
+    return outcome_of(trial, trace, extras={"halving_ok": ok})
 
 
 # ----------------------------------------------------------------------
@@ -231,14 +225,10 @@ def thm3_trial(scn, trial: int) -> TrialOutcome:
     lam = None if oracle else u01(spawn_rng(scn.master_seed, trial, "lam"))
     trace = catch_trial(alpha, geometry_kind, lam)
     decides = sum(1 for run in trace.runs.values() if run.gathered_at is not None)
-    return TrialOutcome(trial=trial, gathered=trace.gathered,
-                        total_looks=sum(trace.look_count.values()),
-                        first_gather_time=first_gather_time(trace),
-                        extras={"oracle_runs": int(oracle),
-                                "oracle_gathered": int(oracle and trace.gathered),
-                                "random_runs": int(not oracle),
-                                "random_decides": 0 if oracle else decides},
-                        trace=trace)
+    return outcome_of(trial, trace, extras={"oracle_runs": int(oracle),
+                                            "oracle_gathered": int(oracle and trace.gathered),
+                                            "random_runs": int(not oracle),
+                                            "random_decides": 0 if oracle else decides})
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +259,7 @@ def halving_count(trace: Trace, mover: int, other: int) -> int | None:
 
 
 def thm4_trial(scn, trial: int) -> TrialOutcome:
-    alphas = scn.params["alphas"]
-    alpha = alphas[trial // scn.trials] if len(alphas) > 1 else alphas[0]
+    alpha = scn.params["alphas"][trial // scn.trials]
     delta = scn.params["delta"]
     adversary = PerRobot({
         0: _THM4_FREE,
@@ -281,11 +270,7 @@ def thm4_trial(scn, trial: int) -> TrialOutcome:
     policies = {0: Deterministic(1 / (alpha + 1)), 1: TauTriple()}
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
-    return TrialOutcome(trial=trial, gathered=trace.gathered,
-                        total_looks=sum(trace.look_count.values()),
-                        first_gather_time=first_gather_time(trace),
-                        k_value=halving_count(trace, 0, 1),
-                        trace=trace)
+    return outcome_of(trial, trace, k_value=halving_count(trace, 0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +285,8 @@ def thm6_trial(scn, trial: int) -> TrialOutcome:
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
     ok, violations = looks_see_midmove(trace)
-    return TrialOutcome(trial=trial, gathered=trace.gathered,
-                        total_looks=sum(trace.look_count.values()),
-                        extras={"midmove_ok_all": ok, "total_violations": len(violations)},
-                        trace=trace)
+    return outcome_of(trial, trace,
+                      extras={"midmove_ok_all": ok, "total_violations": len(violations)})
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +450,8 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
             if d1 != d2:
                 equal = False
                 break
+    # Not outcome_of: "gathered" here means the two runs agree, and the row
+    # has no gathering time.
     return TrialOutcome(trial=trial, gathered=equal,
                         total_looks=sum(trace.look_count.values()),
                         extras={"equal_trials": int(equal)},

@@ -333,6 +333,12 @@ def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
     ({"params": []}, "params"),
     ({"analysis": {"theorem5": 3}}, "analysis.theorem5"),
     ({"analysis": {"theorem5": {"delta": "1"}}}, "analysis.theorem5.tau"),
+    ({"mode": []}, "mode"),
+    ({"analysis": {"segment_attempts": "false"}}, "analysis.segment_attempts"),
+    ({"analysis": {"segment_attempts": 1}}, "analysis.segment_attempts"),
+    ({"analysis": {"segment_attempts": None}}, "analysis.segment_attempts"),
+    ({"robots": [{"id": 0, "start": "0", "policy": ["p"]},
+                 {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].policy"),
 ])
 def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
@@ -408,6 +414,33 @@ def test_main_rejects_adversary_robot_ids(tmp_path, capsys, adversary, field, se
     assert f"validation error: {path}.{field}:" in capsys.readouterr().err
 
 
+_ADAPTIVE_PART = {"kind": "PER_ROBOT", "robots": {
+    "0": _ASYNC, "1": {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}}}
+
+
+@pytest.mark.parametrize("raw,path", [
+    ({**MINIMAL, "adversary": _ADAPTIVE_PART}, "adversary"),
+    ({**MINIMAL, "schedule_variants": [MINIMAL["adversary"], _ADAPTIVE_PART]},
+     "schedule_variants[1]"),
+], ids=["adversary", "schedule_variants"])
+def test_main_rejects_adaptive_per_robot_part(tmp_path, capsys, raw, path):
+    # A PER_ROBOT part hands out precommitted pairs; an adaptive one has none.
+    assert _run_exit_code(tmp_path, raw) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {path}: the part for robot 1 must be oblivious" in err
+
+
+@pytest.mark.parametrize("patch", [{"analysis": {"segment_attempts": False}}, {}],
+                         ids=["false", "absent"])
+def test_segment_attempts_off(patch):
+    tau = {"adversary": {"kind": "TAU_BOUNDED", "tau": "1/10"},
+           "budgets": {"max_total_looks": 30}}
+    on = run_experiment(scenario(**tau, analysis={"segment_attempts": True}))
+    assert on.summary["stats"]["n_attempts"] > 0
+    off = run_experiment(scenario(**tau, **patch))
+    assert off.summary["stats"]["n_attempts"] == 0
+
+
 SSYNC = {"name": "ss", "mode": "ssync", "params": {"activations": 4}}
 THM3 = {"name": "t3", "mode": "thm3_oracle", "params": {"opposite_alphas": ["2"],
                                                          "random_draws": 1}}
@@ -450,11 +483,21 @@ def _with(base, **params):
     ({**THM3, "params": {"opposite_alphas": ["2"]}}, "params.random_draws"),
     (_with(THM3, random_draws=-1), "params.random_draws"),
     (_with(THM4, delta="0"), "params.delta"),
+    ({**THM3, "trials": 2}, "trials"),
 ])
 def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
     # Checked when the scenario is compiled, before any trial runs.
     assert _run_exit_code(tmp_path, raw) == 2
     assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+def test_main_rejects_thm3_trials_flag(tmp_path, capsys):
+    # A thm3_oracle run is 1 + params.random_draws trials per alpha.
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(THM3))
+    assert main(["run", str(path), "--trials", "2", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: trials:") and "params.random_draws" in err
 
 
 @pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI])

@@ -22,7 +22,7 @@ BIG = F(10 ** 9)
 def scn(**kw):
     # A compiled scenario: ``params`` holds parsed values, defaults filled in.
     base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG),
-                analysis={}, schedule_variants=None)
+                segment_attempts=False, schedule_variants=None)
     base.update(kw)
     return SimpleNamespace(**base)
 
@@ -101,7 +101,7 @@ def test_repeat_count_general_stays_on_rat(monkeypatch, bound, ratio, k):
 
 def test_thm4_trial_counts_halvings():
     s = scn(params={"alphas": [F(1)], "delta": F(1), "tau": F(1, 2),
-                    "fixed_sum": F(13, 20)}, budgets=Budgets(48, BIG))
+                    "fixed_sum": F(13, 20)}, budgets=Budgets(48, BIG), trials=40)
     hist = {}
     for i in range(40):
         out = ex.thm4_trial(s, i)
@@ -152,7 +152,8 @@ FEW_TRIALS = {"thm3_oracle": {"params": {"random_draws": 1}},
 
 def _bundled(name, overrides):
     raw = json.loads(bundled_scenario_path(name).read_text())
-    raw["trials"] = 2
+    if raw["mode"] != "thm3_oracle":  # its trial count is set by params.random_draws
+        raw["trials"] = 2
     for key, value in overrides.items():
         raw[key] = {**raw.get(key, {}), **value}
     return parse_scenario(json.dumps(raw))
