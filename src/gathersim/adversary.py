@@ -262,12 +262,12 @@ class AdaptiveThm6:
             return (ZERO, ZERO)
         t = me.look_time
         other_look, other_pos_at_look = self._other_next_look(other)
-        travel = abs(dest - me.pos) / me.spec.speed
+        travel = me.travel
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
         # robot's next look; C is additionally clamped to be non-negative.
         hi = other_look - t
-        lo = other_look - t - travel
+        lo = hi - travel
         if lo < 0:
             lo = ZERO
         if not lo < hi:

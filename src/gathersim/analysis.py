@@ -272,24 +272,35 @@ def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     observe the other robot strictly inside a move (move_start < t <
     move_end) at a positive distance.  Returns (ok, violations), the
     violations in time order.
+
+    A robot's looks come in time order, so one forward pointer over the
+    other robot's segments answers all of them: the only candidate move
+    is the latest one starting strictly before the look, as in
+    ``is_mid_move``.
     """
     a, b = trace.robot_ids
-    other = {a: trace.runs[b], b: trace.runs[a]}
-    looks = [(seg, rid) for rid in (a, b) for seg in trace.runs[rid].segments]
-    if not looks:
+    runs = trace.runs
+    firsts = [run.segments[0].look_time for run in runs.values() if run.segments]
+    if not firsts:
         return True, []
-    first_time = min(seg.look_time for seg, _ in looks)
+    first_time = min(firsts)
     violations = []
-    for seg, rid in looks:
-        t = seg.look_time
-        if t == first_time:
-            continue
-        moving = is_mid_move(other[rid], t)
-        distance_ok = seg.observed != seg.origin
-        if not (moving and distance_ok):
-            violations.append((t, rid, moving, distance_ok))
+    for rid, other_id in ((a, b), (b, a)):
+        others = runs[other_id].segments
+        last = len(others) - 1
+        j = -1  # the latest of ``others`` whose move starts strictly before t
+        for seg in runs[rid].segments:
+            t = seg.look_time
+            if t == first_time:
+                continue
+            while j < last and others[j + 1].move_start < t:
+                j += 1
+            moving = j >= 0 and t < others[j].move_end
+            distance_ok = seg.observed != seg.origin
+            if not (moving and distance_ok):
+                violations.append((t, rid, moving, distance_ok))
     # A stable sort on (time, robot id) keeps a robot's same-instant
     # re-looks in cycle order.
     violations.sort(key=lambda v: (v[0], v[1]))
-    decided = any(run.gathered_at is not None for run in trace.runs.values())
+    decided = any(run.gathered_at is not None for run in runs.values())
     return (not violations and not decided), violations

@@ -182,9 +182,8 @@ def parse_scenario(text: str) -> Scenario:
         _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
 
     bound = None
-    t5 = analysis.get("theorem5")
-    if t5:
-        t5 = _object(t5, "analysis.theorem5")
+    if "theorem5" in analysis:  # only an absent key skips the bound
+        t5 = _object(analysis["theorem5"], "analysis.theorem5")
         delta = _rational(t5.get("delta"), "analysis.theorem5.delta", positive=True)
         tau = _rational(t5.get("tau"), "analysis.theorem5.tau", positive=True)
         try:

@@ -16,7 +16,8 @@ the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.  The
 adversary's ``computation_delay`` gets the destination each look computed
-and the pair (looking robot, other robot) as the run holds them.
+and the pair (looking robot, other robot) as the run holds them; the
+looking robot already holds that move's ``travel`` time.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -234,11 +235,14 @@ class _LiveRobot:
     """Mutable per-run robot state driving the event loop.
 
     ``next_time`` and ``next_rank`` are the pending event's time and its
-    ``_KIND_TIE`` rank while the robot is not done.
+    ``_KIND_TIE`` rank while the robot is not done.  ``travel`` is the
+    duration of the move its latest look computed, set before the
+    adversary chooses that move's delay.
     """
 
     __slots__ = ("spec", "policy", "segments", "phase", "cycle", "pos", "wait",
-                 "look_time", "move_start", "move_end", "dest", "next_time", "next_rank")
+                 "look_time", "move_start", "move_end", "dest", "travel",
+                 "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
         self.spec = spec
@@ -252,6 +256,7 @@ class _LiveRobot:
         self.move_start = ZERO
         self.move_end = ZERO
         self.dest = spec.start
+        self.travel = ZERO
         self.next_time = ZERO
         self.next_rank = _KIND_TIE[LOOK]
 
@@ -271,7 +276,7 @@ class _LiveRobot:
         self.dest = dest
         self.move_start = self.next_time = t + compute
         self.next_rank = _KIND_TIE[MOVE_START]
-        self.move_end = self.move_start + abs(dest - self.pos) / self.spec.speed
+        self.move_end = self.move_start + self.travel
         self.segments.append(CycleSegment(
             self.cycle, self.wait, t, compute, lam, self.move_start, self.move_end,
             self.pos, dest, observed))
@@ -351,6 +356,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
             else:
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
+                st.travel = abs(dest - st.pos) / st.spec.speed
                 compute = adversary.computation_delay(st.spec.id, st.cycle, dest, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START

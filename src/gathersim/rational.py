@@ -8,15 +8,20 @@ predicate is exact collocation.
 ``Rat`` is the one scalar type of every scenario: a ``fractions.Fraction``
 subclass whose arithmetic with another ``Rat`` or an ``int`` reads the
 numerators and denominators directly, without ``Fraction``'s operator
-dispatch.  Each value carries a tag, set once when it is built: the
-exponent ``e`` when its denominator is ``2**e``, and -1 otherwise.  Between
-two tagged (dyadic) values, ``+ - * /`` and the comparisons are shifts and
-integer adds with no gcd, which keeps long adaptive runs fast: their
-denominators grow by about 20 bits per look.  Any other pair takes
-``Fraction``'s gcd algorithm.  Every operand of another type is left to
-``Fraction``, whose result is a plain ``Fraction`` of the same value.
-Values, ``hash``, ``str`` and ``format_rat`` are ``Fraction``'s own, so
-reports and traces never depend on the representation.
+dispatch.  Each of ``+ - * /`` (forward and reflected) and the comparisons
+is one Python frame: it reads its operand, computes and builds its result
+itself, with no helper call.  Each value carries a tag, set once when it
+is built: the exponent ``e`` when its denominator is ``2**e``, and -1
+otherwise.  Between two tagged (dyadic) values, ``+ - * /`` and the
+comparisons are shifts and integer adds with no gcd, which keeps long
+adaptive runs fast: their denominators grow by about 20 bits per look.
+Any other pair takes ``Fraction``'s gcd algorithm, and dividing by one
+returns the dividend.  Every operand of another type is left to
+``Fraction``'s operators: a ``Fraction`` gives a plain ``Fraction`` of the
+same value, and a type ``Fraction`` does not know gets ``NotImplemented``,
+so Python calls that type's reflected method.  Values, ``hash``, ``str``
+and ``format_rat`` are ``Fraction``'s own, so reports and traces never
+depend on the representation.
 
 The scenario parser, the constants below, the uniform draws and every
 trial build their values as ``Rat``.
@@ -50,7 +55,8 @@ class Rat(Fraction):
     ``_exp`` is e when the denominator is 2**e and -1 otherwise.  ``+ - *
     /``, the comparisons, ``==``, ``-x``, ``+x`` and ``abs`` give a ``Rat``
     (or a bool) when the other operand is a ``Rat`` or an ``int``; any
-    other operand is left to ``Fraction``.
+    other operand is left to ``Fraction``, which returns ``NotImplemented``
+    for a type it does not know.
     """
 
     __slots__ = ("_exp",)
@@ -60,63 +66,41 @@ class Rat(Fraction):
         self._exp = _tag(self._denominator)
         return self
 
-    def __add__(a, b):
-        p = _operand(b)
-        if p is None:
-            return Fraction.__add__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0:
-            return _dyadic_sum(a._numerator, a._denominator, a._exp, nb, db, eb)
-        return _sum(a._numerator, a._denominator, nb, db)
-
-    def __sub__(a, b):
-        p = _operand(b)
-        if p is None:
-            return Fraction.__sub__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0:
-            return _dyadic_sum(a._numerator, a._denominator, a._exp, -nb, db, eb)
-        return _sum(a._numerator, a._denominator, -nb, db)
-
-    def __rsub__(a, b):
-        p = _operand(b)
-        if p is None:
-            return Fraction.__rsub__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0:
-            return _dyadic_sum(-a._numerator, a._denominator, a._exp, nb, db, eb)
-        return _sum(nb, db, -a._numerator, a._denominator)
-
     def __mul__(a, b):
-        p = _operand(b)
-        if p is None:
+        t = type(b)
+        if t is Rat:
+            nb, db, eb = b._numerator, b._denominator, b._exp
+        elif t is int:
+            nb, db, eb = b, 1, 0
+        else:
             return Fraction.__mul__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0:
-            return _dyadic(a._numerator * nb, a._exp + eb)
-        return _product(a._numerator, a._denominator, nb, db)
+        na, da, ea = a._numerator, a._denominator, a._exp
+        if ea >= 0 and eb >= 0:
+            n, e = na * nb, ea + eb
+            if not n:
+                e = 0
+            elif e and not n & 1:  # an integer factor may cancel powers of two
+                z = min((n & -n).bit_length() - 1, e)
+                n >>= z
+                e -= z
+            d = 1 << e
+        else:  # Fraction's algorithm
+            g1 = gcd(na, db)
+            if g1 > 1:
+                na //= g1
+                db //= g1
+            g2 = gcd(nb, da)
+            if g2 > 1:
+                nb //= g2
+                da //= g2
+            n, d = na * nb, db * da
+            e = d.bit_length() - 1 if not d & (d - 1) else -1
+        x = _new_object(Rat)
+        x._numerator, x._denominator, x._exp = n, d, e
+        return x
 
-    # Addition and multiplication commute, also in Fraction's fallbacks.
-    __radd__ = __add__
+    # Multiplication commutes, also in Fraction's fallback.
     __rmul__ = __mul__
-
-    def __truediv__(a, b):
-        p = _operand(b)
-        if p is None:
-            return Fraction.__truediv__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0 and _is_pow2(nb):
-            return _dyadic_over(a._numerator, a._exp, nb, eb)
-        return _quotient(a._numerator, a._denominator, nb, db)
-
-    def __rtruediv__(a, b):
-        p = _operand(b)
-        if p is None:
-            return Fraction.__rtruediv__(a, b)
-        nb, db, eb = p
-        if a._exp >= 0 and eb >= 0 and _is_pow2(a._numerator):
-            return _dyadic_over(nb, eb, a._numerator, a._exp)
-        return _quotient(nb, db, a._numerator, a._denominator)
 
     def __eq__(a, b):
         t = type(b)
@@ -139,9 +123,124 @@ class Rat(Fraction):
         return a
 
 
+# Each operator below reads its operand, computes and builds its result in
+# its own frame, as ``__mul__`` does: a run makes dozens of operations per
+# look, so helper frames would cost a measurable share of it.  The operand
+# is read as in ``_comparison``: a Rat or an int directly, anything else
+# by ``fallback``.
+
+def _additive(negate, reflected, fallback):
+    """a + b, a - b (``negate``) or b - a (``negate`` and ``reflected``)."""
+    def op(a, b):
+        t = type(b)
+        if t is Rat:
+            nb, db, eb = b._numerator, b._denominator, b._exp
+        elif t is int:
+            nb, db, eb = b, 1, 0
+        else:
+            return fallback(a, b)
+        na, da, ea = a._numerator, a._denominator, a._exp
+        if reflected:
+            na, da, ea, nb, db, eb = nb, db, eb, na, da, ea
+        if negate:
+            nb = -nb
+        if ea >= 0 and eb >= 0:
+            # With unequal exponents the finer operand's numerator is odd
+            # and the other term even, so the sum is in lowest terms.
+            if ea > eb:
+                n, d, e = na + (nb << (ea - eb)), da, ea
+            elif eb > ea:
+                n, d, e = (na << (eb - ea)) + nb, db, eb
+            else:
+                n, e = na + nb, ea
+                if not n:
+                    e = 0
+                elif e and not n & 1:
+                    z = min((n & -n).bit_length() - 1, e)
+                    n >>= z
+                    e -= z
+                d = 1 << e
+        else:  # Fraction's algorithm
+            g = gcd(da, db)
+            if g == 1:
+                n, d = na * db + da * nb, da * db
+            else:
+                s = da // g
+                n = na * (db // g) + nb * s
+                g2 = gcd(n, g)
+                if g2 == 1:
+                    d = s * db
+                else:
+                    n //= g2
+                    d = s * (db // g2)
+            e = d.bit_length() - 1 if not d & (d - 1) else -1
+        x = _new_object(Rat)
+        x._numerator, x._denominator, x._exp = n, d, e
+        return x
+    op.__name__ = fallback.__name__
+    return op
+
+
+def _quotient(reflected, fallback):
+    """a / b, or b / a when ``reflected``."""
+    def op(a, b):
+        t = type(b)
+        if t is Rat:
+            nb, db, eb = b._numerator, b._denominator, b._exp
+        elif t is int:
+            nb, db, eb = b, 1, 0
+        else:
+            return fallback(a, b)
+        if nb == 1 and db == 1 and not reflected:  # dividing by one, as by a unit speed
+            return a
+        na, da, ea = a._numerator, a._denominator, a._exp
+        if reflected:
+            na, da, ea, nb, db, eb = nb, db, eb, na, da, ea
+        if ea >= 0 and eb >= 0 and nb and not (abs(nb) & (abs(nb) - 1)):
+            # A divisor +-2**k over 2**eb: the quotient is +-na over
+            # 2**(ea - eb + k), no gcd.
+            n = na if nb > 0 else -na
+            e = ea - eb + abs(nb).bit_length() - 1
+            if e < 0:
+                n, e = n << -e, 0
+            elif not n:
+                e = 0
+            elif e and not n & 1:
+                z = min((n & -n).bit_length() - 1, e)
+                n >>= z
+                e -= z
+            d = 1 << e
+        else:  # Fraction's algorithm
+            if nb == 0:
+                raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+            g1 = gcd(na, nb)
+            if g1 > 1:
+                na //= g1
+                nb //= g1
+            g2 = gcd(db, da)
+            if g2 > 1:
+                da //= g2
+                db //= g2
+            n, d = na * db, nb * da
+            if d < 0:
+                n, d = -n, -d
+            e = d.bit_length() - 1 if not d & (d - 1) else -1
+        x = _new_object(Rat)
+        x._numerator, x._denominator, x._exp = n, d, e
+        return x
+    op.__name__ = fallback.__name__
+    return op
+
+
+Rat.__add__ = Rat.__radd__ = _additive(False, False, Fraction.__add__)
+Rat.__sub__ = _additive(True, False, Fraction.__sub__)
+Rat.__rsub__ = _additive(True, True, Fraction.__rsub__)
+Rat.__truediv__ = _quotient(False, Fraction.__truediv__)
+Rat.__rtruediv__ = _quotient(True, Fraction.__rtruediv__)
+
+
 def _comparison(op, fallback):
     def compare(a, b):
-        # _operand, inlined: comparisons are the most frequent operations.
         t = type(b)
         if t is Rat:
             nb, db, eb = b._numerator, b._denominator, b._exp
@@ -185,96 +284,6 @@ def _make(n: int, d: int, e: int) -> Rat:
 def _coprime(n: int, d: int) -> Rat:
     """n / d for coprime n and d > 0, tagged."""
     return _make(n, d, _tag(d))
-
-
-def _operand(b):
-    """(numerator, denominator, tag) of a Rat or an int; None otherwise."""
-    t = type(b)
-    if t is Rat:
-        return b._numerator, b._denominator, b._exp
-    if t is int:
-        return b, 1, 0
-    return None
-
-
-# Fraction's own algorithms, on integer parts.
-
-def _sum(na: int, da: int, nb: int, db: int) -> Rat:
-    g = gcd(da, db)
-    if g == 1:
-        return _coprime(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _coprime(t, s * db)
-    return _coprime(t // g2, s * (db // g2))
-
-
-def _product(na: int, da: int, nb: int, db: int) -> Rat:
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _coprime(na * nb, db * da)
-
-
-def _quotient(na: int, da: int, nb: int, db: int) -> Rat:
-    if nb == 0:
-        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d < 0:
-        n, d = -n, -d
-    return _coprime(n, d)
-
-
-# Shifts and adds on m / 2**e, never a gcd.
-
-def _dyadic(m: int, e: int) -> Rat:
-    """m / 2**e with the common powers of two cancelled."""
-    if e and m:
-        z = min((m & -m).bit_length() - 1, e)
-        m >>= z
-        e -= z
-    elif not m:
-        e = 0
-    return _make(m, 1 << e, e)
-
-
-def _dyadic_sum(m1: int, d1: int, e1: int, m2: int, d2: int, e2: int) -> Rat:
-    # With unequal exponents the finer operand's m is odd and the other
-    # term is even, so the sum is already in lowest terms.
-    if e1 > e2:
-        return _make(m1 + (m2 << (e1 - e2)), d1, e1)
-    if e2 > e1:
-        return _make((m1 << (e2 - e1)) + m2, d2, e2)
-    return _dyadic(m1 + m2, e1)
-
-
-def _is_pow2(m: int) -> bool:
-    """True when m is +-2**k."""
-    m = abs(m)
-    return m != 0 and not m & (m - 1)
-
-
-def _dyadic_over(m1: int, e1: int, m2: int, e2: int) -> Rat:
-    """(m1 / 2**e1) / (m2 / 2**e2) for m2 == +-2**k."""
-    e = e1 - e2 + abs(m2).bit_length() - 1
-    if m2 < 0:
-        m1 = -m1
-    return _dyadic(m1, e) if e >= 0 else _make(m1 << -e, 1, 0)
 
 
 ZERO = _make(0, 1, 0)
@@ -335,7 +344,10 @@ def rat_sqrt(x: Fraction) -> Rat:
 
 def grid_point(k: int) -> Rat:
     """k / 2**53, the k-th point of the uniform draws' grid (no gcd)."""
-    return _dyadic(k, U01_BITS)
+    if not k:
+        return ZERO
+    z = min((k & -k).bit_length() - 1, U01_BITS)
+    return _make(k >> z, 1 << (U01_BITS - z), U01_BITS - z)
 
 
 def u01(rng: random.Random) -> Rat:

@@ -6,9 +6,10 @@ minimizes squared distance over a refined rational grid, the event
 reference records every event as it happens, in an event loop of its own,
 instead of deriving the log from cycle segments as the engine does, the
 trace text is built as a dict tree and encoded by ``json.dumps``, the
-distance profile calls ``position_at`` at each sorted breakpoint, and the
+distance profile calls ``position_at`` at each sorted breakpoint, the
 attempt reference recomputes each window's distances and rescans each
-robot's remaining segments for every attempt.
+robot's remaining segments for every attempt, and the mid-move check
+bisects the other robot's segments afresh for every look.
 """
 
 import json
@@ -16,7 +17,7 @@ import random
 from bisect import bisect_left
 from fractions import Fraction
 
-from gathersim.analysis import AttemptRecord, max_distance_from
+from gathersim.analysis import AttemptRecord, is_mid_move, max_distance_from
 from gathersim.engine import position_at
 from gathersim.geometry import add, scale, sqdist, sub
 from gathersim.policies import destination
@@ -186,6 +187,28 @@ def reference_segment_attempts(trace):
     return attempts
 
 
+def reference_looks_see_midmove(trace):
+    """``analysis.looks_see_midmove`` with one ``is_mid_move`` bisect per look."""
+    a, b = trace.robot_ids
+    other = {a: trace.runs[b], b: trace.runs[a]}
+    looks = [(seg, rid) for rid in (a, b) for seg in trace.runs[rid].segments]
+    if not looks:
+        return True, []
+    first_time = min(seg.look_time for seg, _ in looks)
+    violations = []
+    for seg, rid in looks:
+        t = seg.look_time
+        if t == first_time:
+            continue
+        moving = is_mid_move(other[rid], t)
+        distance_ok = seg.observed != seg.origin
+        if not (moving and distance_ok):
+            violations.append((t, rid, moving, distance_ok))
+    violations.sort(key=lambda v: (v[0], v[1]))
+    decided = any(run.gathered_at is not None for run in trace.runs.values())
+    return (not violations and not decided), violations
+
+
 def grid_project_coordinate(q, p1, p2, span=64):
     """Scaled line coordinate of q's projection, found by a refined grid
     search minimizing the squared distance to the line point."""
@@ -224,6 +247,7 @@ class _RefRobot:
         self.move_end = Fraction(0)
         self.origin = spec.start
         self.dest = spec.start
+        self.travel = Fraction(0)
         self.lam = None
         self.look_count = 0
 
@@ -298,12 +322,13 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                 continue
             lam = st.policy.sample(rng)
             dest = destination(st.pos, obs, lam)
+            st.travel = abs(dest - st.pos) / st.spec.speed
             compute = adversary.computation_delay(rid, st.cycle, dest, (st, other))
             if compute < 0:
                 raise ValueError("adversary produced a negative computation delay")
             st.lam, st.dest, st.origin = lam, dest, st.pos
             st.move_start = t + compute
-            st.move_end = st.move_start + abs(dest - st.pos) / st.spec.speed
+            st.move_end = st.move_start + st.travel
             st.phase = "computing"
         elif kind == "MOVE_START":
             events.append((t, rid, "MOVE_START",

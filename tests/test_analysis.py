@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 from oracles import (brute_force_attempts, brute_max_distance, reference_distance_profile,
-                     reference_segment_attempts)
+                     reference_looks_see_midmove, reference_segment_attempts)
 from test_engine import tie_heavy_runs
 
-from gathersim.adversary import ObliviousExplicit, TauBounded
+from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, TauBounded
 from gathersim.analysis import (
     AttemptRecord,
     PhaseRecord,
@@ -17,6 +17,7 @@ from gathersim.analysis import (
     binomial_halfwidth_3sigma,
     classify_success,
     geometric_repeat_count,
+    looks_see_midmove,
     max_distance_from,
     segment_attempts,
     segment_phases,
@@ -108,6 +109,77 @@ def test_distance_profile_matches_reference_dyadic():
         tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
                  spawn_rng("profile", seed), Budgets(30, BIG))
         assert_profile_matches_reference(tr)
+
+
+# ----------------------------------------------------------------------
+# looks_see_midmove: one forward sweep, against a bisect per look
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_run=tie_heavy_runs)
+def test_midmove_sweep_matches_reference(family_run):
+    # Explicit schedules with W = C = 0 and lambda 0 give same-instant
+    # re-looks and looks of both robots at one instant, so the order of
+    # the violations is compared too.
+    make_run, budgets = family_run
+    tr = run(*make_run(), budgets)
+    assert looks_see_midmove(tr) == reference_looks_see_midmove(tr)
+
+
+def test_midmove_sweep_matches_reference_random_runs():
+    specs = two_bots()
+    found = 0
+    for seed in range(10):
+        for adv in (TauBounded(F(1, 10), seed=seed), TauBounded(Rat(1, 1024), seed=seed),
+                    AdaptiveThm6({0: F(2), 1: F(1)})):
+            tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv,
+                     spawn_rng("midmove", seed), Budgets(60, BIG))
+            got = looks_see_midmove(tr)
+            assert got == reference_looks_see_midmove(tr)
+            found += len(got[1])
+    assert found  # the TAU_BOUNDED runs have looks that see the other at rest
+
+
+def test_midmove_violations_in_time_then_robot_order():
+    # Robot 0 looks every 1/2; robot 1 looks three times at t = 1 (lambda
+    # 0, no wait).  Nobody moves, so every look after t = 1/2 is a
+    # violation; robot 0's look at 3/2 comes after all of robot 1's at 1.
+    adv = explicit([(F(1, 2), 0)] * 6, [(1, 0), (0, 0), (0, 0)] + [(9, 0)] * 3)
+    tr = run(two_bots(), {0: Deterministic(F(0)), 1: Deterministic(F(0))}, adv, 0,
+             Budgets(6, F(10)))
+    expected = [(F(1), 0, False, True)] + [(F(1), 1, False, True)] * 3 + [
+        (F(3, 2), 0, False, True)]
+    assert looks_see_midmove(tr) == reference_looks_see_midmove(tr) == (False, expected)
+
+
+def _midmove_comparisons(monkeypatch, looks):
+    """Rat comparisons ``looks_see_midmove`` makes on a thm6 trace, and the
+    trace's looks plus segments."""
+    specs = [RobotSpec(0, Rat(1), Rat(1)), RobotSpec(1, Rat(0), Rat(1))]
+    tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, AdaptiveThm6({0: Rat(2), 1: Rat(1)}),
+             spawn_rng("midmove-count"), Budgets(looks, Rat(BIG)))
+    calls = [0]
+    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+        def counted(a, b, _op=getattr(Rat, name)):
+            calls[0] += 1
+            return _op(a, b)
+        monkeypatch.setattr(Rat, name, counted)
+    ok, _ = looks_see_midmove(tr)
+    monkeypatch.undo()
+    assert ok
+    return calls[0], sum(tr.look_count.values()) + sum(
+        len(r.segments) for r in tr.runs.values())
+
+
+def test_midmove_comparisons_are_linear(monkeypatch):
+    # Counted, not timed: each look compares once against the first look
+    # instant, once per step of the other robot's pointer plus once to
+    # stop it, and once each for the move end and the distance: 2.5 per
+    # look and segment.  A bisect per look makes about log2(segments)
+    # more: 5.3 per look and segment at 100 looks, 6.3 at 400.
+    for looks in (100, 400):
+        count, size = _midmove_comparisons(monkeypatch, looks)
+        assert count <= 3 * size, (looks, count, size)
 
 
 # ----------------------------------------------------------------------

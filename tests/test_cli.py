@@ -339,6 +339,12 @@ def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
     ({"analysis": {"segment_attempts": None}}, "analysis.segment_attempts"),
     ({"robots": [{"id": 0, "start": "0", "policy": ["p"]},
                  {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].policy"),
+    # Only an absent key skips the bound; a falsy value is no object either.
+    ({"analysis": {"theorem5": []}}, "analysis.theorem5"),
+    ({"analysis": {"theorem5": 0}}, "analysis.theorem5"),
+    ({"analysis": {"theorem5": ""}}, "analysis.theorem5"),
+    ({"analysis": {"theorem5": False}}, "analysis.theorem5"),
+    ({"analysis": {"theorem5": None}}, "analysis.theorem5"),
 ])
 def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2

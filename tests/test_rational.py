@@ -130,6 +130,13 @@ dyadic_fractions = st.builds(lambda m, e: Fraction(m, 2 ** e),
                              st.integers(-2 ** 70, 2 ** 70), st.integers(0, 80))
 other_fractions = st.fractions(max_denominator=10 ** 6)
 fractions_ = st.one_of(dyadic_fractions, other_fractions)
+# adaptive_long's denominators reach about 8 400 bits, and its numerators
+# are as long.
+WORKLOAD_BITS = 8500
+workload_fractions = st.one_of(fractions_, st.builds(
+    lambda m, e: Fraction(m, 2 ** e),
+    st.integers(-2 ** WORKLOAD_BITS, 2 ** WORKLOAD_BITS),
+    st.integers(0, WORKLOAD_BITS) | st.integers(WORKLOAD_BITS - 500, WORKLOAD_BITS)))
 BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
           operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne]
 
@@ -151,24 +158,31 @@ def _assert_same(got, expected):
         return
     assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
     assert hash(got) == hash(expected)
-    assert str(got) == str(expected)
+    try:
+        text = str(expected)
+    except ValueError:  # past str's digit limit for ints; the parts agree
+        return
+    assert str(got) == text
     assert format_rat(got) == format_rat(expected)
 
 
 @settings(max_examples=1000)
-@given(fractions_, st.data(), st.sampled_from(BINARY), st.booleans())
+@given(workload_fractions, st.data(), st.sampled_from(BINARY), st.booleans())
 def test_rat_operations_equal_fraction(x, data, op, swap):
-    # The other operand: an int (often with many factors of two, or zero),
-    # +-2**k, a dyadic or a non-dyadic rational, or x rounded to a grid of
-    # 2**-k, which gives ties (k >= x's exponent) and near-ties across
-    # exponents.  A rational operand is a Rat or, for the fallback, a plain
+    # The other operand: an int (often with many factors of two, or zero,
+    # or +-1), +-2**k (1 included), a dyadic or a non-dyadic rational, or x
+    # rounded to a grid of 2**-k, which gives ties (k >= x's exponent) and
+    # near-ties across exponents.  Shifts and exponents reach the workload's
+    # sizes.  A rational operand is a Rat or, for the fallback, a plain
     # Fraction.
+    k_ = st.one_of(st.integers(0, 90), st.integers(0, WORKLOAD_BITS))
     y = data.draw(st.one_of(
-        st.builds(operator.lshift, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 90)),
+        st.builds(operator.lshift, st.integers(-2 ** 20, 2 ** 20), k_),
+        st.sampled_from([0, 1, -1]),
         st.builds(lambda sign, k: sign * Fraction(2) ** k,
-                  st.sampled_from([1, -1]), st.integers(-90, 90)),
-        fractions_,
-        st.integers(0, 90).map(lambda k: Fraction(round(x * 2 ** k), 2 ** k)),
+                  st.sampled_from([1, -1]), st.integers(-90, 90) | k_.map(operator.neg) | k_),
+        workload_fractions,
+        k_.map(lambda k: Fraction(round(x * 2 ** k), 2 ** k)),
     ))
     plain_y = type(y) is Fraction and data.draw(st.booleans())
     args = (Rat(x), y if type(y) is int or plain_y else Rat(y))
@@ -189,6 +203,99 @@ def test_rat_operations_equal_fraction(x, data, op, swap):
         assert type(got) is Fraction
     else:
         _assert_tagged(got)
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(7), Fraction(-3, 4), Fraction(5, 6),
+                               Fraction(3 ** 5000, 2 ** WORKLOAD_BITS),
+                               Fraction(-(3 ** 5000), 5 * 2 ** 400)])
+@pytest.mark.parametrize("one", [1, ONE, Rat(1)])
+def test_rat_division_by_one(x, one):
+    # Dividing by one returns the dividend; one over x is the reciprocal.
+    r = Rat(x)
+    for got, expected in ((r / one, x), (r / -one, -x)):
+        _assert_tagged(got)
+        _assert_same(got, expected)
+    if x:
+        got = one / r
+        _assert_tagged(got)
+        _assert_same(got, 1 / x)
+    if type(one) is Rat:  # x / 1 reflected, from an int dividend
+        _assert_same(operator.truediv(int(x), one), Fraction(int(x)))
+
+
+class _Foreign:
+    """A numeric type neither Rat nor Fraction knows.  It has reflected
+    operators only; each records its name and returns it."""
+
+    def __init__(self):
+        self.called = []
+
+    def _record(self, name):
+        self.called.append(name)
+        return name
+
+    def __radd__(self, other):
+        return self._record("__radd__")
+
+    def __rsub__(self, other):
+        return self._record("__rsub__")
+
+    def __rmul__(self, other):
+        return self._record("__rmul__")
+
+    def __rtruediv__(self, other):
+        return self._record("__rtruediv__")
+
+    def __gt__(self, other):
+        return self._record("__gt__")
+
+    def __ge__(self, other):
+        return self._record("__ge__")
+
+    def __lt__(self, other):
+        return self._record("__lt__")
+
+    def __le__(self, other):
+        return self._record("__le__")
+
+
+_RATS = [Rat(3, 4), Rat(5, 6), Rat(7)]
+
+
+# A value type of its own (say, an affine form in one symbolic draw) can
+# mix with Rat only if Rat declines it: Python then calls the foreign
+# type's reflected method.
+@pytest.mark.parametrize("op,method,reflected", [
+    (operator.add, "__add__", "__radd__"),
+    (operator.sub, "__sub__", "__rsub__"),
+    (operator.mul, "__mul__", "__rmul__"),
+    (operator.truediv, "__truediv__", "__rtruediv__"),
+    (operator.lt, "__lt__", "__gt__"),
+    (operator.le, "__le__", "__ge__"),
+    (operator.gt, "__gt__", "__lt__"),
+    (operator.ge, "__ge__", "__le__"),
+])
+@pytest.mark.parametrize("x", _RATS)
+def test_rat_leaves_foreign_operands_to_their_type(x, op, method, reflected):
+    foreign = _Foreign()
+    assert getattr(Rat, method)(x, foreign) is NotImplemented
+    assert op(x, foreign) == reflected
+    assert foreign.called == [reflected]
+
+
+@pytest.mark.parametrize("op,method", [
+    (operator.add, "__radd__"),
+    (operator.sub, "__rsub__"),
+    (operator.mul, "__rmul__"),
+    (operator.truediv, "__rtruediv__"),
+])
+@pytest.mark.parametrize("x", _RATS)
+def test_rat_reflected_operators_decline_foreign_operands(x, op, method):
+    # _Foreign has no forward operator, so Python asks Rat's reflected one,
+    # which declines too.
+    assert getattr(Rat, method)(x, _Foreign()) is NotImplemented
+    with pytest.raises(TypeError):
+        op(_Foreign(), x)
 
 
 @given(fractions_)
