@@ -80,8 +80,6 @@ class ObliviousExplicit(_Oblivious):
 
     schedules: Mapping[int, Sequence[tuple[Rat, Rat]]]
 
-    kind = "OBLIVIOUS_EXPLICIT"
-
     def __post_init__(self):
         if any(w < 0 or c < 0 for seq in self.schedules.values() for w, c in seq):
             raise AdversaryError("waits and delays must be non-negative")
@@ -115,8 +113,6 @@ class ObliviousGenerated(_Seeded):
     values: tuple
     seed: int
 
-    kind = "OBLIVIOUS_GENERATED"
-
     def __post_init__(self):
         if self.generator == "uniform":
             w_lo, w_hi, c_lo, c_hi = self.values
@@ -147,8 +143,6 @@ class TauBounded(_Seeded):
     seed: int
     fixed_sum: Rat | None = None
 
-    kind = "TAU_BOUNDED"
-
     def __post_init__(self):
         if self.tau <= 0:
             raise AdversaryError("tau must be positive")
@@ -167,31 +161,10 @@ class TauBounded(_Seeded):
 
 
 @dataclass
-class AsyncIC(_Seeded):
-    """Zero computation delay; waits drawn uniformly from [w_lo, w_hi]."""
-
-    w_lo: Rat
-    w_hi: Rat
-    seed: int
-
-    kind = "ASYNC_IC"
-
-    def __post_init__(self):
-        if not 0 <= self.w_lo <= self.w_hi:
-            raise AdversaryError("waits need 0 <= w_lo <= w_hi")
-
-    def next_delays(self, robot_id, cycle):
-        rng = spawn_rng(self.seed, "wc", robot_id, cycle)
-        return (uniform_closed(rng, self.w_lo, self.w_hi), ZERO)
-
-
-@dataclass
 class PerRobot(_Oblivious):
     """Composite assigning a different oblivious adversary to each robot."""
 
     parts: Mapping[int, _Oblivious]
-
-    kind = "PER_ROBOT"
 
     def __post_init__(self):
         for rid, part in self.parts.items():
@@ -223,8 +196,6 @@ class AdaptiveThm6:
 
     initial_waits: Mapping[int, Rat]
     _next_wait: dict = field(default_factory=dict, init=False, repr=False)
-
-    kind = "ADAPTIVE_THM6"
 
     def __post_init__(self):
         waits = list(self.initial_waits.values())
@@ -295,40 +266,49 @@ class AdaptiveThm6:
         raise InfeasibleDelayError(f"unexpected phase {other.phase!r} at a look")
 
 
-AdversaryPolicy = (
-    ObliviousExplicit | ObliviousGenerated | TauBounded | AsyncIC | PerRobot | AdaptiveThm6
-)
+AdversaryPolicy = ObliviousExplicit | ObliviousGenerated | TauBounded | PerRobot | AdaptiveThm6
 
 
 def adversary_from_descriptor(desc: dict) -> AdversaryPolicy:
     """Instantiate a fresh adversary from its serializable descriptor."""
     if not isinstance(desc, dict):
         raise AdversaryError("descriptor must be an object")
-    kind = desc.get("kind")
+    fields = dict(desc)  # each read pops its key, so what is left is unknown
+    kind = fields.pop("kind", None)
     if kind == "OBLIVIOUS_EXPLICIT":
-        return ObliviousExplicit({
+        adversary = ObliviousExplicit({
             int(rid): [(parse_rat(w), parse_rat(c)) for w, c in seq]
-            for rid, seq in desc["schedules"].items()
+            for rid, seq in fields.pop("schedules").items()
         })
-    if kind == "OBLIVIOUS_GENERATED":
-        generator, params = desc["generator"], dict(desc["params"])
+    elif kind == "OBLIVIOUS_GENERATED":
+        generator, params = fields.pop("generator"), dict(fields.pop("params"))
         names = _GENERATOR_PARAMS.get(generator)
         if names is None:
             raise AdversaryError(f"unknown generator {generator!r}")
-        params = {key: parse_rat(value) for key, value in params.items()}
-        return ObliviousGenerated(generator, tuple(params[key] for key in names),
-                                  desc.get("seed", 0))
-    if kind == "TAU_BOUNDED":
-        fixed = desc.get("fixed_sum")
-        return TauBounded(parse_rat(desc["tau"]), desc.get("seed", 0),
-                          parse_rat(fixed) if fixed is not None else None)
-    if kind == "ASYNC_IC":
-        return AsyncIC(parse_rat(desc["w_lo"]), parse_rat(desc["w_hi"]),
-                       desc.get("seed", 0))
-    if kind == "PER_ROBOT":
-        return PerRobot({int(rid): adversary_from_descriptor(sub)
-                         for rid, sub in desc["robots"].items()})
-    if kind == "ADAPTIVE_THM6":
-        return AdaptiveThm6({int(rid): parse_rat(w)
-                             for rid, w in desc["initial_waits"].items()})
-    raise AdversaryError(f"unknown adversary kind {kind!r}")
+        values = tuple(parse_rat(params.pop(key)) for key in names)
+        if params:
+            raise AdversaryError(f"unknown key 'params.{next(iter(params))}'")
+        adversary = ObliviousGenerated(generator, values, fields.pop("seed", 0))
+    elif kind == "TAU_BOUNDED":
+        fixed = fields.pop("fixed_sum", None)
+        adversary = TauBounded(parse_rat(fields.pop("tau")), fields.pop("seed", 0),
+                               parse_rat(fixed) if fixed is not None else None)
+    elif kind == "ASYNC_IC":  # zero computation delay, waits uniform on [w_lo, w_hi]
+        waits = (parse_rat(fields.pop("w_lo")), parse_rat(fields.pop("w_hi")))
+        adversary = ObliviousGenerated("uniform", (*waits, ZERO, ZERO), fields.pop("seed", 0))
+    elif kind == "PER_ROBOT":
+        parts = {}
+        for rid, sub in fields.pop("robots").items():
+            try:
+                parts[int(rid)] = adversary_from_descriptor(sub)
+            except AdversaryError as exc:  # name the part that failed
+                raise AdversaryError(f"robots.{rid}: {exc}") from exc
+        adversary = PerRobot(parts)
+    elif kind == "ADAPTIVE_THM6":
+        adversary = AdaptiveThm6({int(rid): parse_rat(w)
+                                  for rid, w in fields.pop("initial_waits").items()})
+    else:
+        raise AdversaryError(f"unknown adversary kind {kind!r}")
+    if fields:
+        raise AdversaryError(f"unknown key {next(iter(fields))!r}")
+    return adversary

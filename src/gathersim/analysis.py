@@ -14,26 +14,28 @@ import math
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .engine import RobotRun, Trace, position_at
 from .geometry import move_position
 from .rational import ZERO, Rat
 
-_move_start = attrgetter("move_start")
 
+def looks_mid_move(run: RobotRun, other: RobotRun):
+    """For each of ``run``'s looks in order, whether ``other`` is then
+    strictly inside a move (move_start < t < move_end).
 
-def is_mid_move(run: RobotRun, t: Rat) -> bool:
-    """True when the robot is strictly inside a move at time t.
-
-    Moves never overlap, so the only candidate is the latest segment whose
-    move starts strictly before t.
+    A robot's looks come in time order and moves never overlap, so one
+    forward pointer over the other robot's segments answers them all: the
+    only candidate move is the latest one starting strictly before the look.
     """
-    i = bisect_left(run.segments, t, key=_move_start) - 1
-    if i < 0:
-        return False
-    seg = run.segments[i]
-    return seg.move_start < t < seg.move_end
+    others = other.segments
+    last = len(others) - 1
+    j = -1  # the latest of ``others`` whose move starts strictly before t
+    for seg in run.segments:
+        t = seg.look_time
+        while j < last and others[j + 1].move_start < t:
+            j += 1
+        yield j >= 0 and t < others[j].move_end
 
 
 @dataclass
@@ -272,11 +274,6 @@ def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     observe the other robot strictly inside a move (move_start < t <
     move_end) at a positive distance.  Returns (ok, violations), the
     violations in time order.
-
-    A robot's looks come in time order, so one forward pointer over the
-    other robot's segments answers all of them: the only candidate move
-    is the latest one starting strictly before the look, as in
-    ``is_mid_move``.
     """
     a, b = trace.robot_ids
     runs = trace.runs
@@ -286,16 +283,11 @@ def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     first_time = min(firsts)
     violations = []
     for rid, other_id in ((a, b), (b, a)):
-        others = runs[other_id].segments
-        last = len(others) - 1
-        j = -1  # the latest of ``others`` whose move starts strictly before t
-        for seg in runs[rid].segments:
+        segs = runs[rid].segments
+        for seg, moving in zip(segs, looks_mid_move(runs[rid], runs[other_id])):
             t = seg.look_time
             if t == first_time:
                 continue
-            while j < last and others[j + 1].move_start < t:
-                j += 1
-            moving = j >= 0 and t < others[j].move_end
             distance_ok = seg.observed != seg.origin
             if not (moving and distance_ok):
                 violations.append((t, rid, moving, distance_ok))

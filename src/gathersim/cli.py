@@ -97,9 +97,14 @@ def _positive_rationals(values, path: str) -> list[Rat]:
     return [_rational(v, f"{path}[{i}]", positive=True) for i, v in enumerate(values)]
 
 
-def _object(value, path: str) -> dict:
+def _object(value, path: str, keys=None) -> dict:
+    """An object, holding no key outside ``keys`` if given; "" is the top level's path."""
     if not isinstance(value, dict):
         _fail(path, "must be an object")
+    if keys is not None:
+        for key in value:
+            if key not in keys:
+                _fail(f"{path}.{key}" if path else key, "unknown key")
     return value
 
 
@@ -111,6 +116,8 @@ def parse_scenario(text: str) -> Scenario:
         _fail("$", f"not valid JSON ({exc})")
     if not isinstance(raw, dict):
         _fail("$", "scenario must be a JSON object")
+    _object(raw, "", ("name", "mode", "trials", "master_seed", "budgets", "analysis",
+                      "policies", "robots", "adversary", "schedule_variants", "params"))
 
     name = raw.get("name")
     if not isinstance(name, str) or not name:
@@ -124,16 +131,18 @@ def parse_scenario(text: str) -> Scenario:
     def _build(make, desc, path: str):
         try:
             return make(desc)
-        except (AdversaryError, PolicyError, ValueError, KeyError, TypeError,
+        except KeyError as exc:
+            _fail(path, f"missing key {exc}")
+        except (AdversaryError, PolicyError, ValueError, TypeError,
                 AttributeError) as exc:  # a descriptor of the wrong shape
             _fail(path, str(exc))
 
-    braw = _object(raw.get("budgets", {}), "budgets")
+    braw = _object(raw.get("budgets", {}), "budgets", ("max_total_looks", "max_time"))
     budgets = Budgets(
         _integer(braw.get("max_total_looks", 1000), "budgets.max_total_looks", 1),
         _rational(braw.get("max_time", "1000000000"), "budgets.max_time", positive=True))
 
-    analysis = _object(raw.get("analysis", {}), "analysis")
+    analysis = _object(raw.get("analysis", {}), "analysis", ("segment_attempts", "theorem5"))
     segment = analysis.get("segment_attempts", False)
     if type(segment) is not bool:
         _fail("analysis.segment_attempts", "must be true or false")
@@ -151,7 +160,7 @@ def parse_scenario(text: str) -> Scenario:
             _fail("robots", "exactly two robot entries required")
         for i, rdesc in enumerate(rlist):
             path = f"robots[{i}]"
-            rdesc = _object(rdesc, path)
+            rdesc = _object(rdesc, path, ("id", "start", "speed", "policy"))
             rid = _integer(rdesc.get("id"), f"{path}.id")
             pname = rdesc.get("policy")
             if not isinstance(pname, str) or pname not in policies:
@@ -177,13 +186,13 @@ def parse_scenario(text: str) -> Scenario:
             adversaries.append(_build(adversary_from_descriptor, desc, path))
             _check_robot_ids(adversaries[-1], ids, ids, path)
 
-    params = _mode_params(mode, _object(raw.get("params", {}), "params"))
+    params = _mode_params(mode, raw.get("params", {}))
     if mode == "thm3_oracle" and trials != 1:
         _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
 
     bound = None
     if "theorem5" in analysis:  # only an absent key skips the bound
-        t5 = _object(analysis["theorem5"], "analysis.theorem5")
+        t5 = _object(analysis["theorem5"], "analysis.theorem5", ("delta", "tau"))
         delta = _rational(t5.get("delta"), "analysis.theorem5.delta", positive=True)
         tau = _rational(t5.get("tau"), "analysis.theorem5.tau", positive=True)
         try:
@@ -221,13 +230,14 @@ def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
             _check_robot_ids(part, {rid}, known, f"{path}.{field}.{rid}")
 
 
-def _mode_params(mode: str, params: dict) -> dict:
-    """The params ``mode`` reads, parsed and checked, defaults filled in."""
-    get = params.get
+def _mode_params(mode: str, value) -> dict:
+    """The params ``mode`` reads from ``value``, parsed and checked, defaults filled in."""
     if mode == "ssync":
+        get = _object(value, "params", ("activations", "delta")).get
         return {"activations": _integer(get("activations", 51), "params.activations", 1),
                 "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
     if mode == "thm3_oracle":
+        get = _object(value, "params", ("random_draws", "opposite_alphas", "same_alphas")).get
         draws = _integer(get("random_draws"), "params.random_draws", 0)
         opposite = _positive_rationals(get("opposite_alphas", []), "params.opposite_alphas")
         same = _positive_rationals(get("same_alphas", []), "params.same_alphas")
@@ -240,6 +250,7 @@ def _mode_params(mode: str, params: dict) -> dict:
             _fail("params.opposite_alphas", "at least one alpha required")
         return {"configs": configs, "random_draws": draws}
     if mode == "thm4":
+        get = _object(value, "params", ("alphas", "tau", "fixed_sum", "delta")).get
         out = {"alphas": _positive_rationals(get("alphas"), "params.alphas")}
         if not out["alphas"]:
             _fail("params.alphas", "at least one alpha required")
@@ -250,6 +261,7 @@ def _mode_params(mode: str, params: dict) -> dict:
         out["delta"] = _rational(get("delta", "1"), "params.delta", positive=True)
         return out
     if mode == "thm6":
+        get = _object(value, "params", ("w_first", "w_second", "delta")).get
         waits = [_rational(get("w_first", "2"), "params.w_first"),
                  _rational(get("w_second", "1"), "params.w_second")]
         if waits[0] == waits[1]:
@@ -260,14 +272,18 @@ def _mode_params(mode: str, params: dict) -> dict:
         return {"w_first": waits[0], "w_second": waits[1],
                 "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
     if mode == "lemma1":
+        get = _object(value, "params", ("cycles",)).get
         return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}
     if mode == "multirobot":
+        get = _object(value, "params",
+                      ("n", "max_tie_rounds", "tie_trials", "tie_max_rounds")).get
         return {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
                 "max_tie_rounds": _integer(get("max_tie_rounds", 200),
                                            "params.max_tie_rounds", 0),
                 "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
                 "tie_max_rounds": _integer(get("tie_max_rounds", 30),
                                            "params.tie_max_rounds", 0)}
+    _object(value, "params", ())  # two_robot reads no params
     return {}
 
 

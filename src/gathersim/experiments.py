@@ -25,7 +25,7 @@ from .adversary import (
     TauBounded,
 )
 from .analysis import (
-    is_mid_move,
+    looks_mid_move,
     looks_see_midmove,
     segment_attempts,
     segment_phases,
@@ -51,10 +51,10 @@ from .multirobot import (
     reduce_to_line,
 )
 from .policies import (
+    TAU_TRIPLE,
+    THREE_CHOICE,
     Deterministic,
     Oracle,
-    TauTriple,
-    ThreeChoice,
     gather_lambda_oracle,
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
@@ -251,9 +251,8 @@ def repeat_count_general(bound: Rat, delta: Rat, ratio: Rat) -> int:
 
 def halving_count(trace: Trace, mover: int, other: int) -> int | None:
     """Index of the mover's first look that catches the other mid-move."""
-    other_run = trace.runs[other]
-    for idx, seg in enumerate(trace.runs[mover].segments):  # one segment per look
-        if is_mid_move(other_run, seg.look_time):
+    for idx, moving in enumerate(looks_mid_move(trace.runs[mover], trace.runs[other])):
+        if moving:
             return idx
     return None
 
@@ -267,7 +266,7 @@ def thm4_trial(scn, trial: int) -> TrialOutcome:
                       scn.params["fixed_sum"]),
     })
     specs = [RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)]
-    policies = {0: Deterministic(1 / (alpha + 1)), 1: TauTriple()}
+    policies = {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE}
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
     return outcome_of(trial, trace, k_value=halving_count(trace, 0, 1))
@@ -281,7 +280,7 @@ def thm6_trial(scn, trial: int) -> TrialOutcome:
     delta = scn.params["delta"]
     specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
     adversary = AdaptiveThm6({0: scn.params["w_first"], 1: scn.params["w_second"]})
-    policies = {0: ThreeChoice(), 1: ThreeChoice()}
+    policies = {0: THREE_CHOICE, 1: THREE_CHOICE}
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
     ok, violations = looks_see_midmove(trace)
@@ -504,7 +503,7 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
         # scaled line frame (e1 at +1, e2 at -1; collocation is scale-free).
         specs = [RobotSpec(0, ONE, ONE), RobotSpec(1, -ONE, ONE)]
         adversary = TauBounded(Rat(1, 5), derive_seed(scn.master_seed, trial, "adv"))
-        policies = {0: TauTriple(), 1: TauTriple()}
+        policies = {0: TAU_TRIPLE, 1: TAU_TRIPLE}
         tr = run(specs, policies, adversary,
                  spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
         looks = sum(tr.look_count.values())

@@ -4,6 +4,10 @@ A policy draws a fraction ``lam``; the robot then moves ``lam`` times the
 observed distance towards the other robot's snapshot position.  Negative
 values and values above 1 are legal (they move away from / overshoot the
 observed position).
+
+Every randomized policy is a ``Mixture`` of finitely many values and at
+most one uniform draw from (0, 1): THREE_CHOICE, TAU_TRIPLE, and the
+ones ``known_alpha`` and FINITE_MIXTURE descriptors build.
 """
 
 from __future__ import annotations
@@ -35,51 +39,45 @@ def destination(own: Rat, other_observed: Rat, lam: Rat) -> Rat:
     return own + lam * (other_observed - own)
 
 
-def _integer_grid(weights) -> tuple[int, list[int]]:
-    """Exact sampling of rational weights on an integer grid.
-
-    Returns the least common denominator of ``weights`` and their running
-    sums over it: ``k = rng.randrange(denom)`` picks the first branch whose
-    running sum exceeds ``k``.
-    """
-    denom = math.lcm(*(w.denominator for w in weights))
-    cums = []
-    cum = 0
-    for w in weights:
-        cum += w.numerator * (denom // w.denominator)
-        cums.append(cum)
-    return denom, cums
-
-
 @dataclass
 class Deterministic:
-    lam: Rat
+    """Always the same lambda; draws nothing from the RNG."""
 
-    kind = "DETERMINISTIC"
+    lam: Rat
 
     def sample(self, rng: random.Random) -> Rat:
         return self.lam
 
 
 @dataclass
-class FiniteMixture:
-    """Finitely many lambda values with positive rational probabilities."""
+class Mixture:
+    """Finitely many lambda values with positive rational probabilities,
+    plus a uniform draw from (0, 1) with probability ``uniform``.
 
-    choices: list[tuple[Rat, Rat]]
-    _grid: tuple[int, list[tuple[int, Rat]]] = field(init=False, repr=False)
+    A draw is one ``rng.randrange`` over the least common denominator of
+    the probabilities: the first choice whose running sum exceeds it is
+    the value, and a draw past the last choice falls in the uniform branch,
+    which makes one ``u01`` draw.
+    """
 
-    kind = "FINITE_MIXTURE"
+    choices: tuple[tuple[Rat, Rat], ...]  # (lambda, probability) pairs
+    uniform: Rat = ZERO
 
     def __post_init__(self):
-        if not self.choices:
-            raise PolicyError("mixture needs at least one choice")
-        total = sum(p for _, p in self.choices)
+        probs = [p for _, p in self.choices]
+        if any(p <= 0 for p in probs) or self.uniform < 0:
+            raise PolicyError("mixture probabilities must be positive")
+        total = sum(probs) + self.uniform
         if total != 1:
             raise PolicyError(f"mixture probabilities sum to {total}, not 1")
-        if any(p <= 0 for _, p in self.choices):
-            raise PolicyError("mixture probabilities must be positive")
-        denom, cums = _integer_grid([p for _, p in self.choices])
-        self._grid = (denom, list(zip(cums, (lam for lam, _ in self.choices))))
+        denom = math.lcm(*(p.denominator for p in probs), self.uniform.denominator)
+        thresholds = []
+        cum = 0
+        for lam, p in self.choices:
+            cum += p.numerator * (denom // p.denominator)
+            thresholds.append((cum, lam))
+        # Not a field: equality compares the choices and the uniform mass.
+        self._grid = (denom, thresholds)
 
     def sample(self, rng: random.Random) -> Rat:
         denom, thresholds = self._grid
@@ -87,79 +85,30 @@ class FiniteMixture:
         for cum, lam in thresholds:
             if k < cum:
                 return lam
-        raise AssertionError("unreachable")
-
-
-@dataclass
-class ThreeChoice:
-    """1, 1/2, or a uniform draw from (0, 1), each with probability 1/3."""
-
-    kind = "THREE_CHOICE"
-
-    def sample(self, rng: random.Random) -> Rat:
-        i = rng.randrange(3)
-        if i == 0:
-            return ONE
-        if i == 1:
-            return HALF
         return u01(rng)
 
 
-@dataclass
-class TauTriple:
-    """1, 1/2, or 0, each with probability 1/3."""
+# 1, 1/2, or a uniform draw from (0, 1), each with probability 1/3.
+THREE_CHOICE = Mixture(((ONE, Rat(1, 3)), (HALF, Rat(1, 3))), Rat(1, 3))
 
-    kind = "TAU_TRIPLE"
-
-    def sample(self, rng: random.Random) -> Rat:
-        i = rng.randrange(3)
-        if i == 0:
-            return ONE
-        if i == 1:
-            return HALF
-        return ZERO
+# 1, 1/2, or 0, each with probability 1/3.
+TAU_TRIPLE = Mixture(((ONE, Rat(1, 3)), (HALF, Rat(1, 3)), (ZERO, Rat(1, 3))))
 
 
-@dataclass
-class KnownAlpha:
+def known_alpha(alpha: Rat, weights=(Rat(1, 4),) * 4) -> Mixture:
     """Mixture for a known speed ratio alpha.
 
     Draws from {1/(alpha+1), alpha/(alpha+1), 1, U(0,1)}, uniformly by
     default; the robots are anonymous so both alpha-dependent values must
     be present.  ``weights`` reweights the four branches in that order.
     """
-
-    alpha: Rat
-    weights: tuple[Rat, Rat, Rat, Rat] = (
-        Rat(1, 4), Rat(1, 4), Rat(1, 4), Rat(1, 4))
-
-    kind = "KNOWN_ALPHA"
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise PolicyError("alpha must be positive")
-        self.weights = tuple(Rat(w) for w in self.weights)
-        if len(self.weights) != 4 or any(w <= 0 for w in self.weights):
-            raise PolicyError("need four positive branch weights")
-        if sum(self.weights) != 1:
-            raise PolicyError("branch weights must sum to 1")
-        self._denom, self._thresholds = _integer_grid(self.weights)
-
-    @property
-    def support(self) -> tuple[Rat, Rat]:
-        a = self.alpha
-        return (1 / (a + 1), a / (a + 1))
-
-    def sample(self, rng: random.Random) -> Rat:
-        lo, hi = self.support
-        k = rng.randrange(self._denom)
-        if k < self._thresholds[0]:
-            return lo
-        if k < self._thresholds[1]:
-            return hi
-        if k < self._thresholds[2]:
-            return ONE
-        return u01(rng)
+    if alpha <= 0:
+        raise PolicyError("alpha must be positive")
+    weights = tuple(Rat(w) for w in weights)
+    if len(weights) != 4 or any(w <= 0 for w in weights):
+        raise PolicyError("need four positive branch weights")
+    values = (1 / (alpha + 1), alpha / (alpha + 1), ONE)
+    return Mixture(tuple(zip(values, weights)), weights[3])
 
 
 @dataclass
@@ -168,8 +117,6 @@ class Oracle:
 
     script: list[Rat]
     _cursor: int = field(default=0, init=False, repr=False)
-
-    kind = "ORACLE"
 
     def sample(self, rng: random.Random) -> Rat:
         if self._cursor >= len(self.script):
@@ -181,29 +128,37 @@ class Oracle:
         return lam
 
 
-LambdaPolicy = Deterministic | FiniteMixture | ThreeChoice | TauTriple | KnownAlpha | Oracle
+LambdaPolicy = Deterministic | Mixture | Oracle
+
 
 def policy_from_descriptor(desc: dict) -> LambdaPolicy:
-    """Instantiate a fresh policy from its serializable descriptor."""
+    """The policy a serializable descriptor describes; THREE_CHOICE and
+    TAU_TRIPLE hold no state, so each is one shared object."""
     if not isinstance(desc, dict):
         raise PolicyError("descriptor must be an object")
-    kind = desc.get("kind")
+    fields = dict(desc)  # each read pops its key, so what is left is unknown
+    kind = fields.pop("kind", None)
     if kind == "DETERMINISTIC":
-        return Deterministic(parse_rat(desc["lam"]))
-    if kind == "FINITE_MIXTURE":
-        return FiniteMixture([(parse_rat(l), parse_rat(p)) for l, p in desc["choices"]])
-    if kind == "THREE_CHOICE":
-        return ThreeChoice()
-    if kind == "TAU_TRIPLE":
-        return TauTriple()
-    if kind == "KNOWN_ALPHA":
-        if "weights" in desc:
-            return KnownAlpha(parse_rat(desc["alpha"]),
-                              tuple(parse_rat(w) for w in desc["weights"]))
-        return KnownAlpha(parse_rat(desc["alpha"]))
-    if kind == "ORACLE":
-        return Oracle([parse_rat(x) for x in desc["script"]])
-    raise PolicyError(f"unknown policy kind {kind!r}")
+        policy = Deterministic(parse_rat(fields.pop("lam")))
+    elif kind == "FINITE_MIXTURE":
+        policy = Mixture(tuple((parse_rat(l), parse_rat(p)) for l, p in fields.pop("choices")))
+    elif kind == "THREE_CHOICE":
+        policy = THREE_CHOICE
+    elif kind == "TAU_TRIPLE":
+        policy = TAU_TRIPLE
+    elif kind == "KNOWN_ALPHA":
+        alpha = parse_rat(fields.pop("alpha"))
+        if "weights" in fields:
+            policy = known_alpha(alpha, tuple(parse_rat(w) for w in fields.pop("weights")))
+        else:
+            policy = known_alpha(alpha)
+    elif kind == "ORACLE":
+        policy = Oracle([parse_rat(x) for x in fields.pop("script")])
+    else:
+        raise PolicyError(f"unknown policy kind {kind!r}")
+    if fields:
+        raise PolicyError(f"unknown key {next(iter(fields))!r}")
+    return policy
 
 
 def gather_lambda_oracle(alpha: Rat, geometry: str) -> Rat:

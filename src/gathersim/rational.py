@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -322,10 +323,17 @@ def parse_rat(value) -> Rat:
 
 
 def format_rat(x: Fraction) -> str:
-    """Serialize as "p/q", or plain "p" for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize as "p/q", or plain "p" for integers.
+
+    ``Decimal`` writes the digits of an int past ``str``'s limit (4300
+    digits by default), which a long adaptive run's denominators pass."""
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        num, den = Decimal(x.numerator), Decimal(x.denominator)
+        return str(num) if den == 1 else f"{num}/{den}"
 
 
 def rat_sqrt(x: Fraction) -> Rat:

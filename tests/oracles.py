@@ -16,8 +16,9 @@ import json
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from operator import attrgetter
 
-from gathersim.analysis import AttemptRecord, is_mid_move, max_distance_from
+from gathersim.analysis import AttemptRecord, max_distance_from
 from gathersim.engine import position_at
 from gathersim.geometry import add, scale, sqdist, sub
 from gathersim.policies import destination
@@ -185,6 +186,19 @@ def reference_segment_attempts(trace):
         idx[other_id] = j + 1
         t_begin = t_end
     return attempts
+
+
+def is_mid_move(run, t):
+    """True when the robot is strictly inside a move at time t.
+
+    Moves never overlap, so the only candidate is the latest segment whose
+    move starts strictly before t, found by bisection.
+    """
+    i = bisect_left(run.segments, t, key=attrgetter("move_start")) - 1
+    if i < 0:
+        return False
+    seg = run.segments[i]
+    return seg.move_start < t < seg.move_end
 
 
 def reference_looks_see_midmove(trace):

@@ -7,7 +7,6 @@ from gathersim import adversary, experiments
 from gathersim.adversary import (
     AdaptiveThm6,
     AdversaryError,
-    AsyncIC,
     ObliviousExplicit,
     ObliviousGenerated,
     PerRobot,
@@ -17,7 +16,7 @@ from gathersim.adversary import (
 )
 from gathersim.analysis import looks_see_midmove
 from gathersim.engine import Budgets, LOOK, RobotSpec, run
-from gathersim.policies import Oracle, ThreeChoice
+from gathersim.policies import THREE_CHOICE, Oracle
 from gathersim.rational import U01_DEN, Rat, spawn_rng
 
 BIG = F(10 ** 9)
@@ -55,8 +54,13 @@ def test_tau_bounded_fixed_sum():
         TauBounded(F(1), seed=0, fixed_sum=F(1))
 
 
+def _async_ic(w_lo, w_hi, seed):
+    """What an ASYNC_IC descriptor builds: zero delays, waits uniform on [w_lo, w_hi]."""
+    return ObliviousGenerated("uniform", (w_lo, w_hi, F(0), F(0)), seed)
+
+
 def test_async_ic_zero_compute():
-    adv = AsyncIC(F(0), F(3), seed=5)
+    adv = adversary_from_descriptor({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "3", "seed": 5})
     for cycle in range(1000):
         w, c = adv.next_delays(0, cycle)
         assert c == 0 and F(0) <= w <= F(3)
@@ -129,8 +133,8 @@ def test_oblivious_independence_from_algorithm_randomness():
     specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]
     adv = TauBounded(F(1, 10), seed=123)
     budgets = Budgets(20, BIG)
-    tr_a = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv, 1, budgets)
-    tr_b = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv, 2, budgets)
+    tr_a = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv, 1, budgets)
+    tr_b = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv, 2, budgets)
     for rid in (0, 1):
         pairs_a = [(s.wait, s.compute) for s in tr_a.runs[rid].segments if s.lam is not None]
         pairs_b = [(s.wait, s.compute) for s in tr_b.runs[rid].segments if s.lam is not None]
@@ -158,11 +162,11 @@ def test_adversary_descriptor_roundtrip():
          ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 9)),
         ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 2, "fixed_sum": "13/100"},
          TauBounded(F(1, 10), seed=2, fixed_sum=F(13, 100))),
-        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2", "seed": 8}, AsyncIC(F(0), F(2), seed=8)),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2", "seed": 8}, _async_ic(F(0), F(2), 8)),
         ({"kind": "PER_ROBOT", "robots": {
             "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 1},
             "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 2}}},
-         PerRobot({0: AsyncIC(F(0), F(1), seed=1), 1: TauBounded(F(1), seed=2)})),
+         PerRobot({0: _async_ic(F(0), F(1), 1), 1: TauBounded(F(1), seed=2)})),
         ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
          AdaptiveThm6({0: F(2), 1: F(1)})),
     ]
@@ -190,7 +194,7 @@ def _thm4_run(seed):
 def _oblivious_run(adv):
     def go(seed):
         specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]
-        return run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv.for_trial(seed),
+        return run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv.for_trial(seed),
                    spawn_rng("draw-once", seed), Budgets(40, BIG))
     return go
 
@@ -198,7 +202,7 @@ def _oblivious_run(adv):
 # (trial runner, ids of the robots whose pairs come from an RNG)
 DRAWING_RUNS = {
     "tau_bounded": (_oblivious_run(TauBounded(F(1, 10), seed=0)), {0, 1}),
-    "async_ic": (_oblivious_run(AsyncIC(F(0), F(2), seed=0)), {0, 1}),
+    "async_ic": (_oblivious_run(_async_ic(F(0), F(2), 0)), {0, 1}),
     "generated_uniform": (_oblivious_run(ObliviousGenerated(
         "uniform", (F(0), F(1), F(0), F(1, 2)), 0)), {0, 1}),
     "thm4_per_robot": (_thm4_run, {1}),  # robot 0 has constant zero delays
@@ -222,10 +226,10 @@ def test_oblivious_pairs_are_drawn_once_per_cycle(monkeypatch, name):
 
 @pytest.mark.parametrize("adv", [
     TauBounded(F(1, 10), seed=0),
-    AsyncIC(F(0), F(2), seed=0),
+    _async_ic(F(0), F(2), 0),
     ObliviousGenerated("uniform", (F(0), F(1), F(0), F(1, 2)), 0),
-    PerRobot({0: AsyncIC(F(0), F(1), seed=0), 1: TauBounded(F(1), seed=0)}),
-], ids=lambda adv: adv.kind)
+    PerRobot({0: _async_ic(F(0), F(1), 0), 1: TauBounded(F(1), seed=0)}),
+], ids=["TAU_BOUNDED", "ASYNC_IC", "OBLIVIOUS_GENERATED", "PER_ROBOT"])
 def test_computation_delay_without_a_wait_draws_the_pair(adv):
     drawn = adv.for_trial(5)
     for robot in (0, 1):
@@ -308,7 +312,7 @@ def test_adaptive_never_gathers_small_batch():
     for seed in range(25):
         specs = [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))]
         adv = AdaptiveThm6({0: F(2), 1: F(1)})
-        tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv,
+        tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv,
                  spawn_rng("thm6-batch", seed), Budgets(60, BIG))
         ok, violations = looks_see_midmove(tr)
         assert not tr.gathered

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 
-from oracles import (brute_force_attempts, brute_max_distance, reference_distance_profile,
-                     reference_looks_see_midmove, reference_segment_attempts)
+from oracles import (brute_force_attempts, brute_max_distance, is_mid_move,
+                     reference_distance_profile, reference_looks_see_midmove,
+                     reference_segment_attempts)
 from test_engine import tie_heavy_runs
 
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, TauBounded
@@ -17,6 +18,7 @@ from gathersim.analysis import (
     binomial_halfwidth_3sigma,
     classify_success,
     geometric_repeat_count,
+    looks_mid_move,
     looks_see_midmove,
     max_distance_from,
     segment_attempts,
@@ -26,7 +28,7 @@ from gathersim.analysis import (
 from gathersim.cli import pool_extras, pool_outcomes
 from gathersim.engine import Budgets, RobotSpec, run
 from gathersim.experiments import TrialOutcome
-from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
+from gathersim.policies import TAU_TRIPLE, THREE_CHOICE, Deterministic, Oracle
 from gathersim.rational import Rat, spawn_rng
 
 BIG = F(10 ** 9)
@@ -77,7 +79,7 @@ def test_max_distance_monotone_approach():
 def test_max_distance_nonincreasing_property():
     specs = two_bots()
     adv = TauBounded(F(1, 10), seed=6)
-    tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
+    tr = run(specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE}, adv,
              spawn_rng("dist-prop"), Budgets(40, BIG))
     grid = sorted({e.time for e in tr.events})
     values = [max_distance_from(tr, t) for t in grid]
@@ -106,7 +108,7 @@ def test_distance_profile_matches_reference_dyadic():
     specs = [RobotSpec(0, Rat(0), Rat(1)), RobotSpec(1, Rat(1), Rat(1))]
     for seed in range(6):
         adv = TauBounded(Rat(1, 1024), seed=seed)
-        tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
+        tr = run(specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE}, adv,
                  spawn_rng("profile", seed), Budgets(30, BIG))
         assert_profile_matches_reference(tr)
 
@@ -124,6 +126,11 @@ def test_midmove_sweep_matches_reference(family_run):
     make_run, budgets = family_run
     tr = run(*make_run(), budgets)
     assert looks_see_midmove(tr) == reference_looks_see_midmove(tr)
+    a, b = tr.robot_ids
+    for me, other in ((a, b), (b, a)):
+        mine, theirs = tr.runs[me], tr.runs[other]
+        assert list(looks_mid_move(mine, theirs)) == [
+            is_mid_move(theirs, seg.look_time) for seg in mine.segments]
 
 
 def test_midmove_sweep_matches_reference_random_runs():
@@ -132,7 +139,7 @@ def test_midmove_sweep_matches_reference_random_runs():
     for seed in range(10):
         for adv in (TauBounded(F(1, 10), seed=seed), TauBounded(Rat(1, 1024), seed=seed),
                     AdaptiveThm6({0: F(2), 1: F(1)})):
-            tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv,
+            tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv,
                      spawn_rng("midmove", seed), Budgets(60, BIG))
             got = looks_see_midmove(tr)
             assert got == reference_looks_see_midmove(tr)
@@ -156,7 +163,7 @@ def _midmove_comparisons(monkeypatch, looks):
     """Rat comparisons ``looks_see_midmove`` makes on a thm6 trace, and the
     trace's looks plus segments."""
     specs = [RobotSpec(0, Rat(1), Rat(1)), RobotSpec(1, Rat(0), Rat(1))]
-    tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, AdaptiveThm6({0: Rat(2), 1: Rat(1)}),
+    tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, AdaptiveThm6({0: Rat(2), 1: Rat(1)}),
              spawn_rng("midmove-count"), Budgets(looks, Rat(BIG)))
     calls = [0]
     for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
@@ -253,7 +260,7 @@ def test_attempts_match_brute_force_on_random_short_runs():
         sched = {rid: [(F(rng.randrange(0, 9), 4), F(rng.randrange(0, 5), 8))
                        for _ in range(10)] for rid in (0, 1)}
         adv = ObliviousExplicit(sched)
-        tr = run(specs, {0: ThreeChoice(), 1: ThreeChoice()}, adv,
+        tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv,
                  spawn_rng("seg-fuzz-alg", seed), Budgets(8, BIG))
         mine = segment_attempts(tr)
         ref = brute_force_attempts(tr)
@@ -280,7 +287,7 @@ def test_attempts_match_reference(family_run):
 def test_attempts_partition_look_counts():
     specs = two_bots()
     adv = TauBounded(F(1, 10), seed=9)
-    tr = run(specs, {0: TauTriple(), 1: TauTriple()}, adv,
+    tr = run(specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE}, adv,
              spawn_rng("partition"), Budgets(60, BIG))
     attempts = segment_attempts(tr)
     phases = segment_phases(attempts)
@@ -294,7 +301,7 @@ def test_tau_triple_phase_halving():
     # Terminal phases at least halve the maximum distance.
     done = 0
     for seed in range(12):
-        tr = run(two_bots(), {0: TauTriple(), 1: TauTriple()},
+        tr = run(two_bots(), {0: TAU_TRIPLE, 1: TAU_TRIPLE},
                  TauBounded(F(1, 10), seed=seed), spawn_rng("halve", seed),
                  Budgets(120, BIG))
         for ph in segment_phases(segment_attempts(tr)):

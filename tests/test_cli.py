@@ -2,10 +2,11 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from test_rational import decimal_digits
 
+from gathersim import experiments
 from gathersim.adversary import (
     AdaptiveThm6,
-    AsyncIC,
     ObliviousExplicit,
     ObliviousGenerated,
     PerRobot,
@@ -25,12 +26,12 @@ from gathersim.cli import (
     run_experiment,
 )
 from gathersim.policies import (
+    TAU_TRIPLE,
+    THREE_CHOICE,
     Deterministic,
-    FiniteMixture,
-    KnownAlpha,
+    Mixture,
     Oracle,
-    TauTriple,
-    ThreeChoice,
+    known_alpha,
     policy_from_descriptor,
 )
 from gathersim.rational import MAX_DIGITS, MAX_EXPONENT
@@ -98,10 +99,10 @@ def test_schema_expresses_every_kind():
     policies = [
         ({"kind": "DETERMINISTIC", "lam": "1/2"}, Deterministic(F(1, 2))),
         ({"kind": "FINITE_MIXTURE", "choices": [["0", "1/2"], ["1", "1/2"]]},
-         FiniteMixture([(F(0), F(1, 2)), (F(1), F(1, 2))])),
-        ({"kind": "THREE_CHOICE"}, ThreeChoice()),
-        ({"kind": "TAU_TRIPLE"}, TauTriple()),
-        ({"kind": "KNOWN_ALPHA", "alpha": "2"}, KnownAlpha(F(2))),
+         Mixture(((F(0), F(1, 2)), (F(1), F(1, 2))))),
+        ({"kind": "THREE_CHOICE"}, THREE_CHOICE),
+        ({"kind": "TAU_TRIPLE"}, TAU_TRIPLE),
+        ({"kind": "KNOWN_ALPHA", "alpha": "2"}, known_alpha(F(2))),
         ({"kind": "ORACLE", "script": ["1", "-1/4"]}, Oracle([F(1), F(-1, 4)])),
     ]
     for desc, built in policies:
@@ -113,7 +114,7 @@ def test_schema_expresses_every_kind():
           "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}, "seed": 3},
          ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 3)),
         ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4}, TauBounded(F(1, 10), 4)),
-        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 5}, AsyncIC(F(0), F(1), 5)),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 5}, ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 5)),
         ({"kind": "PER_ROBOT", "robots": {
             "0": {"kind": "OBLIVIOUS_GENERATED", "generator": "constant",
                   "params": {"w": "0", "c": "0"}, "seed": 0},
@@ -509,3 +510,69 @@ def test_main_rejects_thm3_trials_flag(tmp_path, capsys):
 @pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI])
 def test_main_runs_valid_mode_params(tmp_path, raw):
     assert _run_exit_code(tmp_path, raw) == 0
+
+
+@pytest.mark.parametrize("raw,field", [
+    # A misspelt key would otherwise fall back to its default silently.
+    ({**MINIMAL, "budget": {"max_total_looks": 3}}, "budget"),
+    ({**MINIMAL, "analysis": {"segment_attempt": True}}, "analysis.segment_attempt"),
+    ({**MINIMAL, "budgets": {"max_total_look": 3}}, "budgets.max_total_look"),
+    ({**MINIMAL, "analysis": {"theorem5": {"delta": "1", "tau": "1", "taus": "2"}}},
+     "analysis.theorem5.taus"),
+    ({**MINIMAL, "robots": [{"id": 0, "start": "0", "policy": "p", "sped": "2"},
+                            {"id": 1, "start": "1", "policy": "p"}]}, "robots[0].sped"),
+    ({**MINIMAL, "params": {"activations": 4}}, "params.activations"),
+    (_with(SSYNC, delt="1"), "params.delt"),
+    (_with(THM3, random_draw=1), "params.random_draw"),
+    (_with(THM4, fixed="1"), "params.fixed"),
+    (_with(THM6, w_frist="3"), "params.w_frist"),
+    (_with(LEMMA1, cycle=3), "params.cycle"),
+    (_with(MULTI, tie_trial=3), "params.tie_trial"),
+], ids=["top-level", "analysis", "budgets", "theorem5", "robot", "two-robot-params", "ssync",
+        "thm3", "thm4", "thm6", "lemma1", "multirobot"])
+def test_main_rejects_unknown_section_keys(tmp_path, capsys, raw, field):
+    assert _run_exit_code(tmp_path, raw) == 2
+    assert f"validation error: {field}: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"policies": {"p": {"kind": "THREE_CHOICE", "lam": "1"}}}, "policies.p: unknown key 'lam'"),
+    ({"policies": {"p": {"kind": "DETERMINISTIC", "lam": "1", "lams": "2"}}},
+     "policies.p: unknown key 'lams'"),
+    ({"policies": {"p": {"kind": "KNOWN_ALPHA", "alpha": "2", "weight": []}}},
+     "policies.p: unknown key 'weight'"),
+    ({"adversary": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2", "seeds": 1}},
+     "adversary: unknown key 'seeds'"),
+    # A misspelt required key is reported as missing.
+    ({"adversary": {"kind": "ASYNC_IC", "w_lo": "0", "w_high": "2"}},
+     "adversary: missing key 'w_hi'"),
+    ({"adversary": {"kind": "TAU_BOUNDED", "tau": "1", "fixed": "2"}},
+     "adversary: unknown key 'fixed'"),
+    ({"adversary": _generated("uniform", c_high="1")}, "adversary: unknown key 'params.c_high'"),
+    ({"adversary": {"kind": "PER_ROBOT", "robots": {
+        "0": _ASYNC, "1": {**_ASYNC, "sed": 3}}}}, "adversary: robots.1: unknown key 'sed'"),
+    ({"schedule_variants": [{"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"},
+                             "waits": {}}]}, "schedule_variants[0]: unknown key 'waits'"),
+], ids=["three-choice", "deterministic", "known-alpha", "async-ic", "async-ic-required",
+        "tau-bounded",
+        "generated-params", "per-robot-part", "adaptive"])
+def test_main_rejects_unknown_descriptor_keys(tmp_path, capsys, patch, message):
+    assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
+    assert f"validation error: {message}" in capsys.readouterr().err
+
+
+def test_main_writes_traces_of_long_adaptive_runs(tmp_path):
+    # At 900 looks a thm6 run's denominators pass 4300 decimal digits,
+    # where str() of an int stops.
+    raw = json.loads(bundled_scenario_path("thm6_adaptive").read_text(encoding="utf-8"))
+    raw["trials"] = 1
+    raw["budgets"]["max_total_looks"] = 900
+    path = tmp_path / "thm6_900.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--traces", "all", "--out", str(tmp_path / "o")]) == 0
+    text = (tmp_path / "o" / "thm6_adaptive.traces" / "trial_000000.json").read_text()
+    written = text[text.rindex('"horizon": "') + 12:]
+    horizon = experiments.run_one_trial(parse_scenario(json.dumps(raw)), 0).trace.horizon
+    assert horizon.denominator > 10 ** 4300
+    expected = f"{decimal_digits(horizon.numerator)}/{decimal_digits(horizon.denominator)}"
+    assert written.startswith(expected + '",')

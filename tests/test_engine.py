@@ -23,7 +23,7 @@ from gathersim.engine import (
     project_scenario_to_line,
     run,
 )
-from gathersim.policies import Deterministic, Oracle, TauTriple, ThreeChoice
+from gathersim.policies import THREE_CHOICE, TAU_TRIPLE, Deterministic, Oracle
 from gathersim.rational import spawn_rng
 
 BIG = F(10 ** 6)
@@ -157,11 +157,11 @@ def test_run_ssync_alternation_halves_forever():
 def test_run_is_deterministic():
     specs = two_bots()
     adv = ObliviousExplicit({0: [(F(1), F(1, 4))] * 8, 1: [(F(3, 4), F(0))] * 8})
-    t1 = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=9, seed=31)
-    t2 = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=9, seed=31)
+    t1 = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=9, seed=31)
+    t2 = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=9, seed=31)
     assert t1.events == t2.events
     assert t1.final_status == t2.final_status
-    t3 = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=9, seed=32)
+    t3 = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=9, seed=32)
     assert t3.events != t1.events
 
 
@@ -220,7 +220,7 @@ def test_simultaneous_event_ordering():
 def test_replay_reproduces_snapshots_bit_for_bit():
     specs = two_bots()
     adv = ObliviousExplicit({0: [(F(1), F(1, 8))] * 10, 1: [(F(1, 2), F(0))] * 10})
-    tr = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=12, seed=7)
+    tr = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=12, seed=7)
     looks = 0
     for rid, rr in tr.runs.items():
         other = tr.runs[1 - rid]
@@ -234,7 +234,7 @@ def test_replay_reproduces_snapshots_bit_for_bit():
 def test_rigid_motion_reaches_destination():
     specs = two_bots()
     adv = ObliviousExplicit({0: [(F(1), F(0))] * 10, 1: [(F(2, 3), F(1, 5))] * 10})
-    tr = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=10, seed=11)
+    tr = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=10, seed=11)
     for rid, rr in tr.runs.items():
         for seg in rr.segments:
             if seg.lam is not None and seg.move_end <= tr.horizon:
@@ -246,7 +246,7 @@ def test_trace_event_ordering_invariants():
     specs = two_bots()
     adv = ObliviousExplicit({0: [(F(1), F(1, 8))] * 12, 1: [(F(1, 3), F(0))] * 12})
     for seed in range(6):
-        tr = run_simple(specs, ThreeChoice(), ThreeChoice(), adv, looks=14, seed=seed)
+        tr = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=14, seed=seed)
         # nondecreasing timestamps
         assert all(a.time <= b.time for a, b in zip(tr.events, tr.events[1:]))
         for rid in tr.robot_ids:
@@ -405,7 +405,7 @@ def test_derived_events_match_reference_adaptive():
     for seed in range(8):
         def make_run():
             specs = [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))]
-            return (specs, {0: TauTriple(), 1: TauTriple()},
+            return (specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE},
                     AdaptiveThm6({0: F(2), 1: F(1)}), spawn_rng("derive-thm6", seed))
 
         tr = assert_matches_reference(make_run, Budgets(40, BIG))

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
+from oracles import is_mid_move
 
 from gathersim import engine
 from gathersim import experiments as ex
@@ -105,6 +106,9 @@ def test_thm4_trial_counts_halvings():
     hist = {}
     for i in range(40):
         out = ex.thm4_trial(s, i)
+        mover, other = out.trace.runs[0], out.trace.runs[1]
+        assert out.k_value == next((k for k, seg in enumerate(mover.segments)
+                                    if is_mid_move(other, seg.look_time)), None)
         if out.k_value is not None:
             hist[out.k_value] = hist.get(out.k_value, 0) + 1
     assert max(hist, key=hist.get) == 2  # delta(1 - 2^-2) = 3/4 > 13/20

@@ -73,6 +73,29 @@ def test_format_roundtrip():
     assert parse_rat(format_rat(Fraction(22, 7))) == Fraction(22, 7)
 
 
+def decimal_digits(n: int) -> str:
+    """``str(n)`` for any size of int, written 1000 digits at a time, so
+    that neither ``str``'s digit limit nor ``Decimal`` is involved."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= 10 ** 1000:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(f"{low:01000d}")
+    return sign + str(n) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize("num,den", [
+    (3 ** 20000 + 2, 2 ** 30001),  # 9543 and 9032 digits
+    (-(10 ** 4300), 1),  # 4301 digits, one past the default limit
+    (7 ** 6000, 3),
+], ids=["both-long", "integer", "numerator-long"])
+def test_format_past_str_digit_limit(num, den):
+    # Python refuses str() of an int of more than 4300 digits; a long
+    # adaptive run's denominators pass that.
+    text = decimal_digits(num) + ("" if den == 1 else f"/{decimal_digits(den)}")
+    assert format_rat(Rat(num, den)) == text
+
+
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
 def test_fraction_canonical(num, den):
     # The scalar type keeps denominators positive and gcd-reduced, and
