@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -147,14 +148,13 @@ def parse_scenario(text: str) -> Scenario:
     if type(segment) is not bool:
         _fail("analysis.segment_attempts", "must be true or false")
 
-    policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
-                for pname, desc in _object(raw.get("policies", {}), "policies").items()}
-
     robots = []
     robot_policies = {}
     adversaries = []
     variants = None
     if mode == "two_robot":
+        policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
+                    for pname, desc in _object(raw.get("policies", {}), "policies").items()}
         rlist = raw.get("robots")
         if not isinstance(rlist, list) or len(rlist) != 2:
             _fail("robots", "exactly two robot entries required")
@@ -187,6 +187,11 @@ def parse_scenario(text: str) -> Scenario:
             _check_robot_ids(adversaries[-1], ids, ids, path)
 
     params = _mode_params(mode, raw.get("params", {}))
+    if mode != "two_robot":  # refuse the fields only a two_robot run reads
+        for path in ("policies", "robots", "adversary", "schedule_variants",
+                     "analysis.segment_attempts"):
+            if path.rpartition(".")[2] in (analysis if "." in path else raw):
+                _fail(path, f"read only in mode 'two_robot', not {mode!r}")
     if mode == "thm3_oracle" and trials != 1:
         _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
 
@@ -386,7 +391,8 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
     if workers > 1 and n > 1:
         chunk = max(1, (n + workers - 1) // workers)
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool starts every process at once: no more than chunks or cores.
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             for part in pool.map(_run_chunk, [scn] * len(chunks), chunks,
                                  [trace_policy] * len(chunks)):
                 batches.extend(part)
@@ -427,31 +433,21 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
 def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
     """The report's "stats": a batch of trial outcomes pooled.
 
-    The trial functions hand in only completed attempts and terminal
+    The trials' ``stats`` shares hold only completed attempts and terminal
     phases made of them; trailing partial structures are what the finite
     horizon cut off, not what the expectations range over.
     """
     n = len(outcomes)
     if not n:
         raise ValueError("no trials to pool")
-    looks = []
-    gathered = 0
-    attempt_outcomes = []
-    phase_looks = []
-    phase_hist = {}
-    k_hist = {}
-    for outcome in outcomes:
-        looks.append(outcome.total_looks)
-        gathered += outcome.gathered
-        attempt_outcomes.extend(outcome.attempt_outcomes)
-        phase_looks.extend(outcome.phase_looks)
-        for size in outcome.attempts_per_phase:
-            phase_hist[size] = phase_hist.get(size, 0) + 1
-        if outcome.k_value is not None:
-            k_hist[outcome.k_value] = k_hist.get(outcome.k_value, 0) + 1
+    looks = [outcome.total_looks for outcome in outcomes]
+    gathered = sum(outcome.gathered for outcome in outcomes)
+    shares = pool_shares(outcome.stats for outcome in outcomes)
+    attempts = shares.get("n_attempts", 0)
+    phase_looks = shares.get("phase_looks", ())
 
     frac = Rat(gathered, n)
-    success = (sum(attempt_outcomes) / len(attempt_outcomes)) if attempt_outcomes else None
+    success = shares["attempt_successes"] / attempts if attempts else None
     per_phase = (sum(phase_looks) / len(phase_looks)) if phase_looks else None
     halfwidth = {
         "gathered_fraction": _fmt_real(binomial_halfwidth_3sigma(float(frac), n)),
@@ -459,7 +455,7 @@ def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
     }
     if success is not None:
         halfwidth["mean_attempt_success_rate"] = _fmt_real(
-            binomial_halfwidth_3sigma(success, len(attempt_outcomes)))
+            binomial_halfwidth_3sigma(success, attempts))
     if per_phase is not None:
         halfwidth["mean_looks_per_phase"] = _fmt_real(mean_halfwidth_3sigma(phase_looks))
 
@@ -471,26 +467,27 @@ def pool_outcomes(outcomes: list[experiments.TrialOutcome]) -> dict:
         "mean_total_looks": _fmt_real(sum(looks) / n),
         "mean_attempt_success_rate": None if success is None else _fmt_real(success),
         "mean_looks_per_phase": None if per_phase is None else _fmt_real(per_phase),
-        "n_attempts": len(attempt_outcomes),
+        "n_attempts": attempts,
         "n_phases": len(phase_looks),
         "halfwidth_3sigma": halfwidth,
-        "attempts_per_phase_hist": {str(k): v for k, v in sorted(phase_hist.items())},
-        "k_histogram": {str(k): v for k, v in sorted(k_hist.items())},
+        "attempts_per_phase_hist": shares.get("attempts_per_phase_hist", {}),
+        "k_histogram": shares.get("k_histogram", {}),
     }
 
 
-def pool_extras(outcomes: list[experiments.TrialOutcome]) -> dict:
-    """The trials' ``extras`` pooled key by key: bools by ``all``, ints
-    summed, and str -> count histograms summed per key, keys in sorted
-    order."""
+def pool_shares(shares) -> dict:
+    """Trials' share dicts pooled key by key: bools by ``all``, ints summed,
+    tuples joined into one list in trial order, and str -> count histograms
+    summed per key, keys in sorted order."""
     pooled: dict = {}
-    for outcome in outcomes:
-        for key, value in outcome.extras.items():
-            if key not in pooled:
-                pooled[key] = Counter(value) if isinstance(value, dict) else value
+    for share in shares:
+        for key, value in share.items():
+            if key not in pooled:  # copies, so += never changes a trial's share
+                pooled[key] = (Counter(value) if isinstance(value, dict)
+                               else list(value) if isinstance(value, tuple) else value)
             elif isinstance(value, bool):
                 pooled[key] = pooled[key] and value
-            else:  # an int, or a histogram added to its Counter
+            else:  # an int, a tuple joined to its list, or a histogram to its Counter
                 pooled[key] += value
     return {key: dict(sorted(value.items())) if isinstance(value, dict) else value
             for key, value in pooled.items()}
@@ -499,17 +496,15 @@ def pool_extras(outcomes: list[experiments.TrialOutcome]) -> dict:
 def _mode_extras(scn: Scenario, outcomes: list[experiments.TrialOutcome]) -> dict:
     """The report's "extras": the pooled trial extras, plus what no single
     trial holds."""
-    extras = pool_extras(outcomes)
+    extras = pool_shares(outcome.extras for outcome in outcomes)
     if scn.theorem5_bound is not None:
         extras["theorem5_bound"] = _fmt_real(scn.theorem5_bound)
     if scn.schedule_variants:
-        counts = [0] * len(scn.schedule_variants)
+        # Variant v runs trials v * scn.trials up to (v + 1) * scn.trials - 1.
         hits = [0] * len(scn.schedule_variants)
         for outcome in outcomes:
-            v = outcome.trial // scn.trials
-            counts[v] += 1
-            hits[v] += outcome.gathered
-        extras["variant_trials"] = counts
+            hits[outcome.trial // scn.trials] += outcome.gathered
+        extras["variant_trials"] = [scn.trials] * len(scn.schedule_variants)
         extras["variant_gathered"] = hits
     if scn.mode == "multirobot":
         tie_trials = scn.params["tie_trials"]
@@ -598,6 +593,9 @@ def main(argv=None) -> int:
         for name in bundled_scenario_names():
             print(name)
         return 0
+    if args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
 
     path = Path(args.scenario)
     if not path.exists():

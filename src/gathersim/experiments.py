@@ -14,6 +14,7 @@ which change as a run goes on, are built afresh for each trial.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import geometry
@@ -77,12 +78,9 @@ class TrialOutcome:
     n_attempts: int | None = None
     n_phases: int | None = None
     first_gather_time: Rat | None = None
-    attempt_outcomes: tuple = ()
-    phase_looks: tuple = ()
-    attempts_per_phase: tuple = ()
-    k_value: int | None = None
-    # The trial's share of the report's "extras", under the report's own
-    # names; cli.pool_extras pools them.
+    # The trial's shares of the report's "stats" samples and of its
+    # "extras", under the report's own names; cli.pool_shares pools each.
+    stats: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
     trace: Trace | None = None
 
@@ -118,12 +116,14 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
         attempts = segment_attempts(trace)
         phases = segment_phases(attempts)
         out.n_attempts, out.n_phases = len(attempts), len(phases)
-        out.attempt_outcomes = tuple(a.successful for a in attempts if a.complete)
+        complete = [a.successful for a in attempts if a.complete]
         # Only terminal phases made of completed attempts are pooled.
         pooled = [ph for ph in phases
                   if ph.terminal and all(a.complete for a in ph.attempts)]
-        out.phase_looks = tuple(ph.total_looks for ph in pooled)
-        out.attempts_per_phase = tuple(len(ph.attempts) for ph in pooled)
+        out.stats = {"n_attempts": len(complete), "attempt_successes": sum(complete),
+                     "phase_looks": tuple(ph.total_looks for ph in pooled),
+                     "attempts_per_phase_hist": Counter(str(len(ph.attempts))
+                                                        for ph in pooled)}
     return out
 
 
@@ -269,7 +269,8 @@ def thm4_trial(scn, trial: int) -> TrialOutcome:
     policies = {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE}
     trace = run(specs, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
-    return outcome_of(trial, trace, k_value=halving_count(trace, 0, 1))
+    k = halving_count(trace, 0, 1)
+    return outcome_of(trial, trace, stats={"k_histogram": {} if k is None else {str(k): 1}})
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,7 @@ from gathersim.analysis import (
     segment_phases,
     theorem5_bound,
 )
-from gathersim.cli import pool_extras, pool_outcomes
+from gathersim.cli import pool_outcomes, pool_shares
 from gathersim.engine import Budgets, RobotSpec, run
 from gathersim.experiments import TrialOutcome
 from gathersim.policies import TAU_TRIPLE, THREE_CHOICE, Deterministic, Oracle
@@ -331,21 +331,48 @@ def test_pool_outcomes_means_and_errors():
         pool_outcomes([])
 
 
-def test_pool_extras_rules():
-    # Bools pool by all, ints are summed, histograms are summed per key,
-    # with keys only some trials have, in sorted key order.
-    extras = [
-        {"ok": True, "n": 2, "hist": {"3": 1}},
-        {"ok": False, "n": 0, "hist": {"10": 2}},
-        {"ok": True, "n": 5, "hist": {"3": 1, "0": 4}},
+def test_pool_shares_rules():
+    # Bools pool by all, ints are summed, tuples are joined into one list
+    # in trial order and histograms are summed per key, in sorted key order; a key that
+    # only some trials have pools over those trials.
+    shares = [
+        {"ok": True, "n": 2, "hist": {"3": 1}, "looks": (4, 1)},
+        {"ok": False, "n": 0, "hist": {"10": 2}, "looks": ()},
+        {"ok": True, "n": 5, "hist": {"3": 1, "0": 4}, "looks": (9,), "late": 3},
     ]
-    pooled = pool_extras([TrialOutcome(trial=i, gathered=False, total_looks=0, extras=e)
-                          for i, e in enumerate(extras)])
-    assert pooled == {"ok": False, "n": 7, "hist": {"0": 4, "10": 2, "3": 2}}
+    pooled = pool_shares(shares)
+    assert pooled == {"ok": False, "n": 7, "hist": {"0": 4, "10": 2, "3": 2},
+                      "looks": [4, 1, 9], "late": 3}
     assert list(pooled["hist"]) == ["0", "10", "3"]
     assert pooled["ok"] is False
-    assert pool_extras([TrialOutcome(trial=0, gathered=True, total_looks=1,
-                                     extras={"ok": True})]) == {"ok": True}
+    assert shares[0] == {"ok": True, "n": 2, "hist": {"3": 1}, "looks": (4, 1)}  # untouched
+    assert pool_shares([{"ok": True}]) == {"ok": True}
+    assert pool_shares([{}, {}]) == {}
+
+
+def test_pool_outcomes_reads_stats_shares():
+    outcomes = [
+        TrialOutcome(trial=0, gathered=True, total_looks=4,
+                     stats={"n_attempts": 2, "attempt_successes": 1, "phase_looks": (3,),
+                            "attempts_per_phase_hist": {"2": 1}}),
+        TrialOutcome(trial=1, gathered=False, total_looks=6),
+        TrialOutcome(trial=2, gathered=True, total_looks=5,
+                     stats={"n_attempts": 2, "attempt_successes": 2, "phase_looks": (5, 1),
+                            "attempts_per_phase_hist": {"1": 2}}),
+    ]
+    stats = pool_outcomes(outcomes)
+    assert (stats["n_attempts"], stats["n_phases"]) == (4, 3)
+    assert stats["mean_attempt_success_rate"] == "0.75"
+    assert stats["mean_looks_per_phase"] == "3"
+    assert stats["attempts_per_phase_hist"] == {"1": 2, "2": 1}
+    assert stats["k_histogram"] == {}
+    # Histograms no trial hands in stay empty; samples no trial hands in
+    # leave their statistics unset.
+    plain = pool_outcomes([TrialOutcome(trial=0, gathered=True, total_looks=1)])
+    assert plain["attempts_per_phase_hist"] == plain["k_histogram"] == {}
+    assert (plain["n_attempts"], plain["n_phases"]) == (0, 0)
+    assert plain["mean_attempt_success_rate"] is plain["mean_looks_per_phase"] is None
+    assert "mean_attempt_success_rate" not in plain["halfwidth_3sigma"]
 
 
 def test_binomial_ci_covers_bernoulli():

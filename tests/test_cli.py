@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from test_rational import decimal_digits
 
-from gathersim import experiments
+from gathersim import cli, experiments
 from gathersim.adversary import (
     AdaptiveThm6,
     ObliviousExplicit,
@@ -510,6 +510,81 @@ def test_main_rejects_thm3_trials_flag(tmp_path, capsys):
 @pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI])
 def test_main_runs_valid_mode_params(tmp_path, raw):
     assert _run_exit_code(tmp_path, raw) == 0
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"robots": "garbage"}, "robots"),
+    ({"robots": MINIMAL["robots"]}, "robots"),
+    ({"adversary": {"kind": "NOPE"}}, "adversary"),
+    ({"adversary": MINIMAL["adversary"]}, "adversary"),
+    ({"schedule_variants": [MINIMAL["adversary"]]}, "schedule_variants"),
+    ({"policies": {}}, "policies"),
+    ({"analysis": {"segment_attempts": True}}, "analysis.segment_attempts"),
+    ({"analysis": {"segment_attempts": False}}, "analysis.segment_attempts"),
+], ids=["robots-garbage", "robots", "adversary-bad", "adversary", "variants", "policies",
+        "segment-on", "segment-off"])
+@pytest.mark.parametrize("base", [SSYNC, THM3, THM4, THM6, LEMMA1, MULTI],
+                         ids=lambda raw: raw["mode"])
+def test_main_rejects_two_robot_fields_in_other_modes(tmp_path, capsys, base, patch, field):
+    # Only a two_robot run reads these, so elsewhere they would be ignored.
+    assert _run_exit_code(tmp_path, {**base, **patch}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: {field}: read only in mode 'two_robot'")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each pool cli opens; the pools run serially and
+    start no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("workers,trials,cores,size", [
+    (10 ** 6, 3, 8, 3),
+    (10 ** 6, 8, 4, 4),
+    (3, 8, 16, 3),
+    (2, 8, None, 1),
+])
+def test_worker_pool_size_is_capped(monkeypatch, pool_sizes, workers, trials, cores, size):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    scn = scenario(trials=trials)
+    pooled = run_experiment(scn, workers=workers)
+    assert pool_sizes == [size]
+    serial = run_experiment(scn)
+    assert render_report_json(pooled) == render_report_json(serial)
+    assert render_report_csv(pooled) == render_report_csv(serial)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_main_rejects_workers_below_one(tmp_path, capsys, pool_sizes, workers):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert main(["run", str(path), "--workers", workers, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+    assert pool_sizes == [] and not (tmp_path / "o").exists()
+
+
+def test_single_schedule_variant_reports_variant_counts():
+    rep = run_experiment(scenario(trials=4, schedule_variants=[MINIMAL["adversary"]]))
+    extras = rep.summary["extras"]
+    assert extras["variant_trials"] == [4]
+    assert extras["variant_gathered"] == [rep.summary["stats"]["gathered"]]
 
 
 @pytest.mark.parametrize("raw,field", [

@@ -107,10 +107,11 @@ def test_thm4_trial_counts_halvings():
     for i in range(40):
         out = ex.thm4_trial(s, i)
         mover, other = out.trace.runs[0], out.trace.runs[1]
-        assert out.k_value == next((k for k, seg in enumerate(mover.segments)
-                                    if is_mid_move(other, seg.look_time)), None)
-        if out.k_value is not None:
-            hist[out.k_value] = hist.get(out.k_value, 0) + 1
+        k = next((k for k, seg in enumerate(mover.segments)
+                  if is_mid_move(other, seg.look_time)), None)
+        assert out.stats == {"k_histogram": {} if k is None else {str(k): 1}}
+        if k is not None:
+            hist[k] = hist.get(k, 0) + 1
     assert max(hist, key=hist.get) == 2  # delta(1 - 2^-2) = 3/4 > 13/20
 
 
@@ -223,8 +224,10 @@ def test_terminal_phase_cut_by_the_budget_is_not_pooled():
     assert [[(a.successful, a.complete) for a in ph.attempts] for ph in phases] == [
         [(True, True)], [(False, True), (True, False)], [(True, False)]]
     assert all(ph.terminal for ph in phases)
-    assert out.phase_looks == (phases[0].total_looks,)
-    assert out.attempts_per_phase == (1,)
+    assert out.stats["phase_looks"] == (phases[0].total_looks,)
+    assert out.stats["attempts_per_phase_hist"] == {"1": 1}
+    # Completed attempts only: the first two of the four.
+    assert (out.stats["n_attempts"], out.stats["attempt_successes"]) == (2, 1)
 
 
 ORACLE_RUN = {

@@ -144,9 +144,11 @@ def test_golden_digests(key, tmp_path):
 
 def test_golden_digests_with_workers(tmp_path):
     # Workers receive the compiled scenario pickled and send trace text
-    # and each trial's report extras back; the bytes must not change.
+    # and each trial's shares of the report's stats and extras back (the
+    # k histogram of thm4, the attempt and phase samples of a segmented
+    # run); the bytes must not change.
     for name in ("thm1_positive", "thm5_1024", "thm3_oracle", "thm6_adaptive",
-                 "multirobot_n8"):
+                 "multirobot_n8", "thm4_one_free", "lemma2"):
         overrides, trace_policy, expected = GOLDEN[name]
         assert output_digests(name, overrides, trace_policy, tmp_path / name,
                               workers=2) == expected
