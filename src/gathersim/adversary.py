@@ -12,7 +12,6 @@ import copy
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .geometry import move_position
 from .rational import (ONE, U01_DEN, ZERO, Rat, grid_point, parse_rat, spawn_rng,
                        uniform_closed)
 
@@ -226,18 +225,20 @@ class AdaptiveThm6:
         return c
 
     def adaptive_decide(self, pair, dest) -> tuple[Rat, Rat]:
-        """(C for this cycle, W for the next) after pair[0]'s look computed ``dest``."""
+        """(C for this cycle, W for the next) after pair[0]'s look computed ``dest``.
+
+        Reads the looking robot's ``travel`` and the sign of its ``shift``
+        (``dest - pos``) for the move to ``dest``."""
         me, other = pair
-        if dest == me.pos:
+        travel = me.travel
+        if not travel:
             # Zero-length move: force an immediate re-look at the same instant.
             return (ZERO, ZERO)
-        t = me.look_time
         other_look, other_pos_at_look = self._other_next_look(other)
-        travel = me.travel
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
         # robot's next look; C is additionally clamped to be non-negative.
-        hi = other_look - t
+        hi = other_look - me.look_time
         lo = hi - travel
         if lo < 0:
             lo = ZERO
@@ -245,14 +246,16 @@ class AdaptiveThm6:
             raise InfeasibleDelayError(
                 f"empty feasible delay interval ({lo}, {hi}) for robot {me.spec.id}"
             )
-        c = lo + (hi - lo) / 2
-        start = t + c
-        if move_position(me.pos, dest, me.spec.speed, start, start + travel,
-                         other_look) == other_pos_at_look:
+        half = (hi - lo) / 2
+        # With C = lo + half the other robot looks half after the move starts,
+        # strictly inside it (half < travel), where this robot has come
+        # speed * half of the way from its position towards dest.
+        step = me.spec.speed * half
+        if other_pos_at_look - me.pos == (step if me.shift > 0 else -step):
             # Only a single delay value puts us exactly on the other robot at
             # its look; any other interior point avoids the coincidence.
-            c = lo + (hi - lo) / 4
-        return (c, ONE)
+            return (lo + (hi - lo) / 4, ONE)
+        return (lo + half, ONE)
 
     def _other_next_look(self, other):
         """The other robot's committed next look time and resting position."""

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -391,6 +390,10 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
     if workers > 1 and n > 1:
         chunk = max(1, (n + workers - 1) // workers)
         chunks = [indices[i:i + chunk] for i in range(0, n, chunk)]
+        # Imported here: the pool's modules (multiprocessing, logging) would
+        # otherwise load on every start, also for a serial run.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool starts every process at once: no more than chunks or cores.
         with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
             for part in pool.map(_run_chunk, [scn] * len(chunks), chunks,

@@ -11,6 +11,12 @@ All quantities are exact rationals (``rational.Rat``), so a look either
 observes the other robot at exactly the observer's position (the gathering
 decision fires, even for a robot crossing mid-move) or it does not.
 
+The time budget is checked when a cycle's times are fixed, not at each
+event: a robot is marked late when its look time, or the end of the move
+its look commits, passes ``max_time``.  A cycle's LOOK, MOVE_START and
+MOVE_END come in that order, no later than the next LOOK, so only a late
+robot's events can pass the budget, and only they are compared with it.
+
 Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
@@ -235,18 +241,21 @@ class _LiveRobot:
     """Mutable per-run robot state driving the event loop.
 
     ``next_time`` and ``next_rank`` are the pending event's time and its
-    ``_KIND_TIE`` rank while the robot is not done.  ``travel`` is the
-    duration of the move its latest look computed, set before the
-    adversary chooses that move's delay.
+    ``_KIND_TIE`` rank while the robot is not done.  ``shift`` is
+    ``dest - pos`` of the move its latest look computed and ``travel`` that
+    move's duration, both set before the adversary chooses its delay.
+    ``late`` is set once its look time or move end is fixed past
+    ``max_time``; only a late robot's events can pass the budget.
     """
 
-    __slots__ = ("spec", "policy", "segments", "phase", "cycle", "pos", "wait",
-                 "look_time", "move_start", "move_end", "dest", "travel",
-                 "next_time", "next_rank")
+    __slots__ = ("spec", "policy", "max_time", "segments", "phase", "cycle", "pos",
+                 "wait", "look_time", "move_start", "move_end", "dest", "shift",
+                 "travel", "late", "next_time", "next_rank")
 
-    def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
+    def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
         self.spec = spec
         self.policy = policy
+        self.max_time = max_time
         self.segments: list[CycleSegment] = []
         self.phase = "waiting"
         self.cycle = 0
@@ -256,7 +265,9 @@ class _LiveRobot:
         self.move_start = ZERO
         self.move_end = ZERO
         self.dest = spec.start
+        self.shift = ZERO
         self.travel = ZERO
+        self.late = False
         self.next_time = ZERO
         self.next_rank = _KIND_TIE[LOOK]
 
@@ -266,6 +277,7 @@ class _LiveRobot:
         if self.wait < 0:
             raise ValueError("adversary produced a negative wait")
         self.look_time = self.next_time = start + self.wait
+        self.late = self.look_time > self.max_time
         self.next_rank = _KIND_TIE[LOOK]
         self.phase = "waiting"
 
@@ -277,6 +289,7 @@ class _LiveRobot:
         self.move_start = self.next_time = t + compute
         self.next_rank = _KIND_TIE[MOVE_START]
         self.move_end = self.move_start + self.travel
+        self.late = self.move_end > self.max_time
         self.segments.append(CycleSegment(
             self.cycle, self.wait, t, compute, lam, self.move_start, self.move_end,
             self.pos, dest, observed))
@@ -315,12 +328,12 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         raise ValueError("robot ids must be distinct")
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
 
-    states = {spec.id: _LiveRobot(spec, policies[spec.id])
+    max_time, max_looks = budgets.max_time, budgets.max_total_looks
+    states = {spec.id: _LiveRobot(spec, policies[spec.id], max_time)
               for spec in sorted(robots, key=lambda s: s.id)}
     for st in states.values():
         st.enter_cycle(0, ZERO, adversary)
     a, b = states.values()  # in robot id order
-    max_time, max_looks = budgets.max_time, budgets.max_total_looks
 
     looks_done = 0
     n_events = 0
@@ -339,7 +352,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         else:
             st = b
         t = st.next_time
-        if t > max_time:
+        if st.late and t > max_time:
             status = TIME_BUDGET_EXHAUSTED
             break
         phase = st.phase
@@ -356,7 +369,8 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
             else:
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
-                st.travel = abs(dest - st.pos) / st.spec.speed
+                st.shift = dest - st.pos
+                st.travel = abs(st.shift) / st.spec.speed
                 compute = adversary.computation_delay(st.spec.id, st.cycle, dest, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START

@@ -15,6 +15,9 @@ is built: the exponent ``e`` when its denominator is ``2**e``, and -1
 otherwise.  Between two tagged (dyadic) values, ``+ - * /`` and the
 comparisons are shifts and integer adds with no gcd, which keeps long
 adaptive runs fast: their denominators grow by about 20 bits per look.
+Bringing such a result to lowest terms shifts out the numerator's
+trailing zeros, counted on its low machine word (``_LOW``); only a
+numerator whose low word is zero is counted whole.
 Any other pair takes ``Fraction``'s gcd algorithm, and dividing by one
 returns the dividend.  Every operand of another type is left to
 ``Fraction``'s operators: a ``Fraction`` gives a plain ``Fraction`` of the
@@ -49,6 +52,12 @@ MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
 _INT_LIMIT = 10 ** MAX_DIGITS
 
+# The low word of a numerator, which holds its trailing zeros unless it is
+# 0; ``n & _LOW`` is a machine-word int, where ``n & -n`` builds two ints as
+# wide as n.  For n < 0 it is the two's complement word, whose trailing
+# zeros are those of n.
+_LOW = (1 << 62) - 1
+
 
 class Rat(Fraction):
     """An exact rational in lowest terms, tagged with ``_exp``.
@@ -80,10 +89,12 @@ class Rat(Fraction):
             n, e = na * nb, ea + eb
             if not n:
                 e = 0
-            elif e and not n & 1:  # an integer factor may cancel powers of two
-                z = min((n & -n).bit_length() - 1, e)
-                n >>= z
-                e -= z
+            elif e:  # an integer factor may cancel powers of two
+                low = n & _LOW
+                if not low & 1:
+                    z = min((low & -low if low else n & -n).bit_length() - 1, e)
+                    n >>= z
+                    e -= z
             d = 1 << e
         else:  # Fraction's algorithm
             g1 = gcd(na, db)
@@ -156,10 +167,12 @@ def _additive(negate, reflected, fallback):
                 n, e = na + nb, ea
                 if not n:
                     e = 0
-                elif e and not n & 1:
-                    z = min((n & -n).bit_length() - 1, e)
-                    n >>= z
-                    e -= z
+                elif e:
+                    low = n & _LOW
+                    if not low & 1:
+                        z = min((low & -low if low else n & -n).bit_length() - 1, e)
+                        n >>= z
+                        e -= z
                 d = 1 << e
         else:  # Fraction's algorithm
             g = gcd(da, db)
@@ -206,10 +219,12 @@ def _quotient(reflected, fallback):
                 n, e = n << -e, 0
             elif not n:
                 e = 0
-            elif e and not n & 1:
-                z = min((n & -n).bit_length() - 1, e)
-                n >>= z
-                e -= z
+            elif e:
+                low = n & _LOW
+                if not low & 1:
+                    z = min((low & -low if low else n & -n).bit_length() - 1, e)
+                    n >>= z
+                    e -= z
             d = 1 << e
         else:  # Fraction's algorithm
             if nb == 0:

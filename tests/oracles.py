@@ -8,8 +8,10 @@ instead of deriving the log from cycle segments as the engine does, the
 trace text is built as a dict tree and encoded by ``json.dumps``, the
 distance profile calls ``position_at`` at each sorted breakpoint, the
 attempt reference recomputes each window's distances and rescans each
-robot's remaining segments for every attempt, and the mid-move check
-bisects the other robot's segments afresh for every look.
+robot's remaining segments for every attempt, the mid-move check bisects
+the other robot's segments afresh for every look, and the adaptive
+decision places the move literally with ``move_position`` to test whether
+it lands on the other robot.
 """
 
 import json
@@ -18,9 +20,10 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import attrgetter
 
+from gathersim.adversary import InfeasibleDelayError
 from gathersim.analysis import AttemptRecord, max_distance_from
 from gathersim.engine import position_at
-from gathersim.geometry import add, scale, sqdist, sub
+from gathersim.geometry import add, move_position, scale, sqdist, sub
 from gathersim.policies import destination
 from gathersim.rational import format_rat
 
@@ -246,6 +249,29 @@ def grid_project_coordinate(q, p1, p2, span=64):
     return best
 
 
+def reference_adaptive_decide(adversary, pair, dest):
+    """``AdaptiveThm6.adaptive_decide`` with the move placed literally: the
+    delay is the midpoint of the feasible interval unless ``move_position``
+    puts the robot exactly on the other one at the other's next look, and
+    then the quarter point.  Travel is recomputed from ``dest``."""
+    me, other = pair
+    if dest == me.pos:
+        return (Fraction(0), Fraction(0))
+    t = me.look_time
+    other_look, other_pos_at_look = adversary._other_next_look(other)
+    travel = abs(dest - me.pos) / me.spec.speed
+    hi = other_look - t
+    lo = max(hi - travel, Fraction(0))
+    if not lo < hi:
+        raise InfeasibleDelayError(f"empty feasible delay interval ({lo}, {hi})")
+    c = lo + (hi - lo) / 2
+    start = t + c
+    if move_position(me.pos, dest, me.spec.speed, start, start + travel,
+                     other_look) == other_pos_at_look:
+        c = lo + (hi - lo) / 4
+    return (c, Fraction(1))
+
+
 class _RefRobot:
     """A robot's state in the reference loop (its ``phase`` and fields are
     the ones adaptive adversaries read)."""
@@ -261,6 +287,7 @@ class _RefRobot:
         self.move_end = Fraction(0)
         self.origin = spec.start
         self.dest = spec.start
+        self.shift = Fraction(0)
         self.travel = Fraction(0)
         self.lam = None
         self.look_count = 0
@@ -336,7 +363,8 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                 continue
             lam = st.policy.sample(rng)
             dest = destination(st.pos, obs, lam)
-            st.travel = abs(dest - st.pos) / st.spec.speed
+            st.shift = dest - st.pos
+            st.travel = abs(st.shift) / st.spec.speed
             compute = adversary.computation_delay(rid, st.cycle, dest, (st, other))
             if compute < 0:
                 raise ValueError("adversary produced a negative computation delay")

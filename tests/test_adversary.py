@@ -1,12 +1,16 @@
 from fractions import Fraction as F
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import reference_adaptive_decide
 
 from gathersim import adversary, experiments
 from gathersim.adversary import (
     AdaptiveThm6,
     AdversaryError,
+    InfeasibleDelayError,
     ObliviousExplicit,
     ObliviousGenerated,
     PerRobot,
@@ -306,6 +310,86 @@ def test_adaptive_avoids_landing_on_the_other_robot():
              AdaptiveThm6({0: F(0), 1: F(5)}), spawn_rng("thm6-coincide"), Budgets(2, F(100)))
     assert tr.runs[0].segments[0].compute == F(7, 2)
     assert tr.runs[1].segments[0].observed == F(3, 2)
+
+
+def test_adaptive_avoids_landing_on_the_other_robot_moving_backward():
+    # The mirror image: robot 0 starts at 2 and heads for 0, so the
+    # midpoint delay would again put it on robot 1 at 1 at t = 5; with the
+    # quarter point robot 1 sees it at 1/2.
+    specs = [RobotSpec(0, F(2), F(1)), RobotSpec(1, F(1), F(1))]
+    tr = run(specs, {0: Oracle([F(2)]), 1: Oracle([F(1, 2)])},
+             AdaptiveThm6({0: F(0), 1: F(5)}), spawn_rng("thm6-coincide"), Budgets(2, F(100)))
+    assert tr.runs[0].segments[0].compute == F(7, 2)
+    assert tr.runs[1].segments[0].observed == F(1, 2)
+
+
+# adaptive_decide against the literal move of oracles.reference_adaptive_decide
+
+dyadics = st.builds(lambda n, e: Rat(n, 1 << e), st.integers(-2 ** 70, 2 ** 70),
+                    st.integers(0, 80))
+rats = st.one_of(dyadics, st.builds(Rat, st.integers(-10 ** 9, 10 ** 9),
+                                    st.integers(1, 10 ** 6)))
+positive = st.one_of(
+    st.builds(lambda n, e: Rat(n, 1 << e), st.integers(1, 2 ** 70), st.integers(0, 80)),
+    st.builds(Rat, st.integers(1, 10 ** 9), st.integers(1, 10 ** 6)))
+
+
+def decide_pair(adv, pos, dest, speed, look_time, other_look, other_pos, other_moving):
+    """(looking robot, other robot) as adaptive_decide reads them; a moving
+    other robot's next look is its move end plus a committed wait of 1."""
+    shift = dest - pos
+    me = SimpleNamespace(spec=SimpleNamespace(id=0, speed=speed), pos=pos,
+                         look_time=look_time, shift=shift, travel=abs(shift) / speed)
+    spec = SimpleNamespace(id=1, speed=Rat(1))
+    if other_moving:
+        adv._next_wait[(1, 4)] = Rat(1)
+        other = SimpleNamespace(spec=spec, phase="moving", cycle=3,
+                                move_end=other_look - 1, dest=other_pos)
+    else:
+        other = SimpleNamespace(spec=spec, phase="waiting", look_time=other_look,
+                                pos=other_pos)
+    return me, other
+
+
+def decisions(adv, pair, dest):
+    """adaptive_decide and its reference, or the error each raised."""
+    got = []
+    for decide in (adv.adaptive_decide, partial(reference_adaptive_decide, adv)):
+        try:
+            got.append(decide(pair, dest))
+        except InfeasibleDelayError:
+            got.append(InfeasibleDelayError)
+    return got
+
+
+@settings(max_examples=500, deadline=None)
+@given(rats, rats, positive, rats, rats, rats, st.booleans())
+def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
+                                              other_pos, other_moving):
+    adv = AdaptiveThm6({0: F(2), 1: F(1)})
+    pair = decide_pair(adv, pos, dest, speed, look_time, look_time + gap, other_pos,
+                       other_moving)
+    got, expected = decisions(adv, pair, dest)
+    assert got == expected
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@settings(max_examples=200, deadline=None)
+@given(pos=rats, distance=positive, speed=positive, look_time=rats, gap=positive,
+       other_moving=st.booleans())
+def test_adaptive_decide_quarter_point_on_exact_coincidence(
+        direction, pos, distance, speed, look_time, gap, other_moving):
+    # The other robot rests exactly where the midpoint delay would put
+    # this one at the other's next look, so both drop to the quarter point.
+    dest = pos + direction * distance
+    travel = distance / speed
+    lo, hi = max(gap - travel, Rat(0)), gap
+    at_look = pos + direction * speed * ((hi - lo) / 2)
+    adv = AdaptiveThm6({0: F(2), 1: F(1)})
+    pair = decide_pair(adv, pos, dest, speed, look_time, look_time + gap, at_look,
+                       other_moving)
+    got, expected = decisions(adv, pair, dest)
+    assert got == expected == (lo + (hi - lo) / 4, 1)
 
 
 def test_adaptive_never_gathers_small_batch():

@@ -1,4 +1,8 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -551,7 +555,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -569,6 +573,17 @@ def test_worker_pool_size_is_capped(monkeypatch, pool_sizes, workers, trials, co
     serial = run_experiment(scn)
     assert render_report_json(pooled) == render_report_json(serial)
     assert render_report_csv(pooled) == render_report_csv(serial)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only run_experiment opening a pool imports it, so a serial run never
+    # loads multiprocessing.  A fresh interpreter: this one has the pool.
+    code = ("import sys, gathersim.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

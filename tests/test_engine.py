@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
 from oracles import grid_project_coordinate, reference_events, reference_trace_text
+from test_experiments import _bundled, patch_every_binding
 
+from gathersim import experiments
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, ScheduleUnderrunError
 from gathersim.cli import trace_to_jsonable
 from gathersim.engine import (
@@ -24,7 +26,7 @@ from gathersim.engine import (
     run,
 )
 from gathersim.policies import THREE_CHOICE, TAU_TRIPLE, Deterministic, Oracle
-from gathersim.rational import spawn_rng
+from gathersim.rational import Rat, spawn_rng
 
 BIG = F(10 ** 6)
 
@@ -412,6 +414,42 @@ def test_derived_events_match_reference_adaptive():
         looks = [(e.time, e.robot_id) for e in tr.events if e.kind == LOOK]
         relooks += len(looks) - len(set(looks))
     assert relooks
+
+
+RAT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__",
+                 "__eq__", "__neg__", "__abs__", "__pos__")
+
+
+def test_adaptive_run_operation_count(monkeypatch):
+    # Counted, not timed: Rat operator calls inside engine.run on trial 0
+    # of the bundled thm6 scenario (400 looks).  At 43.5 per look (17 396)
+    # each event checked the time budget and the adversary placed the move
+    # with move_position to test for a coincidence; now only a late robot's
+    # events check the budget, set twice a cycle, and the coincidence is
+    # tested in closed form: 37.0 per look (14 791).  Restoring either old
+    # way passes 15 000.
+    scn = _bundled("thm6_adaptive", {})
+    calls = [0]
+    counting = [False]
+    for name in RAT_OPERATORS:
+        def counted(*args, _op=getattr(Rat, name)):
+            calls[0] += counting[0]
+            return _op(*args)
+        monkeypatch.setattr(Rat, name, counted)
+
+    def counted_run(*args):
+        counting[0] = True
+        try:
+            return run(*args)
+        finally:
+            counting[0] = False
+
+    patch_every_binding(monkeypatch, run, counted_run)
+    outcome = experiments.thm6_trial(scn, 0)
+    monkeypatch.undo()
+    assert outcome.total_looks == 400
+    assert calls[0] <= 15_000, calls[0]
 
 
 # ----------------------------------------------------------------------

@@ -246,6 +246,37 @@ def test_rat_division_by_one(x, one):
         _assert_same(operator.truediv(int(x), one), Fraction(int(x)))
 
 
+@pytest.mark.parametrize("zeros", [61, 62, 63, 64, 200])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("e", [3, 300])
+def test_dyadic_normalisation_past_the_low_word(zeros, sign, e):
+    # Each result's numerator, before lowest terms, is top: exactly
+    # ``zeros`` trailing zeros, so its low 62-bit word is 0 from 62 on and
+    # the count falls back to the whole numerator.  A negative top's low
+    # word is two's complement.  With e = 3 the zeros cancel the whole
+    # denominator; with e = 300 they cancel part of it.
+    top = sign * 3 ** 40 << zeros
+    assert (top & -top).bit_length() - 1 == zeros
+    m = 5 ** 30
+    x = Fraction(m, 2 ** e)
+    cases = [
+        (operator.add, x, Fraction(top - m, 2 ** e)),
+        (operator.sub, x, Fraction(m - top, 2 ** e)),
+        (operator.mul, x, Fraction(top)),
+        (operator.mul, x, top),
+        (operator.mul, top, x),  # reflected
+        (operator.truediv, Fraction(top), 2 ** e),
+        (operator.truediv, Fraction(top), Fraction(-2 ** e)),
+        (operator.truediv, top, Fraction(2 ** e)),  # reflected
+        (operator.add, top, x),  # reflected: exponents differ, no count
+        (operator.sub, top, x),
+    ]
+    for op, a, b in cases:
+        got = op(*(v if type(v) is int else Rat(v) for v in (a, b)))
+        _assert_tagged(got)
+        _assert_same(got, op(Fraction(a), Fraction(b)))
+
+
 class _Foreign:
     """A numeric type neither Rat nor Fraction knows.  It has reflected
     operators only; each records its name and returns it."""
