@@ -30,6 +30,5 @@ from .multirobot import (  # noqa: F401
     farthest_pairs,
     line_gather_step,
     reduce_to_line,
-    three_point_direct_check,
     tie_break_step,
 )

@@ -47,7 +47,7 @@ class _Oblivious:
         self._drawn[robot_id] = (cycle, c)
         return w
 
-    def computation_delay(self, robot_id, cycle, dest, pair) -> Rat:
+    def computation_delay(self, robot_id, cycle, pair) -> Rat:
         """The cycle's C, committed before the run; the look is not read."""
         drawn = self._drawn.get(robot_id)
         if drawn is not None and drawn[0] == cycle:
@@ -217,18 +217,18 @@ class AdaptiveThm6:
                 f"wait for robot {robot_id} cycle {cycle} was never committed"
             )
 
-    def computation_delay(self, robot_id, cycle, dest, pair):
-        """The cycle's C for the look that computed ``dest``; commits the next W.
+    def computation_delay(self, robot_id, cycle, pair):
+        """The cycle's C after the look; commits the next W.
         ``pair`` is (looking robot, other robot) as the run holds them."""
-        c, w_next = self.adaptive_decide(pair, dest)
+        c, w_next = self.adaptive_decide(pair)
         self._next_wait[(robot_id, cycle + 1)] = w_next
         return c
 
-    def adaptive_decide(self, pair, dest) -> tuple[Rat, Rat]:
-        """(C for this cycle, W for the next) after pair[0]'s look computed ``dest``.
+    def adaptive_decide(self, pair) -> tuple[Rat, Rat]:
+        """(C for this cycle, W for the next) after pair[0]'s look.
 
         Reads the looking robot's ``travel`` and the sign of its ``shift``
-        (``dest - pos``) for the move to ``dest``."""
+        (destination minus position) for the move its look computed."""
         me, other = pair
         travel = me.travel
         if not travel:
@@ -249,7 +249,7 @@ class AdaptiveThm6:
         half = (hi - lo) / 2
         # With C = lo + half the other robot looks half after the move starts,
         # strictly inside it (half < travel), where this robot has come
-        # speed * half of the way from its position towards dest.
+        # speed * half of the way from its position towards its destination.
         step = me.spec.speed * half
         if other_pos_at_look - me.pos == (step if me.shift > 0 else -step):
             # Only a single delay value puts us exactly on the other robot at
@@ -273,7 +273,10 @@ AdversaryPolicy = ObliviousExplicit | ObliviousGenerated | TauBounded | PerRobot
 
 
 def adversary_from_descriptor(desc: dict) -> AdversaryPolicy:
-    """Instantiate a fresh adversary from its serializable descriptor."""
+    """Instantiate a fresh adversary from its serializable descriptor.
+
+    A seeded kind gets seed 0, which ``for_trial`` replaces with each
+    trial's seed."""
     if not isinstance(desc, dict):
         raise AdversaryError("descriptor must be an object")
     fields = dict(desc)  # each read pops its key, so what is left is unknown
@@ -291,14 +294,14 @@ def adversary_from_descriptor(desc: dict) -> AdversaryPolicy:
         values = tuple(parse_rat(params.pop(key)) for key in names)
         if params:
             raise AdversaryError(f"unknown key 'params.{next(iter(params))}'")
-        adversary = ObliviousGenerated(generator, values, fields.pop("seed", 0))
+        adversary = ObliviousGenerated(generator, values, 0)
     elif kind == "TAU_BOUNDED":
         fixed = fields.pop("fixed_sum", None)
-        adversary = TauBounded(parse_rat(fields.pop("tau")), fields.pop("seed", 0),
+        adversary = TauBounded(parse_rat(fields.pop("tau")), 0,
                                parse_rat(fixed) if fixed is not None else None)
     elif kind == "ASYNC_IC":  # zero computation delay, waits uniform on [w_lo, w_hi]
         waits = (parse_rat(fields.pop("w_lo")), parse_rat(fields.pop("w_hi")))
-        adversary = ObliviousGenerated("uniform", (*waits, ZERO, ZERO), fields.pop("seed", 0))
+        adversary = ObliviousGenerated("uniform", (*waits, ZERO, ZERO), 0)
     elif kind == "PER_ROBOT":
         parts = {}
         for rid, sub in fields.pop("robots").items():

@@ -141,9 +141,9 @@ def max_distance_from(trace: Trace, t: Rat) -> Rat:
     return here
 
 
-def classify_success(attempt: AttemptRecord) -> bool:
+def classify_success(before: Rat, after: Rat) -> bool:
     """Successful iff the max distance after is at most half the one before."""
-    return 2 * attempt.max_dist_after <= attempt.max_dist_before
+    return 2 * after <= before
 
 
 def segment_attempts(trace: Trace) -> list[AttemptRecord]:
@@ -203,7 +203,7 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
             window=(t_begin, t_end),
             max_dist_before=before,
             max_dist_after=after,
-            successful=2 * after <= before,
+            successful=classify_success(before, after),
             complete=complete,
         ))
         t_begin, before = t_end, after

@@ -21,9 +21,9 @@ Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.  The
-adversary's ``computation_delay`` gets the destination each look computed
-and the pair (looking robot, other robot) as the run holds them; the
-looking robot already holds that move's ``travel`` time.
+adversary's ``computation_delay`` gets the pair (looking robot, other
+robot) as the run holds them; the looking robot already holds the
+``shift`` and ``travel`` time of the move its look computed.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -93,17 +93,18 @@ class Budgets:
 class CycleSegment:
     """One committed cycle: wait, look, compute delay, rigid move.
 
-    ``observed`` is the other robot's position seen by the look; the
-    robot's own position then is ``origin``.  ``lam`` is None for the final
-    cycle in which the robot decided it had gathered (``observed`` equals
-    ``origin``); such a cycle has a zero-length move interval at the look
-    instant and the robot never moves again.
+    The wait W and the delay C follow from the times: C is
+    ``move_start - look_time``, and W is ``look_time`` minus the previous
+    segment's ``move_end`` (minus 0 in cycle 0).  ``observed`` is the other
+    robot's position seen by the look; the robot's own position then is
+    ``origin``.  ``lam`` is None for the final cycle in which the robot
+    decided it had gathered (``observed`` equals ``origin``); such a cycle
+    has a zero-length move interval at the look instant and the robot never
+    moves again.
     """
 
     cycle: int
-    wait: Rat
     look_time: Rat
-    compute: Rat
     lam: Rat | None
     move_start: Rat
     move_end: Rat
@@ -249,7 +250,7 @@ class _LiveRobot:
     """
 
     __slots__ = ("spec", "policy", "max_time", "segments", "phase", "cycle", "pos",
-                 "wait", "look_time", "move_start", "move_end", "dest", "shift",
+                 "look_time", "move_start", "move_end", "dest", "shift",
                  "travel", "late", "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
@@ -260,7 +261,6 @@ class _LiveRobot:
         self.phase = "waiting"
         self.cycle = 0
         self.pos = spec.start
-        self.wait = ZERO
         self.look_time = ZERO
         self.move_start = ZERO
         self.move_end = ZERO
@@ -273,10 +273,10 @@ class _LiveRobot:
 
     def enter_cycle(self, cycle: int, start: Rat, adversary) -> None:
         self.cycle = cycle
-        self.wait = adversary.wait_time(self.spec.id, cycle)
-        if self.wait < 0:
+        wait = adversary.wait_time(self.spec.id, cycle)
+        if wait < 0:
             raise ValueError("adversary produced a negative wait")
-        self.look_time = self.next_time = start + self.wait
+        self.look_time = self.next_time = start + wait
         self.late = self.look_time > self.max_time
         self.next_rank = _KIND_TIE[LOOK]
         self.phase = "waiting"
@@ -291,8 +291,7 @@ class _LiveRobot:
         self.move_end = self.move_start + self.travel
         self.late = self.move_end > self.max_time
         self.segments.append(CycleSegment(
-            self.cycle, self.wait, t, compute, lam, self.move_start, self.move_end,
-            self.pos, dest, observed))
+            self.cycle, t, lam, self.move_start, self.move_end, self.pos, dest, observed))
         self.phase = "computing"
 
     def start_move(self) -> None:
@@ -302,7 +301,7 @@ class _LiveRobot:
 
     def decide_gathered(self, t: Rat) -> None:
         self.segments.append(CycleSegment(
-            self.cycle, self.wait, t, ZERO, None, t, t, self.pos, self.pos, self.pos))
+            self.cycle, t, None, t, t, self.pos, self.pos, self.pos))
         self.phase = "done"
 
     def position_at(self, t: Rat) -> Rat:
@@ -371,7 +370,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 dest = destination(st.pos, obs, lam)
                 st.shift = dest - st.pos
                 st.travel = abs(st.shift) / st.spec.speed
-                compute = adversary.computation_delay(st.spec.id, st.cycle, dest, (st, other))
+                compute = adversary.computation_delay(st.spec.id, st.cycle, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START
             st.start_move()

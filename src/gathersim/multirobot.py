@@ -34,10 +34,6 @@ class Configuration:
         if any(e.multiplicity < 1 for e in self.entities):
             raise ValueError("multiplicities are positive")
 
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(e.multiplicity for e in self.entities)
-
     def is_collinear(self) -> bool:
         if len(self.entities) <= 2:
             return True
@@ -173,28 +169,3 @@ def line_gather_step(config: Configuration) -> Configuration:
         else:
             moved.append((ent.pos, ent.multiplicity))
     return merge_positions(moved)
-
-
-def three_point_direct_check(positions: tuple[Point, Point, Point],
-                             arrival_a_at_b: Rat,
-                             arrival_c_at_b: Rat,
-                             activation_b: Rat) -> bool:
-    """Can three collinear robots gather directly at the middle position?
-
-    True iff the middle robot's activation does not fall strictly between
-    the two outer robots' arrival times at its position; otherwise the
-    situation degenerates to a two-robot problem.
-    """
-    a, b, c = positions
-    if len({a, b, c}) != 3:
-        raise ValueError("positions must be distinct")
-    ab = geometry.sub(b, a)
-    ac = geometry.sub(c, a)
-    if geometry.cross(ab, ac) != 0:
-        raise ValueError("positions must be collinear")
-    t = geometry.dot(ab, ac)
-    if not 0 < t < geometry.dot(ac, ac):
-        raise ValueError("b must lie strictly between a and c")
-    lo = min(arrival_a_at_b, arrival_c_at_b)
-    hi = max(arrival_a_at_b, arrival_c_at_b)
-    return not (lo < activation_b < hi)

@@ -11,7 +11,8 @@ attempt reference recomputes each window's distances and rescans each
 robot's remaining segments for every attempt, the mid-move check bisects
 the other robot's segments afresh for every look, and the adaptive
 decision places the move literally with ``move_position`` to test whether
-it lands on the other robot.
+it lands on the other robot.  ``segment_delays`` reads each cycle's (W, C)
+off its segment's times, as a run does not record them.
 """
 
 import json
@@ -191,6 +192,15 @@ def reference_segment_attempts(trace):
     return attempts
 
 
+def segment_delays(segments):
+    """Each segment's (W, C), read off its times: C is ``move_start -
+    look_time`` and W is ``look_time`` minus the previous segment's
+    ``move_end`` (minus 0 in cycle 0)."""
+    ends = [0] + [seg.move_end for seg in segments[:-1]]
+    return [(seg.look_time - end, seg.move_start - seg.look_time)
+            for seg, end in zip(segments, ends)]
+
+
 def is_mid_move(run, t):
     """True when the robot is strictly inside a move at time t.
 
@@ -365,7 +375,7 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
             dest = destination(st.pos, obs, lam)
             st.shift = dest - st.pos
             st.travel = abs(st.shift) / st.spec.speed
-            compute = adversary.computation_delay(rid, st.cycle, dest, (st, other))
+            compute = adversary.computation_delay(rid, st.cycle, (st, other))
             if compute < 0:
                 raise ValueError("adversary produced a negative computation delay")
             st.lam, st.dest, st.origin = lam, dest, st.pos

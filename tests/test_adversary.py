@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import reference_adaptive_decide
+from oracles import reference_adaptive_decide, segment_delays
 
 from gathersim import adversary, experiments
 from gathersim.adversary import (
@@ -64,7 +64,7 @@ def _async_ic(w_lo, w_hi, seed):
 
 
 def test_async_ic_zero_compute():
-    adv = adversary_from_descriptor({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "3", "seed": 5})
+    adv = adversary_from_descriptor({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "3"}).for_trial(5)
     for cycle in range(1000):
         w, c = adv.next_delays(0, cycle)
         assert c == 0 and F(0) <= w <= F(3)
@@ -86,8 +86,8 @@ def _fraction_uniform(rng, lo, hi):
     return lo + (hi - lo) * F(rng.randrange(U01_DEN + 1), U01_DEN)
 
 
-def _fraction_delays(desc, robot_id, cycle):
-    rng = spawn_rng(desc.get("seed", 0), "wc", robot_id, cycle)
+def _fraction_delays(desc, seed, robot_id, cycle):
+    rng = spawn_rng(seed, "wc", robot_id, cycle)
     if desc["kind"] == "TAU_BOUNDED":
         if "fixed_sum" in desc:
             total = F(desc["fixed_sum"])
@@ -103,20 +103,20 @@ def _fraction_delays(desc, robot_id, cycle):
             _fraction_uniform(rng, p["c_lo"], p["c_hi"]))
 
 
-@pytest.mark.parametrize("desc", [
-    {"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4},
-    {"kind": "TAU_BOUNDED", "tau": "1/1024", "seed": 5},
-    {"kind": "TAU_BOUNDED", "tau": "1/2", "fixed_sum": "13/20", "seed": 6},
-    {"kind": "ASYNC_IC", "w_lo": "1/3", "w_hi": "2", "seed": 7},
-    {"kind": "OBLIVIOUS_GENERATED", "generator": "uniform", "seed": 8,
-     "params": {"w_lo": "0", "w_hi": "3/2", "c_lo": "1/8", "c_hi": "2/7"}},
+@pytest.mark.parametrize("desc,seed", [
+    ({"kind": "TAU_BOUNDED", "tau": "1/10"}, 4),
+    ({"kind": "TAU_BOUNDED", "tau": "1/1024"}, 5),
+    ({"kind": "TAU_BOUNDED", "tau": "1/2", "fixed_sum": "13/20"}, 6),
+    ({"kind": "ASYNC_IC", "w_lo": "1/3", "w_hi": "2"}, 7),
+    ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
+      "params": {"w_lo": "0", "w_hi": "3/2", "c_lo": "1/8", "c_hi": "2/7"}}, 8),
 ], ids=["tau_drawn", "tau_dyadic", "tau_fixed_sum", "async_ic", "generated_uniform"])
-def test_draws_build_no_fraction(monkeypatch, desc):
+def test_draws_build_no_fraction(monkeypatch, desc, seed):
     # k / 2**53 is built by shifts: a draw calls no Fraction constructor
     # (so no gcd), and gives the values plain Fractions gave.
-    adv = adversary_from_descriptor(desc)
+    adv = adversary_from_descriptor(desc).for_trial(seed)
     cells = [(rid, cycle) for rid in (0, 1) for cycle in range(500)]
-    expected = [_fraction_delays(desc, rid, cycle) for rid, cycle in cells]
+    expected = [_fraction_delays(desc, seed, rid, cycle) for rid, cycle in cells]
     calls = []
     new = F.__new__
 
@@ -139,9 +139,13 @@ def test_oblivious_independence_from_algorithm_randomness():
     budgets = Budgets(20, BIG)
     tr_a = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv, 1, budgets)
     tr_b = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, adv, 2, budgets)
+
+    def pairs(tr, rid):
+        segs = tr.runs[rid].segments
+        return [wc for s, wc in zip(segs, segment_delays(segs)) if s.lam is not None]
+
     for rid in (0, 1):
-        pairs_a = [(s.wait, s.compute) for s in tr_a.runs[rid].segments if s.lam is not None]
-        pairs_b = [(s.wait, s.compute) for s in tr_b.runs[rid].segments if s.lam is not None]
+        pairs_a, pairs_b = pairs(tr_a, rid), pairs(tr_b, rid)
         n = min(len(pairs_a), len(pairs_b))
         assert n > 2
         assert pairs_a[:n] == pairs_b[:n]
@@ -161,22 +165,23 @@ def test_adversary_descriptor_roundtrip():
     cases = [
         ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": [["1/2", "1/4"]]}},
          ObliviousExplicit({0: [(F(1), F(0))], 1: [(F(1, 2), F(1, 4))]})),
-        ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform", "seed": 9,
+        ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
           "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}},
-         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 9)),
-        ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 2, "fixed_sum": "13/100"},
-         TauBounded(F(1, 10), seed=2, fixed_sum=F(13, 100))),
-        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2", "seed": 8}, _async_ic(F(0), F(2), 8)),
+         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 0)),
+        ({"kind": "TAU_BOUNDED", "tau": "1/10", "fixed_sum": "13/100"},
+         TauBounded(F(1, 10), seed=0, fixed_sum=F(13, 100))),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2"}, _async_ic(F(0), F(2), 0)),
         ({"kind": "PER_ROBOT", "robots": {
-            "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 1},
-            "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 2}}},
-         PerRobot({0: _async_ic(F(0), F(1), 1), 1: TauBounded(F(1), seed=2)})),
+            "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1"},
+            "1": {"kind": "TAU_BOUNDED", "tau": "1"}}},
+         PerRobot({0: _async_ic(F(0), F(1), 0), 1: TauBounded(F(1), seed=0)})),
         ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
          AdaptiveThm6({0: F(2), 1: F(1)})),
     ]
     for desc, built in cases:
         assert adversary_from_descriptor(desc) == built
-    # The seed defaults to 0 and the generator's values follow its own order.
+    # A seeded kind gets the seed 0, which each trial's ``for_trial``
+    # replaces, and the generator's values follow its own order.
     assert adversary_from_descriptor(
         {"kind": "OBLIVIOUS_GENERATED", "generator": "constant",
          "params": {"c": "1/8", "w": "3"}}) == ObliviousGenerated("constant", (F(3), F(1, 8)), 0)
@@ -238,11 +243,11 @@ def test_computation_delay_without_a_wait_draws_the_pair(adv):
     drawn = adv.for_trial(5)
     for robot in (0, 1):
         drawn.wait_time(robot, 7)
-        assert drawn.computation_delay(robot, 7, None, None) == drawn.next_delays(robot, 7)[1]
+        assert drawn.computation_delay(robot, 7, None) == drawn.next_delays(robot, 7)[1]
         # A cycle whose wait was not drawn, and a copy for another trial.
-        assert drawn.computation_delay(robot, 8, None, None) == drawn.next_delays(robot, 8)[1]
+        assert drawn.computation_delay(robot, 8, None) == drawn.next_delays(robot, 8)[1]
         twin = drawn.for_trial(6)
-        assert twin.computation_delay(robot, 7, None, None) == twin.next_delays(robot, 7)[1]
+        assert twin.computation_delay(robot, 7, None) == twin.next_delays(robot, 7)[1]
         assert twin.next_delays(robot, 7) != drawn.next_delays(robot, 7)
 
 
@@ -266,7 +271,7 @@ def test_adaptive_first_delay_matches_hand_solution():
     tr, _ = thm6_run(Oracle([F(1), F(0), F(1, 2)] * 4), Oracle([F(1, 2)] + [F(1)] * 8),
                      looks=4)
     seg = tr.runs[1].segments[0]
-    assert seg.compute == F(3, 4)
+    assert segment_delays(tr.runs[1].segments)[0][1] == F(3, 4)
     assert (seg.move_start, seg.move_end) == (F(7, 4), F(9, 4))
     look0 = next(e for e in tr.events if e.kind == LOOK and e.robot_id == 0)
     assert look0.time == F(2)
@@ -292,11 +297,12 @@ def test_adaptive_lambda_zero_forces_immediate_relook():
     tr, _ = thm6_run(Oracle([F(1)] * 6, ), Oracle([F(1, 2), F(0), F(0), F(1, 2)] + [F(1)] * 4),
                      looks=8)
     segs = tr.runs[1].segments
+    wc = segment_delays(segs)
     # The zero draw zeroes the current compute and the next wait, so the
     # robot's next two looks land at the very same instant.
-    assert segs[1].lam == F(0) and segs[1].compute == F(0)
-    assert segs[2].lam == F(0) and segs[2].wait == F(0) and segs[2].compute == F(0)
-    assert segs[3].wait == F(0)
+    assert segs[1].lam == F(0) and wc[1][1] == F(0)
+    assert segs[2].lam == F(0) and wc[2][0] == F(0) and wc[2][1] == F(0)
+    assert wc[3][0] == F(0)
     assert segs[1].look_time == segs[2].look_time == segs[3].look_time
 
 
@@ -308,7 +314,7 @@ def test_adaptive_avoids_landing_on_the_other_robot():
     specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]
     tr = run(specs, {0: Oracle([F(2)]), 1: Oracle([F(1, 2)])},
              AdaptiveThm6({0: F(0), 1: F(5)}), spawn_rng("thm6-coincide"), Budgets(2, F(100)))
-    assert tr.runs[0].segments[0].compute == F(7, 2)
+    assert segment_delays(tr.runs[0].segments)[0][1] == F(7, 2)
     assert tr.runs[1].segments[0].observed == F(3, 2)
 
 
@@ -319,7 +325,7 @@ def test_adaptive_avoids_landing_on_the_other_robot_moving_backward():
     specs = [RobotSpec(0, F(2), F(1)), RobotSpec(1, F(1), F(1))]
     tr = run(specs, {0: Oracle([F(2)]), 1: Oracle([F(1, 2)])},
              AdaptiveThm6({0: F(0), 1: F(5)}), spawn_rng("thm6-coincide"), Budgets(2, F(100)))
-    assert tr.runs[0].segments[0].compute == F(7, 2)
+    assert segment_delays(tr.runs[0].segments)[0][1] == F(7, 2)
     assert tr.runs[1].segments[0].observed == F(1, 2)
 
 
@@ -354,9 +360,9 @@ def decide_pair(adv, pos, dest, speed, look_time, other_look, other_pos, other_m
 def decisions(adv, pair, dest):
     """adaptive_decide and its reference, or the error each raised."""
     got = []
-    for decide in (adv.adaptive_decide, partial(reference_adaptive_decide, adv)):
+    for decide in (adv.adaptive_decide, partial(reference_adaptive_decide, adv, dest=dest)):
         try:
-            got.append(decide(pair, dest))
+            got.append(decide(pair))
         except InfeasibleDelayError:
             got.append(InfeasibleDelayError)
     return got

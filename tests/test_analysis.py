@@ -201,9 +201,9 @@ def attempt(before, after):
 
 
 def test_classify_success_boundary():
-    assert classify_success(attempt(1, F(1, 2))) is True   # boundary counts
-    assert classify_success(attempt(1, F(3, 5))) is False
-    assert classify_success(attempt(1, 0)) is True
+    assert classify_success(F(1), F(1, 2)) is True   # boundary counts
+    assert classify_success(F(1), F(3, 5)) is False
+    assert classify_success(F(1), F(0)) is True
 
 
 def test_segment_phases_shapes():

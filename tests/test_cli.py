@@ -115,16 +115,17 @@ def test_schema_expresses_every_kind():
         ({"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": [["1", "0"]]}},
          ObliviousExplicit({0: [(F(1), F(0))], 1: [(F(1), F(0))]})),
         ({"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
-          "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}, "seed": 3},
-         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 3)),
-        ({"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4}, TauBounded(F(1, 10), 4)),
-        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 5}, ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 5)),
+          "params": {"w_lo": "0", "w_hi": "1", "c_lo": "0", "c_hi": "0"}},
+         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 0)),
+        ({"kind": "TAU_BOUNDED", "tau": "1/10"}, TauBounded(F(1, 10), 0)),
+        ({"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1"},
+         ObliviousGenerated("uniform", (F(0), F(1), F(0), F(0)), 0)),
         ({"kind": "PER_ROBOT", "robots": {
             "0": {"kind": "OBLIVIOUS_GENERATED", "generator": "constant",
-                  "params": {"w": "0", "c": "0"}, "seed": 0},
-            "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 6}}},
+                  "params": {"w": "0", "c": "0"}},
+            "1": {"kind": "TAU_BOUNDED", "tau": "1"}}},
          PerRobot({0: ObliviousGenerated("constant", (F(0), F(0)), 0),
-                   1: TauBounded(F(1), 6)})),
+                   1: TauBounded(F(1), 0)})),
         ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}},
          AdaptiveThm6({0: F(2), 1: F(1)})),
     ]
@@ -643,9 +644,18 @@ def test_main_rejects_unknown_section_keys(tmp_path, capsys, raw, field):
         "0": _ASYNC, "1": {**_ASYNC, "sed": 3}}}}, "adversary: robots.1: unknown key 'sed'"),
     ({"schedule_variants": [{"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"},
                              "waits": {}}]}, "schedule_variants[0]: unknown key 'waits'"),
+    # Each trial draws from its own seed, so a descriptor has none.
+    ({"adversary": {**_ASYNC, "seed": 3}}, "adversary: unknown key 'seed'"),
+    ({"adversary": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 3}},
+     "adversary: unknown key 'seed'"),
+    ({"adversary": {**_generated("uniform"), "seed": 3}}, "adversary: unknown key 'seed'"),
+    ({"adversary": {"kind": "PER_ROBOT", "robots": {
+        "0": _ASYNC, "1": {"kind": "TAU_BOUNDED", "tau": "1", "seed": 3}}}},
+     "adversary: robots.1: unknown key 'seed'"),
 ], ids=["three-choice", "deterministic", "known-alpha", "async-ic", "async-ic-required",
         "tau-bounded",
-        "generated-params", "per-robot-part", "adaptive"])
+        "generated-params", "per-robot-part", "adaptive", "async-ic-seed", "tau-bounded-seed",
+        "generated-seed", "per-robot-part-seed"])
 def test_main_rejects_unknown_descriptor_keys(tmp_path, capsys, patch, message):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
     assert f"validation error: {message}" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from gathersim.adversary import adversary_from_descriptor
+from gathersim.adversary import PerRobot, adversary_from_descriptor
 from gathersim.policies import policy_from_descriptor
 from gathersim.rational import format_rat
 
@@ -50,17 +50,19 @@ POLICY_DRAWS = {
         "a480ed09a8b629eb06824b19328c4764711b8df07264633692f0a8d8cc5119b5"),
 }
 
+# name -> (descriptor, its trial seed, sha256 of its draws); a PER_ROBOT
+# seed maps each part's robot id to that part's own seed.
 ADVERSARY_DRAWS = {
     "async_ic": (
-        {"kind": "ASYNC_IC", "w_lo": "1/4", "w_hi": "3", "seed": 17},
+        {"kind": "ASYNC_IC", "w_lo": "1/4", "w_hi": "3"}, 17,
         "d8ea2305c3e4d0249dd2a2ffea10403b9899424e8bed01e06365696da7a50202"),
     "async_ic_point": (
-        {"kind": "ASYNC_IC", "w_lo": "2/3", "w_hi": "2/3", "seed": 5},
+        {"kind": "ASYNC_IC", "w_lo": "2/3", "w_hi": "2/3"}, 5,
         "203ba323b177dffae2361c95907967700470036c06e63a4d4e6121baf6abac8f"),
     "per_robot_async_ic": (
         {"kind": "PER_ROBOT", "robots": {
-            "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1", "seed": 3},
-            "1": {"kind": "TAU_BOUNDED", "tau": "1/10", "seed": 4}}},
+            "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1"},
+            "1": {"kind": "TAU_BOUNDED", "tau": "1/10"}}}, {0: 3, 1: 4},
         "b9ddcb75940c9f7b8cfd533e26b7fa68b90ea02fd7ef40bf9b5a50dfc7895328"),
 }
 
@@ -79,14 +81,18 @@ def policy_draws(desc, seed=20191) -> str:
     return _digest(lines)
 
 
-def adversary_draws(desc) -> str:
+def adversary_draws(desc, seed) -> str:
     """Each robot's wait and computation delay for ``CYCLES`` cycles."""
     adv = adversary_from_descriptor(desc)
+    if isinstance(seed, dict):
+        adv = PerRobot({rid: part.for_trial(seed[rid]) for rid, part in adv.parts.items()})
+    else:
+        adv = adv.for_trial(seed)
     lines = []
     for cycle in range(CYCLES):
         for robot in (0, 1):
             w = adv.wait_time(robot, cycle)
-            c = adv.computation_delay(robot, cycle, None, None)
+            c = adv.computation_delay(robot, cycle, None)
             lines.append(f"{type(w).__name__} {format_rat(w)} "
                          f"{type(c).__name__} {format_rat(c)}")
     return _digest(lines)
@@ -100,5 +106,5 @@ def test_policy_draws_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(ADVERSARY_DRAWS))
 def test_adversary_draws_are_pinned(name):
-    desc, digest = ADVERSARY_DRAWS[name]
-    assert adversary_draws(desc) == digest
+    desc, seed, digest = ADVERSARY_DRAWS[name]
+    assert adversary_draws(desc, seed) == digest

