@@ -38,6 +38,7 @@ class _Oblivious:
 
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
     _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    seeded = False  # whether ``for_trial`` reads its seed
 
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
@@ -54,16 +55,19 @@ class _Oblivious:
             return drawn[1]
         return self.next_delays(robot_id, cycle)[1]
 
-    def for_trial(self, seed: int):
+    def for_trial(self, seed: int | None):
         """The adversary one trial runs against, drawing from ``seed``.
 
-        An adversary without a seed or other state is shared by every trial.
+        An adversary without a seed or other state is shared by every trial,
+        and reads no seed.
         """
         return self
 
 
 class _Seeded(_Oblivious):
     """Oblivious adversary whose draws are pure in (robot, cycle, seed)."""
+
+    seeded = True
 
     def for_trial(self, seed: int):
         """A copy drawing from ``seed``; parsed values are shared, not re-parsed."""
@@ -177,6 +181,10 @@ class PerRobot(_Oblivious):
             raise ScheduleUnderrunError(f"no adversary for robot {robot_id}")
         return part.next_delays(robot_id, cycle)
 
+    @property
+    def seeded(self) -> bool:
+        return any(part.seeded for part in self.parts.values())
+
     def for_trial(self, seed):
         return PerRobot({rid: part.for_trial(seed) for rid, part in self.parts.items()})
 
@@ -195,6 +203,7 @@ class AdaptiveThm6:
 
     initial_waits: Mapping[int, Rat]
     _next_wait: dict = field(default_factory=dict, init=False, repr=False)
+    seeded = False
 
     def __post_init__(self):
         waits = list(self.initial_waits.values())
@@ -204,7 +213,8 @@ class AdaptiveThm6:
             raise AdversaryError("waits must be non-negative")
 
     def for_trial(self, seed):
-        """A fresh adversary: the committed waits are per-run state."""
+        """A fresh adversary: the committed waits are per-run state; the seed
+        is not read."""
         return AdaptiveThm6(self.initial_waits)
 
     def wait_time(self, robot_id, cycle):

@@ -9,7 +9,11 @@ the open interval (move_start, move_end).
 
 All quantities are exact rationals (``rational.Rat``), so a look either
 observes the other robot at exactly the observer's position (the gathering
-decision fires, even for a robot crossing mid-move) or it does not.
+decision fires, even for a robot crossing mid-move) or it does not.  The
+sign of a wait W or a computation delay C is read off its numerator; a
+zero W or C adds nothing to the clock (the look is at the cycle's start,
+or the move starts at the look), and ``policies.destination`` returns the
+observed position itself for lambda = 1, with no arithmetic.
 
 The time budget is checked when a cycle's times are fixed, not at each
 event: a robot is marked late when its look time, or the end of the move
@@ -89,7 +93,7 @@ class Budgets:
             raise ValueError("budgets must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleSegment:
     """One committed cycle: wait, look, compute delay, rigid move.
 
@@ -274,19 +278,21 @@ class _LiveRobot:
     def enter_cycle(self, cycle: int, start: Rat, adversary) -> None:
         self.cycle = cycle
         wait = adversary.wait_time(self.spec.id, cycle)
-        if wait < 0:
+        sign = wait._numerator  # lowest terms: the sign of W, and 0 only for W = 0
+        if sign < 0:
             raise ValueError("adversary produced a negative wait")
-        self.look_time = self.next_time = start + wait
+        self.look_time = self.next_time = start + wait if sign else start
         self.late = self.look_time > self.max_time
         self.next_rank = _KIND_TIE[LOOK]
         self.phase = "waiting"
 
     def commit_move(self, t: Rat, compute: Rat, lam: Rat,
                     dest: Rat, observed: Rat) -> None:
-        if compute < 0:
+        sign = compute._numerator
+        if sign < 0:
             raise ValueError("adversary produced a negative computation delay")
         self.dest = dest
-        self.move_start = self.next_time = t + compute
+        self.move_start = self.next_time = t + compute if sign else t
         self.next_rank = _KIND_TIE[MOVE_START]
         self.move_end = self.move_start + self.travel
         self.late = self.move_end > self.max_time

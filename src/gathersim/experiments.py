@@ -7,8 +7,9 @@ functions directly.
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
 nothing.  Policies and adversaries without state are shared by every
 trial; seeded oblivious adversaries are copied with the trial's seed
-(``for_trial``); an ``Oracle`` policy and the ``AdaptiveThm6`` adversary,
-which change as a run goes on, are built afresh for each trial.
+(``for_trial``), which is derived only for them; an ``Oracle`` policy and
+the ``AdaptiveThm6`` adversary, which change as a run goes on, are built
+afresh for each trial.
 """
 
 from __future__ import annotations
@@ -106,8 +107,9 @@ def _trial_policy(policy):
 
 def two_robot_trial(scn, trial: int) -> TrialOutcome:
     # Without variants there is one adversary and trial < scn.trials.
-    adversary = scn.adversaries[trial // scn.trials].for_trial(
-        derive_seed(scn.master_seed, trial, "adv"))
+    adversary = scn.adversaries[trial // scn.trials]
+    adversary = adversary.for_trial(
+        derive_seed(scn.master_seed, trial, "adv") if adversary.seeded else None)
     policies = {rid: _trial_policy(p) for rid, p in scn.robot_policies.items()}
     trace = run(scn.robots, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)

@@ -35,7 +35,13 @@ class NoCatchupError(ValueError):
 
 
 def destination(own: Rat, other_observed: Rat, lam: Rat) -> Rat:
-    """Destination of a lambda-class move: own + lam * (other - own)."""
+    """Destination of a lambda-class move: own + lam * (other - own).
+
+    For lam = 1 that is the observed position itself, returned with no
+    arithmetic.
+    """
+    if lam._numerator == lam._denominator:  # lowest terms: lam == 1
+        return other_observed
     return own + lam * (other_observed - own)
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -14,7 +15,7 @@ from test_experiments import _bundled, patch_every_binding
 
 from gathersim import experiments
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, ScheduleUnderrunError
-from gathersim.cli import trace_to_jsonable
+from gathersim.cli import bundled_scenario_path, parse_scenario, trace_to_jsonable
 from gathersim.engine import (
     Budgets,
     DECIDE_GATHERED,
@@ -31,6 +32,7 @@ from gathersim.engine import (
     run,
 )
 from gathersim.policies import THREE_CHOICE, TAU_TRIPLE, Deterministic, Oracle
+from gathersim.experiments import total_trials
 from gathersim.rational import Rat, spawn_rng
 
 BIG = F(10 ** 6)
@@ -189,6 +191,30 @@ def test_run_schedule_underrun_propagates():
     adv = explicit([(1, 0)], [(1, 0)])
     with pytest.raises(ScheduleUnderrunError):
         run_simple(specs, Deterministic(F(1)), Deterministic(F(1)), adv, looks=10)
+
+
+class _UncheckedAdversary:
+    """Gives ``wait`` as every W and ``compute`` as every C, unchecked."""
+
+    def __init__(self, wait, compute):
+        self.wait, self.compute = wait, compute
+
+    def wait_time(self, robot_id, cycle):
+        return self.wait
+
+    def computation_delay(self, robot_id, cycle, pair):
+        return self.compute
+
+
+@pytest.mark.parametrize("wait,compute,message", [
+    (Rat(-1, 10), Rat(0), "adversary produced a negative wait"),
+    (Rat(3, 10), Rat(-1, 10), "adversary produced a negative computation delay"),
+], ids=["wait", "compute"])
+def test_run_refuses_negative_delays(wait, compute, message):
+    with pytest.raises(ValueError) as exc:
+        run_simple(two_bots(), Deterministic(F(1, 2)), Deterministic(F(1, 2)),
+                   _UncheckedAdversary(wait, compute))
+    assert str(exc.value) == message
 
 
 def test_run_requires_two_robots():
@@ -428,15 +454,8 @@ RAT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmu
                  "__eq__", "__neg__", "__abs__", "__pos__")
 
 
-def test_adaptive_run_operation_count(monkeypatch):
-    # Counted, not timed: Rat operator calls inside engine.run on trial 0
-    # of the bundled thm6 scenario (400 looks).  At 43.5 per look (17 396)
-    # each event checked the time budget and the adversary placed the move
-    # with move_position to test for a coincidence; now only a late robot's
-    # events check the budget, set twice a cycle, and the coincidence is
-    # tested in closed form: 37.0 per look (14 791).  Restoring either old
-    # way passes 15 000.
-    scn = _bundled("thm6_adaptive", {})
+def _rat_operations_in_run(monkeypatch, trials) -> int:
+    """Rat operator calls made inside ``engine.run`` while ``trials()`` runs."""
     calls = [0]
     counting = [False]
     for name in RAT_OPERATORS:
@@ -453,10 +472,47 @@ def test_adaptive_run_operation_count(monkeypatch):
             counting[0] = False
 
     patch_every_binding(monkeypatch, run, counted_run)
-    outcome = experiments.thm6_trial(scn, 0)
-    monkeypatch.undo()
-    assert outcome.total_looks == 400
-    assert calls[0] <= 15_000, calls[0]
+    try:
+        trials()
+    finally:
+        monkeypatch.undo()
+    return calls[0]
+
+
+def test_adaptive_run_operation_count(monkeypatch):
+    # Counted, not timed: Rat operator calls inside engine.run on trial 0
+    # of the bundled thm6 scenario (400 looks).  At 43.5 per look (17 396)
+    # each event checked the time budget and the adversary placed the move
+    # with move_position to test for a coincidence; with only a late
+    # robot's events checking the budget and the coincidence tested in
+    # closed form it took 37.0 per look (14 791).  Reading the signs of W
+    # and C off their numerators and adding no zero C now gives 34.0 per
+    # look (13 618); restoring the comparisons with zero passes 14 000.
+    scn = _bundled("thm6_adaptive", {})
+    outcome = []
+    calls = _rat_operations_in_run(
+        monkeypatch, lambda: outcome.append(experiments.thm6_trial(scn, 0)))
+    assert outcome[0].total_looks == 400
+    assert calls <= 14_000, calls
+
+
+def test_thm1_run_operation_count(monkeypatch):
+    # Counted, not timed: Rat operator calls inside engine.run over the
+    # 100 trials (five schedule variants of 20) of the bundled thm1
+    # scenario, 869 looks.  Every C is 0 and the waits are not dyadic.
+    # At 17.3 per look (15 001) each cycle compared W and C with zero and
+    # added the zero C, and lambda = 1 computed own + 1 * (obs - own); now
+    # the signs are read off the numerators, a zero delay adds nothing and
+    # lambda = 1 returns the observed position: 13.7 per look (11 919).
+    raw = json.loads(bundled_scenario_path("thm1_positive").read_text())
+    raw["trials"] = 20
+    scn = parse_scenario(json.dumps(raw))
+    outcomes = []
+    calls = _rat_operations_in_run(monkeypatch, lambda: outcomes.extend(
+        experiments.run_one_trial(scn, trial) for trial in range(total_trials(scn))))
+    assert len(outcomes) == 100
+    assert sum(out.total_looks for out in outcomes) == 869
+    assert calls <= 12_500, calls
 
 
 # ----------------------------------------------------------------------

@@ -257,3 +257,46 @@ def test_trials_share_no_state(patch):
     # Trials run on copies: the compiled policies and adversary (an Oracle's
     # cursor, AdaptiveThm6's committed waits, a seed) are left as parsed.
     assert shared == parse_scenario(text)
+
+
+_EXPLICIT = {"kind": "OBLIVIOUS_EXPLICIT",
+             "schedules": {"0": [["1", "0"]] * 9, "1": [["3/10", "0"]] * 9}}
+_ASYNC_IC = {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2"}
+
+
+@pytest.mark.parametrize("adversary,seeded", [
+    (_ASYNC_IC, True),
+    ({"kind": "TAU_BOUNDED", "tau": "1/10"}, True),
+    ({"kind": "PER_ROBOT", "robots": {"0": _EXPLICIT, "1": _ASYNC_IC}}, True),
+    ({"kind": "PER_ROBOT", "robots": {"0": _EXPLICIT, "1": _EXPLICIT}}, False),
+    (_EXPLICIT, False),
+    ({"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}, False),
+], ids=["async_ic", "tau_bounded", "per_robot_seeded", "per_robot_explicit", "explicit",
+        "adaptive"])
+def test_adversary_seed_is_derived_only_when_read(monkeypatch, adversary, seeded):
+    # A trial derives the "adv" seed only for an adversary whose for_trial
+    # reads it, and a seeded adversary (or part) draws from exactly that seed.
+    scn = parse_scenario(json.dumps({**ORACLE_RUN, "adversary": adversary,
+                                     "policies": {"o": {"kind": "THREE_CHOICE"}}}))
+    labels, adversaries = [], []
+    derive, run = rational.derive_seed, engine.run
+
+    def recording_derive(*parts):
+        labels.append(parts)
+        return derive(*parts)
+
+    def recording_run(robots, policies, adv, *rest):
+        adversaries.append(adv)
+        return run(robots, policies, adv, *rest)
+
+    patch_every_binding(monkeypatch, derive, recording_derive)
+    patch_every_binding(monkeypatch, run, recording_run)
+    for trial in (0, 1):
+        ex.run_one_trial(scn, trial)
+    monkeypatch.undo()
+    adv_labels = [parts for parts in labels if parts[-1] == "adv"]
+    assert adv_labels == ([(3, 0, "adv"), (3, 1, "adv")] if seeded else [])
+    for trial, adv in enumerate(adversaries):
+        parts = adv.parts.values() if hasattr(adv, "parts") else [adv]
+        seeds = [part.seed for part in parts if hasattr(part, "seed")]
+        assert seeds == ([derive(3, trial, "adv")] if seeded else [])

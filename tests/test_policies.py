@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gathersim.policies import (
     TAU_TRIPLE,
@@ -21,7 +21,7 @@ from gathersim.policies import (
     known_alpha,
     policy_from_descriptor,
 )
-from gathersim.rational import Rat
+from gathersim.rational import HALF, ONE, Rat
 
 rats = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
@@ -41,6 +41,29 @@ def test_destination_values(own, other, lam, expected):
 @given(rats, rats, rats)
 def test_destination_symmetric_about_midpoint(a, b, lam):
     assert destination(a, b, lam) + destination(b, a, lam) == a + b
+
+
+# Positions with a power-of-two denominator (tagged) and with another one.
+_dyadic = st.builds(lambda n, e: Rat(n, 1 << e), st.integers(-2 ** 70, 2 ** 70),
+                    st.integers(0, 80))
+_non_dyadic = st.builds(Rat, st.integers(-2 ** 70, 2 ** 70),
+                        st.integers(1, 10 ** 9)).filter(lambda x: x._exp < 0)
+_positions = st.one_of(_dyadic, _non_dyadic)
+# A freshly built Rat(1) is equal to ONE but not the same object.
+_lambdas = st.one_of(st.sampled_from([Rat(0), HALF, ONE]), st.builds(Rat, st.just(1)),
+                     _positions)
+
+
+@given(_positions, _positions, _lambdas)
+@example(Rat(1, 3), Rat(3, 4), ONE)
+@example(Rat(3, 4), Rat(1, 3), Rat(1))
+@example(Rat(-5, 8), Rat(7, 10), Rat(1, 2))
+def test_destination_equals_the_formula(own, obs, lam):
+    expected = own + lam * (obs - own)
+    got = destination(own, obs, lam)
+    assert type(got) is Rat
+    assert (got._numerator, got._denominator, got._exp) == (
+        expected._numerator, expected._denominator, expected._exp)
 
 
 def test_deterministic_always_same():
