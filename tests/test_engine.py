@@ -31,8 +31,8 @@ from gathersim.engine import (
     project_scenario_to_line,
     run,
 )
-from gathersim.policies import THREE_CHOICE, TAU_TRIPLE, Deterministic, Oracle
 from gathersim.experiments import total_trials
+from gathersim.policies import THREE_CHOICE, TAU_TRIPLE, Deterministic, Oracle
 from gathersim.rational import Rat, spawn_rng
 
 BIG = F(10 ** 6)
@@ -487,7 +487,7 @@ def test_adaptive_run_operation_count(monkeypatch):
     # robot's events checking the budget and the coincidence tested in
     # closed form it took 37.0 per look (14 791).  Reading the signs of W
     # and C off their numerators and adding no zero C now gives 34.0 per
-    # look (13 618); restoring the comparisons with zero passes 14 000.
+    # look (13 618); restoring the comparisons with zero goes past 14 000.
     scn = _bundled("thm6_adaptive", {})
     outcome = []
     calls = _rat_operations_in_run(
