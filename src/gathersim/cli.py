@@ -20,13 +20,14 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__, experiments
-from .adversary import (AdaptiveThm6, AdversaryError, ObliviousExplicit, PerRobot,
-                        adversary_from_descriptor)
+from .adversary import (AdaptiveThm6, AdversaryError, ObliviousExplicit, ObliviousGenerated,
+                        PerRobot, TauBounded, adversary_from_descriptor)
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
 from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace, event_steps
-from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, PolicyError,
-                       policy_from_descriptor)
-from .rational import Rat, format_rat, parse_rat
+from .experiments import RunSetup
+from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, TAU_TRIPLE, THREE_CHOICE,
+                       Deterministic, PolicyError, policy_from_descriptor)
+from .rational import HALF, ONE, ZERO, Rat, derive_seed, format_rat, parse_rat
 
 
 class ScenarioValidationError(ValueError):
@@ -37,10 +38,10 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A validated scenario, compiled once for every trial of a run.
 
-    ``adversaries``, ``robot_policies``, ``params`` and ``segment_attempts``
-    hold values already parsed from the file; the trial functions of
-    ``experiments`` read only these compiled values, never ``raw``.  Every
-    rational in them, in ``robots`` and in ``budgets`` is a ``rational.Rat``.
+    ``setups``, ``budgets`` and ``params`` hold values already parsed from
+    the file; the trial functions of ``experiments`` read only these
+    compiled values, never ``raw``.  Every rational in them is a
+    ``rational.Rat``.
     """
 
     name: str
@@ -48,14 +49,9 @@ class Scenario:
     trials: int
     master_seed: int
     budgets: Budgets
-    # analysis.segment_attempts: pool attempts and phases of two_robot runs.
-    segment_attempts: bool
-    robots: list[RobotSpec]
-    # two_robot: the adversary, or one per schedule_variants entry.
-    adversaries: list
-    # two_robot: robot id -> the policy it draws lambda from.
-    robot_policies: dict
-    schedule_variants: list | None
+    # A two-robot mode's runs: one per schedule_variants entry or thm4 alpha,
+    # else one; [] in the other modes.
+    setups: list[RunSetup]
     # The mode's params, parsed, with every default filled in.
     params: dict
     # The Theorem 5 expected-look bound, when analysis.theorem5 asks for it.
@@ -147,16 +143,14 @@ def parse_scenario(text: str) -> Scenario:
     if type(segment) is not bool:
         _fail("analysis.segment_attempts", "must be true or false")
 
-    robots = []
-    robot_policies = {}
-    adversaries = []
-    variants = None
+    setups = []
     if mode == "two_robot":
         policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
                     for pname, desc in _object(raw.get("policies", {}), "policies").items()}
         rlist = raw.get("robots")
         if not isinstance(rlist, list) or len(rlist) != 2:
             _fail("robots", "exactly two robot entries required")
+        robots, robot_policies = [], {}
         for i, rdesc in enumerate(rlist):
             path = f"robots[{i}]"
             rdesc = _object(rdesc, path, ("id", "start", "speed", "policy"))
@@ -180,10 +174,12 @@ def parse_scenario(text: str) -> Scenario:
             _fail("adversary", "an adversary (or schedule_variants) is required")
         if variants and adversary is not None:  # checked, though the variants replace it
             _build(adversary_from_descriptor, adversary, "adversary")
+        read = experiments.read_attempts if segment else None
         for path, desc in ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
                            if variants else [("adversary", adversary)]):
-            adversaries.append(_build(adversary_from_descriptor, desc, path))
-            _check_robot_ids(adversaries[-1], ids, ids, path)
+            adv = _build(adversary_from_descriptor, desc, path)
+            _check_robot_ids(adv, ids, ids, path)
+            setups.append(RunSetup(robots, robot_policies, adv, read))
 
     params = _mode_params(mode, raw.get("params", {}))
     if mode != "two_robot":  # refuse the fields only a two_robot run reads
@@ -204,11 +200,11 @@ def parse_scenario(text: str) -> Scenario:
         except OverflowError as exc:
             _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
 
+    if mode == "ssync":  # its schedule sets the looks: the file's budgets are checked only
+        budgets = Budgets(params["activations"], experiments.BIG_TIME)
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
-                    budgets=budgets, segment_attempts=segment, robots=robots,
-                    adversaries=adversaries, robot_policies=robot_policies,
-                    schedule_variants=variants, params=params,
-                    theorem5_bound=bound, raw=raw)
+                    budgets=budgets, setups=setups or _mode_setups(mode, params),
+                    params=params, theorem5_bound=bound, raw=raw)
 
 
 def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
@@ -291,6 +287,31 @@ def _mode_params(mode: str, value) -> dict:
     return {}
 
 
+def _mode_setups(mode: str, params: dict) -> list[RunSetup]:
+    """The two-robot runs ``ssync``, ``thm4`` and ``thm6`` describe by their
+    params, one set-up per variant; [] for the other modes."""
+    if mode == "ssync":
+        delta, half = params["delta"], Deterministic(HALF)
+        schedule = experiments.ssync_schedule(params["activations"], delta)
+        return [RunSetup([RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)], {0: half, 1: half},
+                         ObliviousExplicit(schedule), experiments.read_halving)]
+    if mode == "thm4":
+        # Robot 0 is uncontrolled: it waits and computes for no time.  Each
+        # trial's for_trial re-seeds robot 1's fixed-sum draws.
+        free = ObliviousGenerated("constant", (ZERO, ZERO), 0)
+        delayed = TauBounded(params["tau"], 0, params["fixed_sum"])
+        return [RunSetup([RobotSpec(0, ZERO, ONE), RobotSpec(1, params["delta"], alpha)],
+                         {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE},
+                         PerRobot({0: free, 1: delayed}), experiments.read_k_histogram)
+                for alpha in params["alphas"]]
+    if mode == "thm6":
+        return [RunSetup([RobotSpec(0, params["delta"], ONE), RobotSpec(1, ZERO, ONE)],
+                         {0: THREE_CHOICE, 1: THREE_CHOICE},
+                         AdaptiveThm6({0: params["w_first"], 1: params["w_second"]}),
+                         experiments.read_midmove)]
+    return []
+
+
 def bundled_scenario_path(name: str) -> Path:
     """Path of a scenario shipped with the package (name without .json)."""
     return Path(resources.files("gathersim").joinpath("scenarios", f"{name}.json"))
@@ -365,7 +386,12 @@ def _run_chunk(scn: Scenario, trial_indices: list[int], keep_traces: str):
     """
     out = []
     for t in trial_indices:
-        outcome = experiments.run_one_trial(scn, t)
+        try:
+            outcome = experiments.run_one_trial(scn, t)
+        except Exception as exc:  # noqa: BLE001 - re-raised, naming the trial
+            seeds = ", ".join(f"{label} seed {derive_seed(scn.master_seed, t, label)}"
+                              for label in ("adv", "alg"))
+            raise RuntimeError(f"trial {t} ({seeds}): {exc}") from exc
         keep = keep_traces == "all" or (keep_traces == "failed" and not outcome.gathered)
         trace_text = trace_to_jsonable(outcome.trace) if (keep and outcome.trace) else None
         outcome.trace = None
@@ -502,12 +528,12 @@ def _mode_extras(scn: Scenario, outcomes: list[experiments.TrialOutcome]) -> dic
     extras = pool_shares(outcome.extras for outcome in outcomes)
     if scn.theorem5_bound is not None:
         extras["theorem5_bound"] = _fmt_real(scn.theorem5_bound)
-    if scn.schedule_variants:
+    if scn.raw.get("schedule_variants"):  # a thm4 run's alphas report no variant counts
         # Variant v runs trials v * scn.trials up to (v + 1) * scn.trials - 1.
-        hits = [0] * len(scn.schedule_variants)
+        hits = [0] * len(scn.setups)
         for outcome in outcomes:
             hits[outcome.trial // scn.trials] += outcome.gathered
-        extras["variant_trials"] = [scn.trials] * len(scn.schedule_variants)
+        extras["variant_trials"] = [scn.trials] * len(scn.setups)
         extras["variant_gathered"] = hits
     if scn.mode == "multirobot":
         tie_trials = scn.params["tie_trials"]

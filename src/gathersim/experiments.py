@@ -1,8 +1,10 @@
 """Runnable constructions of the theorem-style experiments.
 
-Each scenario mode maps to one trial function here; the CLI fans trials
-out and pools the outcomes.  The acceptance suite drives the same
-functions directly.
+Parsing compiles every two-robot mode (``two_robot``, ``ssync``, ``thm4``,
+``thm6``) into ``RunSetup`` variants, all run by ``two_robot_trial``; a
+set-up's trace reader hands in the mode's share of the report.  The other
+modes have trial functions of their own.  The CLI fans trials out and
+pools the outcomes; the acceptance suite drives the same functions.
 
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
 nothing.  Policies and adversaries without state are shared by every
@@ -17,15 +19,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import geometry
-from .adversary import (
-    AdaptiveThm6,
-    ObliviousExplicit,
-    ObliviousGenerated,
-    PerRobot,
-    TauBounded,
-)
+from .adversary import ObliviousExplicit, TauBounded
 from .analysis import (
     looks_mid_move,
     looks_see_midmove,
@@ -54,8 +51,6 @@ from .multirobot import (
 )
 from .policies import (
     TAU_TRIPLE,
-    THREE_CHOICE,
-    Deterministic,
     Oracle,
     gather_lambda_oracle,
     OPPOSITE_DIRECTIONS,
@@ -63,10 +58,7 @@ from .policies import (
 )
 from .rational import HALF, ONE, ZERO, Rat, derive_seed, rat_sqrt, spawn_rng, u01
 
-_BIG_TIME = Rat(10 ** 9)
-
-# The uncontrolled robot of a thm4 run waits and computes for no time.
-_THM4_FREE = ObliviousGenerated("constant", (ZERO, ZERO), 0)
+BIG_TIME = Rat(10 ** 9)
 
 
 @dataclass
@@ -97,7 +89,7 @@ def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
 
 
 # ----------------------------------------------------------------------
-# Generic two-robot scenario trials
+# Two-robot runs: the trials of two_robot, ssync, thm4 and thm6
 
 
 def _trial_policy(policy):
@@ -105,28 +97,40 @@ def _trial_policy(policy):
     return Oracle(policy.script) if isinstance(policy, Oracle) else policy
 
 
+class RunSetup(NamedTuple):
+    """One variant of a two-robot run.  ``policies`` maps robot id to policy;
+    ``read``, if set, is a module-level function (a pickled scenario carries
+    it) returning the ``outcome_of`` fields it reads off a trial's trace."""
+
+    robots: list
+    policies: dict
+    adversary: object
+    read: Callable | None = None
+
+
 def two_robot_trial(scn, trial: int) -> TrialOutcome:
-    # Without variants there is one adversary and trial < scn.trials.
-    adversary = scn.adversaries[trial // scn.trials]
-    adversary = adversary.for_trial(
-        derive_seed(scn.master_seed, trial, "adv") if adversary.seeded else None)
-    policies = {rid: _trial_policy(p) for rid, p in scn.robot_policies.items()}
-    trace = run(scn.robots, policies, adversary,
+    # Variant v runs trials v * scn.trials up to (v + 1) * scn.trials - 1.
+    setup = scn.setups[trial // scn.trials]
+    adversary = setup.adversary.for_trial(
+        derive_seed(scn.master_seed, trial, "adv") if setup.adversary.seeded else None)
+    policies = {rid: _trial_policy(p) for rid, p in setup.policies.items()}
+    trace = run(setup.robots, policies, adversary,
                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
-    out = outcome_of(trial, trace)
-    if scn.segment_attempts:
-        attempts = segment_attempts(trace)
-        phases = segment_phases(attempts)
-        out.n_attempts, out.n_phases = len(attempts), len(phases)
-        complete = [a.successful for a in attempts if a.complete]
-        # Only terminal phases made of completed attempts are pooled.
-        pooled = [ph for ph in phases
-                  if ph.terminal and all(a.complete for a in ph.attempts)]
-        out.stats = {"n_attempts": len(complete), "attempt_successes": sum(complete),
-                     "phase_looks": tuple(ph.total_looks for ph in pooled),
-                     "attempts_per_phase_hist": Counter(str(len(ph.attempts))
-                                                        for ph in pooled)}
-    return out
+    return outcome_of(trial, trace, **(setup.read(scn, trace) if setup.read else {}))
+
+
+def read_attempts(scn, trace: Trace) -> dict:
+    """Attempt and phase counts, and the shares of the completed ones."""
+    attempts = segment_attempts(trace)
+    phases = segment_phases(attempts)
+    complete = [a.successful for a in attempts if a.complete]
+    # Only terminal phases made of completed attempts are pooled.
+    pooled = [ph for ph in phases if ph.terminal and all(a.complete for a in ph.attempts)]
+    return {"n_attempts": len(attempts), "n_phases": len(phases),
+            "stats": {"n_attempts": len(complete), "attempt_successes": sum(complete),
+                      "phase_looks": tuple(ph.total_looks for ph in pooled),
+                      "attempts_per_phase_hist": Counter(str(len(ph.attempts))
+                                                         for ph in pooled)}}
 
 
 # ----------------------------------------------------------------------
@@ -155,22 +159,14 @@ def ssync_schedule(activations: int, delta: Rat = ONE):
     return waits
 
 
-def ssync_trial(scn, trial: int) -> TrialOutcome:
-    activations = scn.params["activations"]
+def read_halving(scn, trace: Trace) -> dict:
+    """ssync: whether there were ``activations`` looks, look k seeing the
+    other robot at exactly delta / 2^k (so never at 0: delta > 0)."""
     delta = scn.params["delta"]
-    specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
-    adversary = ObliviousExplicit(ssync_schedule(activations, delta))
-    policies = {0: Deterministic(HALF), 1: Deterministic(HALF)}
-    trace = run(specs, policies, adversary, spawn_rng(scn.master_seed, trial, "alg"),
-                Budgets(activations, _BIG_TIME))
     looks = [seg for _t, kind, _rid, seg in event_steps(trace) if kind == LOOK]
-    ok = len(looks) == activations
-    for k, seg in enumerate(looks):
-        seen = abs(seg.observed - seg.origin)
-        if seen != delta / (2 ** k) or seen == 0:
-            ok = False
-            break
-    return outcome_of(trial, trace, extras={"halving_ok": ok})
+    ok = len(looks) == scn.params["activations"] and all(
+        abs(seg.observed - seg.origin) == delta / 2 ** k for k, seg in enumerate(looks))
+    return {"extras": {"halving_ok": ok}}
 
 
 # ----------------------------------------------------------------------
@@ -215,7 +211,7 @@ def catch_trial(alpha: Rat, geometry_kind: str, lam=None) -> Trace:
     if oracle:
         lam = gather_lambda_oracle(alpha, geometry_kind)
     specs, policies, adversary = catch_setup(alpha, geometry_kind, lam)
-    budgets = Budgets(6 if oracle else 4, _BIG_TIME)
+    budgets = Budgets(6 if oracle else 4, BIG_TIME)
     return run(specs, policies, adversary, random.Random(0), budgets)
 
 
@@ -251,44 +247,21 @@ def repeat_count_general(bound: Rat, delta: Rat, ratio: Rat) -> int:
     return k
 
 
-def halving_count(trace: Trace, mover: int, other: int) -> int | None:
-    """Index of the mover's first look that catches the other mid-move."""
-    for idx, moving in enumerate(looks_mid_move(trace.runs[mover], trace.runs[other])):
-        if moving:
-            return idx
-    return None
-
-
-def thm4_trial(scn, trial: int) -> TrialOutcome:
-    alpha = scn.params["alphas"][trial // scn.trials]
-    delta = scn.params["delta"]
-    adversary = PerRobot({
-        0: _THM4_FREE,
-        1: TauBounded(scn.params["tau"], derive_seed(scn.master_seed, trial, "adv"),
-                      scn.params["fixed_sum"]),
-    })
-    specs = [RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)]
-    policies = {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE}
-    trace = run(specs, policies, adversary,
-                spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
-    k = halving_count(trace, 0, 1)
-    return outcome_of(trial, trace, stats={"k_histogram": {} if k is None else {str(k): 1}})
+def read_k_histogram(scn, trace: Trace) -> dict:
+    """thm4: the index of robot 0's first look that catches robot 1 mid-move."""
+    moving = looks_mid_move(trace.runs[0], trace.runs[1])
+    k = next((k for k, mid in enumerate(moving) if mid), None)
+    return {"stats": {"k_histogram": {} if k is None else {str(k): 1}}}
 
 
 # ----------------------------------------------------------------------
 # Adaptive impossibility runs
 
 
-def thm6_trial(scn, trial: int) -> TrialOutcome:
-    delta = scn.params["delta"]
-    specs = [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)]
-    adversary = AdaptiveThm6({0: scn.params["w_first"], 1: scn.params["w_second"]})
-    policies = {0: THREE_CHOICE, 1: THREE_CHOICE}
-    trace = run(specs, policies, adversary,
-                spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
+def read_midmove(scn, trace: Trace) -> dict:
+    """thm6: whether every look after the first sees the other robot mid-move."""
     ok, violations = looks_see_midmove(trace)
-    return outcome_of(trial, trace,
-                      extras={"midmove_ok_all": ok, "total_violations": len(violations)})
+    return {"extras": {"midmove_ok_all": ok, "total_violations": len(violations)}}
 
 
 # ----------------------------------------------------------------------
@@ -433,7 +406,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
     scripts = {rid: [draw_lam() for _ in range(n)] for rid in (0, 1)}
     offsets = {rid: [Rat(rng.randrange(-8, 9), 4) for _ in range(n)]
                for rid in (0, 1)}
-    budgets = Budgets(2 * cycles, _BIG_TIME)
+    budgets = Budgets(2 * cycles, BIG_TIME)
 
     # Native 1D: midpoint frame in true distance units, robot 0 at +delta/2.
     specs = [RobotSpec(0, delta / 2, speeds[0]), RobotSpec(1, -delta / 2, speeds[1])]
@@ -532,10 +505,10 @@ def engineered_tie_trial(master_seed, trial: int, max_rounds: int = 30) -> int |
 
 TRIAL_RUNNERS = {
     "two_robot": two_robot_trial,
-    "ssync": ssync_trial,
+    "ssync": two_robot_trial,
     "thm3_oracle": thm3_trial,
-    "thm4": thm4_trial,
-    "thm6": thm6_trial,
+    "thm4": two_robot_trial,
+    "thm6": two_robot_trial,
     "lemma1": lemma1_trial,
     "multirobot": multirobot_trial,
 }
@@ -544,11 +517,7 @@ TRIAL_RUNNERS = {
 def total_trials(scn) -> int:
     if scn.mode == "thm3_oracle":
         return len(scn.params["configs"]) * (1 + scn.params["random_draws"])
-    if scn.mode == "thm4":
-        return scn.trials * len(scn.params["alphas"])
-    if scn.schedule_variants:
-        return scn.trials * len(scn.schedule_variants)
-    return scn.trials
+    return scn.trials * max(len(scn.setups), 1)  # lemma1 and multirobot have no set-up
 
 
 def run_one_trial(scn, trial: int) -> TrialOutcome:

@@ -73,7 +73,7 @@ def test_criterion_02_thm1_positive_probability():
 
 def test_criterion_03_ssync_exact_halving():
     scn = bundled("ssync_halving")
-    out = ex.ssync_trial(scn, 0)
+    out = ex.run_one_trial(scn, 0)
     looks = [e for e in out.trace.events if e.kind == LOOK]
     assert len(looks) == 51
     for k, e in enumerate(looks):

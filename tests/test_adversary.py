@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from functools import partial
 from types import SimpleNamespace
@@ -19,6 +20,7 @@ from gathersim.adversary import (
     adversary_from_descriptor,
 )
 from gathersim.analysis import looks_see_midmove
+from gathersim.cli import parse_scenario
 from gathersim.engine import Budgets, LOOK, RobotSpec, run
 from gathersim.policies import THREE_CHOICE, Oracle
 from gathersim.rational import U01_DEN, Rat, spawn_rng
@@ -195,9 +197,11 @@ def test_adversary_descriptor_roundtrip():
 
 
 def _thm4_run(seed):
-    params = {"alphas": [F(2)], "delta": F(1), "tau": F(1, 2), "fixed_sum": F(13, 20)}
-    scn = SimpleNamespace(master_seed=seed, trials=1, params=params, budgets=Budgets(40, BIG))
-    return experiments.thm4_trial(scn, 0)
+    scn = parse_scenario(json.dumps({
+        "name": "thm4", "mode": "thm4", "master_seed": seed,
+        "budgets": {"max_total_looks": 40},
+        "params": {"alphas": ["2"], "tau": "1/2", "fixed_sum": "13/20"}}))
+    return experiments.run_one_trial(scn, 0)
 
 
 def _oblivious_run(adv):

@@ -38,7 +38,7 @@ from gathersim.policies import (
     known_alpha,
     policy_from_descriptor,
 )
-from gathersim.rational import MAX_DIGITS, MAX_EXPONENT
+from gathersim.rational import MAX_DIGITS, MAX_EXPONENT, derive_seed
 
 MINIMAL = {
     "name": "mini",
@@ -63,14 +63,14 @@ def scenario(**overrides):
 def test_parse_minimal_defaults():
     scn = scenario()
     assert scn.mode == "two_robot"
-    assert [r.speed for r in scn.robots] == [F(1), F(1)]  # default speed
+    assert [r.speed for r in scn.setups[0].robots] == [F(1), F(1)]  # default speed
     assert scn.budgets.max_total_looks == 6
     assert scn.budgets.max_time == F(100)
 
 
 def test_parse_exact_rationals():
     scn = scenario(adversary={"kind": "TAU_BOUNDED", "tau": "1/2"})
-    adv = scn.adversaries[0]
+    adv = scn.setups[0].adversary
     assert adv.tau == F(1, 2)
 
 
@@ -190,7 +190,7 @@ def test_bundled_scenarios_parse():
         assert scn.name == name
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     good = tmp_path / "ok.json"
     good.write_text(json.dumps(MINIMAL))
     assert main(["run", str(good), "--out", str(tmp_path / "o")]) == 0
@@ -208,7 +208,16 @@ def test_main_exit_codes(tmp_path):
     broken["policies"] = {"p": {"kind": "DETERMINISTIC", "lam": "1/4"}}
     bpath = tmp_path / "broken.json"
     bpath.write_text(json.dumps(broken))
-    assert main(["run", str(bpath), "--out", str(tmp_path / "o")]) == 3
+    # The message names the failing trial and the seeds that replay it; from
+    # a worker process the error comes back pickled.
+    seeds = f"adv seed {derive_seed(5, 0, 'adv')}, alg seed {derive_seed(5, 0, 'alg')}"
+    capsys.readouterr()
+    for workers in ("1", "2"):
+        assert main(["run", str(bpath), "--out", str(tmp_path / "o"),
+                     "--workers", workers]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime error: trial 0 ({seeds}): "
+            "robot 0 exhausted its 1-entry schedule at cycle 1\n"), workers
 
 
 def test_main_flag_overrides(tmp_path):

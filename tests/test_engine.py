@@ -491,7 +491,7 @@ def test_adaptive_run_operation_count(monkeypatch):
     scn = _bundled("thm6_adaptive", {})
     outcome = []
     calls = _rat_operations_in_run(
-        monkeypatch, lambda: outcome.append(experiments.thm6_trial(scn, 0)))
+        monkeypatch, lambda: outcome.append(experiments.run_one_trial(scn, 0)))
     assert outcome[0].total_looks == 400
     assert calls <= 14_000, calls
 

@@ -12,9 +12,10 @@ from gathersim import rational
 from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, parse_scenario,
                            run_experiment, trace_to_jsonable)
 from gathersim.analysis import segment_attempts, segment_phases
-from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, position_at
+from gathersim.adversary import AdaptiveThm6
+from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, RobotSpec, position_at
 from gathersim.multirobot import farthest_pairs
-from gathersim.policies import OPPOSITE_DIRECTIONS, SAME_DIRECTION
+from gathersim.policies import OPPOSITE_DIRECTIONS, SAME_DIRECTION, THREE_CHOICE
 from gathersim.rational import Rat, spawn_rng, u01
 
 BIG = F(10 ** 9)
@@ -22,16 +23,18 @@ BIG = F(10 ** 9)
 
 def scn(**kw):
     # A compiled scenario: ``params`` holds parsed values, defaults filled in.
-    base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG),
-                segment_attempts=False, schedule_variants=None)
+    base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG), setups=[])
     base.update(kw)
     return SimpleNamespace(**base)
 
 
+def compiled(mode, **fields):
+    return parse_scenario(json.dumps({"name": mode, "mode": mode, "master_seed": 42, **fields}))
+
+
 def test_ssync_schedule_alternates_single_activations():
     sched = ex.ssync_schedule(6)
-    s = scn(params={"activations": 6, "delta": F(1)}, budgets=Budgets(6, BIG))
-    out = ex.ssync_trial(s, 0)
+    out = ex.run_one_trial(compiled("ssync", params={"activations": 6}), 0)
     looks = [(e.time, e.robot_id) for e in out.trace.events if e.kind == LOOK]
     assert looks == [(F(10 * k), k % 2) for k in range(6)]
     assert out.extras["halving_ok"]
@@ -100,12 +103,35 @@ def test_repeat_count_general_stays_on_rat(monkeypatch, bound, ratio, k):
     assert k == ex.repeat_count_general(F(bound), F(1), F(ratio))
 
 
+def test_ssync_ignores_budgets():
+    # The schedule sets the looks: a look budget below the activations is
+    # checked, then replaced.
+    s = compiled("ssync", budgets={"max_total_looks": 3},
+                 params={"activations": 12})
+    assert s.budgets == Budgets(12, BIG)
+    out = ex.run_one_trial(s, 0)
+    assert out.total_looks == 12
+    assert out.extras == {"halving_ok": True}
+
+
+def test_thm4_compiles_one_setup_per_alpha():
+    s = compiled("thm4", trials=7, params={"alphas": ["1", "2", "5/3"], "tau": "1/2",
+                                           "fixed_sum": "13/20"})
+    alphas = [Rat(1), Rat(2), Rat(5, 3)]
+    assert len(s.setups) == 3
+    for alpha, setup in zip(alphas, s.setups):
+        speeds = {robot.id: robot.speed for robot in setup.robots}
+        assert speeds == {0: 1, 1: alpha}
+        assert setup.policies[0].sample(spawn_rng("any")) == 1 / (alpha + 1)
+    assert ex.total_trials(s) == 3 * 7
+
+
 def test_thm4_trial_counts_halvings():
-    s = scn(params={"alphas": [F(1)], "delta": F(1), "tau": F(1, 2),
-                    "fixed_sum": F(13, 20)}, budgets=Budgets(48, BIG), trials=40)
+    s = compiled("thm4", trials=40, budgets={"max_total_looks": 48},
+                 params={"alphas": ["1"], "tau": "1/2", "fixed_sum": "13/20"})
     hist = {}
     for i in range(40):
-        out = ex.thm4_trial(s, i)
+        out = ex.run_one_trial(s, i)
         mover, other = out.trace.runs[0], out.trace.runs[1]
         k = next((k for k, seg in enumerate(mover.segments)
                   if is_mid_move(other, seg.look_time)), None)
@@ -116,12 +142,15 @@ def test_thm4_trial_counts_halvings():
 
 
 def test_thm6_trial_invariant_holds():
-    for scalar in (F, Rat):
-        s = scn(params={"w_first": scalar(F(2)), "w_second": scalar(F(1)),
-                        "delta": scalar(F(1))},
-                budgets=Budgets(40, BIG))
+    parsed = compiled("thm6", trials=10, budgets={"max_total_looks": 40})
+    # The same runs set up by hand from plain Fractions.
+    by_hand = scn(trials=10, budgets=Budgets(40, BIG), setups=[ex.RunSetup(
+        [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))],
+        {0: THREE_CHOICE, 1: THREE_CHOICE}, AdaptiveThm6({0: F(2), 1: F(1)}),
+        ex.read_midmove)])
+    for s in (parsed, by_hand):
         for i in range(10):
-            out = ex.thm6_trial(s, i)
+            out = ex.two_robot_trial(s, i)
             assert not out.gathered
             assert out.extras["midmove_ok_all"], out.extras
 
