@@ -69,7 +69,9 @@ class _Seeded(_Oblivious):
     seeded = True
 
     def for_trial(self, seed: int):
-        """A copy drawing from ``seed``; parsed values are shared, not re-parsed."""
+        """A copy drawing from ``seed``, parsed values shared; itself if it draws nothing."""
+        if not self.seeded:
+            return self
         # A third of copy.copy's time, once per trial; it starts with no drawn pairs.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__, seed=seed, _drawn={})
@@ -122,6 +124,7 @@ class ObliviousGenerated(_Seeded):
                 raise AdversaryError("uniform ranges need 0 <= lo <= hi")
         elif min(self.values) < 0:
             raise AdversaryError("w and c must be non-negative")
+        self.seeded = self.generator != "constant"  # a constant pair reads no seed
 
     def next_delays(self, robot_id, cycle):
         if self.generator == "constant":
@@ -172,6 +175,7 @@ class PerRobot(_Oblivious):
         for rid, part in self.parts.items():
             if not isinstance(part, _Oblivious):  # it precommits no pairs
                 raise AdversaryError(f"the part for robot {rid} must be oblivious")
+        self.seeded = any(part.seeded for part in self.parts.values())
 
     def next_delays(self, robot_id, cycle):
         try:
@@ -180,12 +184,13 @@ class PerRobot(_Oblivious):
             raise ScheduleUnderrunError(f"no adversary for robot {robot_id}")
         return part.next_delays(robot_id, cycle)
 
-    @property
-    def seeded(self) -> bool:
-        return any(part.seeded for part in self.parts.values())
-
     def for_trial(self, seed):
-        return PerRobot({rid: part.for_trial(seed) for rid, part in self.parts.items()})
+        """A copy whose seeded parts draw from ``seed``; the others are shared."""
+        twin = object.__new__(PerRobot)
+        twin.__dict__.update(self.__dict__, _drawn={}, parts={
+            rid: part.for_trial(seed) if part.seeded else part
+            for rid, part in self.parts.items()})
+        return twin
 
 
 @dataclass

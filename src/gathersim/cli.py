@@ -39,9 +39,9 @@ class Scenario:
     """A validated scenario, compiled once for every trial of a run.
 
     ``setups``, ``budgets`` and ``params`` hold values already parsed from
-    the file; the trial functions of ``experiments`` read only these
-    compiled values, never ``raw``.  Every rational in them is a
-    ``rational.Rat``.
+    the file, each mode's in one pass (``_compile_mode``); the trial
+    functions of ``experiments`` read only these compiled values, never
+    ``raw``.  Every rational in them is a ``rational.Rat``.
     """
 
     name: str
@@ -52,7 +52,8 @@ class Scenario:
     # A two-robot mode's runs: one per schedule_variants entry or thm4 alpha,
     # else one; [] in the other modes.
     setups: list[RunSetup]
-    # The mode's params, parsed, with every default filled in.
+    # What a trial or trace reader reads beyond the set-ups, defaults filled
+    # in (ssync, thm3_oracle, lemma1, multirobot); {} in the other modes.
     params: dict
     # The Theorem 5 expected-look bound, when analysis.theorem5 asks for it.
     theorem5_bound: float | None
@@ -124,15 +125,6 @@ def parse_scenario(text: str) -> Scenario:
     trials = _integer(raw.get("trials", 1), "trials", 1)
     master_seed = _integer(raw.get("master_seed", 0), "master_seed")
 
-    def _build(make, desc, path: str):
-        try:
-            return make(desc)
-        except KeyError as exc:
-            _fail(path, f"missing key {exc}")
-        except (AdversaryError, PolicyError, ValueError, TypeError,
-                AttributeError) as exc:  # a descriptor of the wrong shape
-            _fail(path, str(exc))
-
     braw = _object(raw.get("budgets", {}), "budgets", ("max_total_looks", "max_time"))
     budgets = Budgets(
         _integer(braw.get("max_total_looks", 1000), "budgets.max_total_looks", 1),
@@ -143,7 +135,69 @@ def parse_scenario(text: str) -> Scenario:
     if type(segment) is not bool:
         _fail("analysis.segment_attempts", "must be true or false")
 
-    setups = []
+    params, setups = _compile_mode(mode, raw, segment)
+    if mode != "two_robot":  # refuse the fields only a two_robot run reads
+        for path in ("policies", "robots", "adversary", "schedule_variants",
+                     "analysis.segment_attempts"):
+            if path.rpartition(".")[2] in (analysis if "." in path else raw):
+                _fail(path, f"read only in mode 'two_robot', not {mode!r}")
+    if mode == "thm3_oracle" and trials != 1:
+        _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
+
+    bound = None
+    if "theorem5" in analysis:  # only an absent key skips the bound
+        t5 = _object(analysis["theorem5"], "analysis.theorem5", ("delta", "tau"))
+        delta = _rational(t5.get("delta"), "analysis.theorem5.delta", positive=True)
+        tau = _rational(t5.get("tau"), "analysis.theorem5.tau", positive=True)
+        try:
+            bound = theorem5_bound(delta, tau)
+        except OverflowError as exc:
+            _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
+
+    if mode == "ssync":  # its schedule sets the looks: the file's budgets are checked only
+        budgets = Budgets(params["activations"], experiments.BIG_TIME)
+    return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
+                    budgets=budgets, setups=setups,
+                    params=params, theorem5_bound=bound, raw=raw)
+
+
+def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
+    """Fail unless an adversary keyed by robot id has an entry for each id
+    in ``needed`` and none outside ``known``.
+
+    A PER_ROBOT part needs only its own robot's entry.  Only the keys are
+    read: no (W, C) pair is drawn.
+    """
+    if isinstance(adv, PerRobot):
+        field, keys = "robots", adv.parts
+    elif isinstance(adv, AdaptiveThm6):
+        field, keys = "initial_waits", adv.initial_waits
+    elif isinstance(adv, ObliviousExplicit):
+        field, keys = "schedules", adv.schedules
+    else:
+        return
+    if not needed <= set(keys) <= known:
+        _fail(f"{path}.{field}", f"robot ids {sorted(keys)} must include {sorted(needed)} "
+                                 f"and be among the robots' ids {sorted(known)}")
+    if isinstance(adv, PerRobot):
+        for rid, part in adv.parts.items():
+            _check_robot_ids(part, {rid}, known, f"{path}.{field}.{rid}")
+
+
+def _build(make, desc, path: str):
+    """``make(desc)``, a descriptor of the wrong shape failing at ``path``."""
+    try:
+        return make(desc)
+    except KeyError as exc:
+        _fail(path, f"missing key {exc}")
+    except (AdversaryError, PolicyError, ValueError, TypeError, AttributeError) as exc:
+        _fail(path, str(exc))
+
+
+def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSetup]]:
+    """``(params, setups)``, exactly what the trials of ``mode`` read: parsed
+    from ``raw`` and checked, defaults filled in, one set-up per run variant."""
+    value = raw.get("params", {})
     if mode == "two_robot":
         policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
                     for pname, desc in _object(raw.get("policies", {}), "policies").items()}
@@ -175,67 +229,24 @@ def parse_scenario(text: str) -> Scenario:
         if variants and adversary is not None:  # checked, though the variants replace it
             _build(adversary_from_descriptor, adversary, "adversary")
         read = experiments.read_attempts if segment else None
+        setups = []
         for path, desc in ([(f"schedule_variants[{i}]", v) for i, v in enumerate(variants)]
                            if variants else [("adversary", adversary)]):
             adv = _build(adversary_from_descriptor, desc, path)
             _check_robot_ids(adv, ids, ids, path)
             setups.append(RunSetup(robots, robot_policies, adv, read))
-
-    params = _mode_params(mode, raw.get("params", {}))
-    if mode != "two_robot":  # refuse the fields only a two_robot run reads
-        for path in ("policies", "robots", "adversary", "schedule_variants",
-                     "analysis.segment_attempts"):
-            if path.rpartition(".")[2] in (analysis if "." in path else raw):
-                _fail(path, f"read only in mode 'two_robot', not {mode!r}")
-    if mode == "thm3_oracle" and trials != 1:
-        _fail("trials", "must be 1: params.random_draws sizes a thm3_oracle run")
-
-    bound = None
-    if "theorem5" in analysis:  # only an absent key skips the bound
-        t5 = _object(analysis["theorem5"], "analysis.theorem5", ("delta", "tau"))
-        delta = _rational(t5.get("delta"), "analysis.theorem5.delta", positive=True)
-        tau = _rational(t5.get("tau"), "analysis.theorem5.tau", positive=True)
-        try:
-            bound = theorem5_bound(delta, tau)
-        except OverflowError as exc:
-            _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
-
-    if mode == "ssync":  # its schedule sets the looks: the file's budgets are checked only
-        budgets = Budgets(params["activations"], experiments.BIG_TIME)
-    return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
-                    budgets=budgets, setups=setups or _mode_setups(mode, params),
-                    params=params, theorem5_bound=bound, raw=raw)
-
-
-def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
-    """Fail unless an adversary keyed by robot id has an entry for each id
-    in ``needed`` and none outside ``known``.
-
-    A PER_ROBOT part needs only its own robot's entry.  Only the keys are
-    read: no (W, C) pair is drawn.
-    """
-    if isinstance(adv, PerRobot):
-        field, keys = "robots", adv.parts
-    elif isinstance(adv, AdaptiveThm6):
-        field, keys = "initial_waits", adv.initial_waits
-    elif isinstance(adv, ObliviousExplicit):
-        field, keys = "schedules", adv.schedules
-    else:
-        return
-    if not needed <= set(keys) <= known:
-        _fail(f"{path}.{field}", f"robot ids {sorted(keys)} must include {sorted(needed)} "
-                                 f"and be among the robots' ids {sorted(known)}")
-    if isinstance(adv, PerRobot):
-        for rid, part in adv.parts.items():
-            _check_robot_ids(part, {rid}, known, f"{path}.{field}.{rid}")
-
-
-def _mode_params(mode: str, value) -> dict:
-    """The params ``mode`` reads from ``value``, parsed and checked, defaults filled in."""
+        _object(value, "params", ())  # two_robot reads no params
+        return {}, setups
     if mode == "ssync":
         get = _object(value, "params", ("activations", "delta")).get
-        return {"activations": _integer(get("activations", 51), "params.activations", 1),
-                "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
+        # The schedule's k-th entry holds a k-bit value: its memory is quadratic.
+        activations = _integer(get("activations", 51), "params.activations", 1, 10_000)
+        delta = _rational(get("delta", "1"), "params.delta", positive=True)
+        half = Deterministic(HALF)
+        return {"activations": activations, "delta": delta}, [RunSetup(
+            [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)], {0: half, 1: half},
+            ObliviousExplicit(experiments.ssync_schedule(activations, delta)),
+            experiments.read_halving)]
     if mode == "thm3_oracle":
         get = _object(value, "params", ("random_draws", "opposite_alphas", "same_alphas")).get
         draws = _integer(get("random_draws"), "params.random_draws", 0)
@@ -248,18 +259,24 @@ def _mode_params(mode: str, value) -> dict:
                    + [(a, SAME_DIRECTION) for a in same])
         if not configs:
             _fail("params.opposite_alphas", "at least one alpha required")
-        return {"configs": configs, "random_draws": draws}
+        return {"configs": configs, "random_draws": draws}, []
     if mode == "thm4":
         get = _object(value, "params", ("alphas", "tau", "fixed_sum", "delta")).get
-        out = {"alphas": _positive_rationals(get("alphas"), "params.alphas")}
-        if not out["alphas"]:
+        alphas = _positive_rationals(get("alphas"), "params.alphas")
+        if not alphas:
             _fail("params.alphas", "at least one alpha required")
-        out["tau"] = _rational(get("tau"), "params.tau", positive=True)
-        out["fixed_sum"] = _rational(get("fixed_sum"), "params.fixed_sum")
-        if out["fixed_sum"] <= out["tau"]:
+        tau = _rational(get("tau"), "params.tau", positive=True)
+        fixed_sum = _rational(get("fixed_sum"), "params.fixed_sum")
+        if fixed_sum <= tau:
             _fail("params.fixed_sum", "must exceed params.tau")
-        out["delta"] = _rational(get("delta", "1"), "params.delta", positive=True)
-        return out
+        delta = _rational(get("delta", "1"), "params.delta", positive=True)
+        # Robot 0 is uncontrolled: it waits and computes for no time.  Each
+        # trial's for_trial re-seeds robot 1's fixed-sum draws.
+        adversary = PerRobot({0: ObliviousGenerated("constant", (ZERO, ZERO), 0),
+                              1: TauBounded(tau, 0, fixed_sum)})
+        return {}, [RunSetup([RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)],
+                             {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE},
+                             adversary, experiments.read_k_histogram) for alpha in alphas]
     if mode == "thm6":
         get = _object(value, "params", ("w_first", "w_second", "delta")).get
         waits = [_rational(get("w_first", "2"), "params.w_first"),
@@ -269,47 +286,19 @@ def _mode_params(mode: str, value) -> dict:
         if min(waits) < 0:
             _fail("params.w_first" if waits[0] < 0 else "params.w_second",
                   "must be non-negative")
-        return {"w_first": waits[0], "w_second": waits[1],
-                "delta": _rational(get("delta", "1"), "params.delta", positive=True)}
+        delta = _rational(get("delta", "1"), "params.delta", positive=True)
+        return {}, [RunSetup([RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)],
+                             {0: THREE_CHOICE, 1: THREE_CHOICE},
+                             AdaptiveThm6(dict(enumerate(waits))), experiments.read_midmove)]
     if mode == "lemma1":
         get = _object(value, "params", ("cycles",)).get
-        return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}
-    if mode == "multirobot":
-        get = _object(value, "params",
-                      ("n", "max_tie_rounds", "tie_trials", "tie_max_rounds")).get
-        return {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
-                "max_tie_rounds": _integer(get("max_tie_rounds", 200),
-                                           "params.max_tie_rounds", 0),
-                "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
-                "tie_max_rounds": _integer(get("tie_max_rounds", 30),
-                                           "params.tie_max_rounds", 0)}
-    _object(value, "params", ())  # two_robot reads no params
-    return {}
-
-
-def _mode_setups(mode: str, params: dict) -> list[RunSetup]:
-    """The two-robot runs ``ssync``, ``thm4`` and ``thm6`` describe by their
-    params, one set-up per variant; [] for the other modes."""
-    if mode == "ssync":
-        delta, half = params["delta"], Deterministic(HALF)
-        schedule = experiments.ssync_schedule(params["activations"], delta)
-        return [RunSetup([RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)], {0: half, 1: half},
-                         ObliviousExplicit(schedule), experiments.read_halving)]
-    if mode == "thm4":
-        # Robot 0 is uncontrolled: it waits and computes for no time.  Each
-        # trial's for_trial re-seeds robot 1's fixed-sum draws.
-        free = ObliviousGenerated("constant", (ZERO, ZERO), 0)
-        delayed = TauBounded(params["tau"], 0, params["fixed_sum"])
-        return [RunSetup([RobotSpec(0, ZERO, ONE), RobotSpec(1, params["delta"], alpha)],
-                         {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE},
-                         PerRobot({0: free, 1: delayed}), experiments.read_k_histogram)
-                for alpha in params["alphas"]]
-    if mode == "thm6":
-        return [RunSetup([RobotSpec(0, params["delta"], ONE), RobotSpec(1, ZERO, ONE)],
-                         {0: THREE_CHOICE, 1: THREE_CHOICE},
-                         AdaptiveThm6({0: params["w_first"], 1: params["w_second"]}),
-                         experiments.read_midmove)]
-    return []
+        return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}, []
+    # multirobot
+    get = _object(value, "params", ("n", "max_tie_rounds", "tie_trials", "tie_max_rounds")).get
+    return {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
+            "max_tie_rounds": _integer(get("max_tie_rounds", 200), "params.max_tie_rounds", 0),
+            "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
+            "tie_max_rounds": _integer(get("tie_max_rounds", 30), "params.tie_max_rounds", 0)}, []
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -1,17 +1,18 @@
 """Runnable constructions of the theorem-style experiments.
 
-Parsing compiles every two-robot mode (``two_robot``, ``ssync``, ``thm4``,
-``thm6``) into ``RunSetup`` variants, all run by ``two_robot_trial``; a
-set-up's trace reader hands in the mode's share of the report.  The other
-modes have trial functions of their own.  The CLI fans trials out and
-pools the outcomes; the acceptance suite drives the same functions.
+Parsing compiles each mode in one pass into the params and ``RunSetup``
+variants its trials read.  The two-robot modes (``two_robot``, ``ssync``,
+``thm4``, ``thm6``) all run ``two_robot_trial``; a set-up's trace reader
+hands in the mode's share of the report.  The other modes have trial
+functions of their own.  The CLI fans trials out and pools the outcomes;
+the acceptance suite drives the same functions.
 
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
-nothing.  Policies and adversaries without state are shared by every
-trial; seeded oblivious adversaries are copied with the trial's seed
-(``for_trial``), which is derived only for them; an ``Oracle`` policy and
-the ``AdaptiveThm6`` adversary, which change as a run goes on, are built
-afresh for each trial.
+nothing.  Policies and adversaries that draw nothing are shared by every
+trial; seeded oblivious adversaries (of a ``PerRobot``, its seeded parts)
+are copied with the trial's seed (``for_trial``), which is derived only
+for them; an ``Oracle`` policy and the ``AdaptiveThm6`` adversary, which
+change as a run goes on, are built afresh for each trial.
 """
 
 from __future__ import annotations

@@ -204,6 +204,18 @@ def _thm4_run(seed):
     return experiments.run_one_trial(scn, 0)
 
 
+def test_per_robot_copies_only_its_seeded_parts():
+    # thm4's uncontrolled robot has a constant zero-delay part, which reads
+    # no seed: every trial shares it, and only robot 1's draws are re-seeded.
+    adv = parse_scenario(json.dumps({
+        "name": "thm4", "mode": "thm4",
+        "params": {"alphas": ["2"], "tau": "1/2", "fixed_sum": "13/20"}})).setups[0].adversary
+    twin = adv.for_trial(5)
+    assert adv.seeded and not adv.parts[0].seeded
+    assert twin.parts[0] is adv.parts[0]
+    assert twin.parts[1] is not adv.parts[1] and twin.parts[1].seed == 5
+
+
 def _oblivious_run(adv):
     def go(seed):
         specs = [RobotSpec(0, F(0), F(1)), RobotSpec(1, F(1), F(1))]

@@ -505,6 +505,13 @@ def _with(base, **params):
     (_with(THM3, random_draws=-1), "params.random_draws"),
     (_with(THM4, delta="0"), "params.delta"),
     ({**THM3, "trials": 2}, "trials"),
+    # A file with two bad fields reports the one checked first.
+    ({**_with(THM6, w_first="1", w_second="1"), "robots": MINIMAL["robots"]},
+     "params.w_second"),
+    ({**MINIMAL, "robots": MINIMAL["robots"] + MINIMAL["robots"][:1], "params": {"x": 1}},
+     "robots"),
+    ({**THM3, "trials": 2, "robots": MINIMAL["robots"]}, "robots"),
+    (_with(SSYNC, activations=10_001), "params.activations"),
 ])
 def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
     # Checked when the scenario is compiled, before any trial runs.
@@ -521,9 +528,15 @@ def test_main_rejects_thm3_trials_flag(tmp_path, capsys):
     assert err.startswith("validation error: trials:") and "params.random_draws" in err
 
 
-@pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI])
+@pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI, THM6])
 def test_main_runs_valid_mode_params(tmp_path, raw):
     assert _run_exit_code(tmp_path, raw) == 0
+
+
+def test_ssync_activations_cap_parses():
+    # The largest schedule a file may ask for; one more exits 2.
+    scn = parse_scenario(json.dumps(_with(SSYNC, activations=10_000)))
+    assert scn.budgets.max_total_looks == 10_000
 
 
 @pytest.mark.parametrize("patch,field", [
