@@ -2,7 +2,8 @@
 
 The golden reports cover only the kinds a bundled scenario uses
 (THREE_CHOICE, TAU_TRIPLE and the adversaries of the shipped files).
-These digests pin, for every other policy kind and for ASYNC_IC, the
+These digests pin, for every other policy kind and for ASYNC_IC,
+TAU_BOUNDED (drawn and fixed sum) and the uniform OBLIVIOUS_GENERATED, the
 exact values drawn at a fixed seed and the state the RNG is left in, so a
 change to how a kind is built or sampled that alters any draw fails here.
 Re-record them only for a change meant to alter the draws.
@@ -64,6 +65,18 @@ ADVERSARY_DRAWS = {
             "0": {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "1"},
             "1": {"kind": "TAU_BOUNDED", "tau": "1/10"}}}, {0: 3, 1: 4},
         "b9ddcb75940c9f7b8cfd533e26b7fa68b90ea02fd7ef40bf9b5a50dfc7895328"),
+    # The drawn sum tau * (1 + u), as thm5_1024's robots draw it.
+    "tau_bounded": (
+        {"kind": "TAU_BOUNDED", "tau": "1/1024"}, 21,
+        "d13cf739fdb5dbed946fd98dd6263082f59e72c7c09004e628cd3cc485480bcf"),
+    # A fixed sum still skips one draw, as thm4's free robot does.
+    "tau_bounded_fixed_sum": (
+        {"kind": "TAU_BOUNDED", "tau": "1/3", "fixed_sum": "13/20"}, 22,
+        "fe812c54f2dab7c5cc39a1c7f3cb8b098274d27c4ed30bfbb355ae7c3cd13989"),
+    "oblivious_generated_uniform": (
+        {"kind": "OBLIVIOUS_GENERATED", "generator": "uniform",
+         "params": {"w_lo": "1/5", "w_hi": "7/3", "c_lo": "1/8", "c_hi": "5/2"}}, 23,
+        "a5441529afc6d35a5df9492224aeb97e7e3b98627a55745867495f4ba6208fb8"),
 }
 
 
