@@ -161,7 +161,8 @@ class TauBounded(_Seeded):
             rng.randrange(U01_DEN)  # keep stream alignment with the drawn-sum case
         else:
             total = self.tau * (1 + grid_point(rng.randrange(1, U01_DEN + 1)))
-        w = uniform_closed(rng, ZERO, total)
+        # uniform_closed(rng, ZERO, total), without adding or subtracting zero
+        w = total * grid_point(rng.randrange(U01_DEN + 1))
         return (w, total - w)
 
 

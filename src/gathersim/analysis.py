@@ -9,14 +9,12 @@ distance afterwards is at most half the maximum distance before.  A
 
 from __future__ import annotations
 
-import heapq
 import math
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .engine import RobotRun, Trace, position_at
-from .geometry import move_position
 from .rational import ZERO, Rat
 
 
@@ -69,23 +67,52 @@ def _distance_profile(trace: Trace):
     supremum over any suffix at a move start/end or at the query time (the
     kinks of |x1-x2| away from those points are zero crossings, which are
     minima).  The breakpoints are 0, the horizon and each robot's move
-    starts and ends up to the horizon; a robot's own are already in time
-    order, so the two lists are merged, and each robot's positions come
-    from one forward sweep over its segments.
+    starts and ends up to the horizon.  Each robot's are listed once, in
+    time order (``_move_breakpoints``), and one two-pointer sweep merges
+    the two lists; equal times collapse to one entry.  At its own
+    breakpoint a robot is at its move's origin (a start) or destination (an
+    end).  Only the other robot, if it is in flight, is interpolated from
+    its latest start: origin +- speed * (t - move_start), exact also at the
+    move's end.  Positions are continuous in time, so which robot's
+    breakpoint comes first at a shared time does not change the distance.
     """
     cached = getattr(trace, "_dist_profile", None)
     if cached is not None:
         return cached
     horizon = trace.horizon
     runs = [trace.runs[rid] for rid in trace.robot_ids]
+    first, second = (_move_breakpoints(run, horizon) for run in runs)
+    # Each robot's latest breakpoint, and its speed unless it is 1.
+    latest = [(ZERO, run.spec.start, 0) for run in runs]
+    speeds = [None if run.spec.speed == 1 else run.spec.speed for run in runs]
+
+    def position(k: int, t: Rat) -> Rat:
+        start, x, direction = latest[k]
+        if not direction:
+            return x
+        step = t - start if speeds[k] is None else speeds[k] * (t - start)
+        return x + step if direction > 0 else x - step
+
     ts = [ZERO]
-    for t in heapq.merge(*(_move_times(run, horizon) for run in runs)):
+    dist = [abs(latest[0][1] - latest[1][1])]
+    i = j = 0
+    while True:
+        if i < len(first) and (j == len(second) or first[i][0] <= second[j][0]):
+            k, point = 0, first[i]
+            i += 1
+        elif j < len(second):
+            k, point = 1, second[j]
+            j += 1
+        else:
+            break
+        latest[k] = point
+        t = point[0]
         if t != ts[-1]:
             ts.append(t)
+            dist.append(abs(point[1] - position(1 - k, t)))
     if horizon != ts[-1]:
         ts.append(horizon)
-    a, b = (_positions(run, ts) for run in runs)
-    dist = [abs(x - y) for x, y in zip(a, b)]
+        dist.append(abs(position(0, horizon) - position(1, horizon)))
     suffix = list(dist)
     for i in range(len(suffix) - 2, -1, -1):
         if suffix[i + 1] > suffix[i]:
@@ -95,34 +122,27 @@ def _distance_profile(trace: Trace):
     return profile
 
 
-def _move_times(run: RobotRun, horizon: Rat):
-    """The robot's move starts and ends up to ``horizon``, in time order."""
-    for seg in run.segments:
-        if seg.move_start > horizon:
-            return
-        yield seg.move_start
-        if seg.move_end > horizon:
-            return
-        yield seg.move_end
+def _move_breakpoints(run: RobotRun, horizon: Rat) -> list[tuple[Rat, Rat, int]]:
+    """(time, position, direction) at the robot's move starts and ends up to
+    ``horizon``, in time order.
 
-
-def _positions(run: RobotRun, ts: list[Rat]) -> list[Rat]:
-    """``position_at(run, t)`` for each t of the ascending ``ts``.
-
-    The segment for t is the last one whose move starts at or before t, as
-    in ``position_at``; it only moves forward as t grows.
+    A start holds the move's origin and its direction, +1 or -1; an end holds
+    the destination and 0, as the robot rests there.  Move ends increase
+    along the segments, so the segments that end within the horizon are a
+    prefix; of the rest only the first can start within it.
     """
     segs = run.segments
     n = len(segs)
-    i = -1
-    speed = run.spec.speed
+    while n and segs[n - 1].move_end > horizon:
+        n -= 1
     out = []
-    for t in ts:
-        while i + 1 < n and segs[i + 1].move_start <= t:
-            i += 1
-            seg = segs[i]
-        out.append(run.spec.start if i < 0 else move_position(
-            seg.origin, seg.destination, speed, seg.move_start, seg.move_end, t))
+    for seg in segs[:n]:
+        origin, dest = seg.origin, seg.destination
+        out.append((seg.move_start, origin, 1 if dest > origin else -1))
+        out.append((seg.move_end, dest, 0))
+    if n < len(segs) and segs[n].move_start <= horizon:
+        seg = segs[n]
+        out.append((seg.move_start, seg.origin, 1 if seg.destination > seg.origin else -1))
     return out
 
 
@@ -157,7 +177,6 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
     """
     a_id, b_id = trace.robot_ids
     segs = {rid: trace.runs[rid].segments for rid in (a_id, b_id)}
-    look_times = sorted(seg.look_time for rid in (a_id, b_id) for seg in segs[rid])
     # Move ends increase along a robot's segments, so the cycles that end
     # within the horizon are a prefix.
     in_horizon = {rid: bisect_right(segs[rid], trace.horizon, key=lambda s: s.move_end)
@@ -165,6 +184,11 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
 
     attempts: list[AttemptRecord] = []
     idx = {a_id: 0, b_id: 0}
+    # Each robot's looks before the current window's end.  Windows tile
+    # time and a robot's looks are in time order, so these only move
+    # forward; the looks in a window are the growth of their sum.
+    looks_before = {a_id: 0, b_id: 0}
+    lo = 0
     t_begin = ZERO
     before = None  # max_distance_from(trace, t_begin): the previous attempt's after
     while True:
@@ -189,8 +213,12 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
         t_end = max(later_seg.move_end, other_seg.move_end)
         if t_end > trace.horizon:
             break  # the window is not fully simulated
-        lo = bisect_left(look_times, t_begin)
-        hi = bisect_left(look_times, t_end)
+        for rid, looks in looks_before.items():
+            robot_segs = segs[rid]
+            while looks < len(robot_segs) and robot_segs[looks].look_time < t_end:
+                looks += 1
+            looks_before[rid] = looks
+        hi = sum(looks_before.values())
         if before is None:
             before = max_distance_from(trace, t_begin)
         after = max_distance_from(trace, t_end)
@@ -206,7 +234,7 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
             successful=classify_success(before, after),
             complete=complete,
         ))
-        t_begin, before = t_end, after
+        t_begin, before, lo = t_end, after, hi
     return attempts
 
 

@@ -13,7 +13,10 @@ decision fires, even for a robot crossing mid-move) or it does not.  The
 sign of a wait W or a computation delay C is read off its numerator; a
 zero W or C adds nothing to the clock (the look is at the cycle's start,
 or the move starts at the look), and ``policies.destination`` returns the
-observed position itself for lambda = 1, with no arithmetic.
+observed position itself for lambda = 1, with no arithmetic.  A look that
+finds the other robot mid-move reads its live position as origin +-
+speed * (t - move_start), the sign that of its ``shift``; a robot of speed
+1 multiplies by nothing, and its travel time is the distance itself.
 
 The time budget is checked when a cycle's times are fixed, not at each
 event: a robot is marked late when its look time, or the end of the move
@@ -250,15 +253,17 @@ class _LiveRobot:
     ``dest - pos`` of the move its latest look computed and ``travel`` that
     move's duration, both set before the adversary chooses its delay.
     ``late`` is set once its look time or move end is fixed past
-    ``max_time``; only a late robot's events can pass the budget.
+    ``max_time``; only a late robot's events can pass the budget.  ``unit``
+    says whether the speed is 1, so that a duration is the distance itself.
     """
 
-    __slots__ = ("spec", "policy", "max_time", "segments", "phase", "cycle", "pos",
-                 "look_time", "move_start", "move_end", "dest", "shift",
+    __slots__ = ("spec", "unit", "policy", "max_time", "segments", "phase", "cycle",
+                 "pos", "look_time", "move_start", "move_end", "dest", "shift",
                  "travel", "late", "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
         self.spec = spec
+        self.unit = spec.speed == 1
         self.policy = policy
         self.max_time = max_time
         self.segments: list[CycleSegment] = []
@@ -311,10 +316,18 @@ class _LiveRobot:
         self.phase = "done"
 
     def position_at(self, t: Rat) -> Rat:
-        """Live position query; valid for t at or before the current event."""
+        """Live position query; valid for t at or before the current event.
+
+        A moving robot is read at move_start <= t <= move_end (its MOVE_END
+        comes after a LOOK at the same instant), so it is interpolated
+        directly: pos +- speed * (t - move_start), with the direction the
+        sign of ``shift``; at t = move_end that is exactly ``dest``.
+        """
         if self.phase == "moving":  # pos changes only at MOVE_END: it is the origin
-            return geometry.move_position(self.pos, self.dest, self.spec.speed,
-                                          self.move_start, self.move_end, t)
+            step = t - self.move_start
+            if not self.unit:
+                step = self.spec.speed * step
+            return self.pos + step if self.shift._numerator > 0 else self.pos - step
         return self.pos
 
 
@@ -374,8 +387,8 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
             else:
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
-                st.shift = dest - st.pos
-                st.travel = abs(st.shift) / st.spec.speed
+                shift = st.shift = dest - st.pos
+                st.travel = abs(shift) if st.unit else abs(shift) / st.spec.speed
                 compute = adversary.computation_delay(st.spec.id, st.cycle, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START

@@ -341,13 +341,14 @@ def format_rat(x: Fraction) -> str:
     """Serialize as "p/q", or plain "p" for integers.
 
     ``Decimal`` writes the digits of an int past ``str``'s limit (4300
-    digits by default), which a long adaptive run's denominators pass."""
+    digits by default), which a long adaptive run's denominators pass.
+    The fields are read directly: ``Fraction``'s properties cost twice as
+    much, at several hundred calls per trace."""
+    n, d = x._numerator, x._denominator
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        num, den = Decimal(x.numerator), Decimal(x.denominator)
+        num, den = Decimal(n), Decimal(d)
         return str(num) if den == 1 else f"{num}/{den}"
 
 
@@ -388,7 +389,7 @@ def uniform_closed(rng: random.Random, lo: Rat, hi: Rat) -> Rat:
 
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed for a tuple of labels; platform-independent."""
-    text = "/".join(str(p) for p in parts)
+    text = "/".join(map(str, parts))
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

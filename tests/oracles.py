@@ -80,7 +80,11 @@ def reference_trace_text(trace):
 def brute_force_attempts(trace):
     """Attempt segmentation reconstructed purely from the event stream.
 
-    The later mover is the robot whose move starts later.
+    The later mover is the robot whose move starts later.  A cycle whose
+    look did not decide gathering is a row even when its move starts or
+    ends past the horizon (None there): its look still pairs with the
+    other robot's later move, and a window that needs such a move is not
+    fully simulated.
     """
     cycles = {rid: {} for rid in trace.robot_ids}
     for e in trace.events:
@@ -92,14 +96,16 @@ def brute_force_attempts(trace):
             rec["move_start"] = e.time
         elif e.kind == "MOVE_END":
             rec["move_end"] = e.time
+        elif e.kind == "DECIDE_GATHERED":
+            rec["decided"] = True
 
     table = {}
     for rid, recs in cycles.items():
         rows = []
         for c in sorted(recs):
             r = recs[c]
-            if {"look", "move_start", "move_end"} <= r.keys():
-                rows.append((c, r["look"], r["move_start"], r["move_end"]))
+            if "look" in r and "decided" not in r:
+                rows.append((c, r["look"], r.get("move_start"), r.get("move_end")))
         table[rid] = rows
 
     a, b = trace.robot_ids
@@ -111,6 +117,8 @@ def brute_force_attempts(trace):
     while ptr[a] < len(table[a]) and ptr[b] < len(table[b]):
         ra = table[a][ptr[a]]
         rb = table[b][ptr[b]]
+        if ra[key] is None or rb[key] is None:
+            break  # the later move starts past the horizon
         if ra[key] > rb[key]:
             later_rid, later = a, ra
             other_rid = b
@@ -121,6 +129,8 @@ def brute_force_attempts(trace):
         cands = [(i, row) for i, row in enumerate(table[other_rid])
                  if i >= ptr[other_rid] and row[1] <= t]
         oi, other = cands[-1]
+        if later[3] is None or other[3] is None:
+            break  # the window is not fully simulated
         t_end = max(later[3], other[3])
         before = brute_max_distance(trace, t_begin)
         after = brute_max_distance(trace, t_end)

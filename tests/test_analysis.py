@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from oracles import (brute_force_attempts, brute_max_distance, is_mid_move,
                      reference_distance_profile, reference_looks_see_midmove,
                      reference_segment_attempts)
-from test_engine import tie_heavy_runs
+from test_engine import NON_UNIT_SPEEDS, mixed_speed_runs, tie_heavy_runs
 
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, TauBounded
 from gathersim.analysis import (
@@ -111,6 +111,25 @@ def test_distance_profile_matches_reference_dyadic():
         tr = run(specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE}, adv,
                  spawn_rng("profile", seed), Budgets(30, BIG))
         assert_profile_matches_reference(tr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_run=mixed_speed_runs)
+def test_distance_profile_matches_reference_non_unit_speeds(family_run):
+    # The sweep interpolates the robot in flight at its speed.
+    make_run, budgets = family_run
+    assert_profile_matches_reference(run(*make_run(), budgets))
+
+
+@pytest.mark.parametrize("speeds", NON_UNIT_SPEEDS)
+def test_distance_profile_matches_reference_dyadic_non_unit_speeds(speeds):
+    specs = [RobotSpec(0, Rat(0), Rat(speeds[0])), RobotSpec(1, Rat(1), Rat(speeds[1]))]
+    for seed in range(3):
+        adv = TauBounded(Rat(1, 1024), seed=seed)
+        tr = run(specs, {0: TAU_TRIPLE, 1: TAU_TRIPLE}, adv,
+                 spawn_rng("profile-speeds", seed), Budgets(30, BIG))
+        assert_profile_matches_reference(tr)
+        assert segment_attempts(tr) == reference_segment_attempts(tr)
 
 
 # ----------------------------------------------------------------------
@@ -275,10 +294,35 @@ def test_attempts_match_brute_force_on_random_short_runs():
             assert m.successful == r["successful"]
 
 
+@pytest.mark.parametrize("speeds", NON_UNIT_SPEEDS)
+def test_attempts_match_brute_force_at_non_unit_speeds(speeds):
+    for seed in range(10):
+        rng = spawn_rng("seg-speeds", seed)
+        specs = [RobotSpec(0, F(0), speeds[0]), RobotSpec(1, F(2), speeds[1])]
+        sched = {rid: [(F(rng.randrange(0, 9), 4), F(rng.randrange(0, 5), 8))
+                       for _ in range(10)] for rid in (0, 1)}
+        tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, ObliviousExplicit(sched),
+                 spawn_rng("seg-speeds-alg", seed), Budgets(8, BIG))
+        mine = segment_attempts(tr)
+        ref = brute_force_attempts(tr)
+        assert [(m.look_pair, m.window, m.all_looks_in_window, m.max_dist_before,
+                 m.max_dist_after, m.successful) for m in mine] == [
+            ((r["later"], r["other"]), r["window"], r["looks"], r["before"], r["after"],
+             r["successful"]) for r in ref], seed
+
+
 @settings(max_examples=300, deadline=None)
 @given(family_run=tie_heavy_runs)
 def test_attempts_match_reference(family_run):
     # Every field, ``complete`` included, equals the direct scan's.
+    make_run, budgets = family_run
+    tr = run(*make_run(), budgets)
+    assert segment_attempts(tr) == reference_segment_attempts(tr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family_run=mixed_speed_runs)
+def test_attempts_match_reference_non_unit_speeds(family_run):
     make_run, budgets = family_run
     tr = run(*make_run(), budgets)
     assert segment_attempts(tr) == reference_segment_attempts(tr)
