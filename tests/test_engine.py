@@ -369,17 +369,14 @@ def tie_heavy_run(sched0, sched1, pol0, pol1, looks, x1, cut, between, ids=(0, 1
     return make_run, Budgets(looks, max_time)
 
 
-tie_heavy_runs = st.builds(
-    tie_heavy_run, _schedule, _schedule, _policy, _policy, st.integers(1, _LOOKS),
-    st.sampled_from([F(1), F(2), F(1, 3)]), st.integers(-3, 4 * _LOOKS), st.booleans(),
-    st.sampled_from([(0, 1), (2, 10), (-1, 3)]))
+_FAMILY = (_schedule, _schedule, _policy, _policy, st.integers(1, _LOOKS),
+           st.sampled_from([F(1), F(2), F(1, 3)]), st.integers(-3, 4 * _LOOKS), st.booleans(),
+           st.sampled_from([(0, 1), (2, 10), (-1, 3)]))
+tie_heavy_runs = st.builds(tie_heavy_run, *_FAMILY)
 
 # The same family at non-unit speeds: thm4's alphas 2 and 13/20, and 1/3.
 NON_UNIT_SPEEDS = [(F(1, 3), F(2)), (F(13, 20), F(1)), (F(1), F(13, 20)), (F(2), F(1, 3))]
-mixed_speed_runs = st.builds(
-    tie_heavy_run, _schedule, _schedule, _policy, _policy, st.integers(1, _LOOKS),
-    st.sampled_from([F(1), F(2), F(1, 3)]), st.integers(-3, 4 * _LOOKS), st.booleans(),
-    st.sampled_from([(0, 1), (2, 10), (-1, 3)]), st.sampled_from(NON_UNIT_SPEEDS))
+mixed_speed_runs = st.builds(tie_heavy_run, *_FAMILY, st.sampled_from(NON_UNIT_SPEEDS))
 
 
 @settings(max_examples=400, deadline=None)
