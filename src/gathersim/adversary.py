@@ -4,6 +4,12 @@ Oblivious kinds commit every (W, C) as a pure function of
 (robot id, cycle index, adversary seed) before the run; the adaptive kind
 re-plans after each look so that every later look catches the other robot
 strictly mid-move.
+
+Every time value of an oblivious kind enters its draws linearly, so
+``in_unit(k)`` gives the same adversary with times counted in units k
+times finer: each pair it draws is k times the original's, from the same
+RNG calls.  ``time_values`` lists the values that scaling multiplies; the
+adaptive kind has none it could scale, as its next wait is a literal 1.
 """
 
 from __future__ import annotations
@@ -40,6 +46,14 @@ class _Oblivious:
     seeded = False  # whether ``for_trial`` reads its seed
 
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
+        raise NotImplementedError
+
+    def time_values(self) -> list[Rat]:
+        """Every time value the draws are linear in."""
+        raise NotImplementedError
+
+    def in_unit(self, k: Rat):
+        """The same adversary with every time value multiplied by ``k``."""
         raise NotImplementedError
 
     def wait_time(self, robot_id: int, cycle: int) -> Rat:
@@ -100,6 +114,13 @@ class ObliviousExplicit(_Oblivious):
         w, c = seq[cycle]
         return (w, c)
 
+    def time_values(self):
+        return [x for seq in self.schedules.values() for pair in seq for x in pair]
+
+    def in_unit(self, k):
+        return ObliviousExplicit({rid: [(w * k, c * k) for w, c in seq]
+                                  for rid, seq in self.schedules.items()})
+
 
 _GENERATOR_PARAMS = {"constant": ("w", "c"), "uniform": ("w_lo", "w_hi", "c_lo", "c_hi")}
 
@@ -133,6 +154,12 @@ class ObliviousGenerated(_Seeded):
         rng = spawn_rng(self.seed, "wc", robot_id, cycle)
         return (uniform_closed(rng, w_lo, w_hi), uniform_closed(rng, c_lo, c_hi))
 
+    def time_values(self):
+        return list(self.values)
+
+    def in_unit(self, k):
+        return ObliviousGenerated(self.generator, tuple(v * k for v in self.values), self.seed)
+
 
 @dataclass
 class TauBounded(_Seeded):
@@ -165,6 +192,13 @@ class TauBounded(_Seeded):
         w = total * grid_point(rng.randrange(U01_DEN + 1))
         return (w, total - w)
 
+    def time_values(self):
+        return [self.tau] if self.fixed_sum is None else [self.tau, self.fixed_sum]
+
+    def in_unit(self, k):
+        return TauBounded(self.tau * k, self.seed,
+                          None if self.fixed_sum is None else self.fixed_sum * k)
+
 
 @dataclass
 class PerRobot(_Oblivious):
@@ -184,6 +218,12 @@ class PerRobot(_Oblivious):
         except KeyError:
             raise ScheduleUnderrunError(f"no adversary for robot {robot_id}")
         return part.next_delays(robot_id, cycle)
+
+    def time_values(self):
+        return [x for part in self.parts.values() for x in part.time_values()]
+
+    def in_unit(self, k):
+        return PerRobot({rid: part.in_unit(k) for rid, part in self.parts.items()})
 
     def for_trial(self, seed):
         """A copy whose seeded parts draw from ``seed``; the others are shared."""
@@ -221,6 +261,10 @@ class AdaptiveThm6:
         """A fresh adversary: the committed waits are per-run state; the seed
         is not read."""
         return AdaptiveThm6(self.initial_waits)
+
+    def time_values(self):
+        """None: the next wait it commits is a literal 1 in the scenario's unit."""
+        return None
 
     def wait_time(self, robot_id, cycle):
         if cycle == 0:

@@ -191,6 +191,13 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
     lo = 0
     t_begin = ZERO
     before = None  # max_distance_from(trace, t_begin): the previous attempt's after
+    # Window ends are move ends within the horizon, so breakpoints of the
+    # distance profile, and they only move forward: each is searched for
+    # from the previous one's index p, and the suffix maximum there is the
+    # distance after it.  The first attempt's max_distance_from builds the
+    # profile.
+    ts = suffix = None
+    p = 0
     while True:
         sa = segs[a_id][idx[a_id]] if idx[a_id] < len(segs[a_id]) else None
         sb = segs[b_id][idx[b_id]] if idx[b_id] < len(segs[b_id]) else None
@@ -221,7 +228,9 @@ def segment_attempts(trace: Trace) -> list[AttemptRecord]:
         hi = sum(looks_before.values())
         if before is None:
             before = max_distance_from(trace, t_begin)
-        after = max_distance_from(trace, t_end)
+            ts, _dist, suffix = _distance_profile(trace)
+        p = bisect_left(ts, t_end, p)
+        after = suffix[p]
         idx = {later_id: idx[later_id] + 1, other_id: j + 1}
         complete = trace.gathered or all(in_horizon[rid] - idx[rid] >= 2 for rid in idx)
         attempts.append(AttemptRecord(

@@ -24,7 +24,7 @@ from .adversary import (AdaptiveThm6, AdversaryError, ObliviousExplicit, Oblivio
                         PerRobot, TauBounded, adversary_from_descriptor)
 from .analysis import binomial_halfwidth_3sigma, mean_halfwidth_3sigma, theorem5_bound
 from .engine import LOOK, MOVE_START, Budgets, RobotSpec, Trace, event_steps
-from .experiments import RunSetup
+from .experiments import RunSetup, run_setup
 from .policies import (OPPOSITE_DIRECTIONS, SAME_DIRECTION, TAU_TRIPLE, THREE_CHOICE,
                        Deterministic, PolicyError, policy_from_descriptor)
 from .rational import HALF, ONE, ZERO, Rat, derive_seed, format_rat, parse_rat
@@ -135,7 +135,7 @@ def parse_scenario(text: str) -> Scenario:
     if type(segment) is not bool:
         _fail("analysis.segment_attempts", "must be true or false")
 
-    params, setups = _compile_mode(mode, raw, segment)
+    params, setups = _compile_mode(mode, raw, segment, budgets)
     if mode != "two_robot":  # refuse the fields only a two_robot run reads
         for path in ("policies", "robots", "adversary", "schedule_variants",
                      "analysis.segment_attempts"):
@@ -194,9 +194,11 @@ def _build(make, desc, path: str):
         _fail(path, str(exc))
 
 
-def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSetup]]:
+def _compile_mode(mode: str, raw: dict, segment: bool,
+                  budgets: Budgets) -> tuple[dict, list[RunSetup]]:
     """``(params, setups)``, exactly what the trials of ``mode`` read: parsed
-    from ``raw`` and checked, defaults filled in, one set-up per run variant."""
+    from ``raw`` and checked, defaults filled in, one set-up per run variant,
+    each in its own unit (``experiments.run_setup``)."""
     value = raw.get("params", {})
     if mode == "two_robot":
         policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
@@ -234,7 +236,7 @@ def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSe
                            if variants else [("adversary", adversary)]):
             adv = _build(adversary_from_descriptor, desc, path)
             _check_robot_ids(adv, ids, ids, path)
-            setups.append(RunSetup(robots, robot_policies, adv, read))
+            setups.append(run_setup(robots, robot_policies, adv, budgets, read))
         _object(value, "params", ())  # two_robot reads no params
         return {}, setups
     if mode == "ssync":
@@ -243,9 +245,10 @@ def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSe
         activations = _integer(get("activations", 51), "params.activations", 1, 10_000)
         delta = _rational(get("delta", "1"), "params.delta", positive=True)
         half = Deterministic(HALF)
-        return {"activations": activations, "delta": delta}, [RunSetup(
+        return {"activations": activations, "delta": delta}, [run_setup(
             [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)], {0: half, 1: half},
             ObliviousExplicit(experiments.ssync_schedule(activations, delta)),
+            Budgets(activations, experiments.BIG_TIME),
             experiments.read_halving)]
     if mode == "thm3_oracle":
         get = _object(value, "params", ("random_draws", "opposite_alphas", "same_alphas")).get
@@ -274,9 +277,10 @@ def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSe
         # trial's for_trial re-seeds robot 1's fixed-sum draws.
         adversary = PerRobot({0: ObliviousGenerated("constant", (ZERO, ZERO), 0),
                               1: TauBounded(tau, 0, fixed_sum)})
-        return {}, [RunSetup([RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)],
-                             {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE},
-                             adversary, experiments.read_k_histogram) for alpha in alphas]
+        return {}, [run_setup([RobotSpec(0, ZERO, ONE), RobotSpec(1, delta, alpha)],
+                              {0: Deterministic(1 / (alpha + 1)), 1: TAU_TRIPLE},
+                              adversary, budgets, experiments.read_k_histogram)
+                    for alpha in alphas]
     if mode == "thm6":
         get = _object(value, "params", ("w_first", "w_second", "delta")).get
         waits = [_rational(get("w_first", "2"), "params.w_first"),
@@ -287,9 +291,10 @@ def _compile_mode(mode: str, raw: dict, segment: bool) -> tuple[dict, list[RunSe
             _fail("params.w_first" if waits[0] < 0 else "params.w_second",
                   "must be non-negative")
         delta = _rational(get("delta", "1"), "params.delta", positive=True)
-        return {}, [RunSetup([RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)],
-                             {0: THREE_CHOICE, 1: THREE_CHOICE},
-                             AdaptiveThm6(dict(enumerate(waits))), experiments.read_midmove)]
+        return {}, [run_setup([RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)],
+                              {0: THREE_CHOICE, 1: THREE_CHOICE},
+                              AdaptiveThm6(dict(enumerate(waits))), budgets,
+                              experiments.read_midmove)]
     if mode == "lemma1":
         get = _object(value, "params", ("cycles",)).get
         return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}, []
@@ -331,9 +336,12 @@ def trace_to_jsonable(trace: Trace) -> str:
     ``observed`` are the segment's ``origin`` and ``observed``, a
     MOVE_START's ``lam`` and ``destination`` its own, and the ``position``
     of a MOVE_END or DECIDE_GATHERED the ``destination`` (a deciding
-    segment's destination is its origin).  No event list is built.
+    segment's destination is its origin).  No event list is built.  Times
+    and positions are written in the scenario's unit: a run in a finer one
+    (``trace.unit``) has them divided back.
     """
-    fmt = format_rat
+    unit = trace.unit
+    fmt = format_rat if unit == 1 else lambda x: format_rat(x / unit)
     events = []
     for t, kind, rid, seg in event_steps(trace):
         if kind == LOOK:
@@ -346,7 +354,7 @@ def trace_to_jsonable(trace: Trace) -> str:
             events.append(
                 f'  {{\n   "kind": "MOVE_START",\n   "payload": {{\n    "cycle": {seg.cycle},\n'
                 f'    "destination": "{fmt(seg.destination)}",\n'
-                f'    "lam": "{fmt(seg.lam)}"\n   }},\n'
+                f'    "lam": "{format_rat(seg.lam)}"\n   }},\n'
                 f'   "robot": {rid},\n   "time": "{fmt(t)}"\n  }}')
         else:  # MOVE_END and DECIDE_GATHERED
             events.append(

@@ -38,6 +38,14 @@ else.  ``event_steps`` walks the segments back into the loop's own event
 order, and trace files are rendered from it.  ``Trace.events`` is a view
 that builds ``Event`` objects from the same walk, for readers that want
 an event list; no run or trial reads it.
+
+The engine has no unit of its own: its inputs' times and positions may be
+counted in a finer unit than the scenario's (``experiments.run_setup``
+picks one in which they are dyadic), and a trace's segments, horizon and
+``position_at`` are in the run's unit.  ``Trace.unit`` says how many of it
+make one of the scenario's (1 unless the caller says otherwise), and
+``Trace.events`` and the trace files give every time and position in the
+scenario's unit.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import Mapping
 from . import geometry
 from .adversary import ScheduleUnderrunError
 from .policies import LambdaPolicy, destination
-from .rational import ZERO, Rat
+from .rational import ONE, ZERO, Rat
 
 LOOK = "LOOK"
 MOVE_START = "MOVE_START"
@@ -148,13 +156,15 @@ class Trace:
     """One run: each robot's cycle segments and its end status.
 
     ``event_count`` is how many events the run processed, and ``horizon``
-    the time of the last of them.
+    the time of the last of them.  Times and positions are in the run's
+    unit, ``unit`` of which make one of the scenario's.
     """
 
     runs: dict[int, RobotRun]
     final_status: str
     horizon: Rat
     event_count: int
+    unit: Rat = ONE
 
     @property
     def robot_ids(self) -> list[int]:
@@ -171,7 +181,8 @@ class Trace:
 
     @cached_property
     def events(self) -> list[Event]:
-        """The event log, derived from the segments (``derive_events``)."""
+        """The event log in the scenario's unit, derived from the segments
+        (``derive_events``)."""
         return derive_events(self)
 
 
@@ -219,18 +230,21 @@ def event_steps(trace: Trace):
 
 
 def derive_events(trace: Trace) -> list[Event]:
-    """The event log of a run, one ``Event`` per step of ``event_steps``."""
-    return [Event(t, rid, kind, _payload(kind, seg))
+    """The event log of a run, one ``Event`` per step of ``event_steps``,
+    its times and positions in the scenario's unit."""
+    unit = trace.unit
+    return [Event(t / unit, rid, kind, _payload(kind, seg, unit))
             for t, kind, rid, seg in event_steps(trace)]
 
 
-def _payload(kind: str, seg: CycleSegment) -> dict:
+def _payload(kind: str, seg: CycleSegment, unit: Rat) -> dict:
     if kind == LOOK:
-        return {"cycle": seg.cycle, "own": seg.origin, "observed": (seg.observed,)}
+        return {"cycle": seg.cycle, "own": seg.origin / unit,
+                "observed": (seg.observed / unit,)}
     if kind == MOVE_START:
-        return {"cycle": seg.cycle, "lam": seg.lam, "destination": seg.destination}
+        return {"cycle": seg.cycle, "lam": seg.lam, "destination": seg.destination / unit}
     # MOVE_END, or DECIDE_GATHERED: a deciding segment's destination is its origin
-    return {"cycle": seg.cycle, "position": seg.destination}
+    return {"cycle": seg.cycle, "position": seg.destination / unit}
 
 
 def position_at(run: RobotRun, t: Rat) -> Rat:
@@ -332,12 +346,14 @@ class _LiveRobot:
 
 
 def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
-        adversary, rng_seed, budgets: Budgets) -> Trace:
+        adversary, rng_seed, budgets: Budgets, unit: Rat = ONE) -> Trace:
     """Execute one run and return its exact trace.
 
     The run ends GATHERED once every robot has decided it has gathered,
     or on the look/time budget otherwise.  It is a pure function of
-    (robots, policies, adversary, rng_seed, budgets).
+    (robots, policies, adversary, rng_seed, budgets).  ``unit`` is only
+    recorded: it says how many of the inputs' time and position unit make
+    one of the scenario's.
     """
     if len(robots) != 2:
         raise ValueError("the lambda-class destination rule is pairwise; "
@@ -400,7 +416,8 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         horizon = t
 
     runs = {rid: RobotRun(st.spec, st.segments, horizon) for rid, st in states.items()}
-    return Trace(runs=runs, final_status=status, horizon=horizon, event_count=n_events)
+    return Trace(runs=runs, final_status=status, horizon=horizon, event_count=n_events,
+                 unit=unit)
 
 
 def project_scenario_to_line(positions_2d, destinations_2d) -> list[Rat]:

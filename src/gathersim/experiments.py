@@ -7,6 +7,15 @@ hands in the mode's share of the report.  The other modes have trial
 functions of their own.  The CLI fans trials out and pools the outcomes;
 the acceptance suite drives the same functions.
 
+A two-robot set-up runs in its own unit of time and distance
+(``run_setup``): the scenario's unit divided by K, the odd part of the
+least common multiple of the denominators of its starts, time budget and
+adversary time values.  Scaling both by K changes no comparison, no
+equality and no lambda, and makes every engine value dyadic, so
+``rational.Rat`` adds and compares by shifts instead of gcds.  A trace
+records its unit (``Trace.unit``), and whatever a trial reports from it is
+read back in the scenario's unit.
+
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
 nothing.  Policies and adversaries that draw nothing are shared by every
 trial; seeded oblivious adversaries (of a ``PerRobot``, its seeded parts)
@@ -20,6 +29,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from math import lcm
 from typing import Callable, NamedTuple
 
 from . import geometry
@@ -56,6 +67,7 @@ from .policies import (
     gather_lambda_oracle,
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
+    finite_lambdas,
 )
 from .rational import HALF, ONE, ZERO, Rat, derive_seed, rat_sqrt, spawn_rng, u01
 
@@ -81,11 +93,12 @@ class TrialOutcome:
 
 def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
     """A trial's outcome read off its trace, ``fields`` added; every robot has
-    decided in a gathered run, so the first decision is its gathering time."""
+    decided in a gathered run, so the first decision is its gathering time,
+    given in the scenario's unit."""
     return TrialOutcome(trial=trial, gathered=trace.gathered,
                         total_looks=sum(trace.look_count.values()),
                         first_gather_time=(min(run.gathered_at for run in trace.runs.values())
-                                           if trace.gathered else None),
+                                           / trace.unit if trace.gathered else None),
                         trace=trace, **fields)
 
 
@@ -101,12 +114,61 @@ def _trial_policy(policy):
 class RunSetup(NamedTuple):
     """One variant of a two-robot run.  ``policies`` maps robot id to policy;
     ``read``, if set, is a module-level function (a pickled scenario carries
-    it) returning the ``outcome_of`` fields it reads off a trial's trace."""
+    it) returning the ``outcome_of`` fields it reads off a trial's trace.
+    The robots' starts, the adversary's times and ``budgets.max_time`` are
+    in the run's unit: ``unit`` of them make one of the scenario's."""
 
     robots: list
     policies: dict
     adversary: object
+    budgets: Budgets
     read: Callable | None = None
+    unit: Rat = ONE
+
+
+# The widest unit: many large coprime denominators would otherwise make the
+# least common multiple, and every value scaled by it, arbitrarily wide.  A
+# set-up whose unit would pass it keeps the scenario's.
+MAX_UNIT_BITS = 64
+
+
+def dyadic_unit(robots, policies, adversary, budgets: Budgets) -> Rat:
+    """K, the odd part of the least common multiple of the denominators of
+    the starts, ``budgets.max_time`` and the adversary's time values.
+
+    Counted in units K times finer, each of these values is dyadic; so is
+    every later one when each speed is a power of two (a travel time is a
+    distance over a speed) and each lambda but a uniform draw is dyadic.
+    K is 1 otherwise, for an adversary with no time values to scale
+    (``AdaptiveThm6``), and when K would pass ``MAX_UNIT_BITS``.
+    """
+    times = adversary.time_values()
+    if times is None or any(not _power_of_two(r.speed) for r in robots) or any(
+            lam._exp < 0 for p in policies.values() for lam in finite_lambdas(p)):
+        return ONE
+    k = 1
+    for x in chain((r.start for r in robots), (budgets.max_time,), times):
+        d = x._denominator
+        k = lcm(k, d >> ((d & -d).bit_length() - 1))
+        if k.bit_length() > MAX_UNIT_BITS:
+            return ONE
+    return Rat(k)
+
+
+def _power_of_two(x: Rat) -> bool:
+    """Whether x is 2**j for an integer j (negative for 1/2, 1/4, ...)."""
+    n = x._numerator
+    return x._exp >= 0 and n > 0 and not n & (n - 1)
+
+
+def run_setup(robots, policies, adversary, budgets: Budgets, read=None) -> RunSetup:
+    """A two-robot run variant, compiled into its unit (``dyadic_unit``)."""
+    k = dyadic_unit(robots, policies, adversary, budgets)
+    if k == 1:
+        return RunSetup(robots, policies, adversary, budgets, read)
+    return RunSetup([RobotSpec(r.id, r.start * k, r.speed) for r in robots], policies,
+                    adversary.in_unit(k), Budgets(budgets.max_total_looks, budgets.max_time * k),
+                    read, k)
 
 
 def two_robot_trial(scn, trial: int) -> TrialOutcome:
@@ -116,7 +178,7 @@ def two_robot_trial(scn, trial: int) -> TrialOutcome:
         derive_seed(scn.master_seed, trial, "adv") if setup.adversary.seeded else None)
     policies = {rid: _trial_policy(p) for rid, p in setup.policies.items()}
     trace = run(setup.robots, policies, adversary,
-                spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
+                spawn_rng(scn.master_seed, trial, "alg"), setup.budgets, setup.unit)
     return outcome_of(trial, trace, **(setup.read(scn, trace) if setup.read else {}))
 
 
@@ -162,8 +224,9 @@ def ssync_schedule(activations: int, delta: Rat = ONE):
 
 def read_halving(scn, trace: Trace) -> dict:
     """ssync: whether there were ``activations`` looks, look k seeing the
-    other robot at exactly delta / 2^k (so never at 0: delta > 0)."""
-    delta = scn.params["delta"]
+    other robot at exactly delta / 2^k (so never at 0: delta > 0); delta
+    is taken into the run's unit."""
+    delta = scn.params["delta"] * trace.unit
     looks = [seg for _t, kind, _rid, seg in event_steps(trace) if kind == LOOK]
     ok = len(looks) == scn.params["activations"] and all(
         abs(seg.observed - seg.origin) == delta / 2 ** k for k, seg in enumerate(looks))

@@ -147,7 +147,7 @@ def test_thm6_trial_invariant_holds():
     by_hand = scn(trials=10, budgets=Budgets(40, BIG), setups=[ex.RunSetup(
         [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))],
         {0: THREE_CHOICE, 1: THREE_CHOICE}, AdaptiveThm6({0: F(2), 1: F(1)}),
-        ex.read_midmove)])
+        Budgets(40, BIG), ex.read_midmove)])
     for s in (parsed, by_hand):
         for i in range(10):
             out = ex.two_robot_trial(s, i)
