@@ -48,6 +48,7 @@ class Scenario:
     mode: str
     trials: int
     master_seed: int
+    # The file's budgets; a two-robot run reads its set-up's, in its unit.
     budgets: Budgets
     # A two-robot mode's runs: one per schedule_variants entry or thm4 alpha,
     # else one; [] in the other modes.
@@ -154,8 +155,6 @@ def parse_scenario(text: str) -> Scenario:
         except OverflowError as exc:
             _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
 
-    if mode == "ssync":  # its schedule sets the looks: the file's budgets are checked only
-        budgets = Budgets(params["activations"], experiments.BIG_TIME)
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
                     budgets=budgets, setups=setups,
                     params=params, theorem5_bound=bound, raw=raw)
@@ -245,6 +244,7 @@ def _compile_mode(mode: str, raw: dict, segment: bool,
         activations = _integer(get("activations", 51), "params.activations", 1, 10_000)
         delta = _rational(get("delta", "1"), "params.delta", positive=True)
         half = Deterministic(HALF)
+        # Its schedule sets the looks: the file's budgets are checked only.
         return {"activations": activations, "delta": delta}, [run_setup(
             [RobotSpec(0, delta, ONE), RobotSpec(1, ZERO, ONE)], {0: half, 1: half},
             ObliviousExplicit(experiments.ssync_schedule(activations, delta)),

@@ -536,7 +536,7 @@ def test_main_runs_valid_mode_params(tmp_path, raw):
 def test_ssync_activations_cap_parses():
     # The largest schedule a file may ask for; one more exits 2.
     scn = parse_scenario(json.dumps(_with(SSYNC, activations=10_000)))
-    assert scn.budgets.max_total_looks == 10_000
+    assert scn.setups[0].budgets.max_total_looks == 10_000
 
 
 @pytest.mark.parametrize("patch,field", [

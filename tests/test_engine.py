@@ -516,7 +516,9 @@ def test_adaptive_run_operation_count(monkeypatch):
 def test_thm1_run_operation_count(monkeypatch):
     # Counted, not timed: Rat operator calls inside engine.run over the
     # 100 trials (five schedule variants of 20) of the bundled thm1
-    # scenario, 869 looks.  Every C is 0 and the waits are not dyadic.
+    # scenario, 869 looks.  Every C is 0 and the waits are not dyadic in
+    # the scenario's unit; the set-ups run in a unit 5 times finer, where
+    # they are, which changes the path each call takes but not the count.
     # At 17.3 per look (15 001) each cycle compared W and C with zero and
     # added the zero C, and lambda = 1 computed own + 1 * (obs - own); now
     # the signs are read off the numerators, a zero delay adds nothing and

@@ -108,7 +108,7 @@ def test_ssync_ignores_budgets():
     # checked, then replaced.
     s = compiled("ssync", budgets={"max_total_looks": 3},
                  params={"activations": 12})
-    assert s.budgets == Budgets(12, BIG)
+    assert s.setups[0].budgets == Budgets(12, BIG)
     out = ex.run_one_trial(s, 0)
     assert out.total_looks == 12
     assert out.extras == {"halving_ok": True}
