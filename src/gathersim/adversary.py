@@ -69,21 +69,9 @@ class _Oblivious:
         return self.next_delays(robot_id, cycle)[1]
 
     def for_trial(self, seed: int | None):
-        """The adversary one trial runs against, drawing from ``seed``.
-
-        An adversary without a seed or other state is shared by every trial,
-        and reads no seed.
-        """
-        return self
-
-
-class _Seeded(_Oblivious):
-    """Oblivious adversary whose draws are pure in (robot, cycle, seed)."""
-
-    seeded = True
-
-    def for_trial(self, seed: int):
-        """A copy drawing from ``seed``, parsed values shared; itself if it draws nothing."""
+        """The adversary one trial runs against: a copy drawing from ``seed``,
+        parsed values shared, when ``seeded``; else itself, shared by every
+        trial."""
         if not self.seeded:
             return self
         # A third of copy.copy's time, once per trial; it starts with no drawn pairs.
@@ -126,7 +114,7 @@ _GENERATOR_PARAMS = {"constant": ("w", "c"), "uniform": ("w_lo", "w_hi", "c_lo",
 
 
 @dataclass
-class ObliviousGenerated(_Seeded):
+class ObliviousGenerated(_Oblivious):
     """Seeded generator; each (W, C) is pure in (robot, cycle, seed).
 
     generator "uniform": W ~ U[w_lo, w_hi], C ~ U[c_lo, c_hi].
@@ -162,7 +150,7 @@ class ObliviousGenerated(_Seeded):
 
 
 @dataclass
-class TauBounded(_Seeded):
+class TauBounded(_Oblivious):
     """Every cycle satisfies W + C > tau.
 
     The sum is uniform on (tau, 2*tau] and the look offset W is uniform on
@@ -174,6 +162,7 @@ class TauBounded(_Seeded):
     tau: Rat
     seed: int
     fixed_sum: Rat | None = None
+    seeded = True
 
     def __post_init__(self):
         if self.tau <= 0:

@@ -38,20 +38,19 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A validated scenario, compiled once for every trial of a run.
 
-    ``setups``, ``budgets`` and ``params`` hold values already parsed from
-    the file, each mode's in one pass (``_compile_mode``); the trial
-    functions of ``experiments`` read only these compiled values, never
-    ``raw``.  Every rational in them is a ``rational.Rat``.
+    ``setups`` and ``params`` hold values already parsed from the file,
+    each mode's in one pass (``_compile_mode``); the trial functions of
+    ``experiments`` read only these compiled values, never ``raw``.  Every
+    rational in them is a ``rational.Rat``.
     """
 
     name: str
     mode: str
     trials: int
     master_seed: int
-    # The file's budgets; a two-robot run reads its set-up's, in its unit.
-    budgets: Budgets
-    # A two-robot mode's runs: one per schedule_variants entry or thm4 alpha,
-    # else one; [] in the other modes.
+    # The two-robot runs, each with its budgets in its unit: one per
+    # schedule_variants entry or thm4 alpha, else one (multirobot's last
+    # pair); [] in thm3_oracle and lemma1.
     setups: list[RunSetup]
     # What a trial or trace reader reads beyond the set-ups, defaults filled
     # in (ssync, thm3_oracle, lemma1, multirobot); {} in the other modes.
@@ -156,8 +155,7 @@ def parse_scenario(text: str) -> Scenario:
             _fail("analysis.theorem5", f"delta / tau is too large ({exc})")
 
     return Scenario(name=name, mode=mode, trials=trials, master_seed=master_seed,
-                    budgets=budgets, setups=setups,
-                    params=params, theorem5_bound=bound, raw=raw)
+                    setups=setups, params=params, theorem5_bound=bound, raw=raw)
 
 
 def _check_robot_ids(adv, needed: set, known: set, path: str) -> None:
@@ -298,12 +296,15 @@ def _compile_mode(mode: str, raw: dict, segment: bool,
     if mode == "lemma1":
         get = _object(value, "params", ("cycles",)).get
         return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}, []
-    # multirobot
+    # multirobot: each trial's last two entities run as robots at +1 and -1
+    # in their line frame.
     get = _object(value, "params", ("n", "max_tie_rounds", "tie_trials", "tie_max_rounds")).get
-    return {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
-            "max_tie_rounds": _integer(get("max_tie_rounds", 200), "params.max_tie_rounds", 0),
-            "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
-            "tie_max_rounds": _integer(get("tie_max_rounds", 30), "params.tie_max_rounds", 0)}, []
+    params = {"n": _integer(get("n", 8), "params.n", 2, experiments.MAX_PLANE_ROBOTS),
+              "max_tie_rounds": _integer(get("max_tie_rounds", 200), "params.max_tie_rounds", 0),
+              "tie_trials": _integer(get("tie_trials", 0), "params.tie_trials", 0),
+              "tie_max_rounds": _integer(get("tie_max_rounds", 30), "params.tie_max_rounds", 0)}
+    return params, [run_setup([RobotSpec(0, ONE, ONE), RobotSpec(1, -ONE, ONE)],
+                              {0: TAU_TRIPLE, 1: TAU_TRIPLE}, TauBounded(Rat(1, 5), 0), budgets)]
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -41,9 +41,10 @@ an event list; no run or trial reads it.
 
 The engine has no unit of its own: its inputs' times and positions may be
 counted in a finer unit than the scenario's (``experiments.run_setup``
-picks one in which they are dyadic), and a trace's segments, horizon and
-``position_at`` are in the run's unit.  ``Trace.unit`` says how many of it
-make one of the scenario's (1 unless the caller says otherwise), and
+picks one in which they are dyadic, for every two-robot run a scenario
+compiles), and a trace's segments, horizon and ``position_at`` are in the
+run's unit; speeds and lambdas have none.  ``Trace.unit`` says how many
+of it make one of the scenario's (1 unless the caller says otherwise), and
 ``Trace.events`` and the trace files give every time and position in the
 scenario's unit.
 """
@@ -267,17 +268,18 @@ class _LiveRobot:
     ``dest - pos`` of the move its latest look computed and ``travel`` that
     move's duration, both set before the adversary chooses its delay.
     ``late`` is set once its look time or move end is fixed past
-    ``max_time``; only a late robot's events can pass the budget.  ``unit``
-    says whether the speed is 1, so that a duration is the distance itself.
+    ``max_time``; only a late robot's events can pass the budget.
+    ``unit_speed`` says whether the speed is 1, so that a duration is the
+    distance itself.
     """
 
-    __slots__ = ("spec", "unit", "policy", "max_time", "segments", "phase", "cycle",
+    __slots__ = ("spec", "unit_speed", "policy", "max_time", "segments", "phase", "cycle",
                  "pos", "look_time", "move_start", "move_end", "dest", "shift",
                  "travel", "late", "next_time", "next_rank")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
         self.spec = spec
-        self.unit = spec.speed == 1
+        self.unit_speed = spec.speed == 1
         self.policy = policy
         self.max_time = max_time
         self.segments: list[CycleSegment] = []
@@ -339,7 +341,7 @@ class _LiveRobot:
         """
         if self.phase == "moving":  # pos changes only at MOVE_END: it is the origin
             step = t - self.move_start
-            if not self.unit:
+            if not self.unit_speed:
                 step = self.spec.speed * step
             return self.pos + step if self.shift._numerator > 0 else self.pos - step
         return self.pos
@@ -404,7 +406,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
                 shift = st.shift = dest - st.pos
-                st.travel = abs(shift) if st.unit else abs(shift) / st.spec.speed
+                st.travel = abs(shift) if st.unit_speed else abs(shift) / st.spec.speed
                 compute = adversary.computation_delay(st.spec.id, st.cycle, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START

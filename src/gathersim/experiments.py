@@ -7,14 +7,16 @@ hands in the mode's share of the report.  The other modes have trial
 functions of their own.  The CLI fans trials out and pools the outcomes;
 the acceptance suite drives the same functions.
 
-A two-robot set-up runs in its own unit of time and distance
+Every two-robot run a scenario compiles, multirobot's last pair included,
+is a ``RunSetup`` run by ``run_trial`` in its own unit of time and distance
 (``run_setup``): the scenario's unit divided by K, the odd part of the
 least common multiple of the denominators of its starts, time budget and
 adversary time values.  Scaling both by K changes no comparison, no
-equality and no lambda, and makes every engine value dyadic, so
-``rational.Rat`` adds and compares by shifts instead of gcds.  A trace
-records its unit (``Trace.unit``), and whatever a trial reports from it is
-read back in the scenario's unit.
+equality, no speed and no lambda, so the rule reads nothing else; with
+power-of-two speeds and dyadic lambdas, every engine value is then dyadic
+and ``rational.Rat`` adds and compares by shifts instead of gcds.  A
+trace records its unit (``Trace.unit``), and whatever a trial reports
+from it is read back in the scenario's unit.
 
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
 nothing.  Policies and adversaries that draw nothing are shared by every
@@ -34,7 +36,7 @@ from math import lcm
 from typing import Callable, NamedTuple
 
 from . import geometry
-from .adversary import ObliviousExplicit, TauBounded
+from .adversary import ObliviousExplicit
 from .analysis import (
     looks_mid_move,
     looks_see_midmove,
@@ -62,12 +64,10 @@ from .multirobot import (
     reduce_to_line,
 )
 from .policies import (
-    TAU_TRIPLE,
     Oracle,
     gather_lambda_oracle,
     OPPOSITE_DIRECTIONS,
     SAME_DIRECTION,
-    finite_lambdas,
 )
 from .rational import HALF, ONE, ZERO, Rat, derive_seed, rat_sqrt, spawn_rng, u01
 
@@ -132,19 +132,16 @@ class RunSetup(NamedTuple):
 MAX_UNIT_BITS = 64
 
 
-def dyadic_unit(robots, policies, adversary, budgets: Budgets) -> Rat:
+def dyadic_unit(robots, adversary, budgets: Budgets) -> Rat:
     """K, the odd part of the least common multiple of the denominators of
-    the starts, ``budgets.max_time`` and the adversary's time values.
+    the starts, ``budgets.max_time`` and the adversary's time values: in
+    units K times finer, each of them is dyadic.
 
-    Counted in units K times finer, each of these values is dyadic; so is
-    every later one when each speed is a power of two (a travel time is a
-    distance over a speed) and each lambda but a uniform draw is dyadic.
-    K is 1 otherwise, for an adversary with no time values to scale
-    (``AdaptiveThm6``), and when K would pass ``MAX_UNIT_BITS``.
+    K is 1 for an adversary with no time values to scale (``AdaptiveThm6``)
+    and when K would pass ``MAX_UNIT_BITS``.
     """
     times = adversary.time_values()
-    if times is None or any(not _power_of_two(r.speed) for r in robots) or any(
-            lam._exp < 0 for p in policies.values() for lam in finite_lambdas(p)):
+    if times is None:
         return ONE
     k = 1
     for x in chain((r.start for r in robots), (budgets.max_time,), times):
@@ -155,15 +152,9 @@ def dyadic_unit(robots, policies, adversary, budgets: Budgets) -> Rat:
     return Rat(k)
 
 
-def _power_of_two(x: Rat) -> bool:
-    """Whether x is 2**j for an integer j (negative for 1/2, 1/4, ...)."""
-    n = x._numerator
-    return x._exp >= 0 and n > 0 and not n & (n - 1)
-
-
 def run_setup(robots, policies, adversary, budgets: Budgets, read=None) -> RunSetup:
     """A two-robot run variant, compiled into its unit (``dyadic_unit``)."""
-    k = dyadic_unit(robots, policies, adversary, budgets)
+    k = dyadic_unit(robots, adversary, budgets)
     if k == 1:
         return RunSetup(robots, policies, adversary, budgets, read)
     return RunSetup([RobotSpec(r.id, r.start * k, r.speed) for r in robots], policies,
@@ -171,14 +162,20 @@ def run_setup(robots, policies, adversary, budgets: Budgets, read=None) -> RunSe
                     read, k)
 
 
-def two_robot_trial(scn, trial: int) -> TrialOutcome:
-    # Variant v runs trials v * scn.trials up to (v + 1) * scn.trials - 1.
-    setup = scn.setups[trial // scn.trials]
+def run_trial(scn, setup: RunSetup, trial: int) -> Trace:
+    """Trial ``trial``'s run of ``setup``, its adversary and lambdas drawn
+    from seeds derived from the trial."""
     adversary = setup.adversary.for_trial(
         derive_seed(scn.master_seed, trial, "adv") if setup.adversary.seeded else None)
     policies = {rid: _trial_policy(p) for rid, p in setup.policies.items()}
-    trace = run(setup.robots, policies, adversary,
-                spawn_rng(scn.master_seed, trial, "alg"), setup.budgets, setup.unit)
+    return run(setup.robots, policies, adversary,
+               spawn_rng(scn.master_seed, trial, "alg"), setup.budgets, setup.unit)
+
+
+def two_robot_trial(scn, trial: int) -> TrialOutcome:
+    # Variant v runs trials v * scn.trials up to (v + 1) * scn.trials - 1.
+    setup = scn.setups[trial // scn.trials]
+    trace = run_trial(scn, setup, trial)
     return outcome_of(trial, trace, **(setup.read(scn, trace) if setup.read else {}))
 
 
@@ -501,8 +498,10 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
 # Multi-robot pipeline
 
 
-# random_plane_config draws n distinct points of a 321 x 321 grid.
-MAX_PLANE_ROBOTS = 321 ** 2
+# random_plane_config draws n distinct points of a 321 x 321 grid, but a
+# trial's time is quadratic in n (0.4 s at n = 200 and 9 s at n = 1000 on
+# one 2-core Xeon, Python 3.11), so n is capped far below the grid's size.
+MAX_PLANE_ROBOTS = 1000
 
 
 def random_plane_config(rng: random.Random, n: int) -> Configuration:
@@ -541,15 +540,11 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
         e1, e2 = cfg.entities
         # Two entities left: hand over to the continuous engine in the
         # scaled line frame (e1 at +1, e2 at -1; collocation is scale-free).
-        specs = [RobotSpec(0, ONE, ONE), RobotSpec(1, -ONE, ONE)]
-        adversary = TauBounded(Rat(1, 5), derive_seed(scn.master_seed, trial, "adv"))
-        policies = {0: TAU_TRIPLE, 1: TAU_TRIPLE}
-        tr = run(specs, policies, adversary,
-                 spawn_rng(scn.master_seed, trial, "alg"), scn.budgets)
+        tr = run_trial(scn, scn.setups[0], trial)
         looks = sum(tr.look_count.values())
         if not tr.gathered:
             return TrialOutcome(trial=trial, gathered=False, total_looks=looks, extras=extras)
-        s = position_at(tr.runs[0], tr.horizon)
+        s = position_at(tr.runs[0], tr.horizon) / tr.unit
         m = scale(add(e1.pos, e2.pos), HALF)
         meet = add(m, scale(sub(e1.pos, m), s))
         cfg = merge_positions([(meet, e1.multiplicity + e2.multiplicity)])
@@ -581,7 +576,7 @@ TRIAL_RUNNERS = {
 def total_trials(scn) -> int:
     if scn.mode == "thm3_oracle":
         return len(scn.params["configs"]) * (1 + scn.params["random_draws"])
-    return scn.trials * max(len(scn.setups), 1)  # lemma1 and multirobot have no set-up
+    return scn.trials * max(len(scn.setups), 1)  # lemma1 has no set-up
 
 
 def run_one_trial(scn, trial: int) -> TrialOutcome:

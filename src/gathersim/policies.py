@@ -137,15 +137,6 @@ class Oracle:
 LambdaPolicy = Deterministic | Mixture | Oracle
 
 
-def finite_lambdas(policy: LambdaPolicy) -> tuple[Rat, ...]:
-    """Every lambda ``policy`` can return, but for its uniform draws."""
-    if isinstance(policy, Deterministic):
-        return (policy.lam,)
-    if isinstance(policy, Mixture):
-        return tuple(lam for lam, _ in policy.choices)
-    return tuple(policy.script)
-
-
 def policy_from_descriptor(desc: dict) -> LambdaPolicy:
     """The policy a serializable descriptor describes; THREE_CHOICE and
     TAU_TRIPLE hold no state, so each is one shared object."""

@@ -29,8 +29,9 @@ depend on the representation.
 The scenario parser, the constants below, the uniform draws and every
 trial build their values as ``Rat``.  A two-robot run whose scenario
 values are not dyadic is counted in a unit K times finer, K odd, in which
-they are (``experiments.run_setup``), so its values take the shift path;
-its trace's segments are in that unit, and ``Trace.unit`` is K.
+they are (``experiments.run_setup``), so with power-of-two speeds and
+dyadic lambdas its values take the shift path; its trace's segments are
+in that unit, and ``Trace.unit`` is K.
 """
 
 from __future__ import annotations

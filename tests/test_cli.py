@@ -64,8 +64,9 @@ def test_parse_minimal_defaults():
     scn = scenario()
     assert scn.mode == "two_robot"
     assert [r.speed for r in scn.setups[0].robots] == [F(1), F(1)]  # default speed
-    assert scn.budgets.max_total_looks == 6
-    assert scn.budgets.max_time == F(100)
+    setup = scn.setups[0]
+    assert setup.budgets.max_total_looks == 6
+    assert setup.budgets.max_time / setup.unit == F(100)
 
 
 def test_parse_exact_rationals():
@@ -512,6 +513,7 @@ def _with(base, **params):
      "robots"),
     ({**THM3, "trials": 2, "robots": MINIMAL["robots"]}, "robots"),
     (_with(SSYNC, activations=10_001), "params.activations"),
+    (_with(MULTI, n=1001), "params.n"),
 ])
 def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
     # Checked when the scenario is compiled, before any trial runs.

@@ -23,7 +23,7 @@ BIG = F(10 ** 9)
 
 def scn(**kw):
     # A compiled scenario: ``params`` holds parsed values, defaults filled in.
-    base = dict(master_seed=42, trials=1, params={}, budgets=Budgets(100, BIG), setups=[])
+    base = dict(master_seed=42, trials=1, params={}, setups=[])
     base.update(kw)
     return SimpleNamespace(**base)
 
@@ -144,7 +144,7 @@ def test_thm4_trial_counts_halvings():
 def test_thm6_trial_invariant_holds():
     parsed = compiled("thm6", trials=10, budgets={"max_total_looks": 40})
     # The same runs set up by hand from plain Fractions.
-    by_hand = scn(trials=10, budgets=Budgets(40, BIG), setups=[ex.RunSetup(
+    by_hand = scn(trials=10, setups=[ex.RunSetup(
         [RobotSpec(0, F(1), F(1)), RobotSpec(1, F(0), F(1))],
         {0: THREE_CHOICE, 1: THREE_CHOICE}, AdaptiveThm6({0: F(2), 1: F(1)}),
         Budgets(40, BIG), ex.read_midmove)])
@@ -163,7 +163,8 @@ def test_lemma1_trial_exact_equivalence():
 
 
 def test_multirobot_trial_single_entity():
-    s = scn(params={"n": 8, "max_tie_rounds": 200}, budgets=Budgets(800, BIG))
+    s = compiled("multirobot", trials=10, budgets={"max_total_looks": 800},
+                 params={"n": 8, "max_tie_rounds": 200})
     for i in range(10):
         out = ex.multirobot_trial(s, i)
         assert out.gathered

@@ -434,6 +434,6 @@ def test_every_rational_is_rat(monkeypatch, name):
     run_experiment(scn)
     traces = [x for x in made if isinstance(x, engine.Trace)]
     assert traces
-    values = list(_rationals([scn.setups, scn.params, scn.budgets, made]
+    values = list(_rationals([scn.setups, scn.params, made]
                              + [trace.events for trace in traces]))
     assert [v for v in values if type(v) is not Rat] == []

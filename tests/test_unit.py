@@ -2,9 +2,9 @@
 
 ``experiments.run_setup`` counts a set-up's times and positions in a unit K
 times finer than the scenario's, K the odd part of the least common
-multiple of their denominators, so that every engine value is dyadic.  Each
-scenario here is run twice: as compiled, and with its set-ups compiled in
-the scenario's unit (``dyadic_unit`` patched to return 1).  Trace text,
+multiple of their denominators, so that every scenario value is dyadic.
+Each scenario here is run twice: as compiled, and with its set-ups compiled
+in the scenario's unit (``dyadic_unit`` patched to return 1).  Trace text,
 event views, trial outcomes, CSV rows and reports must be equal.
 """
 
@@ -83,24 +83,44 @@ def test_ssync_halving_is_read_in_the_scenario_unit(monkeypatch):
     _assert_same_output(compiled, plain)
 
 
+def test_multirobot_is_unchanged_by_its_unit(monkeypatch):
+    raw = _raw("multirobot_n8")
+    raw = {**raw, "trials": 20, "params": {**raw["params"], "tie_trials": 2}}
+    compiled, plain = _compiled_and_plain(monkeypatch, raw)
+    assert compiled.setups[0].unit == 5
+    # Where each trial's last pair meets, read back in the scenario's unit.
+    meets, merge = [], experiments.merge_positions
+    monkeypatch.setattr(experiments, "merge_positions",
+                        lambda merged: meets.append(merged) or merge(merged))
+    outcomes = [[experiments.run_one_trial(scn, trial) for trial in range(20)]
+                for scn in (compiled, plain)]
+    assert outcomes[0] == outcomes[1]
+    assert len(meets) == 40 and meets[:20] == meets[20:]
+    reports = [run_experiment(scn) for scn in (compiled, plain)]
+    assert render_report_csv(reports[0]) == render_report_csv(reports[1])
+    assert render_report_json(reports[0]) == render_report_json(reports[1])
+
+
 def test_non_dyadic_bundled_scenarios_get_a_unit():
-    # Waits of 3/10 (thm1), a tau of 1/5 (lemma2, lemma3) and thm4's fixed sum
-    # of 13/20 at alpha 1; thm4's alpha 2 has a lambda of 1/3.
+    # Waits of 3/10 (thm1), a tau of 1/5 (lemma2, lemma3, multirobot's last
+    # pair) and thm4's fixed sum of 13/20 at each alpha.
     units = {name: [setup.unit for setup in parse_scenario(
         bundled_scenario_path(name).read_text()).setups]
-        for name in ("thm1_positive", "lemma2", "lemma3", "thm4_one_free", "thm5_1024")}
+        for name in ("thm1_positive", "lemma2", "lemma3", "thm4_one_free", "thm5_1024",
+                     "multirobot_n8")}
     assert units == {"thm1_positive": [5] * 5, "lemma2": [5], "lemma3": [5],
-                     "thm4_one_free": [5, 1], "thm5_1024": [1]}
+                     "thm4_one_free": [5, 5], "thm5_1024": [1], "multirobot_n8": [5]}
     assert all(type(u) is Rat for us in units.values() for u in us)
 
 
 # Drawn explicit schedules: times over denominators 3, 5, 7 and 10 (and
-# dyadic ones), dyadic lambdas, power-of-two speeds.
+# dyadic ones), lambdas and speeds dyadic or not.
 _DENOMINATORS = (1, 2, 4, 3, 5, 7, 10)
 _time = st.builds(lambda n, d: f"{n}/{d}", st.integers(0, 25), st.sampled_from(_DENOMINATORS))
 _position = st.builds(lambda n, d: f"{n}/{d}", st.integers(-20, 20),
                       st.sampled_from(_DENOMINATORS))
-_lambdas = st.lists(st.sampled_from(["1", "1/2", "0", "-1/4", "3/2", "3/4", "5/8"]),
+_lambdas = st.lists(st.sampled_from(["1", "1/2", "0", "-1/4", "3/2", "3/4", "5/8", "1/3",
+                                     "2/5"]),
                     min_size=1, max_size=3, unique=True)
 _LOOKS = 10
 
@@ -114,7 +134,8 @@ def _policy(lambdas, uniform):
 
 @settings(max_examples=40, deadline=None)
 @given(starts=st.tuples(_position, _position),
-       speeds=st.tuples(st.sampled_from(["1", "2", "1/2"]), st.sampled_from(["1", "1/4"])),
+       speeds=st.tuples(st.sampled_from(["1", "2", "1/2", "3"]),
+                        st.sampled_from(["1", "1/4", "3/2"])),
        schedules=st.lists(st.lists(st.tuples(_time, _time), min_size=_LOOKS + 2,
                                    max_size=_LOOKS + 2), min_size=2, max_size=2),
        lambdas=_lambdas, uniform=st.booleans(),
@@ -151,14 +172,13 @@ def _unit_of(**fields) -> Rat:
     return setup.unit
 
 
-def test_unit_is_one_where_values_would_not_stay_dyadic():
+def test_unit_ignores_speeds_and_lambdas():
     assert _unit_of() == 35
-    # A speed of 3/2: travel times would gain its factor 3.
+    # Scaling times and positions leaves speeds and lambdas as they are.
     assert _unit_of(robots=[{"id": 0, "start": "1", "speed": "3/2", "policy": "p"},
-                            {"id": 1, "start": "0", "policy": "p"}]) == 1
-    # A lambda of 1/3.
-    assert _unit_of(policies={"p": {"kind": "DETERMINISTIC", "lam": "1/3"}}) == 1
-    assert _unit_of(policies={"p": {"kind": "ORACLE", "script": ["1/2", "1/3"]}}) == 1
+                            {"id": 1, "start": "0", "policy": "p"}]) == 35
+    assert _unit_of(policies={"p": {"kind": "DETERMINISTIC", "lam": "1/3"}}) == 35
+    assert _unit_of(policies={"p": {"kind": "ORACLE", "script": ["1/2", "1/3"]}}) == 35
     # The adaptive adversary's next wait is a literal 1 in the scenario's unit.
     assert _unit_of(adversary={"kind": "ADAPTIVE_THM6",
                                "initial_waits": {"0": "3/10", "1": "1"}}) == 1
@@ -198,20 +218,23 @@ def _counting_gcd_in_run(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name,trials", [("thm1_positive", range(0, 500, 5)),
-                                         ("thm4_one_free", range(50))])
+                                         ("thm4_one_free", range(50)),
+                                         ("multirobot_n8", range(20))])
 def test_compiled_runs_make_no_gcd(monkeypatch, name, trials):
     # thm4_one_free's trials 0-49 are its alpha = 1 variant.
-    raw = {**_raw(name), "trials": 100 if name == "thm1_positive" else 50}
+    raw = {**_raw(name), "trials": len(trials)}
     compiled, plain = _compiled_and_plain(monkeypatch, raw)
     calls = _counting_gcd_in_run(monkeypatch)
     for trial in trials:
         experiments.run_one_trial(compiled, trial)
     assert calls == []
-    outcome = experiments.run_one_trial(plain, trials[-1])
+    last = trials[-1]
+    unscaled = experiments.run_trial(plain, plain.setups[last // plain.trials], last)
     assert calls  # the counter counts
     monkeypatch.undo()
-    # The events a compiled trial shows are those of its run in the scenario's unit.
-    assert experiments.run_one_trial(compiled, trials[-1]).trace.events == outcome.trace.events
+    # The events a compiled run shows are those of its run in the scenario's unit.
+    scaled = experiments.run_trial(compiled, compiled.setups[last // compiled.trials], last)
+    assert scaled.events == unscaled.events
 
 
 def test_direct_engine_runs_keep_the_scenario_unit():
