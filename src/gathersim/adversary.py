@@ -233,6 +233,13 @@ class AdaptiveThm6:
     the robot's next wait.  Every look after the chronologically first one
     therefore observes the other robot strictly mid-move, so exact
     collocation is never seen.
+
+    The feasible delays are (max(hi - travel, 0), hi), hi the time from the
+    look to the other robot's next look.  Their width is ``travel`` when
+    hi >= travel and ``hi`` otherwise, so C is hi minus half the width and
+    the interval's ends are never built.  Signs (of ``travel``, ``hi`` and
+    ``shift``) are read off the numerator, which holds the value's sign in
+    lowest terms.
     """
 
     initial_waits: Mapping[int, Rat]
@@ -279,31 +286,31 @@ class AdaptiveThm6:
         (destination minus position) for the move its look computed."""
         me, other = pair
         travel = me.travel
-        if not travel:
+        if not travel._numerator:
             # Zero-length move: force an immediate re-look at the same instant.
             return (ZERO, ZERO)
         other_look, other_pos_at_look = self._other_next_look(other)
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
         # robot's next look; C is additionally clamped to be non-negative.
+        # As travel > 0, the interval is empty only when hi <= 0.
         hi = other_look - me.look_time
-        lo = hi - travel
-        if lo < 0:
-            lo = ZERO
-        if not lo < hi:
+        if hi._numerator <= 0:
             raise InfeasibleDelayError(
-                f"empty feasible delay interval ({lo}, {hi}) for robot {me.spec.id}"
+                f"empty feasible delay interval (0, {hi}) for robot {me.spec.id}"
             )
-        half = (hi - lo) / 2
-        # With C = lo + half the other robot looks half after the move starts,
-        # strictly inside it (half < travel), where this robot has come
-        # speed * half of the way from its position towards its destination.
-        step = me.spec.speed * half
-        if other_pos_at_look - me.pos == (step if me.shift > 0 else -step):
+        width = travel if hi >= travel else hi
+        half = width / 2
+        # With C = hi - half the other robot looks half after the move
+        # starts, strictly inside it (half < travel), where this robot has
+        # come speed * half of the way from its position towards its
+        # destination.
+        step = half if me.spec.speed == 1 else me.spec.speed * half
+        if other_pos_at_look - me.pos == (step if me.shift._numerator > 0 else -step):
             # Only a single delay value puts us exactly on the other robot at
             # its look; any other interior point avoids the coincidence.
-            return (lo + (hi - lo) / 4, ONE)
-        return (lo + half, ONE)
+            return (hi - width + width / 4, ONE)
+        return (hi - half, ONE)
 
     def _other_next_look(self, other):
         """The other robot's committed next look time and resting position."""

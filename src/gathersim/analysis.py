@@ -25,15 +25,26 @@ def looks_mid_move(run: RobotRun, other: RobotRun):
     A robot's looks come in time order and moves never overlap, so one
     forward pointer over the other robot's segments answers them all: the
     only candidate move is the latest one starting strictly before the look.
+    Once the pointer reaches a move that still runs at t, no later move can
+    start before t, so the look is mid-move with no further comparison: two
+    in all when the pointer moved on by one.  A move seen to have ended by
+    one look has ended by every later one, so it is not compared again.
     """
     others = other.segments
     last = len(others) - 1
     j = -1  # the latest of ``others`` whose move starts strictly before t
+    ended = True  # others[j]'s move ended by the latest look (true while j = -1)
     for seg in run.segments:
         t = seg.look_time
         while j < last and others[j + 1].move_start < t:
             j += 1
-        yield j >= 0 and t < others[j].move_end
+            ended = not t < others[j].move_end
+            if not ended:
+                break
+        else:  # the pointer stopped without finding a move that runs at t
+            if not ended:
+                ended = not t < others[j].move_end
+        yield not ended
 
 
 @dataclass

@@ -16,7 +16,8 @@ or the move starts at the look), and ``policies.destination`` returns the
 observed position itself for lambda = 1, with no arithmetic.  A look that
 finds the other robot mid-move reads its live position as origin +-
 speed * (t - move_start), the sign that of its ``shift``; a robot of speed
-1 multiplies by nothing, and its travel time is the distance itself.
+1 multiplies by nothing, and its travel time is the distance itself.  That
+distance is the shift or its negation, by the shift's sign.
 
 The time budget is checked when a cycle's times are fixed, not at each
 event: a robot is marked late when its look time, or the end of the move
@@ -406,7 +407,8 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 lam = st.policy.sample(rng)
                 dest = destination(st.pos, obs, lam)
                 shift = st.shift = dest - st.pos
-                st.travel = abs(shift) if st.unit_speed else abs(shift) / st.spec.speed
+                distance = shift if shift._numerator > 0 else -shift
+                st.travel = distance if st.unit_speed else distance / st.spec.speed
                 compute = adversary.computation_delay(st.spec.id, st.cycle, (st, other))
                 st.commit_move(t, compute, lam, dest, obs)
         elif phase == "computing":  # MOVE_START

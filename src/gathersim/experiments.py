@@ -545,6 +545,11 @@ def multirobot_trial(scn, trial: int) -> TrialOutcome:
         if not tr.gathered:
             return TrialOutcome(trial=trial, gathered=False, total_looks=looks, extras=extras)
         s = position_at(tr.runs[0], tr.horizon) / tr.unit
+        # TAU_TRIPLE moves (lambda 0, 1/2, 1) never leave the segment
+        # between the robots, so neither does the point where they meet.
+        if not -1 <= s <= 1:
+            raise RuntimeError(f"the last pair met at {s} in its line frame, "
+                               "outside the segment [-1, 1] between its robots")
         m = scale(add(e1.pos, e2.pos), HALF)
         meet = add(m, scale(sub(e1.pos, m), s))
         cfg = merge_positions([(meet, e1.multiplicity + e2.multiplicity)])

@@ -4,7 +4,7 @@ from functools import partial
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import reference_adaptive_decide, segment_delays
 
 from gathersim import adversary, experiments
@@ -384,8 +384,22 @@ def decisions(adv, pair, dest):
     return got
 
 
+def _gap_examples(test):
+    """The gaps drawn gaps almost never hit, for a move of length 3 at
+    speeds 1 and 3/2 (travel 3 and 2), the other robot waiting or moving:
+    gap == travel (lo exactly 0, unclamped), 0 < gap < travel (clamped to
+    lo = 0), and gap == 0 or gap < 0 (an empty interval, which raises)."""
+    for speed, travel in ((Rat(1), Rat(3)), (Rat(3, 2), Rat(2))):
+        for gap in (travel, Rat(1), Rat(0), Rat(-1)):
+            for other_moving in (False, True):
+                test = example(Rat(0), Rat(3), speed, Rat(5), gap, Rat(7),
+                               other_moving)(test)
+    return test
+
+
 @settings(max_examples=500, deadline=None)
 @given(rats, rats, positive, rats, rats, rats, st.booleans())
+@_gap_examples
 def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
                                               other_pos, other_moving):
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
@@ -393,6 +407,15 @@ def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
                        other_moving)
     got, expected = decisions(adv, pair, dest)
     assert got == expected
+
+
+@pytest.mark.parametrize("gap", [Rat(0), Rat(-1, 3)])
+def test_adaptive_decide_names_the_empty_interval(gap):
+    adv = AdaptiveThm6({0: F(2), 1: F(1)})
+    pair = decide_pair(adv, Rat(0), Rat(3), Rat(1), Rat(5), Rat(5) + gap, Rat(7), False)
+    with pytest.raises(InfeasibleDelayError,
+                       match=rf"^empty feasible delay interval \(0, {gap}\) for robot 0$"):
+        adv.adaptive_decide(pair)
 
 
 @pytest.mark.parametrize("direction", [1, -1])

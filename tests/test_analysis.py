@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from oracles import (brute_force_attempts, brute_max_distance, is_mid_move,
                      reference_distance_profile, reference_looks_see_midmove,
                      reference_segment_attempts)
-from test_engine import NON_UNIT_SPEEDS, mixed_speed_runs, tie_heavy_runs
+from test_engine import (NON_UNIT_SPEEDS, RAT_COMPARISONS, _rat_operations_inside,
+                         mixed_speed_runs, tie_heavy_runs)
+from test_experiments import _bundled
 
+from gathersim import experiments
 from gathersim.adversary import AdaptiveThm6, ObliviousExplicit, TauBounded
 from gathersim.analysis import (
     AttemptRecord,
@@ -178,34 +181,30 @@ def test_midmove_violations_in_time_then_robot_order():
     assert looks_see_midmove(tr) == reference_looks_see_midmove(tr) == (False, expected)
 
 
-def _midmove_comparisons(monkeypatch, looks):
-    """Rat comparisons ``looks_see_midmove`` makes on a thm6 trace, and the
-    trace's looks plus segments."""
-    specs = [RobotSpec(0, Rat(1), Rat(1)), RobotSpec(1, Rat(0), Rat(1))]
-    tr = run(specs, {0: THREE_CHOICE, 1: THREE_CHOICE}, AdaptiveThm6({0: Rat(2), 1: Rat(1)}),
-             spawn_rng("midmove-count"), Budgets(looks, Rat(BIG)))
-    calls = [0]
-    for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
-        def counted(a, b, _op=getattr(Rat, name)):
-            calls[0] += 1
-            return _op(a, b)
-        monkeypatch.setattr(Rat, name, counted)
-    ok, _ = looks_see_midmove(tr)
-    monkeypatch.undo()
-    assert ok
-    return calls[0], sum(tr.look_count.values()) + sum(
-        len(r.segments) for r in tr.runs.values())
+def _midmove_comparisons(monkeypatch, looks, operators):
+    """Calls of Rat's ``operators`` inside ``looks_see_midmove`` on trial 0
+    of the bundled thm6 scenario, cut at ``looks`` looks."""
+    scn = _bundled("thm6_adaptive", {"budgets": {"max_total_looks": looks}})
+    outcome = []
+    calls = _rat_operations_inside(
+        monkeypatch, looks_see_midmove,
+        lambda: outcome.append(experiments.run_one_trial(scn, 0)), operators)
+    assert outcome[0].total_looks == looks and outcome[0].extras["midmove_ok_all"]
+    return calls
 
 
 def test_midmove_comparisons_are_linear(monkeypatch):
-    # Counted, not timed: each look compares once against the first look
-    # instant, once per step of the other robot's pointer plus once to
-    # stop it, and once each for the move end and the distance: 2.5 per
-    # look and segment.  A bisect per look makes about log2(segments)
-    # more: 5.3 per look and segment at 100 looks, 6.3 at 400.
+    # Counted, not timed.  Every look after the first finds the other robot
+    # mid-move: the pointer steps once, to that move, and compares its end,
+    # 2 ordering comparisons per look.  Comparing the next move's start as
+    # well, to stop the pointer, made 3, although moves never overlap.  Each
+    # look also tests == against the first look instant and != for the
+    # distance.  A bisect per look makes about log2(segments) more.
     for looks in (100, 400):
-        count, size = _midmove_comparisons(monkeypatch, looks)
-        assert count <= 3 * size, (looks, count, size)
+        ordering = _midmove_comparisons(monkeypatch, looks, RAT_COMPARISONS)
+        assert ordering <= 2 * looks, (looks, ordering)
+        equality = _midmove_comparisons(monkeypatch, looks, ("__eq__",))
+        assert equality <= 2 * looks, (looks, equality)
 
 
 # ----------------------------------------------------------------------

@@ -464,29 +464,30 @@ def test_derived_events_match_reference_adaptive():
     assert relooks
 
 
+RAT_COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__")
 RAT_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__lt__", "__le__", "__gt__", "__ge__",
+                 "__truediv__", "__rtruediv__", *RAT_COMPARISONS,
                  "__eq__", "__neg__", "__abs__", "__pos__")
 
 
-def _rat_operations_in_run(monkeypatch, trials) -> int:
-    """Rat operator calls made inside ``engine.run`` while ``trials()`` runs."""
+def _rat_operations_inside(monkeypatch, fn, trials, operators=RAT_OPERATORS) -> int:
+    """Calls of Rat's ``operators`` made inside ``fn`` while ``trials()`` runs."""
     calls = [0]
     counting = [False]
-    for name in RAT_OPERATORS:
+    for name in operators:
         def counted(*args, _op=getattr(Rat, name)):
             calls[0] += counting[0]
             return _op(*args)
         monkeypatch.setattr(Rat, name, counted)
 
-    def counted_run(*args):
+    def counted_fn(*args):
         counting[0] = True
         try:
-            return run(*args)
+            return fn(*args)
         finally:
             counting[0] = False
 
-    patch_every_binding(monkeypatch, run, counted_run)
+    patch_every_binding(monkeypatch, fn, counted_fn)
     try:
         trials()
     finally:
@@ -504,13 +505,17 @@ def test_adaptive_run_operation_count(monkeypatch):
     # and C off their numerators and adding no zero C gave 34.0 per look
     # (13 618).  Every look sees the other robot mid-move; interpolating
     # it directly, instead of through move_position's three comparisons,
-    # and dividing by no unit speed now gives 29.1 per look (11 624).
+    # and dividing by no unit speed gave 29.1 per look (11 624).  The
+    # adversary now reads signs off numerators and takes the feasible
+    # interval's width in closed form, without building its ends, and a
+    # look's distance is the shift or its negation by the shift's sign:
+    # 24.5 per look (9 818).
     scn = _bundled("thm6_adaptive", {})
     outcome = []
-    calls = _rat_operations_in_run(
-        monkeypatch, lambda: outcome.append(experiments.run_one_trial(scn, 0)))
+    calls = _rat_operations_inside(
+        monkeypatch, run, lambda: outcome.append(experiments.run_one_trial(scn, 0)))
     assert outcome[0].total_looks == 400
-    assert calls <= 12_500, calls
+    assert calls <= 10_500, calls
 
 
 def test_thm1_run_operation_count(monkeypatch):
@@ -524,16 +529,18 @@ def test_thm1_run_operation_count(monkeypatch):
     # the signs are read off the numerators, a zero delay adds nothing and
     # lambda = 1 returns the observed position: 13.7 per look (11 919).
     # A unit speed divides no travel time, and a robot seen mid-move is
-    # interpolated directly: 12.3 per look (10 691).
+    # interpolated directly: 12.3 per look (10 691).  A look's distance is
+    # the shift or its negation by the shift's sign, with no abs call for a
+    # positive shift: 11.9 per look (10 336).
     raw = json.loads(bundled_scenario_path("thm1_positive").read_text())
     raw["trials"] = 20
     scn = parse_scenario(json.dumps(raw))
     outcomes = []
-    calls = _rat_operations_in_run(monkeypatch, lambda: outcomes.extend(
+    calls = _rat_operations_inside(monkeypatch, run, lambda: outcomes.extend(
         experiments.run_one_trial(scn, trial) for trial in range(total_trials(scn))))
     assert len(outcomes) == 100
     assert sum(out.total_looks for out in outcomes) == 869
-    assert calls <= 11_500, calls
+    assert calls <= 10_600, calls
 
 
 # ----------------------------------------------------------------------

@@ -9,8 +9,8 @@ from oracles import is_mid_move
 from gathersim import engine
 from gathersim import experiments as ex
 from gathersim import rational
-from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, parse_scenario,
-                           run_experiment, trace_to_jsonable)
+from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, main,
+                           parse_scenario, run_experiment, trace_to_jsonable)
 from gathersim.analysis import segment_attempts, segment_phases
 from gathersim.adversary import AdaptiveThm6
 from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, RobotSpec, position_at
@@ -168,6 +168,17 @@ def test_multirobot_trial_single_entity():
     for i in range(10):
         out = ex.multirobot_trial(s, i)
         assert out.gathered
+
+
+def test_multirobot_trial_fails_off_its_pair_segment(monkeypatch, tmp_path, capsys):
+    # Read back five times too far out (the unit's division dropped), the
+    # last pair's meeting point leaves the segment between the robots.
+    monkeypatch.setattr(ex, "position_at", lambda run, t: 5 * position_at(run, t))
+    path = tmp_path / "multirobot.json"
+    path.write_text(json.dumps({"name": "mr", "mode": "multirobot", "master_seed": 42,
+                                "trials": 10, "budgets": {"max_total_looks": 800}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "outside the segment [-1, 1] between its robots" in capsys.readouterr().err
 
 
 def test_engineered_tie_config_has_eight_pairs():
