@@ -33,18 +33,18 @@ def looks_mid_move(run: RobotRun, other: RobotRun):
     others = other.segments
     last = len(others) - 1
     j = -1  # the latest of ``others`` whose move starts strictly before t
-    ended = True  # others[j]'s move ended by the latest look (true while j = -1)
+    running = False  # others[j]'s move ran at the latest look (false while j = -1)
     for seg in run.segments:
         t = seg.look_time
         while j < last and others[j + 1].move_start < t:
             j += 1
-            ended = not t < others[j].move_end
-            if not ended:
+            running = t < others[j].move_end
+            if running:
                 break
         else:  # the pointer stopped without finding a move that runs at t
-            if not ended:
-                ended = not t < others[j].move_end
-        yield not ended
+            if running:
+                running = t < others[j].move_end
+        yield running
 
 
 @dataclass
