@@ -2,14 +2,18 @@
 
 Oblivious kinds commit every (W, C) as a pure function of
 (robot id, cycle index, adversary seed) before the run; the adaptive kind
-re-plans after each look so that every later look catches the other robot
-strictly mid-move.
+decides from the run as it stands, so that every later look catches the
+other robot strictly mid-move.  Both ``wait_time`` and
+``computation_delay`` get the pair (this robot, other robot) as the run
+holds them; the oblivious kinds do not read it.  No kind keeps a run's
+state: a trial copies only a seeded kind, to give it the trial's seed.
 
 Every time value of an oblivious kind enters its draws linearly, so
 ``in_unit(k)`` gives the same adversary with times counted in units k
 times finer: each pair it draws is k times the original's, from the same
 RNG calls.  ``time_values`` lists the values that scaling multiplies; the
-adaptive kind has none it could scale, as its next wait is a literal 1.
+adaptive kind has none it could scale, as each wait after its first is a
+literal 0 or 1.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ class _Oblivious:
 
     ``wait_time`` draws a cycle's (W, C) pair and keeps its C, so the
     ``computation_delay`` of the same cycle does not draw the pair again.
+    The pair is pure in (robot, cycle, seed), so trials that share an
+    unseeded adversary share what it keeps without changing a value.
     """
 
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
     _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    seeded = False  # whether ``for_trial`` reads its seed
+    seeded = False  # whether a trial copies it with its own seed (``for_trial``)
 
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
@@ -56,7 +62,8 @@ class _Oblivious:
         """The same adversary with every time value multiplied by ``k``."""
         raise NotImplementedError
 
-    def wait_time(self, robot_id: int, cycle: int) -> Rat:
+    def wait_time(self, robot_id: int, cycle: int, pair) -> Rat:
+        """The cycle's W, committed before the run; the pair is not read."""
         w, c = self.next_delays(robot_id, cycle)
         self._drawn[robot_id] = (cycle, c)
         return w
@@ -68,12 +75,9 @@ class _Oblivious:
             return drawn[1]
         return self.next_delays(robot_id, cycle)[1]
 
-    def for_trial(self, seed: int | None):
-        """The adversary one trial runs against: a copy drawing from ``seed``,
-        parsed values shared, when ``seeded``; else itself, shared by every
-        trial."""
-        if not self.seeded:
-            return self
+    def for_trial(self, seed: int):
+        """A copy drawing from ``seed``, parsed values shared, for one trial
+        of a ``seeded`` adversary; an unseeded one is shared by every trial."""
         # A third of copy.copy's time, once per trial; it starts with no drawn pairs.
         twin = object.__new__(type(self))
         twin.__dict__.update(self.__dict__, seed=seed, _drawn={})
@@ -229,10 +233,15 @@ class AdaptiveThm6:
 
     After a robot's look (its computed destination now known) it picks the
     current computation delay so that the robot's move interval strictly
-    straddles the other robot's already-committed next look, then commits
-    the robot's next wait.  Every look after the chronologically first one
-    therefore observes the other robot strictly mid-move, so exact
-    collocation is never seen.
+    straddles the other robot's next look.  Every look after the
+    chronologically first one therefore observes the other robot strictly
+    mid-move, so exact collocation is never seen.
+
+    It decides from the run as it stands and keeps none of it.  Each wait
+    after a robot's first is 1, or 0 after a zero-length move (an
+    immediate re-look), so it follows from the ``travel`` of the robot's
+    last move.  A robot's ``next_time`` is its look time while it waits
+    and its move end while it moves.
 
     The feasible delays are (max(hi - travel, 0), hi), hi the time from the
     look to the other robot's next look.  Their width is ``travel`` when
@@ -243,7 +252,6 @@ class AdaptiveThm6:
     """
 
     initial_waits: Mapping[int, Rat]
-    _next_wait: dict = field(default_factory=dict, init=False, repr=False)
     seeded = False
 
     def __post_init__(self):
@@ -253,48 +261,38 @@ class AdaptiveThm6:
         if any(w < 0 for w in waits):
             raise AdversaryError("waits must be non-negative")
 
-    def for_trial(self, seed):
-        """A fresh adversary: the committed waits are per-run state; the seed
-        is not read."""
-        return AdaptiveThm6(self.initial_waits)
-
     def time_values(self):
-        """None: the next wait it commits is a literal 1 in the scenario's unit."""
+        """None: each wait after a robot's first is a literal 0 or 1 in the
+        scenario's unit."""
         return None
 
-    def wait_time(self, robot_id, cycle):
+    @staticmethod
+    def _wait_after(robot) -> Rat:
+        """The wait that follows ``robot``'s last move: 0 after a zero-length
+        one, else 1."""
+        return ONE if robot.travel._numerator else ZERO
+
+    def wait_time(self, robot_id, cycle, pair):
         if cycle == 0:
             return self.initial_waits[robot_id]
-        try:
-            return self._next_wait.pop((robot_id, cycle))
-        except KeyError:
-            raise InfeasibleDelayError(
-                f"wait for robot {robot_id} cycle {cycle} was never committed"
-            )
+        return self._wait_after(pair[0])
 
     def computation_delay(self, robot_id, cycle, pair):
-        """The cycle's C after the look; commits the next W.
-        ``pair`` is (looking robot, other robot) as the run holds them."""
-        c, w_next = self.adaptive_decide(pair)
-        self._next_wait[(robot_id, cycle + 1)] = w_next
-        return c
-
-    def adaptive_decide(self, pair) -> tuple[Rat, Rat]:
-        """(C for this cycle, W for the next) after pair[0]'s look.
+        """The cycle's C after the look of pair[0], the other robot pair[1].
 
         Reads the looking robot's ``travel`` and the sign of its ``shift``
         (destination minus position) for the move its look computed."""
         me, other = pair
         travel = me.travel
         if not travel._numerator:
-            # Zero-length move: force an immediate re-look at the same instant.
-            return (ZERO, ZERO)
+            # Zero-length move: its wait of 0 forces an immediate re-look.
+            return ZERO
         other_look, other_pos_at_look = self._other_next_look(other)
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
         # robot's next look; C is additionally clamped to be non-negative.
         # As travel > 0, the interval is empty only when hi <= 0.
-        hi = other_look - me.look_time
+        hi = other_look - me.next_time
         if hi._numerator <= 0:
             raise InfeasibleDelayError(
                 f"empty feasible delay interval (0, {hi}) for robot {me.spec.id}"
@@ -309,18 +307,15 @@ class AdaptiveThm6:
         if other_pos_at_look - me.pos == (step if me.shift._numerator > 0 else -step):
             # Only a single delay value puts us exactly on the other robot at
             # its look; any other interior point avoids the coincidence.
-            return (hi - width + width / 4, ONE)
-        return (hi - half, ONE)
+            return hi - width + width / 4
+        return hi - half
 
     def _other_next_look(self, other):
-        """The other robot's committed next look time and resting position."""
+        """The other robot's next look time and its position then."""
         if other.phase == "waiting":
-            return other.look_time, other.pos
+            return other.next_time, other.pos
         if other.phase == "moving":
-            w_next = self._next_wait.get((other.spec.id, other.cycle + 1))
-            if w_next is None:
-                raise InfeasibleDelayError("other robot's next wait is not committed")
-            return other.move_end + w_next, other.dest
+            return other.next_time + self._wait_after(other), other.dest
         raise InfeasibleDelayError(f"unexpected phase {other.phase!r} at a look")
 
 

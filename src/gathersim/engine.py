@@ -29,9 +29,12 @@ Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.  The
-adversary's ``computation_delay`` gets the pair (looking robot, other
-robot) as the run holds them; the looking robot already holds the
-``shift`` and ``travel`` time of the move its look computed.
+adversary's ``wait_time`` and ``computation_delay`` get the pair (this
+robot, other robot) as the run holds them: at a look the looking robot
+already holds the ``shift`` and ``travel`` time of the move its look
+computed, and at a move end the robot still holds its finished move's.  A
+policy is asked for the lambda of the looking robot's cycle; neither
+keeps any state of the run, which lives in the two robots.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -60,7 +63,6 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import geometry
-from .adversary import ScheduleUnderrunError
 from .policies import LambdaPolicy, destination
 from .rational import ONE, ZERO, Rat
 
@@ -75,6 +77,8 @@ TIME_BUDGET_EXHAUSTED = "TIME_BUDGET_EXHAUSTED"
 
 # Processing order for simultaneous events.
 _KIND_TIE = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
+# The same order by a live robot's phase, the kind of its pending event.
+_PHASE_TIE = {"waiting": 0, "moving": 1, "computing": 2}
 
 _move_start = attrgetter("move_start")
 
@@ -252,7 +256,7 @@ def _payload(kind: str, seg: CycleSegment, unit: Rat) -> dict:
 def position_at(run: RobotRun, t: Rat) -> Rat:
     """Exact position at time t: linear inside a move, constant elsewhere."""
     if t < 0 or t > run.horizon:
-        raise ScheduleUnderrunError(f"t={t} outside simulated horizon [0, {run.horizon}]")
+        raise ValueError(f"t={t} outside simulated horizon [0, {run.horizon}]")
     i = bisect_right(run.segments, t, key=_move_start) - 1
     if i < 0:
         return run.spec.start
@@ -264,19 +268,19 @@ def position_at(run: RobotRun, t: Rat) -> Rat:
 class _LiveRobot:
     """Mutable per-run robot state driving the event loop.
 
-    ``next_time`` and ``next_rank`` are the pending event's time and its
-    ``_KIND_TIE`` rank while the robot is not done.  ``shift`` is
-    ``dest - pos`` of the move its latest look computed and ``travel`` that
-    move's duration, both set before the adversary chooses its delay.
-    ``late`` is set once its look time or move end is fixed past
-    ``max_time``; only a late robot's events can pass the budget.
-    ``unit_speed`` says whether the speed is 1, so that a duration is the
-    distance itself.
+    ``next_time`` is the pending event's time while the robot is not done:
+    its look time while ``phase`` is "waiting", its move start while
+    "computing" and its move end while "moving"; at one instant the phases
+    rank as their events do (``_PHASE_TIE``).  ``shift`` is ``dest - pos``
+    of the move its latest look computed and ``travel`` that move's
+    duration, both set before the adversary chooses its delay.  ``late``
+    is set once its look time or move end is fixed past ``max_time``; only
+    a late robot's events can pass the budget.  ``unit_speed`` says whether
+    the speed is 1, so that a duration is the distance itself.
     """
 
     __slots__ = ("spec", "unit_speed", "policy", "max_time", "segments", "phase", "cycle",
-                 "pos", "look_time", "move_start", "move_end", "dest", "shift",
-                 "travel", "late", "next_time", "next_rank")
+                 "pos", "move_start", "dest", "shift", "travel", "late", "next_time")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
         self.spec = spec
@@ -287,25 +291,21 @@ class _LiveRobot:
         self.phase = "waiting"
         self.cycle = 0
         self.pos = spec.start
-        self.look_time = ZERO
         self.move_start = ZERO
-        self.move_end = ZERO
         self.dest = spec.start
         self.shift = ZERO
         self.travel = ZERO
         self.late = False
         self.next_time = ZERO
-        self.next_rank = _KIND_TIE[LOOK]
 
-    def enter_cycle(self, cycle: int, start: Rat, adversary) -> None:
+    def enter_cycle(self, cycle: int, start: Rat, adversary, other: _LiveRobot) -> None:
         self.cycle = cycle
-        wait = adversary.wait_time(self.spec.id, cycle)
+        wait = adversary.wait_time(self.spec.id, cycle, (self, other))
         sign = wait._numerator  # lowest terms: the sign of W, and 0 only for W = 0
         if sign < 0:
             raise ValueError("adversary produced a negative wait")
-        self.look_time = self.next_time = start + wait if sign else start
-        self.late = self.look_time > self.max_time
-        self.next_rank = _KIND_TIE[LOOK]
+        look_time = self.next_time = start + wait if sign else start
+        self.late = look_time > self.max_time
         self.phase = "waiting"
 
     def commit_move(self, t: Rat, compute: Rat, lam: Rat,
@@ -315,16 +315,14 @@ class _LiveRobot:
             raise ValueError("adversary produced a negative computation delay")
         self.dest = dest
         self.move_start = self.next_time = t + compute if sign else t
-        self.next_rank = _KIND_TIE[MOVE_START]
-        self.move_end = self.move_start + self.travel
-        self.late = self.move_end > self.max_time
+        move_end = self.move_start + self.travel
+        self.late = move_end > self.max_time
         self.segments.append(CycleSegment(
-            self.cycle, t, lam, self.move_start, self.move_end, self.pos, dest, observed))
+            self.cycle, t, lam, self.move_start, move_end, self.pos, dest, observed))
         self.phase = "computing"
 
     def start_move(self) -> None:
-        self.next_time = self.move_end
-        self.next_rank = _KIND_TIE[MOVE_END]
+        self.next_time = self.segments[-1].move_end
         self.phase = "moving"
 
     def decide_gathered(self, t: Rat) -> None:
@@ -368,26 +366,27 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     max_time, max_looks = budgets.max_time, budgets.max_total_looks
     states = {spec.id: _LiveRobot(spec, policies[spec.id], max_time)
               for spec in sorted(robots, key=lambda s: s.id)}
-    for st in states.values():
-        st.enter_cycle(0, ZERO, adversary)
     a, b = states.values()  # in robot id order
+    a.enter_cycle(0, ZERO, adversary, b)
+    b.enter_cycle(0, ZERO, adversary, a)
 
     looks_done = 0
     n_events = 0
     horizon = ZERO
     while True:
-        # The earliest pending event; at one instant the lower _KIND_TIE
+        # The earliest pending event; at one instant the lower _PHASE_TIE
         # rank, then the lower robot id.
         if a.phase == "done":
             if b.phase == "done":
                 status = GATHERED
                 break
-            st = b
+            st, other = b, a
         elif (b.phase == "done" or a.next_time < b.next_time
-              or (a.next_time == b.next_time and a.next_rank <= b.next_rank)):
-            st = a
+              or (a.next_time == b.next_time
+                  and _PHASE_TIE[a.phase] <= _PHASE_TIE[b.phase])):
+            st, other = a, b
         else:
-            st = b
+            st, other = b, a
         t = st.next_time
         if st.late and t > max_time:
             status = TIME_BUDGET_EXHAUSTED
@@ -398,13 +397,12 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
                 status = LOOK_BUDGET_EXHAUSTED
                 break
             looks_done += 1
-            other = b if st is a else a
             obs = other.position_at(t)
             if obs == st.pos:
                 st.decide_gathered(t)
                 n_events += 1  # its DECIDE_GATHERED
             else:
-                lam = st.policy.sample(rng)
+                lam = st.policy.sample(rng, st.cycle)
                 dest = destination(st.pos, obs, lam)
                 shift = st.shift = dest - st.pos
                 distance = shift if shift._numerator > 0 else -shift
@@ -415,7 +413,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
             st.start_move()
         else:  # MOVE_END
             st.pos = st.dest
-            st.enter_cycle(st.cycle + 1, t, adversary)
+            st.enter_cycle(st.cycle + 1, t, adversary, other)
         n_events += 1
         horizon = t
 

@@ -19,11 +19,11 @@ trace records its unit (``Trace.unit``), and whatever a trial reports
 from it is read back in the scenario's unit.
 
 A trial takes the compiled objects of its ``cli.Scenario`` and parses
-nothing.  Policies and adversaries that draw nothing are shared by every
-trial; seeded oblivious adversaries (of a ``PerRobot``, its seeded parts)
-are copied with the trial's seed (``for_trial``), which is derived only
-for them; an ``Oracle`` policy and the ``AdaptiveThm6`` adversary, which
-change as a run goes on, are built afresh for each trial.
+nothing.  No policy or adversary keeps a run's state (the run keeps it in
+its robots), so every trial shares the compiled policies and unseeded
+adversaries; only a seeded oblivious adversary (of a ``PerRobot``, its
+seeded parts) is copied with the trial's seed (``for_trial``), which is
+derived only for it.
 """
 
 from __future__ import annotations
@@ -106,11 +106,6 @@ def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
 # Two-robot runs: the trials of two_robot, ssync, thm4 and thm6
 
 
-def _trial_policy(policy):
-    """An Oracle's cursor advances as it samples, so each run needs its own."""
-    return Oracle(policy.script) if isinstance(policy, Oracle) else policy
-
-
 class RunSetup(NamedTuple):
     """One variant of a two-robot run.  ``policies`` maps robot id to policy;
     ``read``, if set, is a module-level function (a pickled scenario carries
@@ -165,10 +160,10 @@ def run_setup(robots, policies, adversary, budgets: Budgets, read=None) -> RunSe
 def run_trial(scn, setup: RunSetup, trial: int) -> Trace:
     """Trial ``trial``'s run of ``setup``, its adversary and lambdas drawn
     from seeds derived from the trial."""
-    adversary = setup.adversary.for_trial(
-        derive_seed(scn.master_seed, trial, "adv") if setup.adversary.seeded else None)
-    policies = {rid: _trial_policy(p) for rid, p in setup.policies.items()}
-    return run(setup.robots, policies, adversary,
+    adversary = setup.adversary
+    if adversary.seeded:
+        adversary = adversary.for_trial(derive_seed(scn.master_seed, trial, "adv"))
+    return run(setup.robots, setup.policies, adversary,
                spawn_rng(scn.master_seed, trial, "alg"), setup.budgets, setup.unit)
 
 
@@ -471,7 +466,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
 
     # Native 1D: midpoint frame in true distance units, robot 0 at +delta/2.
     specs = [RobotSpec(0, delta / 2, speeds[0]), RobotSpec(1, -delta / 2, speeds[1])]
-    policies = {0: Oracle(list(scripts[0])), 1: Oracle(list(scripts[1]))}
+    policies = {rid: Oracle(scripts[rid]) for rid in (0, 1)}
     trace = run(specs, policies, ObliviousExplicit(schedules), random.Random(0), budgets)
 
     events2, query2, _status = _run_line_2d(

@@ -8,13 +8,17 @@ observed position).
 Every randomized policy is a ``Mixture`` of finitely many values and at
 most one uniform draw from (0, 1): THREE_CHOICE, TAU_TRIPLE, and the
 ones ``known_alpha`` and FINITE_MIXTURE descriptors build.
+
+A policy's ``sample(rng, cycle)`` is asked at the robot's look in cycle
+``cycle``; only ``Oracle`` reads the cycle.  No policy keeps a run's
+state, so every trial of a scenario shares its compiled policies.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rational import HALF, ONE, ZERO, Rat, parse_rat, u01
 
@@ -51,7 +55,7 @@ class Deterministic:
 
     lam: Rat
 
-    def sample(self, rng: random.Random) -> Rat:
+    def sample(self, rng: random.Random, cycle: int) -> Rat:
         return self.lam
 
 
@@ -85,7 +89,7 @@ class Mixture:
         # Not a field: equality compares the choices and the uniform mass.
         self._grid = (denom, thresholds)
 
-    def sample(self, rng: random.Random) -> Rat:
+    def sample(self, rng: random.Random, cycle: int) -> Rat:
         denom, thresholds = self._grid
         k = rng.randrange(denom)
         for cum, lam in thresholds:
@@ -119,19 +123,18 @@ def known_alpha(alpha: Rat, weights=(Rat(1, 4),) * 4) -> Mixture:
 
 @dataclass
 class Oracle:
-    """Scripted lambda sequence; raises once the script runs out."""
+    """Scripted lambda sequence: a robot's look in cycle k takes
+    ``script[k]``, as each look that does not decide gathering draws once;
+    raises once the script runs out."""
 
     script: list[Rat]
-    _cursor: int = field(default=0, init=False, repr=False)
 
-    def sample(self, rng: random.Random) -> Rat:
-        if self._cursor >= len(self.script):
+    def sample(self, rng: random.Random, cycle: int) -> Rat:
+        if cycle >= len(self.script):
             raise OracleScriptExhausted(
                 f"oracle script of length {len(self.script)} exhausted"
             )
-        lam = self.script[self._cursor]
-        self._cursor += 1
-        return lam
+        return self.script[cycle]
 
 
 LambdaPolicy = Deterministic | Mixture | Oracle
@@ -139,7 +142,7 @@ LambdaPolicy = Deterministic | Mixture | Oracle
 
 def policy_from_descriptor(desc: dict) -> LambdaPolicy:
     """The policy a serializable descriptor describes; THREE_CHOICE and
-    TAU_TRIPLE hold no state, so each is one shared object."""
+    TAU_TRIPLE are each one shared object."""
     if not isinstance(desc, dict):
         raise PolicyError("descriptor must be an object")
     fields = dict(desc)  # each read pops its key, so what is left is unknown

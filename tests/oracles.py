@@ -270,14 +270,14 @@ def grid_project_coordinate(q, p1, p2, span=64):
 
 
 def reference_adaptive_decide(adversary, pair, dest):
-    """``AdaptiveThm6.adaptive_decide`` with the move placed literally: the
+    """``AdaptiveThm6``'s C and next W with the move placed literally: the
     delay is the midpoint of the feasible interval unless ``move_position``
     puts the robot exactly on the other one at the other's next look, and
     then the quarter point.  Travel is recomputed from ``dest``."""
     me, other = pair
     if dest == me.pos:
         return (Fraction(0), Fraction(0))
-    t = me.look_time
+    t = me.next_time
     other_look, other_pos_at_look = adversary._other_next_look(other)
     travel = abs(dest - me.pos) / me.spec.speed
     hi = other_look - t
@@ -312,9 +312,13 @@ class _RefRobot:
         self.lam = None
         self.look_count = 0
 
-    def enter_cycle(self, cycle, start, adversary):
+    @property
+    def next_time(self):
+        return self.next_event()[0]
+
+    def enter_cycle(self, cycle, start, adversary, other):
         self.cycle = cycle
-        wait = adversary.wait_time(self.spec.id, cycle)
+        wait = adversary.wait_time(self.spec.id, cycle, (self, other))
         if wait < 0:
             raise ValueError("adversary produced a negative wait")
         self.look_time = start + wait
@@ -350,8 +354,9 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
     states = {spec.id: _RefRobot(spec, policies[spec.id])
               for spec in sorted(robots, key=lambda s: s.id)}
-    for st in states.values():
-        st.enter_cycle(0, Fraction(0), adversary)
+    for rid, st in states.items():
+        st.enter_cycle(0, Fraction(0), adversary,
+                       next(o for r, o in states.items() if r != rid))
 
     events = []
     looks_done = 0
@@ -366,13 +371,13 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
             status = "TIME_BUDGET_EXHAUSTED"
             break
         st = states[rid]
+        other = next(o for r, o in states.items() if r != rid)
         if kind == "LOOK":
             if looks_done >= budgets.max_total_looks:
                 status = "LOOK_BUDGET_EXHAUSTED"
                 break
             looks_done += 1
             st.look_count += 1
-            other = next(o for r, o in states.items() if r != rid)
             obs = other.position_at(t)
             events.append((t, rid, "LOOK",
                            {"cycle": st.cycle, "own": st.pos, "observed": (obs,)}))
@@ -381,7 +386,7 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
                                {"cycle": st.cycle, "position": st.pos}))
                 st.phase = "done"
                 continue
-            lam = st.policy.sample(rng)
+            lam = st.policy.sample(rng, st.cycle)
             dest = destination(st.pos, obs, lam)
             st.shift = dest - st.pos
             st.travel = abs(st.shift) / st.spec.speed
@@ -399,7 +404,7 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
         else:
             events.append((t, rid, "MOVE_END", {"cycle": st.cycle, "position": st.dest}))
             st.pos = st.dest
-            st.enter_cycle(st.cycle + 1, t, adversary)
+            st.enter_cycle(st.cycle + 1, t, adversary, other)
 
     horizon = events[-1][0] if events else Fraction(0)
     look_count = {rid: st.look_count for rid, st in states.items()}

@@ -242,7 +242,8 @@ def test_oblivious_pairs_are_drawn_once_per_cycle(monkeypatch, name):
     monkeypatch.setattr(adversary, "spawn_rng",
                         lambda *parts: draws.append(parts[1:]) or spawn(*parts))
     monkeypatch.setattr(adversary._Oblivious, "wait_time",
-                        lambda adv, r, k: waits.append((r, k)) or wait_time(adv, r, k))
+                        lambda adv, r, k, pair: waits.append((r, k))
+                        or wait_time(adv, r, k, pair))
     for seed in range(3):
         go(seed)
     assert len(waits) >= 20
@@ -258,7 +259,7 @@ def test_oblivious_pairs_are_drawn_once_per_cycle(monkeypatch, name):
 def test_computation_delay_without_a_wait_draws_the_pair(adv):
     drawn = adv.for_trial(5)
     for robot in (0, 1):
-        drawn.wait_time(robot, 7)
+        drawn.wait_time(robot, 7, None)
         assert drawn.computation_delay(robot, 7, None) == drawn.next_delays(robot, 7)[1]
         # A cycle whose wait was not drawn, and a copy for another trial.
         assert drawn.computation_delay(robot, 8, None) == drawn.next_delays(robot, 8)[1]
@@ -357,26 +358,32 @@ positive = st.one_of(
 
 
 def decide_pair(adv, pos, dest, speed, look_time, other_look, other_pos, other_moving):
-    """(looking robot, other robot) as adaptive_decide reads them; a moving
-    other robot's next look is its move end plus a committed wait of 1."""
+    """(looking robot, other robot) as the adaptive decision reads them; a
+    moving other robot's next look is its move end plus a wait of 1, as its
+    move has a positive travel."""
     shift = dest - pos
     me = SimpleNamespace(spec=SimpleNamespace(id=0, speed=speed), pos=pos,
-                         look_time=look_time, shift=shift, travel=abs(shift) / speed)
+                         next_time=look_time, shift=shift, travel=abs(shift) / speed)
     spec = SimpleNamespace(id=1, speed=Rat(1))
     if other_moving:
-        adv._next_wait[(1, 4)] = Rat(1)
-        other = SimpleNamespace(spec=spec, phase="moving", cycle=3,
-                                move_end=other_look - 1, dest=other_pos)
+        other = SimpleNamespace(spec=spec, phase="moving", travel=Rat(1, 2),
+                                next_time=other_look - 1, dest=other_pos)
     else:
-        other = SimpleNamespace(spec=spec, phase="waiting", look_time=other_look,
+        other = SimpleNamespace(spec=spec, phase="waiting", next_time=other_look,
                                 pos=other_pos)
     return me, other
+
+
+def adaptive_decide(adv, pair):
+    """The adversary's (C for this cycle, W for the next) after pair[0]'s look."""
+    return adv.computation_delay(0, 0, pair), adv.wait_time(0, 1, pair)
 
 
 def decisions(adv, pair, dest):
     """adaptive_decide and its reference, or the error each raised."""
     got = []
-    for decide in (adv.adaptive_decide, partial(reference_adaptive_decide, adv, dest=dest)):
+    for decide in (partial(adaptive_decide, adv),
+                   partial(reference_adaptive_decide, adv, dest=dest)):
         try:
             got.append(decide(pair))
         except InfeasibleDelayError:
@@ -415,7 +422,7 @@ def test_adaptive_decide_names_the_empty_interval(gap):
     pair = decide_pair(adv, Rat(0), Rat(3), Rat(1), Rat(5), Rat(5) + gap, Rat(7), False)
     with pytest.raises(InfeasibleDelayError,
                        match=rf"^empty feasible delay interval \(0, {gap}\) for robot 0$"):
-        adv.adaptive_decide(pair)
+        adaptive_decide(adv, pair)
 
 
 @pytest.mark.parametrize("direction", [1, -1])

@@ -221,6 +221,22 @@ def test_main_exit_codes(tmp_path, capsys):
             "robot 0 exhausted its 1-entry schedule at cycle 1\n"), workers
 
 
+def test_main_exit_3_when_an_oracle_script_runs_out(tmp_path, capsys):
+    # A robot's look in cycle 2 asks for a third scripted lambda; the run
+    # has looks to spare, so the trial fails there, whichever process runs it.
+    short = {**MINIMAL, "budgets": {"max_total_looks": 50, "max_time": "1000"},
+             "policies": {"p": {"kind": "ORACLE", "script": ["1/4", "1/4"]}}}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(short))
+    seeds = f"adv seed {derive_seed(5, 0, 'adv')}, alg seed {derive_seed(5, 0, 'alg')}"
+    for workers in ("1", "2"):
+        assert main(["run", str(path), "--out", str(tmp_path / "o"),
+                     "--workers", workers]) == 3
+        assert capsys.readouterr().err == (
+            f"runtime error: trial 0 ({seeds}): "
+            "oracle script of length 2 exhausted\n"), workers
+
+
 def test_main_flag_overrides(tmp_path):
     good = tmp_path / "ok.json"
     good.write_text(json.dumps(MINIMAL))

@@ -89,7 +89,7 @@ def policy_draws(desc, seed=20191) -> str:
     policy = policy_from_descriptor(desc)
     rng = random.Random(seed)
     lines = [f"{type(lam).__name__} {format_rat(lam)}"
-             for lam in (policy.sample(rng) for _ in range(SAMPLES))]
+             for lam in (policy.sample(rng, k) for k in range(SAMPLES))]
     lines.append(repr(rng.random()))
     return _digest(lines)
 
@@ -104,7 +104,7 @@ def adversary_draws(desc, seed) -> str:
     lines = []
     for cycle in range(CYCLES):
         for robot in (0, 1):
-            w = adv.wait_time(robot, cycle)
+            w = adv.wait_time(robot, cycle, None)
             c = adv.computation_delay(robot, cycle, None)
             lines.append(f"{type(w).__name__} {format_rat(w)} "
                          f"{type(c).__name__} {format_rat(c)}")

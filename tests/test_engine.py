@@ -86,9 +86,9 @@ def test_position_speed_two():
 
 def test_position_underrun():
     tr = midpoint_trace()
-    with pytest.raises(ScheduleUnderrunError):
+    with pytest.raises(ValueError):
         position_at(tr.runs[0], tr.horizon + 1)
-    with pytest.raises(ScheduleUnderrunError):
+    with pytest.raises(ValueError):
         position_at(tr.runs[0], F(-1))
 
 
@@ -199,7 +199,7 @@ class _UncheckedAdversary:
     def __init__(self, wait, compute):
         self.wait, self.compute = wait, compute
 
-    def wait_time(self, robot_id, cycle):
+    def wait_time(self, robot_id, cycle, pair):
         return self.wait
 
     def computation_delay(self, robot_id, cycle, pair):

@@ -122,7 +122,7 @@ def test_thm4_compiles_one_setup_per_alpha():
     for alpha, setup in zip(alphas, s.setups):
         speeds = {robot.id: robot.speed for robot in setup.robots}
         assert speeds == {0: 1, 1: alpha}
-        assert setup.policies[0].sample(spawn_rng("any")) == 1 / (alpha + 1)
+        assert setup.policies[0].sample(spawn_rng("any"), 0) == 1 / (alpha + 1)
     assert ex.total_trials(s) == 3 * 7
 
 
@@ -281,22 +281,40 @@ ORACLE_RUN = {
 }
 
 
-@pytest.mark.parametrize("patch", [
-    {},
-    {"policies": {"o": {"kind": "THREE_CHOICE"}},
-     "adversary": {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}},
-    {"policies": {"o": {"kind": "TAU_TRIPLE"}},
-     "adversary": {"kind": "TAU_BOUNDED", "tau": "1/10"}},
-], ids=["oracle", "adaptive", "tau_bounded"])
-def test_trials_share_no_state(patch):
-    text = json.dumps({**ORACLE_RUN, **patch})
+def _few_trials(name):
+    """A bundled scenario's text with three trials per set-up."""
+    raw = json.loads(bundled_scenario_path(name).read_text())
+    raw["trials"] = 3
+    return json.dumps(raw)
+
+
+SHARING_RUNS = {
+    "oracle": json.dumps(ORACLE_RUN),
+    "adaptive": json.dumps({
+        **ORACLE_RUN, "policies": {"o": {"kind": "THREE_CHOICE"}},
+        "adversary": {"kind": "ADAPTIVE_THM6", "initial_waits": {"0": "2", "1": "1"}}}),
+    "tau_bounded": json.dumps({
+        **ORACLE_RUN, "policies": {"o": {"kind": "TAU_TRIPLE"}},
+        "adversary": {"kind": "TAU_BOUNDED", "tau": "1/10"}}),
+    **{name: _few_trials(name) for name in ("thm1_positive", "thm4_one_free",
+                                            "thm6_adaptive", "ssync_halving",
+                                            "multirobot_n8")},
+}
+
+
+@pytest.mark.parametrize("name", list(SHARING_RUNS))
+def test_trials_share_no_state(name):
+    text = SHARING_RUNS[name]
     shared = parse_scenario(text)
-    ex.run_one_trial(shared, 1)
-    after = trace_to_jsonable(ex.run_one_trial(shared, 0).trace)
-    alone = trace_to_jsonable(ex.run_one_trial(parse_scenario(text), 0).trace)
+    for trial in range(1, ex.total_trials(shared)):
+        ex.run_one_trial(shared, trial)
+    after = ex.run_one_trial(shared, 0)
+    alone = ex.run_one_trial(parse_scenario(text), 0)
     assert after == alone
-    # Trials run on copies: the compiled policies and adversary (an Oracle's
-    # cursor, AdaptiveThm6's committed waits, a seed) are left as parsed.
+    if after.trace is not None:  # a multirobot trial returns no trace
+        assert trace_to_jsonable(after.trace) == trace_to_jsonable(alone.trace)
+    # Trials share the compiled policies and unseeded adversaries and copy a
+    # seeded one, so what was compiled is left as parsed.
     assert shared == parse_scenario(text)
 
 
@@ -317,9 +335,13 @@ _ASYNC_IC = {"kind": "ASYNC_IC", "w_lo": "0", "w_hi": "2"}
 def test_adversary_seed_is_derived_only_when_read(monkeypatch, adversary, seeded):
     # A trial derives the "adv" seed only for an adversary whose for_trial
     # reads it, and a seeded adversary (or part) draws from exactly that seed.
-    scn = parse_scenario(json.dumps({**ORACLE_RUN, "adversary": adversary,
-                                     "policies": {"o": {"kind": "THREE_CHOICE"}}}))
-    labels, adversaries = [], []
+    # Robot 1 follows the oracle script, robot 0 draws.
+    scn = parse_scenario(json.dumps({
+        **ORACLE_RUN, "adversary": adversary,
+        "robots": [{"id": 0, "start": "0", "policy": "t"},
+                   {"id": 1, "start": "1", "policy": "o"}],
+        "policies": {"t": {"kind": "THREE_CHOICE"}, **ORACLE_RUN["policies"]}}))
+    labels, adversaries, policies_run = [], [], []
     derive, run = rational.derive_seed, engine.run
 
     def recording_derive(*parts):
@@ -328,6 +350,7 @@ def test_adversary_seed_is_derived_only_when_read(monkeypatch, adversary, seeded
 
     def recording_run(robots, policies, adv, *rest):
         adversaries.append(adv)
+        policies_run.append(policies)
         return run(robots, policies, adv, *rest)
 
     patch_every_binding(monkeypatch, derive, recording_derive)
@@ -341,3 +364,10 @@ def test_adversary_seed_is_derived_only_when_read(monkeypatch, adversary, seeded
         parts = adv.parts.values() if hasattr(adv, "parts") else [adv]
         seeds = [part.seed for part in parts if hasattr(part, "seed")]
         assert seeds == ([derive(3, trial, "adv")] if seeded else [])
+    # Every policy and every unseeded adversary reaches the run as compiled;
+    # a seeded adversary reaches it as a copy.
+    compiled = scn.setups[0]
+    assert len(adversaries) == len(policies_run) == 2
+    for adv, policies in zip(adversaries, policies_run):
+        assert (adv is compiled.adversary) == (not seeded)
+        assert all(policies[rid] is policy for rid, policy in compiled.policies.items())

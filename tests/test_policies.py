@@ -69,15 +69,15 @@ def test_destination_equals_the_formula(own, obs, lam):
 def test_deterministic_always_same():
     pol = Deterministic(Fraction(1, 2))
     rng = random.Random(0)
-    assert all(pol.sample(rng) == Fraction(1, 2) for _ in range(20))
+    assert all(pol.sample(rng, cycle) == Fraction(1, 2) for cycle in range(20))
 
 
 def test_oracle_sequence_and_exhaustion():
     pol = Oracle([Fraction(1), Fraction(0), Fraction(3, 4)])
     rng = random.Random(0)
-    assert [pol.sample(rng) for _ in range(3)] == [1, 0, Fraction(3, 4)]
+    assert [pol.sample(rng, cycle) for cycle in range(3)] == [1, 0, Fraction(3, 4)]
     with pytest.raises(OracleScriptExhausted):
-        pol.sample(rng)
+        pol.sample(rng, 3)
 
 
 def test_three_choice_frequency_of_one():
@@ -85,7 +85,7 @@ def test_three_choice_frequency_of_one():
     n = 300_000
     rng = random.Random(42)
     pol = THREE_CHOICE
-    ones = sum(pol.sample(rng) == 1 for _ in range(n))
+    ones = sum(pol.sample(rng, cycle) == 1 for cycle in range(n))
     p = 1 / 3
     assert abs(ones / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -93,7 +93,7 @@ def test_three_choice_frequency_of_one():
 def test_three_choice_uniform_branch_in_open_interval():
     rng = random.Random(1)
     pol = THREE_CHOICE
-    draws = [pol.sample(rng) for _ in range(3000)]
+    draws = [pol.sample(rng, cycle) for cycle in range(3000)]
     assert all(0 < d <= 1 for d in draws)
     assert any(d not in (Fraction(1), Fraction(1, 2)) for d in draws)
 
@@ -104,8 +104,8 @@ def test_tau_triple_chi_square():
     rng = random.Random(2024)
     pol = TAU_TRIPLE
     counts = {Fraction(1): 0, Fraction(1, 2): 0, Fraction(0): 0}
-    for _ in range(n):
-        counts[pol.sample(rng)] += 1
+    for cycle in range(n):
+        counts[pol.sample(rng, cycle)] += 1
     expected = n / 3
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 13.8155
@@ -118,8 +118,8 @@ def test_finite_mixture_chi_square_and_validation():
     rng = random.Random(9)
     n = 100_000
     counts = {lam: 0 for lam, _ in choices}
-    for _ in range(n):
-        counts[pol.sample(rng)] += 1
+    for cycle in range(n):
+        counts[pol.sample(rng, cycle)] += 1
     chi2 = sum((counts[lam] - n * p) ** 2 / (n * p) for lam, p in choices)
     assert chi2 < 13.8155  # df=2
     with pytest.raises(PolicyError):
@@ -137,7 +137,7 @@ def test_known_alpha_support():
     assert [lam for lam, _ in pol.choices] == [Fraction(1, 3), Fraction(2, 3), Fraction(1)]
     assert pol.uniform == Fraction(1, 4)
     rng = random.Random(5)
-    draws = {pol.sample(rng) for _ in range(500)}
+    draws = {pol.sample(rng, cycle) for cycle in range(500)}
     assert Fraction(1, 3) in draws and Fraction(2, 3) in draws and Fraction(1) in draws
 
 
@@ -146,7 +146,7 @@ def test_known_alpha_custom_weights():
     pol = known_alpha(Fraction(2), weights)
     rng = random.Random(8)
     n = 40_000
-    lo_hits = sum(pol.sample(rng) == Fraction(1, 3) for _ in range(n))
+    lo_hits = sum(pol.sample(rng, cycle) == Fraction(1, 3) for cycle in range(n))
     assert abs(lo_hits / n - 0.5) <= 3 * math.sqrt(0.25 / n)
     desc = {"kind": "KNOWN_ALPHA", "alpha": "2", "weights": ["1/2", "1/4", "1/8", "1/8"]}
     assert policy_from_descriptor(desc) == pol
@@ -174,14 +174,14 @@ def test_mixtures_draw_on_the_common_denominator():
     expected = [7, 7, 8, 9, 9, 9]
     for k, lam in enumerate(expected):
         rng = _FixedDraw(k)
-        assert mixture.sample(rng) == lam and rng.bounds == [6]
+        assert mixture.sample(rng, 0) == lam and rng.bounds == [6]
     # Weights 1/2, 1/4, 1/8, 1/8 lie on a grid of 8 with running sums 4, 6, 7, 8.
     alpha = known_alpha(Fraction(2), (Fraction(1, 2), Fraction(1, 4),
                                       Fraction(1, 8), Fraction(1, 8)))
     expected = [Fraction(1, 3)] * 4 + [Fraction(2, 3)] * 2 + [Fraction(1)]
     for k, lam in enumerate(expected):
         rng = _FixedDraw(k)
-        assert alpha.sample(rng) == lam and rng.bounds == [8]
+        assert alpha.sample(rng, 0) == lam and rng.bounds == [8]
 
 
 @pytest.mark.parametrize("alpha,geometry,expected", [
