@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .engine import LOOK, MOVE_END
 from .rational import (ONE, U01_DEN, ZERO, Rat, grid_point, parse_rat, spawn_rng,
                        uniform_closed)
 
@@ -240,8 +241,9 @@ class AdaptiveThm6:
     It decides from the run as it stands and keeps none of it.  Each wait
     after a robot's first is 1, or 0 after a zero-length move (an
     immediate re-look), so it follows from the ``travel`` of the robot's
-    last move.  A robot's ``next_time`` is its look time while it waits
-    and its move end while it moves.
+    last move.  A robot's ``next_time`` is the time of its ``pending``
+    event: its look time while that is a LOOK, its move end while a
+    MOVE_END.
 
     The feasible delays are (max(hi - travel, 0), hi), hi the time from the
     look to the other robot's next look.  Their width is ``travel`` when
@@ -312,11 +314,11 @@ class AdaptiveThm6:
 
     def _other_next_look(self, other):
         """The other robot's next look time and its position then."""
-        if other.phase == "waiting":
+        if other.pending == LOOK:
             return other.next_time, other.pos
-        if other.phase == "moving":
+        if other.pending == MOVE_END:
             return other.next_time + self._wait_after(other), other.dest
-        raise InfeasibleDelayError(f"unexpected phase {other.phase!r} at a look")
+        raise InfeasibleDelayError(f"other robot's next event is {other.pending} at a look")
 
 
 AdversaryPolicy = ObliviousExplicit | ObliviousGenerated | TauBounded | PerRobot | AdaptiveThm6

@@ -426,6 +426,7 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
     else:
         batches = _run_chunk(scn, indices, trace_policy)
 
+    # In trial order: each chunk is ascending, and pool.map keeps the chunks' order.
     rows = []
     traces = {}
     for outcome, trace_text in batches:
@@ -440,7 +441,6 @@ def run_experiment(scn: Scenario, *, workers: int = 1,
         })
         if trace_text is not None:
             traces[outcome.trial] = trace_text
-    rows.sort(key=lambda r: r["trial"])
 
     outcomes = [outcome for outcome, _ in batches]
     stats = pool_outcomes(outcomes)

@@ -31,10 +31,10 @@ drops below the minimum-travel guarantee it degenerates to the rigid case
 anyway, so rigid runs cover the regime the analysis depends on.  The
 adversary's ``wait_time`` and ``computation_delay`` get the pair (this
 robot, other robot) as the run holds them: at a look the looking robot
-already holds the ``shift`` and ``travel`` time of the move its look
-computed, and at a move end the robot still holds its finished move's.  A
-policy is asked for the lambda of the looking robot's cycle; neither
-keeps any state of the run, which lives in the two robots.
+already holds the ``dest``, ``shift`` and ``travel`` time of the move its
+look computed, and at a move end the robot still holds its finished
+move's.  A policy is asked for the lambda of the looking robot's cycle;
+neither keeps any state of the run, which lives in the two robots.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -77,8 +77,6 @@ TIME_BUDGET_EXHAUSTED = "TIME_BUDGET_EXHAUSTED"
 
 # Processing order for simultaneous events.
 _KIND_TIE = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
-# The same order by a live robot's phase, the kind of its pending event.
-_PHASE_TIE = {"waiting": 0, "moving": 1, "computing": 2}
 
 _move_start = attrgetter("move_start")
 
@@ -268,67 +266,40 @@ def position_at(run: RobotRun, t: Rat) -> Rat:
 class _LiveRobot:
     """Mutable per-run robot state driving the event loop.
 
-    ``next_time`` is the pending event's time while the robot is not done:
-    its look time while ``phase`` is "waiting", its move start while
-    "computing" and its move end while "moving"; at one instant the phases
-    rank as their events do (``_PHASE_TIE``).  ``shift`` is ``dest - pos``
-    of the move its latest look computed and ``travel`` that move's
-    duration, both set before the adversary chooses its delay.  ``late``
-    is set once its look time or move end is fixed past ``max_time``; only
-    a late robot's events can pass the budget.  ``unit_speed`` says whether
-    the speed is 1, so that a duration is the distance itself.
+    ``pending`` is the kind of its next event (LOOK, MOVE_START or
+    MOVE_END; None once it has decided) and ``next_time`` that event's
+    time.  ``dest``, ``shift`` (``dest - pos``) and ``travel`` (the
+    duration) are the move its latest look computed, set before the
+    adversary chooses its delay and so before the move's segment exists.
+    ``late`` is set once its look time or move end is fixed past the time
+    budget; only a late robot's events can pass it.  ``unit_speed`` says
+    whether the speed is 1, so that a duration is the distance itself.
     """
 
-    __slots__ = ("spec", "unit_speed", "policy", "max_time", "segments", "phase", "cycle",
-                 "pos", "move_start", "dest", "shift", "travel", "late", "next_time")
+    __slots__ = ("spec", "unit_speed", "policy", "segments", "pending",
+                 "pos", "dest", "shift", "travel", "late", "next_time")
 
-    def __init__(self, spec: RobotSpec, policy: LambdaPolicy, max_time: Rat):
+    def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
         self.spec = spec
         self.unit_speed = spec.speed == 1
         self.policy = policy
-        self.max_time = max_time
         self.segments: list[CycleSegment] = []
-        self.phase = "waiting"
-        self.cycle = 0
+        self.pending = LOOK
         self.pos = spec.start
-        self.move_start = ZERO
         self.dest = spec.start
         self.shift = ZERO
         self.travel = ZERO
         self.late = False
         self.next_time = ZERO
 
-    def enter_cycle(self, cycle: int, start: Rat, adversary, other: _LiveRobot) -> None:
-        self.cycle = cycle
-        wait = adversary.wait_time(self.spec.id, cycle, (self, other))
+    def enter_cycle(self, start: Rat, adversary, other: _LiveRobot, max_time: Rat) -> None:
+        wait = adversary.wait_time(self.spec.id, len(self.segments), (self, other))
         sign = wait._numerator  # lowest terms: the sign of W, and 0 only for W = 0
         if sign < 0:
             raise ValueError("adversary produced a negative wait")
         look_time = self.next_time = start + wait if sign else start
-        self.late = look_time > self.max_time
-        self.phase = "waiting"
-
-    def commit_move(self, t: Rat, compute: Rat, lam: Rat,
-                    dest: Rat, observed: Rat) -> None:
-        sign = compute._numerator
-        if sign < 0:
-            raise ValueError("adversary produced a negative computation delay")
-        self.dest = dest
-        self.move_start = self.next_time = t + compute if sign else t
-        move_end = self.move_start + self.travel
-        self.late = move_end > self.max_time
-        self.segments.append(CycleSegment(
-            self.cycle, t, lam, self.move_start, move_end, self.pos, dest, observed))
-        self.phase = "computing"
-
-    def start_move(self) -> None:
-        self.next_time = self.segments[-1].move_end
-        self.phase = "moving"
-
-    def decide_gathered(self, t: Rat) -> None:
-        self.segments.append(CycleSegment(
-            self.cycle, t, None, t, t, self.pos, self.pos, self.pos))
-        self.phase = "done"
+        self.late = look_time > max_time
+        self.pending = LOOK
 
     def position_at(self, t: Rat) -> Rat:
         """Live position query; valid for t at or before the current event.
@@ -338,8 +309,8 @@ class _LiveRobot:
         directly: pos +- speed * (t - move_start), with the direction the
         sign of ``shift``; at t = move_end that is exactly ``dest``.
         """
-        if self.phase == "moving":  # pos changes only at MOVE_END: it is the origin
-            step = t - self.move_start
+        if self.pending is MOVE_END:  # pos changes only at MOVE_END: it is the origin
+            step = t - self.segments[-1].move_start
             if not self.unit_speed:
                 step = self.spec.speed * step
             return self.pos + step if self.shift._numerator > 0 else self.pos - step
@@ -364,26 +335,26 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
 
     max_time, max_looks = budgets.max_time, budgets.max_total_looks
-    states = {spec.id: _LiveRobot(spec, policies[spec.id], max_time)
+    states = {spec.id: _LiveRobot(spec, policies[spec.id])
               for spec in sorted(robots, key=lambda s: s.id)}
     a, b = states.values()  # in robot id order
-    a.enter_cycle(0, ZERO, adversary, b)
-    b.enter_cycle(0, ZERO, adversary, a)
+    a.enter_cycle(ZERO, adversary, b, max_time)
+    b.enter_cycle(ZERO, adversary, a, max_time)
 
     looks_done = 0
     n_events = 0
     horizon = ZERO
     while True:
-        # The earliest pending event; at one instant the lower _PHASE_TIE
+        # The earliest pending event; at one instant the lower _KIND_TIE
         # rank, then the lower robot id.
-        if a.phase == "done":
-            if b.phase == "done":
+        if a.pending is None:
+            if b.pending is None:
                 status = GATHERED
                 break
             st, other = b, a
-        elif (b.phase == "done" or a.next_time < b.next_time
+        elif (b.pending is None or a.next_time < b.next_time
               or (a.next_time == b.next_time
-                  and _PHASE_TIE[a.phase] <= _PHASE_TIE[b.phase])):
+                  and _KIND_TIE[a.pending] <= _KIND_TIE[b.pending])):
             st, other = a, b
         else:
             st, other = b, a
@@ -391,29 +362,41 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         if st.late and t > max_time:
             status = TIME_BUDGET_EXHAUSTED
             break
-        phase = st.phase
-        if phase == "waiting":  # LOOK
+        kind = st.pending
+        if kind is LOOK:
             if looks_done >= max_looks:
                 status = LOOK_BUDGET_EXHAUSTED
                 break
             looks_done += 1
             obs = other.position_at(t)
-            if obs == st.pos:
-                st.decide_gathered(t)
+            pos = st.pos
+            cycle = len(st.segments)
+            if obs == pos:  # decided: a zero-length move at the look, and no more events
+                st.segments.append(CycleSegment(cycle, t, None, t, t, pos, pos, pos))
+                st.pending = None
                 n_events += 1  # its DECIDE_GATHERED
             else:
-                lam = st.policy.sample(rng, st.cycle)
-                dest = destination(st.pos, obs, lam)
-                shift = st.shift = dest - st.pos
+                lam = st.policy.sample(rng, cycle)
+                dest = st.dest = destination(pos, obs, lam)
+                shift = st.shift = dest - pos
                 distance = shift if shift._numerator > 0 else -shift
-                st.travel = distance if st.unit_speed else distance / st.spec.speed
-                compute = adversary.computation_delay(st.spec.id, st.cycle, (st, other))
-                st.commit_move(t, compute, lam, dest, obs)
-        elif phase == "computing":  # MOVE_START
-            st.start_move()
+                travel = st.travel = distance if st.unit_speed else distance / st.spec.speed
+                compute = adversary.computation_delay(st.spec.id, cycle, (st, other))
+                sign = compute._numerator
+                if sign < 0:
+                    raise ValueError("adversary produced a negative computation delay")
+                move_start = st.next_time = t + compute if sign else t
+                move_end = move_start + travel
+                st.late = move_end > max_time
+                st.segments.append(CycleSegment(
+                    cycle, t, lam, move_start, move_end, pos, dest, obs))
+                st.pending = MOVE_START
+        elif kind is MOVE_START:
+            st.next_time = st.segments[-1].move_end
+            st.pending = MOVE_END
         else:  # MOVE_END
             st.pos = st.dest
-            st.enter_cycle(st.cycle + 1, t, adversary, other)
+            st.enter_cycle(t, adversary, other, max_time)
         n_events += 1
         horizon = t
 

@@ -343,7 +343,6 @@ def _run_line_2d(starts, speeds, schedules, scripts, offsets, line, budgets):
         }
     events = []
     looks_done = 0
-    status = None
 
     def pos_of(s, t):
         if s["phase"] == "moving":
@@ -368,17 +367,14 @@ def _run_line_2d(starts, speeds, schedules, scripts, offsets, line, budgets):
             else:
                 pending.append(((s["me"], MOVE_END), rid))
         if not pending:
-            status = "GATHERED"
             break
         ((t, kind), rid) = min(pending, key=lambda p: (p[0][0], tie[p[0][1]], p[1]))
         if t > budgets.max_time:
-            status = "TIME"
             break
         s = st[rid]
         o = st[1 - rid]
         if kind == LOOK:
             if looks_done >= budgets.max_total_looks:
-                status = "LOOKS"
                 break
             looks_done += 1
             events.append((t, LOOK, rid))
@@ -424,7 +420,7 @@ def _run_line_2d(starts, speeds, schedules, scripts, offsets, line, budgets):
             pos = dest
         return pos
 
-    return events, query, status
+    return events, query
 
 
 def lemma1_trial(scn, trial: int) -> TrialOutcome:
@@ -469,7 +465,7 @@ def lemma1_trial(scn, trial: int) -> TrialOutcome:
     policies = {rid: Oracle(scripts[rid]) for rid in (0, 1)}
     trace = run(specs, policies, ObliviousExplicit(schedules), random.Random(0), budgets)
 
-    events2, query2, _status = _run_line_2d(
+    events2, query2 = _run_line_2d(
         {0: p1, 1: p2}, speeds, schedules, scripts, offsets, (p1, p2), budgets)
 
     ev1 = [(t, kind, rid) for t, kind, rid, _seg in event_steps(trace)]

@@ -18,13 +18,12 @@ adaptive runs fast: their denominators grow by about 20 bits per look.
 Bringing such a result to lowest terms shifts out the numerator's
 trailing zeros, counted on its low machine word (``_LOW``); only a
 numerator whose low word is zero is counted whole.
-Any other pair takes ``Fraction``'s gcd algorithm, and dividing by one
-returns the dividend.  Every operand of another type is left to
-``Fraction``'s operators: a ``Fraction`` gives a plain ``Fraction`` of the
-same value, and a type ``Fraction`` does not know gets ``NotImplemented``,
-so Python calls that type's reflected method.  Values, ``hash``, ``str``
-and ``format_rat`` are ``Fraction``'s own, so reports and traces never
-depend on the representation.
+Any other pair takes ``Fraction``'s gcd algorithm.  Every operand of
+another type is left to ``Fraction``'s operators: a ``Fraction`` gives a
+plain ``Fraction`` of the same value, and a type ``Fraction`` does not
+know gets ``NotImplemented``, so Python calls that type's reflected
+method.  Values, ``hash``, ``str`` and ``format_rat`` are ``Fraction``'s
+own, so reports and traces never depend on the representation.
 
 The scenario parser, the constants below, the uniform draws and every
 trial build their values as ``Rat``.  A two-robot run whose scenario
@@ -209,8 +208,6 @@ def _quotient(reflected, fallback):
             nb, db, eb = b, 1, 0
         else:
             return fallback(a, b)
-        if nb == 1 and db == 1 and not reflected:  # dividing by one, as by a unit speed
-            return a
         na, da, ea = a._numerator, a._denominator, a._exp
         if reflected:
             na, da, ea, nb, db, eb = nb, db, eb, na, da, ea

@@ -23,7 +23,7 @@ from operator import attrgetter
 
 from gathersim.adversary import InfeasibleDelayError
 from gathersim.analysis import AttemptRecord, max_distance_from
-from gathersim.engine import position_at
+from gathersim.engine import LOOK, MOVE_END, MOVE_START, position_at
 from gathersim.geometry import add, move_position, scale, sqdist, sub
 from gathersim.policies import destination
 from gathersim.rational import format_rat
@@ -293,8 +293,8 @@ def reference_adaptive_decide(adversary, pair, dest):
 
 
 class _RefRobot:
-    """A robot's state in the reference loop (its ``phase`` and fields are
-    the ones adaptive adversaries read)."""
+    """A robot's state in the reference loop: its own ``phase``, and the
+    fields adaptive adversaries read (``pending`` is a view of ``phase``)."""
 
     def __init__(self, spec, policy):
         self.spec = spec
@@ -315,6 +315,11 @@ class _RefRobot:
     @property
     def next_time(self):
         return self.next_event()[0]
+
+    @property
+    def pending(self):
+        """The kind of the next event, None once done, as the engine names it."""
+        return {"waiting": LOOK, "computing": MOVE_START, "moving": MOVE_END}.get(self.phase)
 
     def enter_cycle(self, cycle, start, adversary, other):
         self.cycle = cycle

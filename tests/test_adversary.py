@@ -21,7 +21,7 @@ from gathersim.adversary import (
 )
 from gathersim.analysis import looks_see_midmove
 from gathersim.cli import parse_scenario
-from gathersim.engine import Budgets, LOOK, RobotSpec, run
+from gathersim.engine import Budgets, LOOK, MOVE_END, MOVE_START, RobotSpec, run
 from gathersim.policies import THREE_CHOICE, Oracle
 from gathersim.rational import U01_DEN, Rat, spawn_rng
 
@@ -366,10 +366,10 @@ def decide_pair(adv, pos, dest, speed, look_time, other_look, other_pos, other_m
                          next_time=look_time, shift=shift, travel=abs(shift) / speed)
     spec = SimpleNamespace(id=1, speed=Rat(1))
     if other_moving:
-        other = SimpleNamespace(spec=spec, phase="moving", travel=Rat(1, 2),
+        other = SimpleNamespace(spec=spec, pending=MOVE_END, travel=Rat(1, 2),
                                 next_time=other_look - 1, dest=other_pos)
     else:
-        other = SimpleNamespace(spec=spec, phase="waiting", next_time=other_look,
+        other = SimpleNamespace(spec=spec, pending=LOOK, next_time=other_look,
                                 pos=other_pos)
     return me, other
 
@@ -423,6 +423,17 @@ def test_adaptive_decide_names_the_empty_interval(gap):
     with pytest.raises(InfeasibleDelayError,
                        match=rf"^empty feasible delay interval \(0, {gap}\) for robot 0$"):
         adaptive_decide(adv, pair)
+
+
+def test_adaptive_decide_names_an_other_robot_about_to_start_its_move():
+    # Between its look and its move start the other robot's next look is
+    # not fixed yet, so no delay can be chosen against it.
+    adv = AdaptiveThm6({0: F(2), 1: F(1)})
+    me, other = decide_pair(adv, Rat(0), Rat(3), Rat(1), Rat(5), Rat(7), Rat(7), True)
+    other.pending = MOVE_START
+    with pytest.raises(InfeasibleDelayError,
+                       match=r"^other robot's next event is MOVE_START at a look$"):
+        adaptive_decide(adv, (me, other))
 
 
 @pytest.mark.parametrize("direction", [1, -1])

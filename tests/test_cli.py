@@ -377,10 +377,19 @@ def test_main_rejects_oversized_rationals(tmp_path, capsys, patch, field):
     ({"analysis": {"theorem5": ""}}, "analysis.theorem5"),
     ({"analysis": {"theorem5": False}}, "analysis.theorem5"),
     ({"analysis": {"theorem5": None}}, "analysis.theorem5"),
+    ({"robots": [{"id": 0, "start": "0", "policy": "p"},
+                 {"id": 0, "start": "1", "policy": "p"}]}, "robots"),
+    ({"adversary": None}, "adversary"),
 ])
 def test_main_rejects_malformed_sections(tmp_path, capsys, patch, field):
     assert _run_exit_code(tmp_path, {**MINIMAL, **patch}) == 2
     assert f"validation error: {field}:" in capsys.readouterr().err
+
+
+def test_main_lists_the_bundled_scenarios(capsys):
+    assert main(["list"]) == 0
+    names = capsys.readouterr().out.splitlines()
+    assert names == bundled_scenario_names() and len(names) == 13
 
 
 def _explicit(w, c):

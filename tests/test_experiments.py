@@ -14,6 +14,7 @@ from gathersim.cli import (bundled_scenario_names, bundled_scenario_path, main,
 from gathersim.analysis import segment_attempts, segment_phases
 from gathersim.adversary import AdaptiveThm6
 from gathersim.engine import Budgets, DECIDE_GATHERED, LOOK, RobotSpec, position_at
+from gathersim.geometry import add, sub
 from gathersim.multirobot import farthest_pairs
 from gathersim.policies import OPPOSITE_DIRECTIONS, SAME_DIRECTION, THREE_CHOICE
 from gathersim.rational import Rat, spawn_rng, u01
@@ -162,6 +163,35 @@ def test_lemma1_trial_exact_equivalence():
         assert out.gathered, i  # gathered flag doubles as "distances equal"
 
 
+def _perturbed_line_2d(what):
+    """``_run_line_2d`` with its first event a unit late (``what`` "time"), or
+    robot 0 at that event twice as far from robot 1 ("position")."""
+    real = ex._run_line_2d
+
+    def perturbed(*args):
+        events, query = real(*args)
+        t0, kind, rid = events[0]
+        if what == "time":
+            return [(t0 + 1, kind, rid), *events[1:]], query
+
+        def shifted(robot, t):
+            p = query(robot, t)
+            if robot == 0 and t == t0:
+                return add(p, sub(p, query(1, t)))
+            return p
+        return events, shifted
+    return perturbed
+
+
+@pytest.mark.parametrize("what", ["time", "position"])
+def test_lemma1_trial_fails_when_the_runs_differ(monkeypatch, what):
+    s = scn(params={"cycles": 5})
+    assert ex.lemma1_trial(s, 0).gathered
+    monkeypatch.setattr(ex, "_run_line_2d", _perturbed_line_2d(what))
+    out = ex.lemma1_trial(s, 0)
+    assert out.gathered is False and out.extras["equal_trials"] == 0
+
+
 def test_multirobot_trial_single_entity():
     s = compiled("multirobot", trials=10, budgets={"max_total_looks": 800},
                  params={"n": 8, "max_tie_rounds": 200})
@@ -179,6 +209,18 @@ def test_multirobot_trial_fails_off_its_pair_segment(monkeypatch, tmp_path, caps
                                 "trials": 10, "budgets": {"max_total_looks": 800}}))
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "outside the segment [-1, 1] between its robots" in capsys.readouterr().err
+
+
+def test_multirobot_last_pair_out_of_looks():
+    # Two looks cannot gather the last pair: the first look sees the other
+    # robot apart, and each robot must then decide with a look of its own.
+    s = compiled("multirobot", trials=3, budgets={"max_total_looks": 2},
+                 params={"n": 8, "max_tie_rounds": 200})
+    for row in run_experiment(s).rows:
+        pair = ex.run_trial(s, s.setups[0], row["trial"])
+        assert pair.final_status == engine.LOOK_BUDGET_EXHAUSTED
+        assert row["gathered"] == 0
+        assert row["total_looks"] == sum(pair.look_count.values()) == 2
 
 
 def test_engineered_tie_config_has_eight_pairs():
