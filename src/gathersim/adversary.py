@@ -94,6 +94,9 @@ class ObliviousExplicit(_Oblivious):
     def __post_init__(self):
         if any(w < 0 or c < 0 for seq in self.schedules.values() for w, c in seq):
             raise AdversaryError("waits and delays must be non-negative")
+        for rid, seq in self.schedules.items():
+            if not seq:  # its robot's first cycle would exhaust it
+                raise AdversaryError(f"schedules.{rid}: at least one (W, C) pair required")
 
     def next_delays(self, robot_id, cycle):
         try:

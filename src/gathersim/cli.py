@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -117,8 +118,9 @@ def parse_scenario(text: str) -> Scenario:
                       "policies", "robots", "adversary", "schedule_variants", "params"))
 
     name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        _fail("name", "required non-empty string")
+    # The stem of every output file's name.
+    if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z0-9._-]{1,128}", name):
+        _fail("name", "required: 1 to 128 letters, digits, '.', '_' or '-'")
     mode = raw.get("mode", "two_robot")
     if not isinstance(mode, str) or mode not in experiments.TRIAL_RUNNERS:
         _fail("mode", f"unknown mode {mode!r}")
@@ -195,7 +197,13 @@ def _compile_mode(mode: str, raw: dict, segment: bool,
                   budgets: Budgets) -> tuple[dict, list[RunSetup]]:
     """``(params, setups)``, exactly what the trials of ``mode`` read: parsed
     from ``raw`` and checked, defaults filled in, one set-up per run variant,
-    each in its own unit (``experiments.run_setup``)."""
+    each in its own unit (``experiments.run_setup``).
+
+    A param that sizes one trial's memory (ssync's ``activations``,
+    lemma1's ``cycles``, multirobot's ``n``) is capped here: past its cap a
+    single trial would exhaust memory or run for minutes, which a file must
+    not be able to ask for, so it fails now, with its field path.
+    """
     value = raw.get("params", {})
     if mode == "two_robot":
         policies = {pname: _build(policy_from_descriptor, desc, f"policies.{pname}")
@@ -295,7 +303,9 @@ def _compile_mode(mode: str, raw: dict, segment: bool,
                               experiments.read_midmove)]
     if mode == "lemma1":
         get = _object(value, "params", ("cycles",)).get
-        return {"cycles": _integer(get("cycles", 5), "params.cycles", 1)}, []
+        # A trial draws 6 * (2 * cycles + 2) values before its run starts:
+        # 18 MiB and 1.1 s at 16 000 cycles (one 2-core Xeon, Python 3.11).
+        return {"cycles": _integer(get("cycles", 5), "params.cycles", 1, 10_000)}, []
     # multirobot: each trial's last two entities run as robots at +1 and -1
     # in their line frame.
     get = _object(value, "params", ("n", "max_tie_rounds", "tie_trials", "tie_max_rounds")).get

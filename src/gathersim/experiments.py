@@ -29,10 +29,12 @@ derived only for it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import lcm
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import geometry
@@ -327,98 +329,64 @@ def read_midmove(scn, trace: Trace) -> dict:
 def _run_line_2d(starts, speeds, schedules, scripts, offsets, line, budgets):
     """Independent event-driven 2D simulator for two robots on a line.
 
-    Destinations are proposed off the line and projected back onto it, so
-    the projection operation itself is exercised.  Returns the event
-    stream [(time, kind, robot_id)] and a position query function.
+    Each robot holds only its position, the kind and time of its next event
+    (None once it has decided) and its moves, as (move_start, move_end,
+    origin, dest): its cycle is its number of moves, and a MOVE_START's or
+    MOVE_END's time is read off its last move.  Destinations are proposed
+    off the line and projected back onto it, so the projection operation
+    itself is exercised.  Returns the event stream [(time, kind, robot_id)]
+    and ``query(robot_id, t)``, the one position rule, which the looks read
+    too.
     """
     p1, p2 = line
+    normal = (p2[1] - p1[1], p1[0] - p2[0])
     tie = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
-    st = {}
-    for rid in (0, 1):
-        st[rid] = {
-            "pos": starts[rid], "speed": speeds[rid], "phase": "waiting",
-            "cycle": 0, "look": schedules[rid][0][0], "ms": ZERO, "me": ZERO,
-            "origin": starts[rid], "dest": starts[rid], "cursor": 0,
-            "segments": [],
-        }
+    pos = dict(starts)
+    due = {rid: (LOOK, schedules[rid][0][0]) for rid in (0, 1)}
+    moves = {0: [], 1: []}
     events = []
     looks_done = 0
 
-    def pos_of(s, t):
-        if s["phase"] == "moving":
-            if t <= s["ms"]:
-                return s["origin"]
-            if t >= s["me"]:
-                return s["dest"]
-            span = rat_sqrt(sqdist(s["dest"], s["origin"]))
-            frac = (t - s["ms"]) * s["speed"] / span
-            return add(s["origin"], scale(sub(s["dest"], s["origin"]), frac))
-        return s["pos"]
+    def query(rid, t):
+        # Inside the last move starting before t, else at rest where it ends.
+        i = bisect_left(moves[rid], t, key=itemgetter(0))
+        if not i:
+            return starts[rid]
+        ms, me, origin, dest = moves[rid][i - 1]
+        if t >= me:
+            return dest
+        frac = (t - ms) * speeds[rid] / rat_sqrt(sqdist(dest, origin))
+        return add(origin, scale(sub(dest, origin), frac))
 
     while True:
-        pending = []
-        for rid, s in st.items():
-            if s["phase"] == "done":
-                continue
-            if s["phase"] == "waiting":
-                pending.append(((s["look"], LOOK), rid))
-            elif s["phase"] == "computing":
-                pending.append(((s["ms"], MOVE_START), rid))
-            else:
-                pending.append(((s["me"], MOVE_END), rid))
+        pending = [(due[rid][1], tie[due[rid][0]], rid) for rid in (0, 1) if due[rid]]
         if not pending:
             break
-        ((t, kind), rid) = min(pending, key=lambda p: (p[0][0], tie[p[0][1]], p[1]))
-        if t > budgets.max_time:
+        t, _rank, rid = min(pending)
+        kind = due[rid][0]
+        if t > budgets.max_time or (kind == LOOK and looks_done >= budgets.max_total_looks):
             break
-        s = st[rid]
-        o = st[1 - rid]
+        events.append((t, kind, rid))
+        own = moves[rid]
         if kind == LOOK:
-            if looks_done >= budgets.max_total_looks:
-                break
             looks_done += 1
-            events.append((t, LOOK, rid))
-            obs = pos_of(o, t)
-            if obs == s["pos"]:
+            obs = query(1 - rid, t)
+            if obs == pos[rid]:
                 events.append((t, DECIDE_GATHERED, rid))
-                s["segments"].append((t, t, s["pos"], s["pos"]))
-                s["phase"] = "done"
+                due[rid] = None
                 continue
-            lam = scripts[rid][s["cursor"]]
-            off = offsets[rid][s["cursor"]]
-            s["cursor"] += 1
-            on_line = add(s["pos"], scale(sub(obs, s["pos"]), lam))
-            normal = (p2[1] - p1[1], p1[0] - p2[0])
-            proposal = add(on_line, scale(normal, off))
+            cycle = len(own)
+            on_line = add(pos[rid], scale(sub(obs, pos[rid]), scripts[rid][cycle]))
+            proposal = add(on_line, scale(normal, offsets[rid][cycle]))
             dest = geometry.project_point_to_line(proposal, p1, p2)
-            compute = schedules[rid][s["cycle"]][1]
-            s["dest"] = dest
-            s["origin"] = s["pos"]
-            s["ms"] = t + compute
-            s["me"] = s["ms"] + rat_sqrt(sqdist(dest, s["pos"])) / speeds[rid]
-            s["segments"].append((s["ms"], s["me"], s["origin"], dest))
-            s["phase"] = "computing"
+            ms = t + schedules[rid][cycle][1]
+            own.append((ms, ms + rat_sqrt(sqdist(dest, pos[rid])) / speeds[rid], pos[rid], dest))
+            due[rid] = (MOVE_START, ms)
         elif kind == MOVE_START:
-            events.append((t, MOVE_START, rid))
-            s["phase"] = "moving"
+            due[rid] = (MOVE_END, own[-1][1])
         else:
-            events.append((t, MOVE_END, rid))
-            s["pos"] = s["dest"]
-            s["cycle"] += 1
-            s["look"] = t + schedules[rid][s["cycle"]][0]
-            s["phase"] = "waiting"
-
-    def query(rid, t):
-        pos = starts[rid]
-        for ms, me, origin, dest in st[rid]["segments"]:
-            if t <= ms:
-                return pos  # resting; pos equals this segment's origin
-            if t < me:
-                span = rat_sqrt(sqdist(dest, origin))
-                frac = (t - ms) * speeds[rid] / span
-                return add(origin, scale(sub(dest, origin), frac))
-            pos = dest
-        return pos
+            pos[rid] = own[-1][3]
+            due[rid] = (LOOK, t + schedules[rid][len(own)][0])
 
     return events, query
 

@@ -1,9 +1,11 @@
+import ast
 import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from test_rational import decimal_digits
@@ -83,6 +85,13 @@ def test_parse_exact_rationals():
     ({"policies": {"p": {"kind": "NOPE"}}}, "policies.p"),
     ({"adversary": {"kind": "NOPE"}}, "adversary"),
     ({"budgets": {"max_total_looks": -1}}, "max_total_looks"),
+    # The name is the stem of every output file's name.
+    ({"name": "a/b"}, "name"),
+    ({"name": "\ud800"}, "name"),
+    ({"name": "x" * 129}, "name"),
+    # Each robot's first cycle reads its schedule's first pair.
+    ({"adversary": {"kind": "OBLIVIOUS_EXPLICIT", "schedules": {"0": [["1", "0"]], "1": []}}},
+     "adversary: schedules.1: at least one (W, C) pair required"),
 ])
 def test_parse_rejects_invalid(patch, path_fragment):
     raw = json.loads(json.dumps(MINIMAL))
@@ -246,6 +255,19 @@ def test_main_flag_overrides(tmp_path):
     rep = json.loads((out / "mini.report.json").read_text())
     assert rep["stats"]["trials"] == 5
     assert rep["master_seed"] == 99
+
+
+def test_main_runs_a_bundled_scenario_by_name(tmp_path, monkeypatch):
+    # No file of that name in the working directory: the name is looked up
+    # among the bundled scenarios, and runs as the bundled file does.
+    monkeypatch.chdir(tmp_path)
+    for scenario, out in (("thm1_gamma0", "by_name"),
+                          (str(bundled_scenario_path("thm1_gamma0")), "by_path")):
+        assert main(["run", scenario, "--trials", "2", "--out", out]) == 0
+    for report in ("thm1_gamma0.report.json", "thm1_gamma0.trials.csv"):
+        by_name = (tmp_path / "by_name" / report).read_bytes()
+        assert by_name == (tmp_path / "by_path" / report).read_bytes()
+    assert b'"trials": 2' in (tmp_path / "by_name" / "thm1_gamma0.report.json").read_bytes()
 
 
 def _run_exit_code(tmp_path, raw) -> int:
@@ -539,6 +561,7 @@ def _with(base, **params):
     ({**THM3, "trials": 2, "robots": MINIMAL["robots"]}, "robots"),
     (_with(SSYNC, activations=10_001), "params.activations"),
     (_with(MULTI, n=1001), "params.n"),
+    (_with(LEMMA1, cycles=10_001), "params.cycles"),
 ])
 def test_main_rejects_bad_mode_params(tmp_path, capsys, raw, field):
     # Checked when the scenario is compiled, before any trial runs.
@@ -558,6 +581,11 @@ def test_main_rejects_thm3_trials_flag(tmp_path, capsys):
 @pytest.mark.parametrize("raw", [SSYNC, THM3, THM4, LEMMA1, MULTI, THM6])
 def test_main_runs_valid_mode_params(tmp_path, raw):
     assert _run_exit_code(tmp_path, raw) == 0
+
+
+def test_lemma1_cycles_cap_parses():
+    # The longest run a file may ask for; one more exits 2.
+    assert parse_scenario(json.dumps(_with(LEMMA1, cycles=10_000))).params["cycles"] == 10_000
 
 
 def test_ssync_activations_cap_parses():
@@ -634,6 +662,23 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The runtime is stdlib-only: every import in the package's modules is
+    # of the standard library or of the package itself.
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names or top == "gathersim", (
+                    f"{path.name}:{node.lineno} imports {name}")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

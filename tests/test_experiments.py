@@ -200,6 +200,19 @@ def test_multirobot_trial_single_entity():
         assert out.gathered
 
 
+def test_multirobot_trial_stops_on_an_unbroken_tie(monkeypatch):
+    # A real seed, not a patched reduce_to_line: seed 5's trial 2020 draws
+    # eight robots whose farthest pairs tie, and with no tie-breaking round
+    # allowed the plane phase ends partial, before any engine run.
+    s = compiled("multirobot", master_seed=5, params={"n": 8, "max_tie_rounds": 0})
+    rng = spawn_rng(5, 2020, "mr")
+    assert len(farthest_pairs(ex.random_plane_config(rng, 8))) > 1
+    monkeypatch.setattr(ex, "run_trial", lambda *args: pytest.fail("the engine ran"))
+    out = ex.multirobot_trial(s, 2020)
+    assert (out.gathered, out.total_looks, out.trace) == (False, 0, None)
+    assert out.extras == {"tie_rounds_hist": {"0": 1}}
+
+
 def test_multirobot_trial_fails_off_its_pair_segment(monkeypatch, tmp_path, capsys):
     # Read back five times too far out (the unit's division dropped), the
     # last pair's meeting point leaves the segment between the robots.
