@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .engine import LOOK, MOVE_END
-from .rational import (ONE, U01_DEN, ZERO, Rat, grid_point, parse_rat, spawn_rng,
+from .rational import (ONE, U01_DEN, ZERO, Rat, below, grid_point, parse_rat, spawn_rng,
                        uniform_closed)
 
 
@@ -46,6 +46,8 @@ class _Oblivious:
     ``computation_delay`` of the same cycle does not draw the pair again.
     The pair is pure in (robot, cycle, seed), so trials that share an
     unseeded adversary share what it keeps without changing a value.
+    ``ObliviousExplicit`` draws nothing: it reads both values from its
+    schedules in place and keeps nothing.
     """
 
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
@@ -87,7 +89,9 @@ class _Oblivious:
 
 @dataclass
 class ObliviousExplicit(_Oblivious):
-    """Literal per-robot (W, C) lists."""
+    """Literal per-robot (W, C) lists, read in place: ``wait_time`` and
+    ``computation_delay`` index the schedule and keep nothing, and go
+    through ``next_delays`` only to raise its ``ScheduleUnderrunError``."""
 
     schedules: Mapping[int, Sequence[tuple[Rat, Rat]]]
 
@@ -109,6 +113,18 @@ class ObliviousExplicit(_Oblivious):
             )
         w, c = seq[cycle]
         return (w, c)
+
+    def wait_time(self, robot_id, cycle, pair):
+        try:
+            return self.schedules[robot_id][cycle][0]
+        except (KeyError, IndexError):
+            return self.next_delays(robot_id, cycle)[0]
+
+    def computation_delay(self, robot_id, cycle, pair):
+        try:
+            return self.schedules[robot_id][cycle][1]
+        except (KeyError, IndexError):
+            return self.next_delays(robot_id, cycle)[1]
 
     def time_values(self):
         return [x for seq in self.schedules.values() for pair in seq for x in pair]
@@ -182,11 +198,11 @@ class TauBounded(_Oblivious):
         rng = spawn_rng(self.seed, "wc", robot_id, cycle)
         if self.fixed_sum is not None:
             total = self.fixed_sum
-            rng.randrange(U01_DEN)  # keep stream alignment with the drawn-sum case
+            below(rng, U01_DEN)  # keep stream alignment with the drawn-sum case
         else:
-            total = self.tau * (1 + grid_point(rng.randrange(1, U01_DEN + 1)))
+            total = self.tau * (1 + grid_point(1 + below(rng, U01_DEN)))
         # uniform_closed(rng, ZERO, total), without adding or subtracting zero
-        w = total * grid_point(rng.randrange(U01_DEN + 1))
+        w = total * grid_point(below(rng, U01_DEN + 1))
         return (w, total - w)
 
     def time_values(self):

@@ -18,6 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, experiments
@@ -574,10 +575,9 @@ CSV_FIELDS = ["trial", "gathered", "total_looks", "phases", "attempts",
 
 def render_report_csv(report: Report) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for row in report.rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(map(itemgetter(*CSV_FIELDS), report.rows))
     return buf.getvalue()
 
 

@@ -330,14 +330,17 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     if len(robots) != 2:
         raise ValueError("the lambda-class destination rule is pairwise; "
                          "use the multirobot module for n > 2")
-    if len({r.id for r in robots}) != len(robots):
+    first, second = robots
+    if first.id == second.id:
         raise ValueError("robot ids must be distinct")
+    if second.id < first.id:
+        first, second = second, first
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
 
     max_time, max_looks = budgets.max_time, budgets.max_total_looks
-    states = {spec.id: _LiveRobot(spec, policies[spec.id])
-              for spec in sorted(robots, key=lambda s: s.id)}
-    a, b = states.values()  # in robot id order
+    # In robot id order.
+    a = _LiveRobot(first, policies[first.id])
+    b = _LiveRobot(second, policies[second.id])
     a.enter_cycle(ZERO, adversary, b, max_time)
     b.enter_cycle(ZERO, adversary, a, max_time)
 
@@ -400,9 +403,9 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         n_events += 1
         horizon = t
 
-    runs = {rid: RobotRun(st.spec, st.segments, horizon) for rid, st in states.items()}
-    return Trace(runs=runs, final_status=status, horizon=horizon, event_count=n_events,
-                 unit=unit)
+    return Trace({first.id: RobotRun(first, a.segments, horizon),
+                  second.id: RobotRun(second, b.segments, horizon)},
+                 status, horizon, n_events, unit)
 
 
 def project_scenario_to_line(positions_2d, destinations_2d) -> list[Rat]:

@@ -47,6 +47,7 @@ from .analysis import (
 )
 from .engine import (
     DECIDE_GATHERED,
+    GATHERED,
     LOOK,
     MOVE_END,
     MOVE_START,
@@ -94,14 +95,18 @@ class TrialOutcome:
 
 
 def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
-    """A trial's outcome read off its trace, ``fields`` added; every robot has
-    decided in a gathered run, so the first decision is its gathering time,
-    given in the scenario's unit."""
-    return TrialOutcome(trial=trial, gathered=trace.gathered,
-                        total_looks=sum(trace.look_count.values()),
-                        first_gather_time=(min(run.gathered_at for run in trace.runs.values())
-                                           / trace.unit if trace.gathered else None),
-                        trace=trace, **fields)
+    """A trial's outcome read off its two-robot trace, ``fields`` added.
+
+    Each look commits one segment, and in a gathered run both robots have
+    decided, each in its last segment, so the earlier of those looks is the
+    gathering time, given in the scenario's unit."""
+    a, b = trace.runs.values()
+    gathered = trace.final_status == GATHERED
+    first = None
+    if gathered:
+        first = min(a.segments[-1].look_time, b.segments[-1].look_time) / trace.unit
+    return TrialOutcome(trial, gathered, len(a.segments) + len(b.segments),
+                        first_gather_time=first, trace=trace, **fields)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .rational import HALF, ONE, ZERO, Rat, parse_rat, u01
+from .rational import HALF, ONE, ZERO, Rat, below, parse_rat, u01
 
 OPPOSITE_DIRECTIONS = "opposite_directions"
 SAME_DIRECTION = "same_direction"
@@ -64,7 +64,7 @@ class Mixture:
     """Finitely many lambda values with positive rational probabilities,
     plus a uniform draw from (0, 1) with probability ``uniform``.
 
-    A draw is one ``rng.randrange`` over the least common denominator of
+    A draw is one ``rational.below`` over the least common denominator of
     the probabilities: the first choice whose running sum exceeds it is
     the value, and a draw past the last choice falls in the uniform branch,
     which makes one ``u01`` draw.
@@ -91,7 +91,7 @@ class Mixture:
 
     def sample(self, rng: random.Random, cycle: int) -> Rat:
         denom, thresholds = self._grid
-        k = rng.randrange(denom)
+        k = below(rng, denom)
         for cum, lam in thresholds:
             if k < cum:
                 return lam

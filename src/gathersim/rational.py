@@ -31,6 +31,15 @@ values are not dyadic is counted in a unit K times finer, K odd, in which
 they are (``experiments.run_setup``), so with power-of-two speeds and
 dyadic lambdas its values take the shift path; its trace's segments are
 in that unit, and ``Trace.unit`` is K.
+
+Every integer a policy, an adversary or a uniform draw takes comes from
+``below(rng, n)``, which reads ``k = n.bit_length()`` bits from
+``rng.getrandbits`` and redraws while the value is ``>= n``: the rule of
+CPython's ``random.Random.randrange(n)``.  The streams are the ones
+``randrange`` gave, and they depend only on ``getrandbits``.  The bounds
+2**53 (``TauBounded``'s drawn sum) and 2**53 + 1 (a point of the closed
+grid) are 54 bits wide, so their draws take 54-bit words and redraw
+about half of them.
 """
 
 from __future__ import annotations
@@ -375,17 +384,31 @@ def grid_point(k: int) -> Rat:
     return _make(k >> z, 1 << (U01_BITS - z), U01_BITS - z)
 
 
+def below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) for n > 0: ``n.bit_length()`` bits from
+    ``rng.getrandbits``, redrawn while the value is ``>= n``.
+
+    That is CPython's ``_randbelow_with_getrandbits``, so it returns what
+    ``rng.randrange(n)`` returns and leaves the generator in the same state,
+    in one Python frame instead of two.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def u01(rng: random.Random) -> Rat:
     """Uniform rational from the open interval (0, 1) on the k/2**53 grid."""
-    return grid_point(rng.randrange(1, U01_DEN))
+    return grid_point(1 + below(rng, U01_DEN - 1))
 
 
 def uniform_closed(rng: random.Random, lo: Rat, hi: Rat) -> Rat:
     """Uniform rational from the closed interval [lo, hi] on a 2**53 grid."""
     if hi < lo:
         raise ValueError("empty interval")
-    k = rng.randrange(U01_DEN + 1)
-    return lo + (hi - lo) * grid_point(k)
+    return lo + (hi - lo) * grid_point(below(rng, U01_DEN + 1))
 
 
 def derive_seed(*parts) -> int:

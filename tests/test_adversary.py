@@ -32,10 +32,16 @@ def test_explicit_lookup_and_underrun():
     adv = ObliviousExplicit({0: [(F(1), F(0)), (F(0), F(0))], 1: [(F(2), F(1))]})
     assert adv.next_delays(0, 0) == (F(1), F(0))
     assert adv.next_delays(1, 0) == (F(2), F(1))
-    with pytest.raises(ScheduleUnderrunError):
-        adv.next_delays(1, 1)
-    with pytest.raises(ScheduleUnderrunError):
-        adv.next_delays(7, 0)
+    assert (adv.wait_time(1, 0, None), adv.computation_delay(1, 0, None)) == (F(2), F(1))
+    # wait_time and computation_delay read the schedules in place, and raise
+    # next_delays' errors past a schedule's end and for an unscheduled robot.
+    for read in (adv.next_delays, lambda rid, cycle: adv.wait_time(rid, cycle, None),
+                 lambda rid, cycle: adv.computation_delay(rid, cycle, None)):
+        with pytest.raises(ScheduleUnderrunError,
+                           match=r"^robot 1 exhausted its 1-entry schedule at cycle 1$"):
+            read(1, 1)
+        with pytest.raises(ScheduleUnderrunError, match=r"^no schedule for robot 7$"):
+            read(7, 0)
 
 
 def test_tau_bounded_respects_bound_and_purity():

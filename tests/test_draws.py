@@ -14,9 +14,12 @@ import random
 
 import pytest
 
+from test_experiments import _bundled
+
 from gathersim.adversary import PerRobot, adversary_from_descriptor
+from gathersim.experiments import run_one_trial
 from gathersim.policies import policy_from_descriptor
-from gathersim.rational import format_rat
+from gathersim.rational import U01_DEN, below, format_rat
 
 SAMPLES = 3000
 CYCLES = 300
@@ -121,3 +124,31 @@ def test_policy_draws_are_pinned(name):
 def test_adversary_draws_are_pinned(name):
     desc, seed, digest = ADVERSARY_DRAWS[name]
     assert adversary_draws(desc, seed) == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, U01_DEN - 1, U01_DEN, U01_DEN + 1])
+def test_below_draws_as_randrange(n):
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert below(ours, n) == theirs.randrange(n)
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("name", ["thm1_positive", "thm4_one_free", "thm5_1024",
+                                  "thm6_adaptive"])
+def test_trials_draw_only_through_getrandbits(monkeypatch, name):
+    scn = _bundled(name, {})
+    words = []
+    getrandbits = random.Random.getrandbits
+
+    def counting(rng, k):
+        words.append(k)
+        return getrandbits(rng, k)
+
+    def refuse(rng, *args):
+        raise AssertionError(f"randrange{args} called")
+
+    monkeypatch.setattr(random.Random, "getrandbits", counting)
+    monkeypatch.setattr(random.Random, "randrange", refuse)
+    run_one_trial(scn, 0)
+    assert words

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from gathersim import policies
 from gathersim.policies import (
     TAU_TRIPLE,
     THREE_CHOICE,
@@ -155,33 +156,34 @@ def test_known_alpha_custom_weights():
         known_alpha(Fraction(2), (Fraction(1), Fraction(1), Fraction(1), Fraction(1)))
 
 
-class _FixedDraw:
-    """An rng whose ``randrange(n)`` returns ``k``, recording each ``n``."""
+def _fixed_draw(monkeypatch, k):
+    """Make the mixtures' draw ``below(rng, n)`` return ``k``; the returned
+    list records each ``n``."""
+    bounds = []
 
-    def __init__(self, k):
-        self.k = k
-        self.bounds = []
+    def draw(rng, n):
+        bounds.append(n)
+        return k
 
-    def randrange(self, n):
-        self.bounds.append(n)
-        return self.k
+    monkeypatch.setattr(policies, "below", draw)
+    return bounds
 
 
-def test_mixtures_draw_on_the_common_denominator():
+def test_mixtures_draw_on_the_common_denominator(monkeypatch):
     # Weights 1/3, 1/6, 1/2 lie on a grid of 6 with running sums 2, 3, 6.
     mixture = Mixture([(Fraction(7), Fraction(1, 3)), (Fraction(8), Fraction(1, 6)),
                        (Fraction(9), Fraction(1, 2))])
     expected = [7, 7, 8, 9, 9, 9]
     for k, lam in enumerate(expected):
-        rng = _FixedDraw(k)
-        assert mixture.sample(rng, 0) == lam and rng.bounds == [6]
+        bounds = _fixed_draw(monkeypatch, k)
+        assert mixture.sample(random.Random(0), 0) == lam and bounds == [6]
     # Weights 1/2, 1/4, 1/8, 1/8 lie on a grid of 8 with running sums 4, 6, 7, 8.
     alpha = known_alpha(Fraction(2), (Fraction(1, 2), Fraction(1, 4),
                                       Fraction(1, 8), Fraction(1, 8)))
     expected = [Fraction(1, 3)] * 4 + [Fraction(2, 3)] * 2 + [Fraction(1)]
     for k, lam in enumerate(expected):
-        rng = _FixedDraw(k)
-        assert alpha.sample(rng, 0) == lam and rng.bounds == [8]
+        bounds = _fixed_draw(monkeypatch, k)
+        assert alpha.sample(random.Random(0), 0) == lam and bounds == [8]
 
 
 @pytest.mark.parametrize("alpha,geometry,expected", [
