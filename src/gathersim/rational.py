@@ -385,16 +385,20 @@ def grid_point(k: int) -> Rat:
 
 
 def below(rng: random.Random, n: int) -> int:
-    """A uniform int in [0, n) for n > 0: ``n.bit_length()`` bits from
+    """A uniform int in [0, n): ``n.bit_length()`` bits from
     ``rng.getrandbits``, redrawn while the value is ``>= n``.
 
     That is CPython's ``_randbelow_with_getrandbits``, so it returns what
     ``rng.randrange(n)`` returns and leaves the generator in the same state,
-    in one Python frame instead of two.
+    in one Python frame instead of two.  As ``randrange`` does, it raises
+    ValueError for n <= 0, checked only on a redraw, which every such n
+    makes and would otherwise repeat forever.
     """
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
+        if n <= 0:
+            raise ValueError(f"empty range for below({n})")
         r = rng.getrandbits(k)
     return r
 

@@ -134,6 +134,14 @@ def test_below_draws_as_randrange(n):
         assert ours.getstate() == theirs.getstate()
 
 
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(n)
+    with pytest.raises(ValueError, match="empty range"):
+        below(random.Random(0), n)
+
+
 @pytest.mark.parametrize("name", ["thm1_positive", "thm4_one_free", "thm5_1024",
                                   "thm6_adaptive"])
 def test_trials_draw_only_through_getrandbits(monkeypatch, name):
