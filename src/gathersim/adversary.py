@@ -5,8 +5,10 @@ Oblivious kinds commit every (W, C) as a pure function of
 decides from the run as it stands, so that every later look catches the
 other robot strictly mid-move.  Both ``wait_time`` and
 ``computation_delay`` get the pair (this robot, other robot) as the run
-holds them; the oblivious kinds do not read it.  No kind keeps a run's
-state: a trial copies only a seeded kind, to give it the trial's seed.
+holds them.  The oblivious kinds do not read it and declare so
+(``reads_pair`` false), so their runs take the engine's integer loop,
+which hands them None for it.  No kind keeps a run's state: a trial
+copies only a seeded kind, to give it the trial's seed.
 
 Every time value of an oblivious kind enters its draws linearly, so
 ``in_unit(k)`` gives the same adversary with times counted in units k
@@ -53,6 +55,7 @@ class _Oblivious:
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
     _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     seeded = False  # whether a trial copies it with its own seed (``for_trial``)
+    reads_pair = False  # so a run takes the integer loop, which hands it None
 
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
@@ -215,7 +218,11 @@ class TauBounded(_Oblivious):
 
 @dataclass
 class PerRobot(_Oblivious):
-    """Composite assigning a different oblivious adversary to each robot."""
+    """Composite assigning a different oblivious adversary to each robot.
+
+    Each W and C is its part's own: a part that draws keeps its pair, an
+    explicit schedule reads it in place, and the composite keeps nothing.
+    """
 
     parts: Mapping[int, _Oblivious]
 
@@ -225,12 +232,20 @@ class PerRobot(_Oblivious):
                 raise AdversaryError(f"the part for robot {rid} must be oblivious")
         self.seeded = any(part.seeded for part in self.parts.values())
 
-    def next_delays(self, robot_id, cycle):
+    def _part(self, robot_id) -> _Oblivious:
         try:
-            part = self.parts[robot_id]
+            return self.parts[robot_id]
         except KeyError:
             raise ScheduleUnderrunError(f"no adversary for robot {robot_id}")
-        return part.next_delays(robot_id, cycle)
+
+    def next_delays(self, robot_id, cycle):
+        return self._part(robot_id).next_delays(robot_id, cycle)
+
+    def wait_time(self, robot_id, cycle, pair):
+        return self._part(robot_id).wait_time(robot_id, cycle, pair)
+
+    def computation_delay(self, robot_id, cycle, pair):
+        return self._part(robot_id).computation_delay(robot_id, cycle, pair)
 
     def time_values(self):
         return [x for part in self.parts.values() for x in part.time_values()]
@@ -241,7 +256,7 @@ class PerRobot(_Oblivious):
     def for_trial(self, seed):
         """A copy whose seeded parts draw from ``seed``; the others are shared."""
         twin = object.__new__(PerRobot)
-        twin.__dict__.update(self.__dict__, _drawn={}, parts={
+        twin.__dict__.update(self.__dict__, parts={
             rid: part.for_trial(seed) if part.seeded else part
             for rid, part in self.parts.items()})
         return twin
@@ -274,6 +289,7 @@ class AdaptiveThm6:
 
     initial_waits: Mapping[int, Rat]
     seeded = False
+    reads_pair = True  # so a run takes the Rat loop, which hands it the live pair
 
     def __post_init__(self):
         waits = list(self.initial_waits.values())

@@ -18,32 +18,32 @@ from .engine import RobotRun, Trace, position_at
 from .rational import ZERO, Rat
 
 
-def looks_mid_move(run: RobotRun, other: RobotRun):
-    """For each of ``run``'s looks in order, whether ``other`` is then
-    strictly inside a move (move_start < t < move_end).
+def looks_mid_move(cycles: list[tuple], others: list[tuple]):
+    """For each look of ``cycles`` in order, whether a move of ``others``
+    then runs strictly across it (move_start < t < move_end).
 
-    A robot's looks come in time order and moves never overlap, so one
-    forward pointer over the other robot's segments answers them all: the
-    only candidate move is the latest one starting strictly before the look.
+    Both are ``RobotRun.cycle_times`` of one trace's two robots, so an
+    integer run's are compared as ints and build no segment.  A robot's
+    looks come in time order and moves never overlap, so one forward
+    pointer over the other robot's cycles answers them all: the only
+    candidate move is the latest one starting strictly before the look.
     Once the pointer reaches a move that still runs at t, no later move can
     start before t, so the look is mid-move with no further comparison: two
     in all when the pointer moved on by one.  A move seen to have ended by
     one look has ended by every later one, so it is not compared again.
     """
-    others = other.segments
     last = len(others) - 1
     j = -1  # the latest of ``others`` whose move starts strictly before t
     running = False  # others[j]'s move ran at the latest look (false while j = -1)
-    for seg in run.segments:
-        t = seg.look_time
-        while j < last and others[j + 1].move_start < t:
+    for t, _start, _end in cycles:
+        while j < last and others[j + 1][1] < t:
             j += 1
-            running = t < others[j].move_end
+            running = t < others[j][2]
             if running:
                 break
         else:  # the pointer stopped without finding a move that runs at t
             if running:
-                running = t < others[j].move_end
+                running = t < others[j][2]
         yield running
 
 
@@ -329,10 +329,11 @@ def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     if not firsts:
         return True, []
     first_time = min(firsts)
+    times = {rid: runs[rid].cycle_times() for rid in (a, b)}
     violations = []
     for rid, other_id in ((a, b), (b, a)):
         segs = runs[rid].segments
-        for seg, moving in zip(segs, looks_mid_move(runs[rid], runs[other_id])):
+        for seg, moving in zip(segs, looks_mid_move(times[rid], times[other_id])):
             t = seg.look_time
             if t == first_time:
                 continue

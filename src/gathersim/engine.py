@@ -7,17 +7,44 @@ LOOK before MOVE_END before MOVE_START, ties within a kind by robot id; a
 robot is stationary at exactly its move end, and "in the move state" means
 the open interval (move_start, move_end).
 
-All quantities are exact rationals (``rational.Rat``), so a look either
-observes the other robot at exactly the observer's position (the gathering
-decision fires, even for a robot crossing mid-move) or it does not.  The
-sign of a wait W or a computation delay C is read off its numerator; a
-zero W or C adds nothing to the clock (the look is at the cycle's start,
-or the move starts at the look), and ``policies.destination`` returns the
-observed position itself for lambda = 1, with no arithmetic.  A look that
-finds the other robot mid-move reads its live position as origin +-
-speed * (t - move_start), the sign that of its ``shift``; a robot of speed
-1 multiplies by nothing, and its travel time is the distance itself.  That
-distance is the shift or its negation, by the shift's sign.
+All quantities are exact, so a look either observes the other robot at
+exactly the observer's position (the gathering decision fires, even for a
+robot crossing mid-move) or it does not.  ``run`` has two event loops that
+process the same events in the same order and record the same values:
+
+- The integer loop (``_scaled_run``), for every adversary that declares it
+  does not read the live pair (``reads_pair`` false: every oblivious kind).
+  Each time and position is an int X over one run-wide denominator D, so
+  its value is X/D.  D starts as the lcm of the starts' and ``max_time``'s
+  denominators.  When a W, a C, a lambda step, a division by a speed or a
+  mid-move position needs a finer scale, D and every live int are
+  multiplied by the missing factor (``_widen``), over-provisioned so that
+  the next values of the same kind land on the scale; D is never reduced.
+  While D is a power of two (``experiments.run_setup``'s dyadic unit keeps
+  it one for thm1, thm5 and thm4's alpha 1) this is shifts and masks.
+  The adversary gets None for the pair, and ``policies.destination``
+  takes the ints.  Each cycle is kept as a raw record of ints and its D;
+  ``RobotRun.segments`` builds ``Rat`` segments only when something reads
+  them, so an untraced trial that reads only look counts and gathering
+  times builds none.
+- The ``Rat`` loop (``_live_run``), for an adversary that reads the pair
+  (``AdaptiveThm6``) or does not declare what it reads.  Every quantity is
+  a ``rational.Rat``, and the adversary's ``wait_time`` and
+  ``computation_delay`` get the pair (this robot, other robot) as the run
+  holds them: at a look the looking robot already holds the ``dest``,
+  ``shift`` and ``travel`` time of the move its look computed, and at a
+  move end the robot still holds its finished move's.  An adaptive run's
+  denominators grow to thousands of bits, where ints over one D gain
+  nothing, and its reader (``read_midmove``) reads every segment.
+
+In both, the sign of a wait W or a computation delay C is read off its
+numerator; a zero W or C adds nothing to the clock (the look is at the
+cycle's start, or the move starts at the look), and
+``policies.destination`` returns the observed position itself for lambda
+= 1, with no arithmetic.  A look that finds the other robot mid-move reads
+its live position as origin +- speed * (t - move_start), the sign that of
+its move; a robot of speed 1 multiplies by nothing, and its travel time is
+the distance itself.
 
 The time budget is checked when a cycle's times are fixed, not at each
 event: a robot is marked late when its look time, or the end of the move
@@ -28,13 +55,9 @@ robot's events can pass the budget, and only they are compared with it.
 Motion is rigid: a robot always reaches its computed destination within
 the cycle.  Non-rigid motion is not simulated; once the remaining distance
 drops below the minimum-travel guarantee it degenerates to the rigid case
-anyway, so rigid runs cover the regime the analysis depends on.  The
-adversary's ``wait_time`` and ``computation_delay`` get the pair (this
-robot, other robot) as the run holds them: at a look the looking robot
-already holds the ``dest``, ``shift`` and ``travel`` time of the move its
-look computed, and at a move end the robot still holds its finished
-move's.  A policy is asked for the lambda of the looking robot's cycle;
-neither keeps any state of the run, which lives in the two robots.
+anyway, so rigid runs cover the regime the analysis depends on.  A policy
+is asked for the lambda of the looking robot's cycle; neither it nor the
+adversary keeps any state of the run, which lives in the two robots.
 
 A run records each robot's committed cycles (``CycleSegment``, which also
 keeps what its look observed) and how many events it processed; nothing
@@ -59,12 +82,13 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 from operator import attrgetter
 from typing import Mapping
 
 from . import geometry
 from .policies import LambdaPolicy, destination
-from .rational import ONE, ZERO, Rat
+from .rational import ONE, ZERO, Rat, ratio
 
 LOOK = "LOOK"
 MOVE_START = "MOVE_START"
@@ -79,6 +103,7 @@ TIME_BUDGET_EXHAUSTED = "TIME_BUDGET_EXHAUSTED"
 _KIND_TIE = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
 
 _move_start = attrgetter("move_start")
+_cycle_times = attrgetter("look_time", "move_start", "move_end")
 
 
 class DegenerateLineError(ValueError):
@@ -132,6 +157,32 @@ class CycleSegment:
     observed: Rat
 
 
+def _segments_of(records: list[tuple]) -> list[CycleSegment]:
+    """The ``CycleSegment``s of a robot's raw records (``RobotRun``).
+
+    A value equal to one already built, in its record or as the previous
+    record's destination at the same D, is that ``Rat`` again: a zero C or
+    travel, lambda 0 or 1, and each origin after the first cost no gcd or
+    shift.
+    """
+    segs = []
+    prev_dest = prev_d = prev = None
+    for cycle, (look, lam, start, end, origin, dest, obs, d) in enumerate(records):
+        t = ratio(look, d)
+        if lam is None:  # decided: every position is the origin
+            x = ratio(origin, d)
+            segs.append(CycleSegment(cycle, t, None, t, t, x, x, x))
+            break
+        move_start = t if start == look else ratio(start, d)
+        move_end = move_start if end == start else ratio(end, d)
+        x = prev if origin == prev_dest and d is prev_d else ratio(origin, d)
+        y = x if dest == origin else ratio(dest, d)
+        seen = y if obs == dest else ratio(obs, d)
+        segs.append(CycleSegment(cycle, t, lam, move_start, move_end, x, y, seen))
+        prev_dest, prev_d, prev = dest, d, y
+    return segs
+
+
 @dataclass(frozen=True)
 class Event:
     time: Rat
@@ -140,19 +191,71 @@ class Event:
     payload: dict
 
 
-@dataclass
 class RobotRun:
-    """A robot's committed cycle history over one run."""
+    """A robot's committed cycle history over one run.
 
-    spec: RobotSpec
-    segments: list[CycleSegment]
-    horizon: Rat
+    The ``Rat`` loop hands over its cycle segments.  The integer loop hands
+    over raw records, ``(look_time, lam, move_start, move_end, origin,
+    destination, observed, D)``, each time and position an int count of
+    1/D, D the run's scale when the record was made, and ``scale``, the
+    run's last D, a multiple of every record's.  ``segments`` builds the
+    ``CycleSegment``s from the records on first read; ``looks``,
+    ``gathered_at`` and ``cycle_times`` read the records themselves.
+    """
+
+    __slots__ = ("spec", "horizon", "scale", "_segments", "_records")
+
+    def __init__(self, spec: RobotSpec, horizon: Rat, segments: list[CycleSegment] | None = None,
+                 records: list[tuple] | None = None, scale: int | None = None):
+        self.spec = spec
+        self.horizon = horizon
+        self.scale = scale
+        self._segments = segments
+        self._records = segments if records is None else records
+
+    @property
+    def segments(self) -> list[CycleSegment]:
+        segs = self._segments
+        if segs is None:
+            segs = self._segments = _segments_of(self._records)
+        return segs
+
+    def __eq__(self, other):
+        if not isinstance(other, RobotRun):
+            return NotImplemented
+        return ((self.spec, self.horizon, self.segments)
+                == (other.spec, other.horizon, other.segments))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"RobotRun({self.spec!r}, {self.horizon!r}, {self.segments!r})"
+
+    @property
+    def looks(self) -> int:
+        """How many looks the robot made: each commits one cycle."""
+        return len(self._records)
+
+    def cycle_times(self) -> list[tuple]:
+        """(look_time, move_start, move_end) of each cycle, all on one scale:
+        ints over ``scale`` for raw records, else the segments' values.
+        The two runs of a trace share their scale, so these compare with
+        no ``Rat`` built."""
+        d = self.scale
+        if d is None:
+            return list(map(_cycle_times, self._segments))
+        return [(look, start, end) if rd is d else (look * (k := d // rd), start * k, end * k)
+                for look, _lam, start, end, _origin, _dest, _obs, rd in self._records]
 
     @property
     def gathered_at(self) -> Rat | None:
         """When the robot decided it had gathered: its deciding look, if any."""
-        segs = self.segments
-        return segs[-1].look_time if segs and segs[-1].lam is None else None
+        if not self._records:
+            return None
+        last = self._records[-1]
+        if self.scale is None:
+            return last.look_time if last.lam is None else None
+        return ratio(last[0], last[7]) if last[1] is None else None
 
 
 @dataclass
@@ -177,7 +280,7 @@ class Trace:
     @property
     def look_count(self) -> dict[int, int]:
         """Looks per robot: each look commits exactly one segment."""
-        return {rid: len(run.segments) for rid, run in self.runs.items()}
+        return {rid: run.looks for rid, run in self.runs.items()}
 
     @property
     def gathered(self) -> bool:
@@ -264,7 +367,7 @@ def position_at(run: RobotRun, t: Rat) -> Rat:
 
 
 class _LiveRobot:
-    """Mutable per-run robot state driving the event loop.
+    """Mutable per-run robot state driving the ``Rat`` loop.
 
     ``pending`` is the kind of its next event (LOOK, MOVE_START or
     MOVE_END; None once it has decided) and ``next_time`` that event's
@@ -325,7 +428,9 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     or on the look/time budget otherwise.  It is a pure function of
     (robots, policies, adversary, rng_seed, budgets).  ``unit`` is only
     recorded: it says how many of the inputs' time and position unit make
-    one of the scenario's.
+    one of the scenario's.  An adversary that declares ``reads_pair``
+    false runs in the integer loop (``_scaled_run``), any other in the
+    ``Rat`` loop (``_live_run``); both give the same trace.
     """
     if len(robots) != 2:
         raise ValueError("the lambda-class destination rule is pairwise; "
@@ -336,7 +441,14 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     if second.id < first.id:
         first, second = second, first
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
+    loop = _live_run if getattr(adversary, "reads_pair", True) else _scaled_run
+    runs, status, horizon, n_events = loop(first, second, policies, adversary, rng, budgets)
+    return Trace(runs, status, horizon, n_events, unit)
 
+
+def _live_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, budgets):
+    """The ``Rat`` event loop, for an adversary that reads the live pair:
+    (runs, status, horizon, event count) of the run."""
     max_time, max_looks = budgets.max_time, budgets.max_total_looks
     # In robot id order.
     a = _LiveRobot(first, policies[first.id])
@@ -403,9 +515,230 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         n_events += 1
         horizon = t
 
-    return Trace({first.id: RobotRun(first, a.segments, horizon),
-                  second.id: RobotRun(second, b.segments, horizon)},
-                 status, horizon, n_events, unit)
+    return ({first.id: RobotRun(first, horizon, a.segments),
+             second.id: RobotRun(second, horizon, b.segments)}, status, horizon, n_events)
+
+
+# Bits added to each power-of-two widening of the integer loop's scale, and
+# the bits an odd widening factor is raised to: a widening then leaves room
+# for the next few values of the same kind, so few runs widen more than a
+# few times.
+_SPARE_BITS = 64
+
+
+class _ScaledRobot:
+    """A robot's state in the integer loop.
+
+    Every time and position is an int count of 1/D, D the run's scale, and
+    ``_widen`` multiplies them all when D grows.  The speed is ``p`` /
+    ``q`` in lowest terms, and ``unit_speed`` says whether it is 1.  ``dest``,
+    ``move_start`` and ``move_end`` are the move its latest look computed;
+    the rest is as in ``_LiveRobot``.  ``records`` holds a ``RobotRun``'s
+    raw records.
+    """
+
+    __slots__ = ("id", "p", "q", "unit_speed", "policy", "records", "pending",
+                 "pos", "dest", "move_start", "move_end", "late", "next_time")
+
+    def __init__(self, spec: RobotSpec, policy: LambdaPolicy, d: int):
+        self.id = spec.id
+        speed = spec.speed
+        self.p, self.q = speed.numerator, speed.denominator
+        self.unit_speed = self.p == self.q
+        self.policy = policy
+        self.records: list[tuple] = []
+        self.pending = LOOK
+        self.pos = self.dest = spec.start.numerator * (d // spec.start.denominator)
+        self.move_start = self.move_end = self.next_time = 0
+        self.late = False
+
+    def enter_cycle(self, start: int, d: int, adversary, other: _ScaledRobot) -> int:
+        """Draw the next cycle's W and set its look at ``start`` + W, at
+        scale ``d``; return the factor the scale grew by to hold W (1 if it
+        did not), which the caller applies to ``start`` and its own ints."""
+        wait = adversary.wait_time(self.id, len(self.records), None)
+        n = wait._numerator
+        grown = 1
+        if n:
+            if n < 0:
+                raise ValueError("adversary produced a negative wait")
+            den = wait._denominator
+            if d % den:
+                grown = _widen(den // gcd(d, den), self, other)
+                d *= grown
+                start *= grown
+            start += n * (d // den)
+        self.next_time = start
+        self.pending = LOOK
+        return grown
+
+
+def _widen(m: int, a: _ScaledRobot, b: _ScaledRobot) -> int:
+    """Grow the scale by a multiple f of ``m`` > 1 and return f, having
+    multiplied each robot's live ints by it.
+
+    A power of two m gets ``_SPARE_BITS`` more bits, by shifts; any other
+    is raised to the power that makes it about ``_SPARE_BITS`` wide.
+    """
+    if m & (m - 1):
+        f = m ** max(1, _SPARE_BITS // m.bit_length())
+        for r in (a, b):
+            r.pos *= f
+            r.dest *= f
+            r.move_start *= f
+            r.move_end *= f
+            r.next_time *= f
+        return f
+    s = m.bit_length() - 1 + _SPARE_BITS
+    for r in (a, b):
+        r.pos <<= s
+        r.dest <<= s
+        r.move_start <<= s
+        r.move_end <<= s
+        r.next_time <<= s
+    return 1 << s
+
+
+def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, budgets):
+    """The integer event loop, for an adversary that does not read the live
+    pair: (runs, status, horizon, event count) of the run.
+
+    Each time and position is an int X over one run-wide denominator D.  D
+    starts as the lcm of the starts' and ``max_time``'s denominators; a W,
+    a C, a lambda step, a division by a speed or a mid-move position that
+    needs a finer scale grows it (``_widen``), with every live int, and it
+    is never reduced.  The adversary gets None for the pair.  The events,
+    their order and the values are those of ``_live_run``.
+    """
+    max_time, max_looks = budgets.max_time, budgets.max_total_looks
+    d = lcm(first.start.denominator, second.start.denominator, max_time.denominator)
+    limit = max_time.numerator * (d // max_time.denominator)
+    # In robot id order.
+    a = _ScaledRobot(first, policies[first.id], d)
+    b = _ScaledRobot(second, policies[second.id], d)
+    for st, other in ((a, b), (b, a)):
+        grown = st.enter_cycle(0, d, adversary, other)
+        d *= grown
+        limit *= grown
+        st.late = st.next_time > limit
+
+    looks_done = 0
+    n_events = 0
+    horizon = 0
+    while True:
+        # The earliest pending event; at one instant the lower _KIND_TIE
+        # rank, then the lower robot id.
+        if a.pending is None:
+            if b.pending is None:
+                status = GATHERED
+                break
+            st, other = b, a
+        elif (b.pending is None or a.next_time < b.next_time
+              or (a.next_time == b.next_time
+                  and _KIND_TIE[a.pending] <= _KIND_TIE[b.pending])):
+            st, other = a, b
+        else:
+            st, other = b, a
+        t = st.next_time
+        if st.late and t > limit:
+            status = TIME_BUDGET_EXHAUSTED
+            break
+        kind = st.pending
+        if kind is LOOK:
+            if looks_done >= max_looks:
+                status = LOOK_BUDGET_EXHAUSTED
+                break
+            looks_done += 1
+            if other.pending is MOVE_END:
+                # Mid-move, or at its end after a LOOK at the same instant:
+                # origin +- speed * (t - move_start).
+                step = t - other.move_start
+                q = other.q
+                if q != 1 and step % q:
+                    grown = _widen(q // gcd(q, step), a, b)
+                    d *= grown
+                    limit *= grown
+                    t *= grown
+                    step *= grown
+                if not other.unit_speed:
+                    step = step * other.p // q
+                obs = other.pos + step if other.dest > other.pos else other.pos - step
+            else:
+                obs = other.pos
+            pos = st.pos
+            records = st.records
+            cycle = len(records)
+            if obs == pos:  # decided: a zero-length move at the look, and no more events
+                records.append((t, None, t, t, pos, pos, pos, d))
+                st.pending = None
+                n_events += 1  # its DECIDE_GATHERED
+            else:
+                lam = st.policy.sample(rng, cycle)
+                dest = destination(pos, obs, lam)
+                if type(dest) is not int:  # off the scale: fold its denominator in
+                    den = dest._denominator
+                    grown = _widen(den, a, b)
+                    d *= grown
+                    limit *= grown
+                    t *= grown
+                    pos *= grown
+                    obs *= grown
+                    dest = dest._numerator * (grown // den)
+                distance = dest - pos if dest > pos else pos - dest
+                p = st.p
+                if p != 1 and distance % p:
+                    grown = _widen(p // gcd(p, distance), a, b)
+                    d *= grown
+                    limit *= grown
+                    t *= grown
+                    pos *= grown
+                    obs *= grown
+                    dest *= grown
+                    distance *= grown
+                travel = distance if st.unit_speed else distance * st.q // p
+                compute = adversary.computation_delay(st.id, cycle, None)
+                n = compute._numerator
+                if n:
+                    if n < 0:
+                        raise ValueError("adversary produced a negative computation delay")
+                    den = compute._denominator
+                    if d % den:
+                        grown = _widen(den // gcd(d, den), a, b)
+                        d *= grown
+                        limit *= grown
+                        t *= grown
+                        pos *= grown
+                        obs *= grown
+                        dest *= grown
+                        travel *= grown
+                    move_start = t + n * (d // den)
+                else:
+                    move_start = t
+                move_end = move_start + travel
+                st.dest = dest
+                st.move_start = st.next_time = move_start
+                st.move_end = move_end
+                st.late = move_end > limit
+                records.append((t, lam, move_start, move_end, pos, dest, obs, d))
+                st.pending = MOVE_START
+        elif kind is MOVE_START:
+            st.next_time = st.move_end
+            st.pending = MOVE_END
+        else:  # MOVE_END
+            st.pos = st.dest
+            grown = st.enter_cycle(t, d, adversary, other)
+            if grown != 1:
+                d *= grown
+                limit *= grown
+                t *= grown
+            st.late = st.next_time > limit
+        n_events += 1
+        horizon = t
+
+    horizon = ratio(horizon, d)
+    return ({first.id: RobotRun(first, horizon, records=a.records, scale=d),
+             second.id: RobotRun(second, horizon, records=b.records, scale=d)},
+            status, horizon, n_events)
 
 
 def project_scenario_to_line(positions_2d, destinations_2d) -> list[Rat]:

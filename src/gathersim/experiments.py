@@ -13,8 +13,9 @@ is a ``RunSetup`` run by ``run_trial`` in its own unit of time and distance
 least common multiple of the denominators of its starts, time budget and
 adversary time values.  Scaling both by K changes no comparison, no
 equality, no speed and no lambda, so the rule reads nothing else; with
-power-of-two speeds and dyadic lambdas, every engine value is then dyadic
-and ``rational.Rat`` adds and compares by shifts instead of gcds.  A
+power-of-two speeds and dyadic lambdas, every engine value is then dyadic:
+the integer loop's denominator stays a power of two, and in the ``Rat``
+loop ``rational.Rat`` adds and compares by shifts instead of gcds.  A
 trace records its unit (``Trace.unit``), and whatever a trial reports
 from it is read back in the scenario's unit.
 
@@ -97,15 +98,15 @@ class TrialOutcome:
 def outcome_of(trial: int, trace: Trace, **fields) -> TrialOutcome:
     """A trial's outcome read off its two-robot trace, ``fields`` added.
 
-    Each look commits one segment, and in a gathered run both robots have
-    decided, each in its last segment, so the earlier of those looks is the
-    gathering time, given in the scenario's unit."""
+    Each look commits one cycle, and in a gathered run both robots have
+    decided, each in its last cycle, so the earlier of those looks is the
+    gathering time, given in the scenario's unit.  It reads no segment."""
     a, b = trace.runs.values()
     gathered = trace.final_status == GATHERED
     first = None
     if gathered:
-        first = min(a.segments[-1].look_time, b.segments[-1].look_time) / trace.unit
-    return TrialOutcome(trial, gathered, len(a.segments) + len(b.segments),
+        first = min(a.gathered_at, b.gathered_at) / trace.unit
+    return TrialOutcome(trial, gathered, a.looks + b.looks,
                         first_gather_time=first, trace=trace, **fields)
 
 
@@ -312,7 +313,7 @@ def repeat_count_general(bound: Rat, delta: Rat, ratio: Rat) -> int:
 
 def read_k_histogram(scn, trace: Trace) -> dict:
     """thm4: the index of robot 0's first look that catches robot 1 mid-move."""
-    moving = looks_mid_move(trace.runs[0], trace.runs[1])
+    moving = looks_mid_move(trace.runs[0].cycle_times(), trace.runs[1].cycle_times())
     k = next((k for k, mid in enumerate(moving) if mid), None)
     return {"stats": {"k_histogram": {} if k is None else {str(k): 1}}}
 

@@ -20,7 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .rational import HALF, ONE, ZERO, Rat, below, parse_rat, u01
+from .rational import HALF, ONE, ZERO, Rat, below, parse_rat, ratio, u01
 
 OPPOSITE_DIRECTIONS = "opposite_directions"
 SAME_DIRECTION = "same_direction"
@@ -38,14 +38,27 @@ class NoCatchupError(ValueError):
     """Equal speeds in the same direction never meet."""
 
 
-def destination(own: Rat, other_observed: Rat, lam: Rat) -> Rat:
+def destination(own, other_observed, lam: Rat):
     """Destination of a lambda-class move: own + lam * (other - own).
 
     For lam = 1 that is the observed position itself, returned with no
-    arithmetic.
+    arithmetic.  Positions given as ints (counts of the integer event
+    loop's scale) give the int destination when it lands on that scale,
+    and the exact ``Rat`` otherwise, whose denominator the loop then folds
+    into its scale.  A power-of-two lambda denominator tests that by a
+    mask and divides by a shift.
     """
-    if lam._numerator == lam._denominator:  # lowest terms: lam == 1
+    n, d = lam._numerator, lam._denominator
+    if n == d:  # lowest terms: lam == 1
         return other_observed
+    if type(own) is int:
+        step = n * (other_observed - own)
+        if d & (d - 1):
+            if not step % d:
+                return own + step // d
+        elif not step & (d - 1):
+            return own + (step >> (d.bit_length() - 1))
+        return ratio(own * d + step, d)
     return own + lam * (other_observed - own)
 
 

@@ -1,9 +1,13 @@
 """Exact rational scalars and seeded randomness helpers.
 
 Every continuous quantity in the simulator (time, position, speed, wait,
-delay, lambda) is an exact rational, a ``Rat``.  Floats never enter the
-core: two events either coincide exactly or they do not, and the gathering
-predicate is exact collocation.
+delay, lambda) is exact.  Scenarios, policies, adversaries, traces and
+analysis hold them as ``Rat``s.  The engine's integer loop, which runs
+every two-robot trial whose adversary does not read the live run, counts
+times and positions as ints over one run-wide denominator D instead, and
+builds a ``Rat`` (``ratio``) only for a value a reader asks for.  Floats
+never enter the core: two events either coincide exactly or they do not,
+and the gathering predicate is exact collocation.
 
 ``Rat`` is the one scalar type of every scenario: a ``fractions.Fraction``
 subclass whose arithmetic with another ``Rat`` or an ``int`` reads the
@@ -29,8 +33,9 @@ The scenario parser, the constants below, the uniform draws and every
 trial build their values as ``Rat``.  A two-robot run whose scenario
 values are not dyadic is counted in a unit K times finer, K odd, in which
 they are (``experiments.run_setup``), so with power-of-two speeds and
-dyadic lambdas its values take the shift path; its trace's segments are
-in that unit, and ``Trace.unit`` is K.
+dyadic lambdas the integer loop's D stays a power of two and the ``Rat``
+loop's values take the shift path; its trace's segments are in that unit,
+and ``Trace.unit`` is K.
 
 Every integer a policy, an adversary or a uniform draw takes comes from
 ``below(rng, n)``, which reads ``k = n.bit_length()`` bits from
@@ -309,6 +314,25 @@ def _make(n: int, d: int, e: int) -> Rat:
 
 def _coprime(n: int, d: int) -> Rat:
     """n / d for coprime n and d > 0, tagged."""
+    return _make(n, d, _tag(d))
+
+
+def ratio(n: int, d: int) -> Rat:
+    """n / d in lowest terms, for ints n and d > 0.
+
+    A power-of-two d loses the trailing zeros n shares with it, counted
+    as in ``__mul__``; any other d is divided by its gcd with n."""
+    if not d & (d - 1):
+        if not n:
+            return ZERO
+        e = d.bit_length() - 1
+        low = n & _LOW
+        z = min((low & -low if low else n & -n).bit_length() - 1, e)
+        return _make(n >> z, d >> z, e - z)
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
     return _make(n, d, _tag(d))
 
 

@@ -151,7 +151,7 @@ def test_midmove_sweep_matches_reference(family_run):
     a, b = tr.robot_ids
     for me, other in ((a, b), (b, a)):
         mine, theirs = tr.runs[me], tr.runs[other]
-        assert list(looks_mid_move(mine, theirs)) == [
+        assert list(looks_mid_move(mine.cycle_times(), theirs.cycle_times())) == [
             is_mid_move(theirs, seg.look_time) for seg in mine.segments]
 
 

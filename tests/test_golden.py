@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from gathersim import engine
 from gathersim.cli import bundled_scenario_path, emit_report, parse_scenario, run_experiment
 
 # key -> (overrides, trace policy, {file name: sha256}); the trace files
@@ -152,3 +153,18 @@ def test_golden_digests_with_workers(tmp_path):
         overrides, trace_policy, expected = GOLDEN[name]
         assert output_digests(name, overrides, trace_policy, tmp_path / name,
                               workers=2) == expected
+
+
+@pytest.mark.parametrize("name", ["thm1_positive", "thm4_one_free"])
+def test_untraced_batches_build_no_segment(name, tmp_path, monkeypatch):
+    # Counted, not timed: an oblivious run keeps raw integer records, and an
+    # untraced thm1 or thm4 batch reads its looks, gathering times and (for
+    # thm4) mid-move looks off them, so building a CycleSegment fails it.
+    # Its report and rows are still the golden ones.
+    def refuse(*args):
+        raise AssertionError("a CycleSegment was built")
+
+    monkeypatch.setattr(engine, "CycleSegment", refuse)
+    overrides, _trace_policy, expected = GOLDEN[name]
+    digests = output_digests(name, overrides, "none", tmp_path)
+    assert digests == dict(expected, traces=_sha(b""))

@@ -67,6 +67,18 @@ def test_destination_equals_the_formula(own, obs, lam):
         expected._numerator, expected._denominator, expected._exp)
 
 
+@given(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 70, 2 ** 70), _lambdas)
+@example(4, 7, Rat(1, 3))
+@example(4, 6, Rat(-1, 2))
+def test_destination_on_ints_lands_on_the_scale_or_is_exact(own, obs, lam):
+    # The integer loop's positions: an int when the step lands on the
+    # scale, else the exact Rat, whose denominator the loop folds in.
+    expected = own + lam * (obs - own)
+    got = destination(own, obs, lam)
+    assert got == expected
+    assert type(got) is (int if expected.denominator == 1 else Rat)
+
+
 def test_deterministic_always_same():
     pol = Deterministic(Fraction(1, 2))
     rng = random.Random(0)

@@ -24,6 +24,7 @@ from gathersim.rational import (
     grid_point,
     parse_rat,
     rat_sqrt,
+    ratio,
     spawn_rng,
     u01,
     uniform_closed,
@@ -246,6 +247,17 @@ def test_rat_division_by_one(x, one):
         _assert_same(operator.truediv(int(x), one), Fraction(int(x)))
 
 
+@given(st.one_of(st.integers(-2 ** 300, 2 ** 300),
+                 st.builds(operator.lshift, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 300))),
+       st.one_of(st.integers(0, 300).map(lambda e: 1 << e), st.integers(1, 10 ** 30)))
+def test_ratio_equals_fraction(n, d):
+    # The integer loop's values n / D: a power-of-two D (whose numerators
+    # often share many of its factors of two) or any other.
+    got = ratio(n, d)
+    _assert_tagged(got)
+    _assert_same(got, Fraction(n, d))
+
+
 @pytest.mark.parametrize("zeros", [61, 62, 63, 64, 200])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("e", [3, 300])
@@ -435,5 +447,6 @@ def test_every_rational_is_rat(monkeypatch, name):
     traces = [x for x in made if isinstance(x, engine.Trace)]
     assert traces
     values = list(_rationals([scn.setups, scn.params, made]
-                             + [trace.events for trace in traces]))
+                             + [trace.events for trace in traces]
+                             + [run.segments for trace in traces for run in trace.runs.values()]))
     assert [v for v in values if type(v) is not Rat] == []

@@ -1,0 +1,190 @@
+"""The integer event loop against the ``Rat`` loop on oblivious set-ups.
+
+``engine.run`` takes the integer loop for an adversary that declares it
+does not read the live pair, and the ``Rat`` loop for any other.  Wrapping
+an oblivious adversary in ``_LivePair``, which reads nothing either but
+does not declare so, runs the same set-up in the ``Rat`` loop, so each
+example runs both and requires the same segments, status, horizon, event
+count and look counts, or the same exception with the same message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, note, settings, strategies as st
+
+from gathersim.adversary import (ObliviousExplicit, ObliviousGenerated, PerRobot,
+                                 ScheduleUnderrunError, TauBounded)
+from gathersim.cli import trace_to_jsonable
+from gathersim.engine import (GATHERED, LOOK_BUDGET_EXHAUSTED, TIME_BUDGET_EXHAUSTED, Budgets,
+                              RobotSpec, run)
+from gathersim.policies import (Deterministic, Oracle, OracleScriptExhausted,
+                                policy_from_descriptor)
+from gathersim.rational import Rat
+
+
+class _LivePair:
+    """An adversary's own W and C, without its ``reads_pair`` declaration."""
+
+    def __init__(self, adversary):
+        self.adversary = adversary
+
+    def wait_time(self, robot_id, cycle, pair):
+        return self.adversary.wait_time(robot_id, cycle, pair)
+
+    def computation_delay(self, robot_id, cycle, pair):
+        return self.adversary.computation_delay(robot_id, cycle, pair)
+
+
+class _Unchecked:
+    """Per-robot (W, C) lists taken as they are, negative values included;
+    past its list a robot's schedule runs out as an explicit one does."""
+
+    reads_pair = False
+
+    def __init__(self, schedules):
+        self.schedules = schedules
+
+    def _pair(self, robot_id, cycle):
+        seq = self.schedules[robot_id]
+        if cycle >= len(seq):
+            raise ScheduleUnderrunError(f"robot {robot_id} ran out at cycle {cycle}")
+        return seq[cycle]
+
+    def wait_time(self, robot_id, cycle, pair):
+        return self._pair(robot_id, cycle)[0]
+
+    def computation_delay(self, robot_id, cycle, pair):
+        return self._pair(robot_id, cycle)[1]
+
+
+def outcome(robots, policies, adversary, seed, budgets):
+    """(status, horizon, event count, look counts, segments, trace text) of
+    a run, or (exception type, message) if it raised."""
+    try:
+        tr = run(robots, policies, adversary, random.Random(seed), budgets)
+    except (ValueError, ScheduleUnderrunError, OracleScriptExhausted) as exc:
+        return type(exc), str(exc)
+    return (tr.final_status, tr.horizon, tr.event_count, tr.look_count,
+            {rid: r.segments for rid, r in tr.runs.items()}, trace_to_jsonable(tr))
+
+
+def assert_loops_agree(setup):
+    robots, policies, adversary, seed, budgets = setup
+    scaled = outcome(robots, policies, adversary, seed, budgets)
+    live = outcome(robots, policies, _LivePair(adversary), seed, budgets)
+    assert scaled == live
+    return scaled
+
+
+# W and C values; lambdas (from Oracle scripts and FINITE_MIXTURE policies);
+# starts; time budgets, some of which cut runs short.
+_DELAYS = ["0", "0", "1/2", "1/3", "3/10", "1", "5/4"]
+_LAMBDAS = ["1", "1/2", "1/3", "-1/2", "-1", "3/2", "5/4", "0", "2/3"]
+_STARTS = ["0", "1", "-1/3", "5/2", "2/5"]
+_TIMES = ["1/2", "7/3", "5", "21/2", "1000000"]
+_SPEEDS = ["1", "2", "3/2"]
+_IDS = [(0, 1), (1, 0), (2, 10), (10, 2), (-1, 3)]  # listed in either order
+
+
+@st.composite
+def oblivious_setups(draw):
+    num = draw(st.sampled_from([Fraction, Rat]))  # plain Fraction inputs, or Rats
+    ids = draw(st.sampled_from(_IDS))
+    starts = draw(st.lists(st.sampled_from(_STARTS), min_size=2, max_size=2, unique=True))
+    robots = [RobotSpec(rid, num(x), num(draw(st.sampled_from(_SPEEDS))))
+              for rid, x in zip(ids, starts)]
+    policies = {}
+    for rid in ids:
+        kind = draw(st.sampled_from(["oracle", "mixture", "deterministic"]))
+        if kind == "oracle":  # a short script runs out
+            script = draw(st.lists(st.sampled_from(_LAMBDAS), min_size=0, max_size=14))
+            policies[rid] = Oracle([num(x) for x in script])
+        elif kind == "mixture":
+            lams = draw(st.lists(st.sampled_from(_LAMBDAS), min_size=1, max_size=3, unique=True))
+            weights = draw(st.lists(st.integers(1, 3), min_size=len(lams), max_size=len(lams)))
+            policies[rid] = policy_from_descriptor({
+                "kind": "FINITE_MIXTURE",
+                "choices": [[lam, f"{w}/{sum(weights)}"] for lam, w in zip(lams, weights)]})
+        else:
+            policies[rid] = Deterministic(num(draw(st.sampled_from(_LAMBDAS))))
+    kind = draw(st.sampled_from(["explicit", "unchecked", "tau", "per_robot"]))
+    if kind in ("explicit", "unchecked"):
+        values = _DELAYS + (["-1/4"] if kind == "unchecked" else [])
+        pairs = st.tuples(st.sampled_from(values), st.sampled_from(values))
+        schedules = {rid: [(num(w), num(c)) for w, c in draw(st.lists(pairs, min_size=1,
+                                                                      max_size=14))]
+                     for rid in ids}
+        adversary = (ObliviousExplicit if kind == "explicit" else _Unchecked)(schedules)
+    elif kind == "tau":
+        adversary = TauBounded(num(draw(st.sampled_from(["1/10", "1", "1/3"]))), 0)
+    else:
+        adversary = PerRobot({ids[0]: ObliviousGenerated("constant", (num(0), num(0)), 0),
+                              ids[1]: TauBounded(num(1, 2), 0, num(13, 20))})
+    if getattr(adversary, "seeded", False):
+        adversary = adversary.for_trial(draw(st.integers(0, 10 ** 6)))
+    budgets = Budgets(draw(st.integers(1, 16)), num(draw(st.sampled_from(_TIMES))))
+    return robots, policies, adversary, draw(st.integers(0, 10 ** 6)), budgets
+
+
+def _setup(waits0, waits1, lam0="1/2", lam1="1/2", script=12, looks=12, max_time="1000000",
+           speeds=("1", "1")):
+    """An unchecked explicit set-up; robot 1's oracle script has ``script``
+    entries."""
+    robots = [RobotSpec(0, Rat(0), Rat(speeds[0])), RobotSpec(1, Rat(1), Rat(speeds[1]))]
+    policies = {0: Deterministic(Rat(lam0)), 1: Oracle([Rat(lam1)] * script)}
+    adversary = _Unchecked({0: [(Rat(w), Rat(c)) for w, c in waits0],
+                            1: [(Rat(w), Rat(c)) for w, c in waits1]})
+    return robots, policies, adversary, 0, Budgets(looks, Rat(max_time))
+
+
+_NEGATIVE_W = _setup([("1", "0")] * 5, [("1", "0"), ("-1/4", "0")])
+_NEGATIVE_C = _setup([("1", "0")] * 5, [("1/3", "-1/4")] * 5)
+_UNDERRUN = _setup([("1", "0")], [("1", "0")] * 5)
+_EXHAUSTED = _setup([("1", "0")] * 9, [("1/3", "0")] * 9, lam1="1/3", script=3)
+_TIME_BUDGET = _setup([("1/2", "1/3")] * 9, [("1/3", "0")] * 9, lam0="1/3", max_time="7/3",
+                      speeds=("3/2", "2"))
+_LOOK_BUDGET = _setup([("1/2", "1/3")] * 9, [("1/3", "0")] * 9, lam0="-1", looks=5,
+                      speeds=("2", "3/2"))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(setup=oblivious_setups())
+@example(setup=_NEGATIVE_W)
+@example(setup=_NEGATIVE_C)
+@example(setup=_UNDERRUN)
+@example(setup=_EXHAUSTED)
+@example(setup=_TIME_BUDGET)
+@example(setup=_LOOK_BUDGET)
+def test_integer_loop_equals_rat_loop(setup):
+    robots, policies, adversary, _seed, budgets = setup
+    note(f"robots={robots} policies={policies} adversary={adversary} budgets={budgets}")
+    assert_loops_agree(setup)
+
+
+@pytest.mark.parametrize("setup,expected", [
+    (_NEGATIVE_W, (ValueError, "adversary produced a negative wait")),
+    (_NEGATIVE_C, (ValueError, "adversary produced a negative computation delay")),
+    (_UNDERRUN, (ScheduleUnderrunError, "robot 0 ran out at cycle 1")),
+    (_EXHAUSTED, (OracleScriptExhausted, "oracle script of length 3 exhausted")),
+], ids=["negative_wait", "negative_delay", "underrun", "exhausted_oracle"])
+def test_both_loops_raise_alike(setup, expected):
+    assert assert_loops_agree(setup) == expected
+
+
+@pytest.mark.parametrize("setup,status", [
+    (_TIME_BUDGET, TIME_BUDGET_EXHAUSTED),
+    (_LOOK_BUDGET, LOOK_BUDGET_EXHAUSTED),
+], ids=["time_budget", "look_budget"])
+def test_both_loops_end_alike_on_a_budget(setup, status):
+    assert assert_loops_agree(setup)[0] == status
+
+
+def test_only_a_pair_reading_adversary_takes_the_rat_loop():
+    robots, policies, adversary, seed, budgets = _TIME_BUDGET
+    scaled = run(robots, policies, adversary, seed, budgets)
+    live = run(robots, policies, _LivePair(adversary), seed, budgets)
+    assert all(r.scale is not None for r in scaled.runs.values())
+    assert all(r.scale is None for r in live.runs.values())
+    assert scaled.final_status != GATHERED
