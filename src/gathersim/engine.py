@@ -563,11 +563,14 @@ class _ScaledRobot:
             if n < 0:
                 raise ValueError("adversary produced a negative wait")
             den = wait._denominator
-            if d % den:
+            # A power-of-two den is tested by a mask and divided out by a
+            # shift: no long division of a wide scale on every cycle.
+            pow2 = not den & (den - 1)
+            if d & (den - 1) if pow2 else d % den:
                 grown = _widen(den // gcd(d, den), self, other)
                 d *= grown
                 start *= grown
-            start += n * (d // den)
+            start += n * ((d >> (den.bit_length() - 1)) if pow2 else d // den)
         self.next_time = start
         self.pending = LOOK
         return grown
@@ -702,7 +705,8 @@ def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, b
                     if n < 0:
                         raise ValueError("adversary produced a negative computation delay")
                     den = compute._denominator
-                    if d % den:
+                    pow2 = not den & (den - 1)  # as in enter_cycle
+                    if d & (den - 1) if pow2 else d % den:
                         grown = _widen(den // gcd(d, den), a, b)
                         d *= grown
                         limit *= grown
@@ -711,7 +715,7 @@ def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, b
                         obs *= grown
                         dest *= grown
                         travel *= grown
-                    move_start = t + n * (d // den)
+                    move_start = t + n * ((d >> (den.bit_length() - 1)) if pow2 else d // den)
                 else:
                     move_start = t
                 move_end = move_start + travel
