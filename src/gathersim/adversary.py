@@ -3,12 +3,12 @@
 Oblivious kinds commit every (W, C) as a pure function of
 (robot id, cycle index, adversary seed) before the run; the adaptive kind
 decides from the run as it stands, so that every later look catches the
-other robot strictly mid-move.  Both ``wait_time`` and
-``computation_delay`` get the pair (this robot, other robot) as the run
-holds them.  The oblivious kinds do not read it and declare so
-(``reads_pair`` false), so their runs take the engine's integer loop,
-which hands them None for it.  No kind keeps a run's state: a trial
-copies only a seeded kind, to give it the trial's seed.
+other robot strictly mid-move.  ``wait_time`` and ``computation_delay``
+get a ``pair`` argument: for the adaptive kind, which declares
+``reads_pair`` true, the engine's (this robot, other robot, D), the
+robots' times and positions ints over the run's scale D; for the
+oblivious kinds, which do not read it, None.  No kind keeps a run's
+state: a trial copies only a seeded kind, to give it the trial's seed.
 
 Every time value of an oblivious kind enters its draws linearly, so
 ``in_unit(k)`` gives the same adversary with times counted in units k
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .engine import LOOK, MOVE_END
-from .rational import (ONE, U01_DEN, ZERO, Rat, below, grid_point, parse_rat, spawn_rng,
-                       uniform_closed)
+from .rational import (ONE, U01_DEN, ZERO, Rat, below, grid_point, parse_rat, ratio,
+                       spawn_rng, uniform_closed)
 
 
 class AdversaryError(Exception):
@@ -55,7 +55,7 @@ class _Oblivious:
     # robot id -> (cycle, C) of the pair wait_time last drew for the robot
     _drawn: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     seeded = False  # whether a trial copies it with its own seed (``for_trial``)
-    reads_pair = False  # so a run takes the integer loop, which hands it None
+    reads_pair = False  # so the engine's loop hands it None for the pair
 
     def next_delays(self, robot_id: int, cycle: int) -> tuple[Rat, Rat]:
         raise NotImplementedError
@@ -272,24 +272,27 @@ class AdaptiveThm6:
     chronologically first one therefore observes the other robot strictly
     mid-move, so exact collocation is never seen.
 
-    It decides from the run as it stands and keeps none of it.  Each wait
-    after a robot's first is 1, or 0 after a zero-length move (an
-    immediate re-look), so it follows from the ``travel`` of the robot's
-    last move.  A robot's ``next_time`` is the time of its ``pending``
-    event: its look time while that is a LOOK, its move end while a
-    MOVE_END.
+    It decides from the run as it stands and keeps none of it.  The
+    engine's loop hands it (this robot, other robot, D): each robot's times
+    and positions are ints over the run's scale D, so X stands for X/D.  It
+    reads a robot's ``pending`` (its next event's kind) and ``next_time``
+    (that event's time: its look time while a LOOK, its move end while a
+    MOVE_END), its ``pos``, the ``dest`` and ``travel`` time of the move
+    its latest look computed, and its speed as ``p`` / ``q``.  Each wait
+    after a robot's first is 1, or 0 after a zero-length move (an immediate
+    re-look), so it follows from the ``travel`` of the robot's last move;
+    over the scale a wait of 1 is D itself.
 
     The feasible delays are (max(hi - travel, 0), hi), hi the time from the
     look to the other robot's next look.  Their width is ``travel`` when
-    hi >= travel and ``hi`` otherwise, so C is hi minus half the width and
-    the interval's ends are never built.  Signs (of ``travel``, ``hi`` and
-    ``shift``) are read off the numerator, which holds the value's sign in
-    lowest terms.
+    hi >= travel and ``hi`` otherwise, so C is hi minus half the width,
+    (2 hi - width) / 2D, and the interval's ends are never built.  No int
+    is divided: the loop folds C's denominator into D.
     """
 
     initial_waits: Mapping[int, Rat]
     seeded = False
-    reads_pair = True  # so a run takes the Rat loop, which hands it the live pair
+    reads_pair = True  # so the loop hands it (this robot, other robot, D)
 
     def __post_init__(self):
         waits = list(self.initial_waits.values())
@@ -303,57 +306,48 @@ class AdaptiveThm6:
         scenario's unit."""
         return None
 
-    @staticmethod
-    def _wait_after(robot) -> Rat:
-        """The wait that follows ``robot``'s last move: 0 after a zero-length
-        one, else 1."""
-        return ONE if robot.travel._numerator else ZERO
-
     def wait_time(self, robot_id, cycle, pair):
+        """The initial wait in cycle 0; then 1, or 0 after a zero-length
+        move."""
         if cycle == 0:
             return self.initial_waits[robot_id]
-        return self._wait_after(pair[0])
+        return ONE if pair[0].travel else ZERO
 
     def computation_delay(self, robot_id, cycle, pair):
-        """The cycle's C after the look of pair[0], the other robot pair[1].
-
-        Reads the looking robot's ``travel`` and the sign of its ``shift``
-        (destination minus position) for the move its look computed."""
-        me, other = pair
+        """The cycle's C after the look of pair[0], the other robot pair[1],
+        both over the scale pair[2]."""
+        me, other, d = pair
         travel = me.travel
-        if not travel._numerator:
+        if not travel:
             # Zero-length move: its wait of 0 forces an immediate re-look.
             return ZERO
-        other_look, other_pos_at_look = self._other_next_look(other)
+        # The other robot's next look, and its position then.
+        if other.pending == LOOK:
+            other_look, other_pos = other.next_time, other.pos
+        elif other.pending == MOVE_END:
+            other_look = other.next_time + d if other.travel else other.next_time
+            other_pos = other.dest
+        else:
+            raise InfeasibleDelayError(f"other robot's next event is {other.pending} at a look")
 
         # Move interval (t+C, t+C+travel) must strictly contain the other
         # robot's next look; C is additionally clamped to be non-negative.
         # As travel > 0, the interval is empty only when hi <= 0.
         hi = other_look - me.next_time
-        if hi._numerator <= 0:
+        if hi <= 0:
             raise InfeasibleDelayError(
-                f"empty feasible delay interval (0, {hi}) for robot {me.spec.id}"
+                f"empty feasible delay interval (0, {ratio(hi, d)}) for robot {me.id}"
             )
         width = travel if hi >= travel else hi
-        half = width / 2
-        # With C = hi - half the other robot looks half after the move
-        # starts, strictly inside it (half < travel), where this robot has
-        # come speed * half of the way from its position towards its
-        # destination.
-        step = half if me.spec.speed == 1 else me.spec.speed * half
-        if other_pos_at_look - me.pos == (step if me.shift._numerator > 0 else -step):
+        # With C = hi - width/2 the other robot looks width/2 after the move
+        # starts, strictly inside it, where this robot has come p/q * width/2
+        # of the way from its position towards its destination.
+        step = me.p * width
+        if 2 * me.q * (other_pos - me.pos) == (step if me.dest > me.pos else -step):
             # Only a single delay value puts us exactly on the other robot at
-            # its look; any other interior point avoids the coincidence.
-            return hi - width + width / 4
-        return hi - half
-
-    def _other_next_look(self, other):
-        """The other robot's next look time and its position then."""
-        if other.pending == LOOK:
-            return other.next_time, other.pos
-        if other.pending == MOVE_END:
-            return other.next_time + self._wait_after(other), other.dest
-        raise InfeasibleDelayError(f"other robot's next event is {other.pending} at a look")
+            # its look; the quarter point hi - 3/4 width avoids it.
+            return ratio(4 * hi - 3 * width, 4 * d)
+        return ratio(2 * hi - width, 2 * d)
 
 
 AdversaryPolicy = ObliviousExplicit | ObliviousGenerated | TauBounded | PerRobot | AdaptiveThm6

@@ -15,35 +15,38 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .engine import RobotRun, Trace, position_at
-from .rational import ZERO, Rat
+from .rational import ZERO, Rat, ratio
 
 
-def looks_mid_move(cycles: list[tuple], others: list[tuple]):
+def looks_mid_move(cycles, others):
     """For each look of ``cycles`` in order, whether a move of ``others``
     then runs strictly across it (move_start < t < move_end).
 
-    Both are ``RobotRun.cycle_times`` of one trace's two robots, so an
-    integer run's are compared as ints and build no segment.  A robot's
-    looks come in time order and moves never overlap, so one forward
-    pointer over the other robot's cycles answers them all: the only
-    candidate move is the latest one starting strictly before the look.
-    Once the pointer reaches a move that still runs at t, no later move can
-    start before t, so the look is mid-move with no further comparison: two
-    in all when the pointer moved on by one.  A move seen to have ended by
-    one look has ended by every later one, so it is not compared again.
+    Both are ``RobotRun.cycle_times`` of one trace's two robots, so they
+    are compared as ints and build no segment; each is read once, in
+    order.  A robot's looks come in time order and moves never overlap, so
+    one forward pass over the other robot's cycles answers them all: the
+    only candidate move is the latest one starting strictly before the
+    look.  Once the pass reaches a move that still runs at t, no later move
+    can start before t, so the look is mid-move with no further
+    comparison: two in all when the pass moved on by one.  A move seen to
+    have ended by one look has ended by every later one, so it is not
+    compared again.
     """
-    last = len(others) - 1
-    j = -1  # the latest of ``others`` whose move starts strictly before t
-    running = False  # others[j]'s move ran at the latest look (false while j = -1)
+    others = iter(others)
+    ahead = next(others, None)  # the first of ``others`` not yet passed
+    end = None  # the move end of the latest one passed
+    running = False  # that move ran at the latest look (false before the first)
     for t, _start, _end in cycles:
-        while j < last and others[j + 1][1] < t:
-            j += 1
-            running = t < others[j][2]
+        while ahead is not None and ahead[1] < t:
+            end = ahead[2]
+            ahead = next(others, None)
+            running = t < end
             if running:
                 break
-        else:  # the pointer stopped without finding a move that runs at t
+        else:  # the pass stopped without finding a move that runs at t
             if running:
-                running = t < others[j][2]
+                running = t < end
         yield running
 
 
@@ -321,25 +324,31 @@ def looks_see_midmove(trace: Trace) -> tuple[bool, list]:
     Every look strictly after the chronologically first look instant must
     observe the other robot strictly inside a move (move_start < t <
     move_end) at a positive distance.  Returns (ok, violations), the
-    violations in time order.
+    violations in time order.  Each look's time and its ``observed !=
+    origin`` test are read off the raw records, so a trace that passes
+    builds no segment.
     """
     a, b = trace.robot_ids
     runs = trace.runs
-    firsts = [run.segments[0].look_time for run in runs.values() if run.segments]
+    firsts = [next(run.cycle_times())[0] for run in runs.values() if run.records]
     if not firsts:
         return True, []
     first_time = min(firsts)
-    times = {rid: runs[rid].cycle_times() for rid in (a, b)}
     violations = []
     for rid, other_id in ((a, b), (b, a)):
-        segs = runs[rid].segments
-        for seg, moving in zip(segs, looks_mid_move(times[rid], times[other_id])):
-            t = seg.look_time
-            if t == first_time:
-                continue
-            distance_ok = seg.observed != seg.origin
-            if not (moving and distance_ok):
-                violations.append((t, rid, moving, distance_ok))
+        run = runs[rid]
+        moving = looks_mid_move(run.cycle_times(), runs[other_id].cycle_times())
+        # A robot's looks come in time order, so those at the first instant
+        # lead its records.
+        first_looks = 0
+        for t, _start, _end in run.cycle_times():
+            if t != first_time:
+                break
+            first_looks += 1
+        for i, (record, mid) in enumerate(zip(run.records, moving)):
+            distance_ok = record[6] != record[4]  # observed != origin, one scale
+            if i >= first_looks and not (mid and distance_ok):
+                violations.append((ratio(record[0], record[7]), rid, mid, distance_ok))
     # A stable sort on (time, robot id) keeps a robot's same-instant
     # re-looks in cycle order.
     violations.sort(key=lambda v: (v[0], v[1]))

@@ -9,42 +9,37 @@ the open interval (move_start, move_end).
 
 All quantities are exact, so a look either observes the other robot at
 exactly the observer's position (the gathering decision fires, even for a
-robot crossing mid-move) or it does not.  ``run`` has two event loops that
-process the same events in the same order and record the same values:
+robot crossing mid-move) or it does not.
 
-- The integer loop (``_scaled_run``), for every adversary that declares it
-  does not read the live pair (``reads_pair`` false: every oblivious kind).
-  Each time and position is an int X over one run-wide denominator D, so
-  its value is X/D.  D starts as the lcm of the starts' and ``max_time``'s
-  denominators.  When a W, a C, a lambda step, a division by a speed or a
-  mid-move position needs a finer scale, D and every live int are
-  multiplied by the missing factor (``_widen``), over-provisioned so that
-  the next values of the same kind land on the scale; D is never reduced.
-  While D is a power of two (``experiments.run_setup``'s dyadic unit keeps
-  it one for thm1, thm5 and thm4's alpha 1) this is shifts and masks.
-  The adversary gets None for the pair, and ``policies.destination``
-  takes the ints.  Each cycle is kept as a raw record of ints and its D;
-  ``RobotRun.segments`` builds ``Rat`` segments only when something reads
-  them, so an untraced trial that reads only look counts and gathering
-  times builds none.
-- The ``Rat`` loop (``_live_run``), for an adversary that reads the pair
-  (``AdaptiveThm6``) or does not declare what it reads.  Every quantity is
-  a ``rational.Rat``, and the adversary's ``wait_time`` and
-  ``computation_delay`` get the pair (this robot, other robot) as the run
-  holds them: at a look the looking robot already holds the ``dest``,
-  ``shift`` and ``travel`` time of the move its look computed, and at a
-  move end the robot still holds its finished move's.  An adaptive run's
-  denominators grow to thousands of bits, where ints over one D gain
-  nothing, and its reader (``read_midmove``) reads every segment.
+The event loop (``_scaled_run``) counts each time and position as an int X
+over one run-wide denominator D, so its value is X/D.  D starts as the lcm
+of the starts' and ``max_time``'s denominators.  When a W, a C, a lambda
+step, a division by a speed or a mid-move position needs a finer scale, D
+and every live int are multiplied by the missing factor (``_widen``),
+over-provisioned so that the next values of the same kind land on the
+scale; D is never reduced.  While D is a power of two
+(``experiments.run_setup``'s dyadic unit keeps it one for thm1, thm5,
+thm4's alpha 1 and thm6) this is shifts and masks, and a big D still
+pays: an adaptive run's D reaches thousands of bits, and its ints take
+about 60% of the time its ``Rat`` values did.  ``policies.destination``
+takes the ints.  Each cycle is kept as a raw record of ints and its D;
+``RobotRun.segments`` builds ``Rat`` segments only when something reads
+them, so an untraced trial that reads only look counts, gathering times
+and mid-move looks builds none.
 
-In both, the sign of a wait W or a computation delay C is read off its
-numerator; a zero W or C adds nothing to the clock (the look is at the
-cycle's start, or the move starts at the look), and
-``policies.destination`` returns the observed position itself for lambda
-= 1, with no arithmetic.  A look that finds the other robot mid-move reads
-its live position as origin +- speed * (t - move_start), the sign that of
-its move; a robot of speed 1 multiplies by nothing, and its travel time is
-the distance itself.
+W and C are ``Rat``s, from the adversary's ``wait_time`` and
+``computation_delay``.  An adversary that declares ``reads_pair`` true
+(``AdaptiveThm6``) gets the triple (this robot, other robot, D), the
+robots as the loop holds them: at a look the looking robot already holds
+the ``dest`` and ``travel`` time of the move its look computed, and at a
+move end the robot still holds its finished move's.  Any other gets None.
+The sign of W or C is read off its numerator; a zero W or C adds nothing
+to the clock (the look is at the cycle's start, or the move starts at the
+look), and ``policies.destination`` returns the observed position itself
+for lambda = 1, with no arithmetic.  A look that finds the other robot
+mid-move reads its live position as origin +- speed * (t - move_start),
+the sign that of its move; a robot of speed 1 multiplies by nothing, and
+its travel time is the distance itself.
 
 The time budget is checked when a cycle's times are fixed, not at each
 event: a robot is marked late when its look time, or the end of the move
@@ -88,7 +83,7 @@ from typing import Mapping
 
 from . import geometry
 from .policies import LambdaPolicy, destination
-from .rational import ONE, ZERO, Rat, ratio
+from .rational import ONE, Rat, ratio
 
 LOOK = "LOOK"
 MOVE_START = "MOVE_START"
@@ -103,7 +98,6 @@ TIME_BUDGET_EXHAUSTED = "TIME_BUDGET_EXHAUSTED"
 _KIND_TIE = {LOOK: 0, MOVE_END: 1, MOVE_START: 2}
 
 _move_start = attrgetter("move_start")
-_cycle_times = attrgetter("look_time", "move_start", "move_end")
 
 
 class DegenerateLineError(ValueError):
@@ -194,30 +188,29 @@ class Event:
 class RobotRun:
     """A robot's committed cycle history over one run.
 
-    The ``Rat`` loop hands over its cycle segments.  The integer loop hands
-    over raw records, ``(look_time, lam, move_start, move_end, origin,
-    destination, observed, D)``, each time and position an int count of
-    1/D, D the run's scale when the record was made, and ``scale``, the
-    run's last D, a multiple of every record's.  ``segments`` builds the
-    ``CycleSegment``s from the records on first read; ``looks``,
-    ``gathered_at`` and ``cycle_times`` read the records themselves.
+    ``records`` holds the loop's raw records, one per cycle:
+    ``(look_time, lam, move_start, move_end, origin, destination, observed,
+    D)``, each time and position an int count of 1/D, D the run's scale
+    when the record was made.  ``scale`` is the run's last D, a multiple of
+    every record's.  ``segments`` builds the ``CycleSegment``s from the
+    records on first read; ``looks``, ``gathered_at`` and ``cycle_times``
+    read the records themselves.
     """
 
-    __slots__ = ("spec", "horizon", "scale", "_segments", "_records")
+    __slots__ = ("spec", "horizon", "records", "scale", "_segments")
 
-    def __init__(self, spec: RobotSpec, horizon: Rat, segments: list[CycleSegment] | None = None,
-                 records: list[tuple] | None = None, scale: int | None = None):
+    def __init__(self, spec: RobotSpec, horizon: Rat, records: list[tuple], scale: int):
         self.spec = spec
         self.horizon = horizon
+        self.records = records
         self.scale = scale
-        self._segments = segments
-        self._records = segments if records is None else records
+        self._segments = None
 
     @property
     def segments(self) -> list[CycleSegment]:
         segs = self._segments
         if segs is None:
-            segs = self._segments = _segments_of(self._records)
+            segs = self._segments = _segments_of(self.records)
         return segs
 
     def __eq__(self, other):
@@ -234,27 +227,38 @@ class RobotRun:
     @property
     def looks(self) -> int:
         """How many looks the robot made: each commits one cycle."""
-        return len(self._records)
+        return len(self.records)
 
-    def cycle_times(self) -> list[tuple]:
-        """(look_time, move_start, move_end) of each cycle, all on one scale:
-        ints over ``scale`` for raw records, else the segments' values.
-        The two runs of a trace share their scale, so these compare with
-        no ``Rat`` built."""
+    def cycle_times(self):
+        """(look_time, move_start, move_end) of each cycle in order, as ints
+        over ``scale``.  The two runs of a trace share their scale, so these
+        compare with no ``Rat`` built.
+
+        A record made at an earlier scale rd is rescaled by D // rd, found
+        once for each rd (consecutive records share theirs), and by a shift
+        when D is a power of two; each tuple is built as it is read.
+        """
         d = self.scale
-        if d is None:
-            return list(map(_cycle_times, self._segments))
-        return [(look, start, end) if rd is d else (look * (k := d // rd), start * k, end * k)
-                for look, _lam, start, end, _origin, _dest, _obs, rd in self._records]
+        pow2 = not d & (d - 1)
+        rd_seen = k = None
+        for look, _lam, start, end, _origin, _dest, _obs, rd in self.records:
+            if rd is d:
+                yield look, start, end
+                continue
+            if rd is not rd_seen:
+                rd_seen = rd
+                k = d.bit_length() - rd.bit_length() if pow2 else d // rd
+            if pow2:
+                yield look << k, start << k, end << k
+            else:
+                yield look * k, start * k, end * k
 
     @property
     def gathered_at(self) -> Rat | None:
         """When the robot decided it had gathered: its deciding look, if any."""
-        if not self._records:
+        if not self.records:
             return None
-        last = self._records[-1]
-        if self.scale is None:
-            return last.look_time if last.lam is None else None
+        last = self.records[-1]
         return ratio(last[0], last[7]) if last[1] is None else None
 
 
@@ -366,60 +370,6 @@ def position_at(run: RobotRun, t: Rat) -> Rat:
                                   seg.move_start, seg.move_end, t)
 
 
-class _LiveRobot:
-    """Mutable per-run robot state driving the ``Rat`` loop.
-
-    ``pending`` is the kind of its next event (LOOK, MOVE_START or
-    MOVE_END; None once it has decided) and ``next_time`` that event's
-    time.  ``dest``, ``shift`` (``dest - pos``) and ``travel`` (the
-    duration) are the move its latest look computed, set before the
-    adversary chooses its delay and so before the move's segment exists.
-    ``late`` is set once its look time or move end is fixed past the time
-    budget; only a late robot's events can pass it.  ``unit_speed`` says
-    whether the speed is 1, so that a duration is the distance itself.
-    """
-
-    __slots__ = ("spec", "unit_speed", "policy", "segments", "pending",
-                 "pos", "dest", "shift", "travel", "late", "next_time")
-
-    def __init__(self, spec: RobotSpec, policy: LambdaPolicy):
-        self.spec = spec
-        self.unit_speed = spec.speed == 1
-        self.policy = policy
-        self.segments: list[CycleSegment] = []
-        self.pending = LOOK
-        self.pos = spec.start
-        self.dest = spec.start
-        self.shift = ZERO
-        self.travel = ZERO
-        self.late = False
-        self.next_time = ZERO
-
-    def enter_cycle(self, start: Rat, adversary, other: _LiveRobot, max_time: Rat) -> None:
-        wait = adversary.wait_time(self.spec.id, len(self.segments), (self, other))
-        sign = wait._numerator  # lowest terms: the sign of W, and 0 only for W = 0
-        if sign < 0:
-            raise ValueError("adversary produced a negative wait")
-        look_time = self.next_time = start + wait if sign else start
-        self.late = look_time > max_time
-        self.pending = LOOK
-
-    def position_at(self, t: Rat) -> Rat:
-        """Live position query; valid for t at or before the current event.
-
-        A moving robot is read at move_start <= t <= move_end (its MOVE_END
-        comes after a LOOK at the same instant), so it is interpolated
-        directly: pos +- speed * (t - move_start), with the direction the
-        sign of ``shift``; at t = move_end that is exactly ``dest``.
-        """
-        if self.pending is MOVE_END:  # pos changes only at MOVE_END: it is the origin
-            step = t - self.segments[-1].move_start
-            if not self.unit_speed:
-                step = self.spec.speed * step
-            return self.pos + step if self.shift._numerator > 0 else self.pos - step
-        return self.pos
-
-
 def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
         adversary, rng_seed, budgets: Budgets, unit: Rat = ONE) -> Trace:
     """Execute one run and return its exact trace.
@@ -428,9 +378,7 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     or on the look/time budget otherwise.  It is a pure function of
     (robots, policies, adversary, rng_seed, budgets).  ``unit`` is only
     recorded: it says how many of the inputs' time and position unit make
-    one of the scenario's.  An adversary that declares ``reads_pair``
-    false runs in the integer loop (``_scaled_run``), any other in the
-    ``Rat`` loop (``_live_run``); both give the same trace.
+    one of the scenario's.
     """
     if len(robots) != 2:
         raise ValueError("the lambda-class destination rule is pairwise; "
@@ -441,85 +389,12 @@ def run(robots: list[RobotSpec], policies: Mapping[int, LambdaPolicy],
     if second.id < first.id:
         first, second = second, first
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
-    loop = _live_run if getattr(adversary, "reads_pair", True) else _scaled_run
-    runs, status, horizon, n_events = loop(first, second, policies, adversary, rng, budgets)
+    runs, status, horizon, n_events = _scaled_run(first, second, policies, adversary, rng,
+                                                  budgets)
     return Trace(runs, status, horizon, n_events, unit)
 
 
-def _live_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, budgets):
-    """The ``Rat`` event loop, for an adversary that reads the live pair:
-    (runs, status, horizon, event count) of the run."""
-    max_time, max_looks = budgets.max_time, budgets.max_total_looks
-    # In robot id order.
-    a = _LiveRobot(first, policies[first.id])
-    b = _LiveRobot(second, policies[second.id])
-    a.enter_cycle(ZERO, adversary, b, max_time)
-    b.enter_cycle(ZERO, adversary, a, max_time)
-
-    looks_done = 0
-    n_events = 0
-    horizon = ZERO
-    while True:
-        # The earliest pending event; at one instant the lower _KIND_TIE
-        # rank, then the lower robot id.
-        if a.pending is None:
-            if b.pending is None:
-                status = GATHERED
-                break
-            st, other = b, a
-        elif (b.pending is None or a.next_time < b.next_time
-              or (a.next_time == b.next_time
-                  and _KIND_TIE[a.pending] <= _KIND_TIE[b.pending])):
-            st, other = a, b
-        else:
-            st, other = b, a
-        t = st.next_time
-        if st.late and t > max_time:
-            status = TIME_BUDGET_EXHAUSTED
-            break
-        kind = st.pending
-        if kind is LOOK:
-            if looks_done >= max_looks:
-                status = LOOK_BUDGET_EXHAUSTED
-                break
-            looks_done += 1
-            obs = other.position_at(t)
-            pos = st.pos
-            cycle = len(st.segments)
-            if obs == pos:  # decided: a zero-length move at the look, and no more events
-                st.segments.append(CycleSegment(cycle, t, None, t, t, pos, pos, pos))
-                st.pending = None
-                n_events += 1  # its DECIDE_GATHERED
-            else:
-                lam = st.policy.sample(rng, cycle)
-                dest = st.dest = destination(pos, obs, lam)
-                shift = st.shift = dest - pos
-                distance = shift if shift._numerator > 0 else -shift
-                travel = st.travel = distance if st.unit_speed else distance / st.spec.speed
-                compute = adversary.computation_delay(st.spec.id, cycle, (st, other))
-                sign = compute._numerator
-                if sign < 0:
-                    raise ValueError("adversary produced a negative computation delay")
-                move_start = st.next_time = t + compute if sign else t
-                move_end = move_start + travel
-                st.late = move_end > max_time
-                st.segments.append(CycleSegment(
-                    cycle, t, lam, move_start, move_end, pos, dest, obs))
-                st.pending = MOVE_START
-        elif kind is MOVE_START:
-            st.next_time = st.segments[-1].move_end
-            st.pending = MOVE_END
-        else:  # MOVE_END
-            st.pos = st.dest
-            st.enter_cycle(t, adversary, other, max_time)
-        n_events += 1
-        horizon = t
-
-    return ({first.id: RobotRun(first, horizon, a.segments),
-             second.id: RobotRun(second, horizon, b.segments)}, status, horizon, n_events)
-
-
-# Bits added to each power-of-two widening of the integer loop's scale, and
+# Bits added to each power-of-two widening of the loop's scale, and
 # the bits an odd widening factor is raised to: a widening then leaves room
 # for the next few values of the same kind, so few runs widen more than a
 # few times.
@@ -527,18 +402,23 @@ _SPARE_BITS = 64
 
 
 class _ScaledRobot:
-    """A robot's state in the integer loop.
+    """A robot's state in the event loop.
 
     Every time and position is an int count of 1/D, D the run's scale, and
     ``_widen`` multiplies them all when D grows.  The speed is ``p`` /
-    ``q`` in lowest terms, and ``unit_speed`` says whether it is 1.  ``dest``,
-    ``move_start`` and ``move_end`` are the move its latest look computed;
-    the rest is as in ``_LiveRobot``.  ``records`` holds a ``RobotRun``'s
-    raw records.
+    ``q`` in lowest terms, and ``unit_speed`` says whether it is 1.
+    ``pending`` is the kind of its next event (LOOK, MOVE_START or
+    MOVE_END; None once it has decided) and ``next_time`` that event's
+    time.  ``dest``, ``travel`` (the duration), ``move_start`` and
+    ``move_end`` are the move its latest look computed; ``dest`` and
+    ``travel`` are set before the adversary chooses the move's C.  ``late``
+    is set once its look time or move end is fixed past the time budget;
+    only a late robot's events can pass it.  ``records`` holds a
+    ``RobotRun``'s raw records.
     """
 
     __slots__ = ("id", "p", "q", "unit_speed", "policy", "records", "pending",
-                 "pos", "dest", "move_start", "move_end", "late", "next_time")
+                 "pos", "dest", "travel", "move_start", "move_end", "late", "next_time")
 
     def __init__(self, spec: RobotSpec, policy: LambdaPolicy, d: int):
         self.id = spec.id
@@ -549,14 +429,17 @@ class _ScaledRobot:
         self.records: list[tuple] = []
         self.pending = LOOK
         self.pos = self.dest = spec.start.numerator * (d // spec.start.denominator)
-        self.move_start = self.move_end = self.next_time = 0
+        self.travel = self.move_start = self.move_end = self.next_time = 0
         self.late = False
 
-    def enter_cycle(self, start: int, d: int, adversary, other: _ScaledRobot) -> int:
+    def enter_cycle(self, start: int, d: int, adversary, other: _ScaledRobot,
+                    reads: bool) -> int:
         """Draw the next cycle's W and set its look at ``start`` + W, at
         scale ``d``; return the factor the scale grew by to hold W (1 if it
-        did not), which the caller applies to ``start`` and its own ints."""
-        wait = adversary.wait_time(self.id, len(self.records), None)
+        did not), which the caller applies to ``start`` and its own ints.
+        ``reads`` is the adversary's ``reads_pair``."""
+        wait = adversary.wait_time(self.id, len(self.records),
+                                   (self, other, d) if reads else None)
         n = wait._numerator
         grown = 1
         if n:
@@ -588,6 +471,7 @@ def _widen(m: int, a: _ScaledRobot, b: _ScaledRobot) -> int:
         for r in (a, b):
             r.pos *= f
             r.dest *= f
+            r.travel *= f
             r.move_start *= f
             r.move_end *= f
             r.next_time *= f
@@ -596,6 +480,7 @@ def _widen(m: int, a: _ScaledRobot, b: _ScaledRobot) -> int:
     for r in (a, b):
         r.pos <<= s
         r.dest <<= s
+        r.travel <<= s
         r.move_start <<= s
         r.move_end <<= s
         r.next_time <<= s
@@ -603,24 +488,24 @@ def _widen(m: int, a: _ScaledRobot, b: _ScaledRobot) -> int:
 
 
 def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, budgets):
-    """The integer event loop, for an adversary that does not read the live
-    pair: (runs, status, horizon, event count) of the run.
+    """The event loop: (runs, status, horizon, event count) of the run.
 
     Each time and position is an int X over one run-wide denominator D.  D
     starts as the lcm of the starts' and ``max_time``'s denominators; a W,
     a C, a lambda step, a division by a speed or a mid-move position that
     needs a finer scale grows it (``_widen``), with every live int, and it
-    is never reduced.  The adversary gets None for the pair.  The events,
-    their order and the values are those of ``_live_run``.
+    is never reduced.  An adversary that declares ``reads_pair`` true gets
+    (this robot, other robot, D) for the pair, any other None.
     """
     max_time, max_looks = budgets.max_time, budgets.max_total_looks
+    reads = getattr(adversary, "reads_pair", False)
     d = lcm(first.start.denominator, second.start.denominator, max_time.denominator)
     limit = max_time.numerator * (d // max_time.denominator)
     # In robot id order.
     a = _ScaledRobot(first, policies[first.id], d)
     b = _ScaledRobot(second, policies[second.id], d)
     for st, other in ((a, b), (b, a)):
-        grown = st.enter_cycle(0, d, adversary, other)
+        grown = st.enter_cycle(0, d, adversary, other, reads)
         d *= grown
         limit *= grown
         st.late = st.next_time > limit
@@ -699,7 +584,10 @@ def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, b
                     dest *= grown
                     distance *= grown
                 travel = distance if st.unit_speed else distance * st.q // p
-                compute = adversary.computation_delay(st.id, cycle, None)
+                st.dest = dest
+                st.travel = travel
+                compute = adversary.computation_delay(st.id, cycle,
+                                                      (st, other, d) if reads else None)
                 n = compute._numerator
                 if n:
                     if n < 0:
@@ -719,7 +607,6 @@ def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, b
                 else:
                     move_start = t
                 move_end = move_start + travel
-                st.dest = dest
                 st.move_start = st.next_time = move_start
                 st.move_end = move_end
                 st.late = move_end > limit
@@ -730,7 +617,7 @@ def _scaled_run(first: RobotSpec, second: RobotSpec, policies, adversary, rng, b
             st.pending = MOVE_END
         else:  # MOVE_END
             st.pos = st.dest
-            grown = st.enter_cycle(t, d, adversary, other)
+            grown = st.enter_cycle(t, d, adversary, other, reads)
             if grown != 1:
                 d *= grown
                 limit *= grown

@@ -14,8 +14,9 @@ least common multiple of the denominators of its starts, time budget and
 adversary time values.  Scaling both by K changes no comparison, no
 equality, no speed and no lambda, so the rule reads nothing else; with
 power-of-two speeds and dyadic lambdas, every engine value is then dyadic:
-the integer loop's denominator stays a power of two, and in the ``Rat``
-loop ``rational.Rat`` adds and compares by shifts instead of gcds.  A
+the engine loop's denominator stays a power of two, and the
+``rational.Rat`` values read back from a trace add and compare by shifts
+instead of gcds.  A
 trace records its unit (``Trace.unit``), and whatever a trial reports
 from it is read back in the scenario's unit.
 

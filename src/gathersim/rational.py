@@ -2,10 +2,10 @@
 
 Every continuous quantity in the simulator (time, position, speed, wait,
 delay, lambda) is exact.  Scenarios, policies, adversaries, traces and
-analysis hold them as ``Rat``s.  The engine's integer loop, which runs
-every two-robot trial whose adversary does not read the live run, counts
-times and positions as ints over one run-wide denominator D instead, and
-builds a ``Rat`` (``ratio``) only for a value a reader asks for.  Floats
+analysis hold them as ``Rat``s.  The engine's event loop, which runs
+every two-robot trial, counts times and positions as ints over one
+run-wide denominator D instead, and builds a ``Rat`` (``ratio``) only for
+a value a reader asks for or an adversary returns.  Floats
 never enter the core: two events either coincide exactly or they do not,
 and the gathering predicate is exact collocation.
 
@@ -17,8 +17,7 @@ is one Python frame: it reads its operand, computes and builds its result
 itself, with no helper call.  Each value carries a tag, set once when it
 is built: the exponent ``e`` when its denominator is ``2**e``, and -1
 otherwise.  Between two tagged (dyadic) values, ``+ - * /`` and the
-comparisons are shifts and integer adds with no gcd, which keeps long
-adaptive runs fast: their denominators grow by about 20 bits per look.
+comparisons are shifts and integer adds with no gcd.
 Bringing such a result to lowest terms shifts out the numerator's
 trailing zeros, counted on its low machine word (``_LOW``); only a
 numerator whose low word is zero is counted whole.
@@ -33,9 +32,9 @@ The scenario parser, the constants below, the uniform draws and every
 trial build their values as ``Rat``.  A two-robot run whose scenario
 values are not dyadic is counted in a unit K times finer, K odd, in which
 they are (``experiments.run_setup``), so with power-of-two speeds and
-dyadic lambdas the integer loop's D stays a power of two and the ``Rat``
-loop's values take the shift path; its trace's segments are in that unit,
-and ``Trace.unit`` is K.
+dyadic lambdas the engine loop's D stays a power of two and the ``Rat``
+values built from it take the shift path; its trace's segments are in
+that unit, and ``Trace.unit`` is K.
 
 Every integer a policy, an adversary or a uniform draw takes comes from
 ``below(rng, n)``, which reads ``k = n.bit_length()`` bits from

@@ -10,9 +10,10 @@ distance profile calls ``position_at`` at each sorted breakpoint, the
 attempt reference recomputes each window's distances and rescans each
 robot's remaining segments for every attempt, the mid-move check bisects
 the other robot's segments afresh for every look, and the adaptive
-decision places the move literally with ``move_position`` to test whether
-it lands on the other robot.  ``segment_delays`` reads each cycle's (W, C)
-off its segment's times, as a run does not record them.
+decision reads ``Rat`` fields and places the move literally with
+``move_position`` to test whether it lands on the other robot.
+``segment_delays`` reads each cycle's (W, C) off its segment's times, as a
+run does not record them.
 """
 
 import json
@@ -21,7 +22,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from operator import attrgetter
 
-from gathersim.adversary import InfeasibleDelayError
+from gathersim.adversary import AdaptiveThm6, InfeasibleDelayError
 from gathersim.analysis import AttemptRecord, max_distance_from
 from gathersim.engine import LOOK, MOVE_END, MOVE_START, position_at
 from gathersim.geometry import add, move_position, scale, sqdist, sub
@@ -269,16 +270,25 @@ def grid_project_coordinate(q, p1, p2, span=64):
     return best
 
 
-def reference_adaptive_decide(adversary, pair, dest):
+def reference_adaptive_decide(pair, dest):
     """``AdaptiveThm6``'s C and next W with the move placed literally: the
     delay is the midpoint of the feasible interval unless ``move_position``
     puts the robot exactly on the other one at the other's next look, and
-    then the quarter point.  Travel is recomputed from ``dest``."""
+    then the quarter point.  ``pair`` holds the two robots' ``Rat`` fields;
+    the other robot's next look is its look time while it waits, or its
+    move end plus a wait of 1 (0 after a zero-length move) while it moves.
+    Travel is recomputed from ``dest``."""
     me, other = pair
     if dest == me.pos:
         return (Fraction(0), Fraction(0))
+    if other.pending == LOOK:
+        other_look, other_pos_at_look = other.next_time, other.pos
+    elif other.pending == MOVE_END:
+        other_look = other.next_time + (1 if other.travel else 0)
+        other_pos_at_look = other.dest
+    else:
+        raise InfeasibleDelayError(f"other robot's next event is {other.pending} at a look")
     t = me.next_time
-    other_look, other_pos_at_look = adversary._other_next_look(other)
     travel = abs(dest - me.pos) / me.spec.speed
     hi = other_look - t
     lo = max(hi - travel, Fraction(0))
@@ -292,9 +302,28 @@ def reference_adaptive_decide(adversary, pair, dest):
     return (c, Fraction(1))
 
 
+class _ReferenceAdaptive:
+    """``AdaptiveThm6`` in the reference loop: its initial waits, and each
+    later decision made by ``reference_adaptive_decide`` on the loop's
+    ``Rat`` robots."""
+
+    def __init__(self, adversary):
+        self.initial_waits = adversary.initial_waits
+
+    def wait_time(self, robot_id, cycle, pair):
+        if cycle == 0:
+            return self.initial_waits[robot_id]
+        return Fraction(1) if pair[0].travel else Fraction(0)
+
+    def computation_delay(self, robot_id, cycle, pair):
+        me = pair[0]
+        return reference_adaptive_decide(pair, me.pos + me.shift)[0]
+
+
 class _RefRobot:
     """A robot's state in the reference loop: its own ``phase``, and the
-    fields adaptive adversaries read (``pending`` is a view of ``phase``)."""
+    fields ``reference_adaptive_decide`` reads (``pending`` is a view of
+    ``phase``)."""
 
     def __init__(self, spec, policy):
         self.spec = spec
@@ -353,9 +382,13 @@ def reference_events(robots, policies, adversary, rng_seed, budgets):
     Returns (events, final_status, look_count, horizon) with events as
     (time, robot_id, kind, payload) tuples, in the fields and order of
     ``Trace.events``.  Simultaneous events go LOOK, MOVE_END, MOVE_START,
-    then by robot id.
+    then by robot id.  An ``AdaptiveThm6`` decides through
+    ``_ReferenceAdaptive``; any other adversary is asked as the engine asks
+    it, with the reference robots for the pair.
     """
     tie = {"LOOK": 0, "MOVE_END": 1, "MOVE_START": 2}
+    if isinstance(adversary, AdaptiveThm6):
+        adversary = _ReferenceAdaptive(adversary)
     rng = rng_seed if isinstance(rng_seed, random.Random) else random.Random(rng_seed)
     states = {spec.id: _RefRobot(spec, policies[spec.id])
               for spec in sorted(robots, key=lambda s: s.id)}

@@ -1,11 +1,11 @@
 import json
 from fractions import Fraction as F
-from functools import partial
+from math import lcm
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import reference_adaptive_decide, segment_delays
+from oracles import reference_adaptive_decide, reference_looks_see_midmove, segment_delays
 
 from gathersim import adversary, experiments
 from gathersim.adversary import (
@@ -22,7 +22,7 @@ from gathersim.adversary import (
 from gathersim.analysis import looks_see_midmove
 from gathersim.cli import parse_scenario
 from gathersim.engine import Budgets, LOOK, MOVE_END, MOVE_START, RobotSpec, run
-from gathersim.policies import THREE_CHOICE, Oracle
+from gathersim.policies import TAU_TRIPLE, THREE_CHOICE, Oracle
 from gathersim.rational import U01_DEN, Rat, spawn_rng
 
 BIG = F(10 ** 9)
@@ -352,7 +352,7 @@ def test_adaptive_avoids_landing_on_the_other_robot_moving_backward():
     assert tr.runs[1].segments[0].observed == F(1, 2)
 
 
-# adaptive_decide against the literal move of oracles.reference_adaptive_decide
+# adaptive_decide on ints against the literal move of oracles.reference_adaptive_decide
 
 dyadics = st.builds(lambda n, e: Rat(n, 1 << e), st.integers(-2 ** 70, 2 ** 70),
                     st.integers(0, 80))
@@ -363,35 +363,54 @@ positive = st.one_of(
     st.builds(Rat, st.integers(1, 10 ** 9), st.integers(1, 10 ** 6)))
 
 
-def decide_pair(adv, pos, dest, speed, look_time, other_look, other_pos, other_moving):
-    """(looking robot, other robot) as the adaptive decision reads them; a
-    moving other robot's next look is its move end plus a wait of 1, as its
-    move has a positive travel."""
-    shift = dest - pos
-    me = SimpleNamespace(spec=SimpleNamespace(id=0, speed=speed), pos=pos,
-                         next_time=look_time, shift=shift, travel=abs(shift) / speed)
-    spec = SimpleNamespace(id=1, speed=Rat(1))
+def decide_pair(pos, dest, speed, look_time, other_look, other_pos, other_moving):
+    """(looking robot, other robot) with ``Rat`` fields, as the reference
+    decision reads them; a moving other robot's next look is its move end
+    plus a wait of 1, as its move has a positive travel."""
+    me = SimpleNamespace(id=0, spec=SimpleNamespace(id=0, speed=speed), pos=pos, dest=dest,
+                         next_time=look_time, travel=abs(dest - pos) / speed)
     if other_moving:
-        other = SimpleNamespace(spec=spec, pending=MOVE_END, travel=Rat(1, 2),
-                                next_time=other_look - 1, dest=other_pos)
+        other = SimpleNamespace(id=1, pending=MOVE_END, next_time=other_look - 1,
+                                dest=other_pos, travel=Rat(1, 2))
     else:
-        other = SimpleNamespace(spec=spec, pending=LOOK, next_time=other_look,
-                                pos=other_pos)
+        other = SimpleNamespace(id=1, pending=LOOK, next_time=other_look, pos=other_pos,
+                                travel=Rat(0))
     return me, other
 
 
+_SCALED = ("pos", "dest", "next_time", "travel")
+
+
+def int_pair(me, other):
+    """(looking robot, other robot, D) as the engine's loop hands them to
+    ``AdaptiveThm6``: the pair's times and positions as ints over their
+    common denominator D, and the looking robot's speed as ``p`` / ``q``."""
+    d = lcm(*(getattr(r, k).denominator for r in (me, other) for k in _SCALED
+              if hasattr(r, k)))
+
+    def on_scale(robot):
+        return SimpleNamespace(**{k: (v * d).numerator if k in _SCALED else v
+                                  for k, v in vars(robot).items()})
+
+    mine = on_scale(me)
+    mine.p, mine.q = me.spec.speed.numerator, me.spec.speed.denominator
+    return mine, on_scale(other), d
+
+
 def adaptive_decide(adv, pair):
-    """The adversary's (C for this cycle, W for the next) after pair[0]'s look."""
+    """The adversary's (C for this cycle, W for the next) after pair[0]'s
+    look, on the int triple ``pair``."""
     return adv.computation_delay(0, 0, pair), adv.wait_time(0, 1, pair)
 
 
 def decisions(adv, pair, dest):
-    """adaptive_decide and its reference, or the error each raised."""
+    """adaptive_decide on ``pair``'s ints and the reference decision on its
+    ``Rat``s, or the error each raised."""
     got = []
-    for decide in (partial(adaptive_decide, adv),
-                   partial(reference_adaptive_decide, adv, dest=dest)):
+    for decide in (lambda: adaptive_decide(adv, int_pair(*pair)),
+                   lambda: reference_adaptive_decide(pair, dest)):
         try:
-            got.append(decide(pair))
+            got.append(decide())
         except InfeasibleDelayError:
             got.append(InfeasibleDelayError)
     return got
@@ -416,8 +435,7 @@ def _gap_examples(test):
 def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
                                               other_pos, other_moving):
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
-    pair = decide_pair(adv, pos, dest, speed, look_time, look_time + gap, other_pos,
-                       other_moving)
+    pair = decide_pair(pos, dest, speed, look_time, look_time + gap, other_pos, other_moving)
     got, expected = decisions(adv, pair, dest)
     assert got == expected
 
@@ -425,21 +443,21 @@ def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
 @pytest.mark.parametrize("gap", [Rat(0), Rat(-1, 3)])
 def test_adaptive_decide_names_the_empty_interval(gap):
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
-    pair = decide_pair(adv, Rat(0), Rat(3), Rat(1), Rat(5), Rat(5) + gap, Rat(7), False)
+    pair = decide_pair(Rat(0), Rat(3), Rat(1), Rat(5), Rat(5) + gap, Rat(7), False)
     with pytest.raises(InfeasibleDelayError,
                        match=rf"^empty feasible delay interval \(0, {gap}\) for robot 0$"):
-        adaptive_decide(adv, pair)
+        adaptive_decide(adv, int_pair(*pair))
 
 
 def test_adaptive_decide_names_an_other_robot_about_to_start_its_move():
     # Between its look and its move start the other robot's next look is
     # not fixed yet, so no delay can be chosen against it.
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
-    me, other = decide_pair(adv, Rat(0), Rat(3), Rat(1), Rat(5), Rat(7), Rat(7), True)
+    me, other, d = int_pair(*decide_pair(Rat(0), Rat(3), Rat(1), Rat(5), Rat(7), Rat(7), True))
     other.pending = MOVE_START
     with pytest.raises(InfeasibleDelayError,
                        match=r"^other robot's next event is MOVE_START at a look$"):
-        adaptive_decide(adv, (me, other))
+        adaptive_decide(adv, (me, other, d))
 
 
 @pytest.mark.parametrize("direction", [1, -1])
@@ -455,8 +473,7 @@ def test_adaptive_decide_quarter_point_on_exact_coincidence(
     lo, hi = max(gap - travel, Rat(0)), gap
     at_look = pos + direction * speed * ((hi - lo) / 2)
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
-    pair = decide_pair(adv, pos, dest, speed, look_time, look_time + gap, at_look,
-                       other_moving)
+    pair = decide_pair(pos, dest, speed, look_time, look_time + gap, at_look, other_moving)
     got, expected = decisions(adv, pair, dest)
     assert got == expected == (lo + (hi - lo) / 4, 1)
 
@@ -470,6 +487,23 @@ def test_adaptive_never_gathers_small_batch():
         ok, violations = looks_see_midmove(tr)
         assert not tr.gathered
         assert ok, (seed, violations)
+
+
+@pytest.mark.parametrize("speed", [F(1), F(3, 2), F(2)], ids=["1", "3/2", "2"])
+@pytest.mark.parametrize("policy", [THREE_CHOICE, TAU_TRIPLE], ids=["three_choice", "tau_triple"])
+def test_adaptive_never_gathers_at_unequal_speeds(policy, speed):
+    # Robot 1 at speed 1, robot 0 at ``speed``: no run gathers or finds an
+    # empty feasible interval (which would raise InfeasibleDelayError), and
+    # every look after the first sees the other robot mid-move, by the
+    # record-reading check and by the reference's bisect per look.
+    specs = [RobotSpec(0, F(1), speed), RobotSpec(1, F(0), F(1))]
+    for seed in range(20):
+        tr = run(specs, {0: policy, 1: policy}, AdaptiveThm6({0: F(2), 1: F(1)}),
+                 spawn_rng("thm6-speeds", seed), Budgets(200, BIG))
+        assert not tr.gathered and sum(tr.look_count.values()) == 200
+        got = looks_see_midmove(tr)
+        assert got == reference_looks_see_midmove(tr)
+        assert got == (True, []), seed
 
 
 def test_adaptive_requires_distinct_waits():

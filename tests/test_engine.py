@@ -509,13 +509,16 @@ def test_adaptive_run_operation_count(monkeypatch):
     # adversary now reads signs off numerators and takes the feasible
     # interval's width in closed form, without building its ends, and a
     # look's distance is the shift or its negation by the shift's sign:
-    # 24.5 per look (9 818).
+    # 24.5 per look (9 818).  The run now counts every time and position as
+    # an int over one run-wide denominator, as oblivious runs did before
+    # it, and the adversary reads the robots' ints and builds each C with
+    # one ``ratio`` call: no Rat operator call (0).
     scn = _bundled("thm6_adaptive", {})
     outcome = []
     calls = _rat_operations_inside(
         monkeypatch, run, lambda: outcome.append(experiments.run_one_trial(scn, 0)))
     assert outcome[0].total_looks == 400
-    assert calls <= 10_500, calls
+    assert calls <= 50, calls
 
 
 def test_thm1_run_operation_count(monkeypatch):

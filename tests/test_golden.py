@@ -155,12 +155,12 @@ def test_golden_digests_with_workers(tmp_path):
                               workers=2) == expected
 
 
-@pytest.mark.parametrize("name", ["thm1_positive", "thm4_one_free"])
+@pytest.mark.parametrize("name", ["thm1_positive", "thm4_one_free", "thm6_adaptive"])
 def test_untraced_batches_build_no_segment(name, tmp_path, monkeypatch):
-    # Counted, not timed: an oblivious run keeps raw integer records, and an
-    # untraced thm1 or thm4 batch reads its looks, gathering times and (for
-    # thm4) mid-move looks off them, so building a CycleSegment fails it.
-    # Its report and rows are still the golden ones.
+    # Counted, not timed: a run keeps raw integer records, and an untraced
+    # thm1, thm4 or thm6 batch reads its looks, gathering times and (for
+    # thm4 and thm6) mid-move looks off them, so building a CycleSegment
+    # fails it.  Its report and rows are still the golden ones.
     def refuse(*args):
         raise AssertionError("a CycleSegment was built")
 

@@ -1,11 +1,13 @@
-"""The integer event loop against the ``Rat`` loop on oblivious set-ups.
+"""The integer event loop against an independent rational loop on
+oblivious set-ups.
 
-``engine.run`` takes the integer loop for an adversary that declares it
-does not read the live pair, and the ``Rat`` loop for any other.  Wrapping
-an oblivious adversary in ``_LivePair``, which reads nothing either but
-does not declare so, runs the same set-up in the ``Rat`` loop, so each
-example runs both and requires the same segments, status, horizon, event
-count and look counts, or the same exception with the same message.
+``engine.run`` counts every time and position as an int over one run-wide
+denominator.  ``oracles.reference_events`` runs the same set-up in a loop
+of its own on the set-up's rationals (``Fraction`` or ``Rat``) and records
+each event as it happens, so each example runs both loops and requires the
+same events, status, horizon, event count and look counts, or the same
+exception with the same message; the run's trace text must equal
+``oracles.reference_trace_text``.
 """
 
 import random
@@ -14,34 +16,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, note, settings, strategies as st
 
-from gathersim.adversary import (ObliviousExplicit, ObliviousGenerated, PerRobot,
+from oracles import reference_events, reference_trace_text
+
+from gathersim.adversary import (AdaptiveThm6, ObliviousExplicit, ObliviousGenerated, PerRobot,
                                  ScheduleUnderrunError, TauBounded)
 from gathersim.cli import trace_to_jsonable
-from gathersim.engine import (GATHERED, LOOK_BUDGET_EXHAUSTED, TIME_BUDGET_EXHAUSTED, Budgets,
-                              RobotSpec, run)
-from gathersim.policies import (Deterministic, Oracle, OracleScriptExhausted,
+from gathersim.engine import (LOOK_BUDGET_EXHAUSTED, TIME_BUDGET_EXHAUSTED, Budgets, RobotSpec,
+                              run)
+from gathersim.policies import (THREE_CHOICE, Deterministic, Oracle, OracleScriptExhausted,
                                 policy_from_descriptor)
 from gathersim.rational import Rat
-
-
-class _LivePair:
-    """An adversary's own W and C, without its ``reads_pair`` declaration."""
-
-    def __init__(self, adversary):
-        self.adversary = adversary
-
-    def wait_time(self, robot_id, cycle, pair):
-        return self.adversary.wait_time(robot_id, cycle, pair)
-
-    def computation_delay(self, robot_id, cycle, pair):
-        return self.adversary.computation_delay(robot_id, cycle, pair)
 
 
 class _Unchecked:
     """Per-robot (W, C) lists taken as they are, negative values included;
     past its list a robot's schedule runs out as an explicit one does."""
-
-    reads_pair = False
 
     def __init__(self, schedules):
         self.schedules = schedules
@@ -60,22 +49,32 @@ class _Unchecked:
 
 
 def outcome(robots, policies, adversary, seed, budgets):
-    """(status, horizon, event count, look counts, segments, trace text) of
-    a run, or (exception type, message) if it raised."""
+    """(status, horizon, event count, look counts, events) of a run, with
+    its trace, or (exception type, message) if it raised."""
     try:
         tr = run(robots, policies, adversary, random.Random(seed), budgets)
     except (ValueError, ScheduleUnderrunError, OracleScriptExhausted) as exc:
+        return (type(exc), str(exc)), None
+    events = [(e.time, e.robot_id, e.kind, e.payload) for e in tr.events]
+    return (tr.final_status, tr.horizon, tr.event_count, tr.look_count, events), tr
+
+
+def reference_outcome(robots, policies, adversary, seed, budgets):
+    """``outcome``'s tuple from ``oracles.reference_events``."""
+    try:
+        events, status, look_count, horizon = reference_events(
+            robots, policies, adversary, random.Random(seed), budgets)
+    except (ValueError, ScheduleUnderrunError, OracleScriptExhausted) as exc:
         return type(exc), str(exc)
-    return (tr.final_status, tr.horizon, tr.event_count, tr.look_count,
-            {rid: r.segments for rid, r in tr.runs.items()}, trace_to_jsonable(tr))
+    return status, horizon, len(events), look_count, events
 
 
-def assert_loops_agree(setup):
-    robots, policies, adversary, seed, budgets = setup
-    scaled = outcome(robots, policies, adversary, seed, budgets)
-    live = outcome(robots, policies, _LivePair(adversary), seed, budgets)
-    assert scaled == live
-    return scaled
+def assert_matches_reference(setup):
+    got, tr = outcome(*setup)
+    assert got == reference_outcome(*setup)
+    if tr is not None:
+        assert trace_to_jsonable(tr) == reference_trace_text(tr)
+    return got
 
 
 # W and C values; lambdas (from Oracle scripts and FINITE_MIXTURE policies);
@@ -160,7 +159,7 @@ _LOOK_BUDGET = _setup([("1/2", "1/3")] * 9, [("1/3", "0")] * 9, lam0="-1", looks
 def test_integer_loop_equals_rat_loop(setup):
     robots, policies, adversary, _seed, budgets = setup
     note(f"robots={robots} policies={policies} adversary={adversary} budgets={budgets}")
-    assert_loops_agree(setup)
+    assert_matches_reference(setup)
 
 
 @pytest.mark.parametrize("setup,expected", [
@@ -170,7 +169,7 @@ def test_integer_loop_equals_rat_loop(setup):
     (_EXHAUSTED, (OracleScriptExhausted, "oracle script of length 3 exhausted")),
 ], ids=["negative_wait", "negative_delay", "underrun", "exhausted_oracle"])
 def test_both_loops_raise_alike(setup, expected):
-    assert assert_loops_agree(setup) == expected
+    assert assert_matches_reference(setup) == expected
 
 
 @pytest.mark.parametrize("setup,status", [
@@ -178,13 +177,46 @@ def test_both_loops_raise_alike(setup, expected):
     (_LOOK_BUDGET, LOOK_BUDGET_EXHAUSTED),
 ], ids=["time_budget", "look_budget"])
 def test_both_loops_end_alike_on_a_budget(setup, status):
-    assert assert_loops_agree(setup)[0] == status
+    assert assert_matches_reference(setup)[0] == status
 
 
-def test_only_a_pair_reading_adversary_takes_the_rat_loop():
-    robots, policies, adversary, seed, budgets = _TIME_BUDGET
-    scaled = run(robots, policies, adversary, seed, budgets)
-    live = run(robots, policies, _LivePair(adversary), seed, budgets)
-    assert all(r.scale is not None for r in scaled.runs.values())
-    assert all(r.scale is None for r in live.runs.values())
-    assert scaled.final_status != GATHERED
+@pytest.mark.parametrize("adversary", [
+    ObliviousExplicit({0: [(Rat(1, 2), Rat(1, 3))] * 9, 1: [(Rat(1, 3), Rat(0))] * 9}),
+    ObliviousGenerated("uniform", (Rat(0), Rat(1), Rat(0), Rat(1, 3)), 0).for_trial(7),
+    TauBounded(Rat(1, 3), 0).for_trial(7),
+    PerRobot({0: ObliviousGenerated("constant", (Rat(0), Rat(0)), 0),
+              1: TauBounded(Rat(1, 2), 0, Rat(13, 20)).for_trial(7)}),
+    AdaptiveThm6({0: Rat(2), 1: Rat(1)}),
+    _TIME_BUDGET[2],
+], ids=["explicit", "generated", "tau", "per_robot", "adaptive", "unchecked"])
+def test_every_adversary_yields_raw_records(adversary):
+    robots = [RobotSpec(0, Rat(1), Rat(1)), RobotSpec(1, Rat(0), Rat(3, 2))]
+    policies = {0: THREE_CHOICE, 1: THREE_CHOICE}
+    tr = run(robots, policies, adversary, 3, Budgets(12, Rat(1000)))
+    for r in tr.runs.values():
+        assert r._segments is None  # nothing built a segment
+        assert r.records and all(len(rec) == 8 for rec in r.records)
+        assert all(type(x) is int for rec in r.records for x in rec[:1] + rec[2:])
+        assert all(type(r.scale) is int and r.scale % rec[7] == 0 for rec in r.records)
+
+
+@pytest.mark.parametrize("speeds,lams,wait,finer", [
+    (("1", "1"), ("1/2", "-1/2"), "1/4", "1/1267650600228229401496703205376"),  # C 2**-100
+    (("1", "3/2"), ("1/3", "1/2"), "1/3", "1/7"),
+], ids=["power_of_two", "odd"])
+def test_cycle_times_are_the_segments_times_on_the_final_scale(speeds, lams, wait, finer):
+    # Robot 0's C turns finer after its second cycle, so the scale widens
+    # more than once: by powers of two only, or also by odd factors (a
+    # lambda of 1/3, a speed of 3/2, a W of 1/3, a C of 1/7).
+    robots = [RobotSpec(0, Rat(0), Rat(speeds[0])), RobotSpec(1, Rat(1), Rat(speeds[1]))]
+    policies = {0: Deterministic(Rat(lams[0])), 1: Deterministic(Rat(lams[1]))}
+    adversary = ObliviousExplicit({0: [(Rat(1, 2), Rat(1, 4))] * 2 + [(Rat(1), Rat(finer))] * 14,
+                                   1: [(Rat(wait), Rat(0))] * 16})
+    tr = run(robots, policies, adversary, 0, Budgets(16, Rat(1000)))
+    for r in tr.runs.values():
+        d = r.scale
+        assert (d & (d - 1) == 0) == (wait == "1/4")
+        assert len({rec[7] for rec in r.records}) > 1  # records made at several scales
+        assert list(r.cycle_times()) == [
+            tuple((x * d).numerator for x in (s.look_time, s.move_start, s.move_end))
+            for s in r.segments]
