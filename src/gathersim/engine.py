@@ -19,10 +19,10 @@ and every live int are multiplied by the missing factor (``_widen``),
 over-provisioned so that the next values of the same kind land on the
 scale; D is never reduced.  While D is a power of two
 (``experiments.run_setup``'s dyadic unit keeps it one for thm1, thm5,
-thm4's alpha 1 and thm6) this is shifts and masks, and a big D still
-pays: an adaptive run's D reaches thousands of bits, and its ints take
-about 60% of the time its ``Rat`` values did.  ``policies.destination``
-takes the ints.  Each cycle is kept as a raw record of ints and its D;
+thm4's alpha 1 and thm6) this is shifts and masks.  A wide D still
+pays: an adaptive run's reaches thousands of bits, where an int add or
+comparison still costs less than a ``Rat`` one, which brings its result
+to lowest terms.  ``policies.destination`` takes the ints.  Each cycle is kept as a raw record of ints and its D;
 ``RobotRun.segments`` builds ``Rat`` segments only when something reads
 them, so an untraced trial that reads only look counts, gathering times
 and mid-move looks builds none.

@@ -440,6 +440,19 @@ def test_adaptive_decide_matches_literal_move(pos, dest, speed, look_time, gap,
     assert got == expected
 
 
+@pytest.mark.parametrize("other_travel,delay", [(Rat(0), Rat(1, 2)), (Rat(1, 2), Rat(1))],
+                         ids=["zero_length", "positive"])
+def test_adaptive_decide_after_the_other_robot_s_move(other_travel, delay):
+    # The other robot's move ends at 6.  After a zero-length move it looks
+    # again at once, so hi is 1 and C is 1/2; after any other move it waits
+    # 1, so hi is 2 and C is 1.
+    adv = AdaptiveThm6({0: F(2), 1: F(1)})
+    me, other = decide_pair(Rat(0), Rat(3), Rat(1), Rat(5), Rat(7), Rat(9), True)
+    other.travel = other_travel
+    got, expected = decisions(adv, (me, other), Rat(3))
+    assert got == expected == (delay, 1)
+
+
 @pytest.mark.parametrize("gap", [Rat(0), Rat(-1, 3)])
 def test_adaptive_decide_names_the_empty_interval(gap):
     adv = AdaptiveThm6({0: F(2), 1: F(1)})
